@@ -2,9 +2,11 @@
 
 Every command reads a builtin name or a JSON document path, runs its checks
 and writes a report to stdout.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 the input was unusable.  With --json the report is emitted as one
-deterministic JSON object (no timing field, so byte-identical reruns);
-human-readable output appends the elapsed time.
+failed (a field that is not homological fails the "homological input" check
+of every command that needs one), 2 the input was unreadable or malformed.
+With --json the report is emitted as one deterministic JSON object (no
+timing field, so byte-identical reruns); human-readable output appends the
+elapsed time.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 from random import Random
 
@@ -23,7 +26,9 @@ from .builtins import BUILTINS, builtin_spec, so3_broken
 from .charts import all_charts, describe_chart
 from .construction import (
     build_poisson,
+    build_poisson_unchecked,
     build_schouten,
+    build_schouten_unchecked,
     chart_change_naturality,
     is_strict,
     total_weight_audit,
@@ -50,6 +55,7 @@ from .specdoc import SpecError, assemble_field, parse_spec, render_spec
 class Report:
     command: str
     source: str
+    as_json: bool
     checks: list[dict] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
@@ -65,8 +71,8 @@ class Report:
     def ok(self) -> bool:
         return all(c["ok"] for c in self.checks)
 
-    def emit(self, as_json: bool, started: float) -> int:
-        if as_json:
+    def emit(self, started: float) -> int:
+        if self.as_json:
             doc = {
                 "command": self.command,
                 "source": self.source,
@@ -93,6 +99,13 @@ class Report:
         return 0 if self.ok else 1
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read {path}: {exc}") from None
+
+
 def load_spec(source: str):
     """Resolve a builtin name or a JSON file path into a parsed spec."""
     if source in BUILTINS:
@@ -104,7 +117,18 @@ def load_spec(source: str):
         raise SpecError(
             f"{source!r} is neither a builtin ({', '.join(BUILTINS)}) nor a file"
         )
-    return parse_spec(path.read_text())
+    return parse_spec(_read_text(path))
+
+
+def _load_matrix(path: str) -> list[list[Fraction]]:
+    """A matrix of rationals from a JSON file holding a list of rows."""
+    try:
+        raw = json.loads(_read_text(path))
+        if isinstance(raw, list) and all(isinstance(row, list) for row in raw):
+            return [[Fraction(str(v)) for v in row] for row in raw]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecError(str(exc)) from None
+    raise SpecError("the matrix must be a JSON list of rows")
 
 
 def _fail_input(message: str):
@@ -112,8 +136,8 @@ def _fail_input(message: str):
     sys.exit(2)
 
 
-source_argument = click.argument("source")
-json_option = click.option("--json", "as_json", is_flag=True, help="structured output")
+arity_option = click.option("--arity", type=int, required=True)
+seed_option = click.option("--seed", type=int, default=0, show_default=True)
 
 
 @click.group()
@@ -121,20 +145,42 @@ def main():
     """Exact checks for homological fields and their bracket structures."""
 
 
-@main.command()
-@source_argument
-@json_option
-def describe(source, as_json):
+def report_command(name: str, *options):
+    """Register ``body(report, spec, **options)`` as the command ``name``.
+
+    The runner loads SOURCE, hands the body a fresh report and the parsed
+    spec (bodies that check the field assemble it, so ``describe`` builds
+    none), then emits the report and exits with its verdict.  A SpecError
+    exits 2; a NotHomological raised by the body becomes a failed
+    "homological input" check.
+    """
+    def register(body):
+        def run(source, as_json, **kwargs):
+            started = time.perf_counter()
+            try:
+                spec = load_spec(source)
+                report = Report(name, spec.name, as_json)
+                body(report, spec, **kwargs)
+            except SpecError as exc:
+                _fail_input(str(exc))
+            except NotHomological as exc:
+                report.add("homological input", False, witness=str(exc))
+            sys.exit(report.emit(started))
+
+        run.__doc__ = body.__doc__
+        json_option = click.option("--json", "as_json", is_flag=True, help="structured output")
+        for decorate in (json_option, *reversed(options), click.argument("source")):
+            run = decorate(run)
+        return main.command(name)(run)
+    return register
+
+
+@report_command("describe")
+def describe(report, spec):
     """Print the charts, parities and weights for a spec."""
-    started = time.perf_counter()
-    try:
-        spec = load_spec(source)
-    except SpecError as exc:
-        _fail_input(str(exc))
     charts = all_charts(spec.presentation)
-    report = Report("describe", spec.name)
     report.add("charts constructed", True, detail=f"{len(charts)} charts")
-    if as_json:
+    if report.as_json:
         report.extra = {
             name: [
                 {"name": g.name, "parity": g.parity, "weight": list(g.weight)}
@@ -146,21 +192,12 @@ def describe(source, as_json):
         for chart in charts.values():
             click.echo(describe_chart(chart))
             click.echo("")
-    sys.exit(report.emit(as_json, started))
 
 
-@main.command("check-q")
-@source_argument
-@json_option
-def check_q(source, as_json):
+@report_command("check-q")
+def check_q(report, spec):
     """Verify that the field is odd and supercommutes with itself."""
-    started = time.perf_counter()
-    try:
-        spec = load_spec(source)
-        q = assemble_field(spec)
-    except SpecError as exc:
-        _fail_input(str(exc))
-    report = Report("check-q", spec.name)
+    q = assemble_field(spec)
     report.add("q is odd", q.parity == 1)
     w = commutator(q, q)
     report.add(
@@ -169,22 +206,11 @@ def check_q(source, as_json):
         witness="" if w.is_zero() else repr(w),
     )
     report.extra = {"strict": is_strict(q)}
-    sys.exit(report.emit(as_json, started))
 
 
-def _run_build(flavor: str, source: str, as_json: bool):
-    started = time.perf_counter()
-    try:
-        spec = load_spec(source)
-        q = assemble_field(spec)
-    except SpecError as exc:
-        _fail_input(str(exc))
-    report = Report(f"build-{flavor}", spec.name)
-    try:
-        h = build_schouten(q) if flavor == "schouten" else build_poisson(q)
-    except NotHomological as exc:
-        report.add("homological input", False, witness=str(exc))
-        sys.exit(report.emit(as_json, started))
+def _build_checks(report, spec, flavor: str):
+    q = assemble_field(spec)
+    h = build_schouten(q) if flavor == "schouten" else build_poisson(q)
     letter = "S" if flavor == "schouten" else "P"
     report.add(f"{letter} constructed", True)
     report.add(
@@ -201,51 +227,36 @@ def _run_build(flavor: str, source: str, as_json: bool):
         letter: h.render(),
         "bi-weight histogram": {str(k): v for k, v in audit.histogram.items()},
     }
-    sys.exit(report.emit(as_json, started))
 
 
-@main.command("build-schouten")
-@source_argument
-@json_option
-def build_schouten_cmd(source, as_json):
+@report_command("build-schouten")
+def build_schouten_cmd(report, spec):
     """Construct S, check {S,S} = 0 and audit its weights."""
-    _run_build("schouten", source, as_json)
+    _build_checks(report, spec, "schouten")
 
 
-@main.command("build-poisson")
-@source_argument
-@json_option
-def build_poisson_cmd(source, as_json):
+@report_command("build-poisson")
+def build_poisson_cmd(report, spec):
     """Construct P, check [[P,P]] = 0 and audit its weights."""
-    _run_build("poisson", source, as_json)
+    _build_checks(report, spec, "poisson")
 
 
-@main.command()
-@source_argument
-@click.option("--flavor", type=click.Choice(["schouten", "poisson"]), required=True)
-@click.option("--arity", type=int, required=True)
-@json_option
-def brackets(source, flavor, arity, as_json):
+@report_command(
+    "brackets",
+    click.option("--flavor", type=click.Choice(["schouten", "poisson"]), required=True),
+    arity_option,
+)
+def brackets(report, spec, flavor, arity):
     """Tabulate the n-ary brackets on fibre coordinate tuples."""
-    started = time.perf_counter()
-    try:
-        spec = load_spec(source)
-        q = assemble_field(spec)
-        if arity < 0:
-            raise SpecError("arity must be nonnegative")
-    except SpecError as exc:
-        _fail_input(str(exc))
-    report = Report("brackets", spec.name)
-    try:
-        if flavor == "schouten":
-            table = schouten_bracket_table(build_schouten(q), arity)
-        else:
-            table = poisson_bracket_table(build_poisson(q), arity)
-    except NotHomological as exc:
-        report.add("homological input", False, witness=str(exc))
-        sys.exit(report.emit(as_json, started))
+    q = assemble_field(spec)
+    if arity < 0:
+        raise SpecError("arity must be nonnegative")
+    if flavor == "schouten":
+        table = schouten_bracket_table(build_schouten(q), arity)
+    else:
+        table = poisson_bracket_table(build_poisson(q), arity)
     report.add(f"{flavor} table arity {arity}", True)
-    if as_json:
+    if report.as_json:
         report.extra = {
             "table": {
                 ",".join(table.labels[i] for i in tup): poly.render()
@@ -254,167 +265,112 @@ def brackets(source, flavor, arity, as_json):
         }
     else:
         report.extra = {"table": "\n" + table.render()}
-    sys.exit(report.emit(as_json, started))
 
 
-@main.command("jacobiator")
-@source_argument
-@click.option("--arity", type=int, required=True)
-@json_option
-def jacobiator_cmd(source, arity, as_json):
+@report_command("jacobiator", arity_option)
+def jacobiator_cmd(report, spec, arity):
     """Two-way Jacobiator report on fibre-coordinate tuples."""
-    started = time.perf_counter()
-    try:
-        spec = load_spec(source)
-        q = assemble_field(spec)
-        if arity < 0:
-            raise SpecError("arity must be nonnegative")
-    except SpecError as exc:
-        _fail_input(str(exc))
-    from itertools import combinations_with_replacement
-
-    from .construction import build_poisson_unchecked, build_schouten_unchecked
-
-    report = Report("jacobiator", spec.name)
+    q = assemble_field(spec)
+    if arity < 0:
+        raise SpecError("arity must be nonnegative")
     homological = is_homological(q)
     report.add("[Q,Q] = 0", homological, detail="informational" if homological else
                "nonzero: Jacobiators need not vanish, two-way equality still must hold")
     engines = [
-        ("schouten", schouten_engine(build_schouten_unchecked(q))),
-        ("poisson", poisson_engine(build_poisson_unchecked(q))),
+        schouten_engine(build_schouten_unchecked(q)),
+        poisson_engine(build_poisson_unchecked(q)),
     ]
     if q.chart.n_base == 0:
-        engines.append(("field", FieldEngine(q)))
+        engines.append(FieldEngine(q))
     all_zero = True
-    for label, eng in engines:
-        if label == "field":
-            pool = list(range(len(q.chart.generators)))
-            args_of = lambda tup, e=eng: [e.basis_field(i) for i in tup]
+    for eng in engines:
+        if eng.flavor == "field":
+            basis = [eng.basis_field(i) for i in range(len(q.chart.generators))]
             render = repr
         else:
-            parent = eng.parent
-            names = parent.fibre_names()
-            pool = list(range(len(names)))
-            args_of = lambda tup, p=parent, ns=names: [p.gen(ns[i]) for i in tup]
+            basis = [eng.parent.gen(name) for name in eng.parent.fibre_names()]
             render = lambda v: v.render()
         try:
             worst = None
-            for tup in combinations_with_replacement(pool, arity):
-                value, _ = jacobiator(eng, args_of(tup))
+            for tup in combinations_with_replacement(range(len(basis)), arity):
+                value, _ = jacobiator(eng, [basis[i] for i in tup])
                 if not value.is_zero():
                     all_zero = False
                     worst = (tup, render(value))
             report.add(
-                f"{label}: unshuffle sum equals squared-generator route", True,
+                f"{eng.flavor}: unshuffle sum equals squared-generator route", True,
                 detail=f"arity {arity}",
                 witness="" if worst is None else f"nonzero at {worst[0]}: {worst[1]}",
             )
         except JacobiatorMismatch as exc:
-            report.add(f"{label}: two-way agreement", False, witness=str(exc))
+            report.add(f"{eng.flavor}: two-way agreement", False, witness=str(exc))
     if homological:
         report.add("all Jacobiators vanish", all_zero)
     report.extra = {"all-zero": all_zero}
-    sys.exit(report.emit(as_json, started))
 
 
-@main.command()
-@source_argument
-@click.option("--arity", type=int, default=2, show_default=True)
-@click.option("--trials", type=int, default=25, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@json_option
-def leibniz(source, arity, trials, seed, as_json):
+@report_command(
+    "leibniz",
+    click.option("--arity", type=int, default=2, show_default=True),
+    click.option("--trials", type=int, default=25, show_default=True),
+    seed_option,
+)
+def leibniz(report, spec, arity, trials, seed):
     """Multiderivation identity on random homogeneous inputs."""
-    started = time.perf_counter()
-    try:
-        spec = load_spec(source)
-        q = assemble_field(spec)
-        if arity < 1 or trials < 1:
-            raise SpecError("arity and trials must be positive")
-    except SpecError as exc:
-        _fail_input(str(exc))
-    report = Report("leibniz", spec.name)
-    try:
-        s = build_schouten(q)
-        p = build_poisson(q)
-    except NotHomological as exc:
-        report.add("homological input", False, witness=str(exc))
-        sys.exit(report.emit(as_json, started))
+    q = assemble_field(spec)
+    if arity < 1 or trials < 1:
+        raise SpecError("arity and trials must be positive")
+    s = build_schouten(q)
+    p = build_poisson(q)
     rng = Random(seed)
-    rep = leibniz_check(
-        lambda args: higher_schouten_bracket(s, args),
-        schouten_engine(s).parent, "schouten", arity, trials, rng,
-    )
-    report.add(
-        f"schouten multiderivation rule, arity {arity}", rep.ok,
-        detail=f"{trials} trials",
-        witness="; ".join(rep.failures[:1]),
-    )
-    rep = leibniz_check(
-        lambda args: higher_poisson_bracket(p, args),
-        poisson_engine(p).parent, "poisson", arity, trials, rng,
-    )
-    report.add(
-        f"poisson multiderivation rule, arity {arity}", rep.ok,
-        detail=f"{trials} trials",
-        witness="; ".join(rep.failures[:1]),
-    )
-    sys.exit(report.emit(as_json, started))
+    for h, engine, bracket in ((s, schouten_engine, higher_schouten_bracket),
+                               (p, poisson_engine, higher_poisson_bracket)):
+        rep = leibniz_check(
+            lambda args: bracket(h, args),
+            engine(h).parent, h.flavor, arity, trials, rng,
+        )
+        report.add(
+            f"{h.flavor} multiderivation rule, arity {arity}", rep.ok,
+            detail=f"{trials} trials",
+            witness="; ".join(rep.failures[:1]),
+        )
 
 
-@main.command()
-@source_argument
-@click.option("--matrix", "matrix_path", type=click.Path(exists=True), required=True,
-              help="JSON file: square matrix of rationals, rows = old fibre index")
-@click.option("--seed", type=int, default=0, show_default=True)
-@json_option
-def naturality(source, matrix_path, seed, as_json):
+@report_command(
+    "naturality",
+    click.option("--matrix", "matrix_path", type=click.Path(exists=True), required=True,
+                 help="JSON file: square matrix of rationals, rows = old fibre index"),
+    seed_option,
+)
+def naturality(report, spec, matrix_path, seed):
     """Rebuild after a constant fibre change and compare with the lift."""
-    started = time.perf_counter()
-    try:
-        spec = load_spec(source)
-        q = assemble_field(spec)
-        raw = json.loads(Path(matrix_path).read_text())
-        matrix = [[Fraction(str(v)) for v in row] for row in raw]
-    except (SpecError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
-        _fail_input(str(exc))
-    report = Report("naturality", spec.name)
+    q = assemble_field(spec)
+    matrix = _load_matrix(matrix_path)
     try:
         result = chart_change_naturality(q, matrix, rng=Random(seed))
-    except (GradedAlgebraError, NotHomological) as exc:
-        _fail_input(str(exc))
+    except NotHomological:
+        raise
+    except GradedAlgebraError as exc:  # the matrix is singular, misshapen or mixes parities
+        raise SpecError(str(exc)) from None
     for name, ok, detail in result.checks:
         report.add(name, ok, detail=detail)
-    sys.exit(report.emit(as_json, started))
 
 
-@main.command("statement-check")
-@source_argument
-@click.option("--max-arity", type=int, default=4, show_default=True)
-@json_option
-def statement_check(source, max_arity, as_json):
+@report_command(
+    "statement-check", click.option("--max-arity", type=int, default=4, show_default=True)
+)
+def statement_check(report, spec, max_arity):
     """Restriction of the derived brackets to weight-one functions."""
-    started = time.perf_counter()
-    try:
-        spec = load_spec(source)
-        q = assemble_field(spec)
-        if q.chart.n_base != 0:
-            raise SpecError("statement-check needs a point base (no base symbols)")
-    except SpecError as exc:
-        _fail_input(str(exc))
-    report = Report("statement-check", spec.name)
-    try:
-        s = build_schouten(q)
-        p = build_poisson(q)
-    except NotHomological as exc:
-        report.add("homological input", False, witness=str(exc))
-        sys.exit(report.emit(as_json, started))
+    q = assemble_field(spec)
+    if q.chart.n_base != 0:
+        raise SpecError("statement-check needs a point base (no base symbols)")
+    s = build_schouten(q)
+    p = build_poisson(q)
     result = weight_one_restriction_check(q, s, p, max_arity)
     for r, ok in result.per_arity.items():
         report.add(f"arity {r} restriction matches the input brackets", ok)
     if result.details:
         report.extra = {"details": result.details}
-    sys.exit(report.emit(as_json, started))
 
 
 @main.command()

@@ -144,57 +144,49 @@ def _presentation_of_pi_e(chart: Chart) -> BundlePresentation:
     return BundlePresentation(base, fibre)
 
 
-def build_schouten(q: VectorField) -> HigherStructure:
-    """Even symbol then even exchange; verifies [Q,Q] = 0 and {S,S} = 0."""
+def ambient_bracket(flavor: str):
+    """The canonical bracket a flavor lives under: even for S, odd for P."""
+    return canonical_poisson if flavor == "schouten" else canonical_schouten
+
+
+def _build(q: VectorField, flavor: str, gated: bool) -> HigherStructure:
+    """Symbol, exchange and self-bracket; ``gated`` also requires [Q,Q] = 0
+    before and a vanishing self-bracket after."""
     b = _presentation_of_pi_e(q.chart)
-    require_homological(q)
-    exchange = even_dual_exchange(b)
-    sigma = even_symbol(q, exchange.domain)
-    s = exchange.pullback(sigma)
-    self_bracket = canonical_poisson(s, s, exchange.codomain)
-    h = HigherStructure(s, "schouten", exchange.codomain, self_bracket)
-    if not h.is_self_commuting:
+    if gated:
+        require_homological(q)
+    if flavor == "schouten":
+        exchange, symbol, square = even_dual_exchange(b), even_symbol, "{S,S}"
+    else:
+        exchange, symbol, square = odd_dual_exchange(b), odd_symbol, "[[P,P]]"
+    value = exchange.pullback(symbol(q, exchange.domain))
+    self_bracket = ambient_bracket(flavor)(value, value, exchange.codomain)
+    h = HigherStructure(value, flavor, exchange.codomain, self_bracket)
+    if gated and not h.is_self_commuting:
         raise GradedAlgebraError(
-            f"internal error: {{S,S}} != 0 for a homological field: "
+            f"internal error: {square} != 0 for a homological field: "
             f"{self_bracket.render()}"
         )
     return h
+
+
+def build_schouten(q: VectorField) -> HigherStructure:
+    """Even symbol then even exchange; verifies [Q,Q] = 0 and {S,S} = 0."""
+    return _build(q, "schouten", True)
 
 
 def build_poisson(q: VectorField) -> HigherStructure:
     """Odd symbol then odd exchange; verifies [Q,Q] = 0 and [[P,P]] = 0."""
-    b = _presentation_of_pi_e(q.chart)
-    require_homological(q)
-    exchange = odd_dual_exchange(b)
-    varsigma = odd_symbol(q, exchange.domain)
-    p = exchange.pullback(varsigma)
-    self_bracket = canonical_schouten(p, p, exchange.codomain)
-    h = HigherStructure(p, "poisson", exchange.codomain, self_bracket)
-    if not h.is_self_commuting:
-        raise GradedAlgebraError(
-            f"internal error: [[P,P]] != 0 for a homological field: "
-            f"{self_bracket.render()}"
-        )
-    return h
+    return _build(q, "poisson", True)
 
 
 def build_schouten_unchecked(q: VectorField) -> HigherStructure:
     """The same pipeline without the homological gate (negative controls)."""
-    b = _presentation_of_pi_e(q.chart)
-    exchange = even_dual_exchange(b)
-    s = exchange.pullback(even_symbol(q, exchange.domain))
-    return HigherStructure(
-        s, "schouten", exchange.codomain, canonical_poisson(s, s, exchange.codomain)
-    )
+    return _build(q, "schouten", False)
 
 
 def build_poisson_unchecked(q: VectorField) -> HigherStructure:
-    b = _presentation_of_pi_e(q.chart)
-    exchange = odd_dual_exchange(b)
-    p = exchange.pullback(odd_symbol(q, exchange.domain))
-    return HigherStructure(
-        p, "poisson", exchange.codomain, canonical_schouten(p, p, exchange.codomain)
-    )
+    return _build(q, "poisson", False)
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +370,18 @@ def chart_change_naturality(q: VectorField, matrix, rng=None, pairs: int = 25) -
     s2 = build_schouten(q2)
     p2 = build_poisson(q2)
 
-    expected_s = change.apply_inverse(s1.value)
-    ok = s2.value == expected_s
-    checks.append((
-        "schouten route equality", ok,
-        "" if ok else f"got {s2.value.render()}, expected {expected_s.render()}",
-    ))
-    expected_p = change.apply_inverse(p1.value)
-    ok = p2.value == expected_p
-    checks.append((
-        "poisson route equality", ok,
-        "" if ok else f"got {p2.value.render()}, expected {expected_p.render()}",
-    ))
+    for before, after in ((s1, s2), (p1, p2)):
+        expected = change.apply_inverse(before.value)
+        ok = after.value == expected
+        checks.append((
+            f"{before.flavor} route equality", ok,
+            "" if ok else f"got {after.value.render()}, expected {expected.render()}",
+        ))
 
     if rng is not None:
-        for chart, bracket, label in (
-            (s1.chart, canonical_poisson, "even lift symplectomorphism"),
-            (p1.chart, canonical_schouten, "odd lift symplectomorphism"),
-        ):
+        for h, label in ((s1, "even lift symplectomorphism"),
+                         (p1, "odd lift symplectomorphism")):
+            chart, bracket = h.chart, ambient_bracket(h.flavor)
             good = True
             detail = ""
             for _ in range(pairs):

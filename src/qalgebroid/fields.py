@@ -3,21 +3,17 @@
 The two canonical brackets are fixed by their Darboux normalisation together
 with the requirement that the principal symbols intertwine the commutator of
 vector fields with them.  Writing (z, z') for a conjugate pair with a = parity
-of z and all derivatives acting from the left:
+of z, c = parity of the bracket and all derivatives acting from the left, one
+rule gives both:
 
-even bracket on T*(.):    {z', z} = +1 and
+    (f, g) = sum_pairs (-1)^((a+c)(f+1)) d_{z'}f d_z g - (-1)^(a(f+c)) d_z f d_{z'} g
 
-    {f, g} = sum_pairs (-1)^(a(f+1)) d_{z'}f d_z g - (-1)^(a f) d_z f d_{z'} g
-
-odd bracket on PiT*(.):   [[z*, z]] = +1 and
-
-    [[f, g]] = sum_pairs (-1)^((a+1)(f+1)) d_{z*}f d_z g
-               - (-1)^(a(f+1)) d_z f d_{z*} g
-
-Both are extended bilinearly from parity-homogeneous f (the sign only reads
-the parity of the first argument).  The property tests pin skew-symmetry,
-Leibniz, Jacobi and the symbol identities sigma[X,Y] = {sigma X, sigma Y} and
-varsigma[X,Y] = [[varsigma X, varsigma Y]] for these exact formulas.
+c = 0 is the even bracket {,} on T*(.) with {z', z} = +1; c = 1 is the odd
+bracket [[,]] on PiT*(.) with [[z*, z]] = +1.  Both are extended bilinearly
+from parity-homogeneous f (the sign only reads the parity of the first
+argument).  The property tests pin skew-symmetry, Leibniz, Jacobi and the
+symbol identities sigma[X,Y] = {sigma X, sigma Y} and
+varsigma[X,Y] = [[varsigma X, varsigma Y]] for this exact formula.
 """
 
 from __future__ import annotations
@@ -181,12 +177,14 @@ def _require_kind(phase: Chart, kind: str):
         )
 
 
-def canonical_poisson(f: GradedPoly, g: GradedPoly, phase: Chart | None = None) -> GradedPoly:
-    """Even canonical bracket on an even cotangent chart ({p, x} = +1)."""
+def _canonical(f: GradedPoly, g: GradedPoly, phase: Chart | None, kind: str,
+               c: int) -> GradedPoly:
+    """The canonical bracket of parity c on a chart of the given kind."""
     phase = phase or f.chart
-    _require_kind(phase, EVEN_COTANGENT)
+    _require_kind(phase, kind)
     if f.chart != phase or g.chart != phase:
         raise ChartMismatch("arguments must live on the phase chart")
+    parts = f.parity_parts().items()
     out = phase.zero()
     gens = phase.generators
     for zi, ci in phase.conjugate_pairs():
@@ -195,38 +193,24 @@ def canonical_poisson(f: GradedPoly, g: GradedPoly, phase: Chart | None = None) 
         cn = gens[ci].name
         dg_z = g.left_derivative(zn)
         dg_c = g.left_derivative(cn)
-        for p, fp in f.parity_parts().items():
-            s1 = -1 if (a * ((p + 1) & 1)) & 1 else 1
-            s2 = -1 if (a * p) & 1 else 1
+        for p, fp in parts:
             if not dg_z.is_zero():
+                s1 = -1 if ((a + c) * (p + 1)) & 1 else 1
                 out = out + (fp.left_derivative(cn) * dg_z).scaled(s1)
             if not dg_c.is_zero():
+                s2 = -1 if (a * (p + c)) & 1 else 1
                 out = out - (fp.left_derivative(zn) * dg_c).scaled(s2)
     return out
 
 
+def canonical_poisson(f: GradedPoly, g: GradedPoly, phase: Chart | None = None) -> GradedPoly:
+    """Even canonical bracket on an even cotangent chart ({p, x} = +1)."""
+    return _canonical(f, g, phase, EVEN_COTANGENT, EVEN)
+
+
 def canonical_schouten(f: GradedPoly, g: GradedPoly, phase: Chart | None = None) -> GradedPoly:
     """Odd canonical bracket on an odd cotangent chart ([[x*, x]] = +1)."""
-    phase = phase or f.chart
-    _require_kind(phase, ODD_COTANGENT)
-    if f.chart != phase or g.chart != phase:
-        raise ChartMismatch("arguments must live on the phase chart")
-    out = phase.zero()
-    gens = phase.generators
-    for zi, ci in phase.conjugate_pairs():
-        a = gens[zi].parity
-        zn = gens[zi].name
-        cn = gens[ci].name
-        dg_z = g.left_derivative(zn)
-        dg_c = g.left_derivative(cn)
-        for p, fp in f.parity_parts().items():
-            e1 = ((a + 1) * ((p + 1) & 1)) & 1
-            e2 = (a * ((p + 1) & 1)) & 1
-            if not dg_z.is_zero():
-                out = out + (fp.left_derivative(cn) * dg_z).scaled(-1 if e1 else 1)
-            if not dg_c.is_zero():
-                out = out - (fp.left_derivative(zn) * dg_c).scaled(-1 if e2 else 1)
-    return out
+    return _canonical(f, g, phase, ODD_COTANGENT, ODD)
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +219,18 @@ def canonical_schouten(f: GradedPoly, g: GradedPoly, phase: Chart | None = None)
 
 def even_symbol(x: VectorField, phase: Chart | None = None) -> GradedPoly:
     """sigma X = sum X^z z' as a momentum-linear function on T*(chart)."""
-    if x.chart.kind != BASE_FIBRE:
-        raise ChartMismatch("symbols are taken on base-fibre charts")
-    phase = phase or chart_even_cotangent(x.chart)
-    return _symbol(x, phase, EVEN_COTANGENT)
+    return _symbol(x, phase, EVEN_COTANGENT, chart_even_cotangent)
 
 
 def odd_symbol(x: VectorField, phase: Chart | None = None) -> GradedPoly:
     """varsigma X = sum X^z z* on PiT*(chart)."""
+    return _symbol(x, phase, ODD_COTANGENT, chart_odd_cotangent)
+
+
+def _symbol(x: VectorField, phase: Chart | None, kind: str, cotangent) -> GradedPoly:
     if x.chart.kind != BASE_FIBRE:
         raise ChartMismatch("symbols are taken on base-fibre charts")
-    phase = phase or chart_odd_cotangent(x.chart)
-    return _symbol(x, phase, ODD_COTANGENT)
-
-
-def _symbol(x: VectorField, phase: Chart, kind: str) -> GradedPoly:
+    phase = phase or cotangent(x.chart)
     _require_kind(phase, kind)
     if phase.parent_chart() != x.chart:
         raise ChartMismatch("phase chart was not built from the field's chart")

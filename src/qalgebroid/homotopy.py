@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from typing import Callable
 
 from .charts import (
     BASE_FIBRE,
@@ -34,13 +35,8 @@ from .charts import (
     lift_to_phase,
     restrict_to_zero_section,
 )
-from .construction import HigherStructure
-from .fields import (
-    VectorField,
-    canonical_poisson,
-    canonical_schouten,
-    commutator,
-)
+from .construction import HigherStructure, ambient_bracket
+from .fields import VectorField, commutator
 from .gradedpoly import (
     ChartMismatch,
     GradedAlgebraError,
@@ -51,6 +47,69 @@ from .gradedpoly import (
 
 class JacobiatorMismatch(GradedAlgebraError):
     """The unshuffle sum and the squared-generator route disagree."""
+
+
+# ---------------------------------------------------------------------------
+# flavours
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Flavour:
+    """The conventions that tell the schouten and poisson families apart.
+
+    Sign rules take parity lists and return an exponent of -1:
+    ``sign_exponent`` corrects the nested bracket into the user-facing one
+    (None: no correction), ``closed_eps(r, fibre parities, argument
+    parities)`` is the closed-form exponent, ``fundamental_sign`` that of a
+    fundamental value, and ``leibniz_s`` gives s in the multiderivation rule.
+    """
+
+    name: str
+    koszul_shift: int  # the parity of the ambient canonical bracket
+    family: str  # dual fibre coordinates: eta on T*(PiE*), e on PiT*(E*)
+    sign_exponent: Callable[[list[int]], int] | None
+    closed_eps: Callable[[int, list[int], list[int]], int]
+    fundamental_sign: Callable[[list[int]], int]
+    leibniz_s: Callable[[list[int]], int]
+
+
+def poisson_sign_exponent(parities: list[int]) -> int:
+    """Skew-symmetrising exponent F1(r-1) + F2(r-2) + ... + F_{r-1} + r."""
+    r = len(parities)
+    e = r
+    for i, p in enumerate(parities[:-1], start=1):
+        e += p * (r - i)
+    return e & 1
+
+
+def _schouten_closed_eps(r: int, fp: list[int], arg_par: list[int]) -> int:
+    e = sum(fp)
+    for j in range(r - 1):
+        e += arg_par[j] * (sum(fp[j + 1:]) + r + j + 1)
+    return e & 1
+
+
+def _poisson_closed_eps(r: int, fp: list[int], arg_par: list[int]) -> int:
+    e = 1 + r + r * (r + 1) // 2
+    for j in range(r - 1):
+        e += arg_par[j] * sum(fp[j + 1:])
+    for pos, p in enumerate(fp, start=1):
+        e += pos * p
+    return e & 1
+
+
+FLAVOURS = {
+    "schouten": Flavour(
+        "schouten", 0, "eta", None, _schouten_closed_eps,
+        fundamental_sign=sum,
+        leibniz_s=lambda parities: 1,
+    ),
+    "poisson": Flavour(
+        "poisson", 1, "e", poisson_sign_exponent, _poisson_closed_eps,
+        fundamental_sign=lambda fp: 1 + sum(p * (len(fp) - i) for i, p in enumerate(fp)),
+        leibniz_s=len,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +164,15 @@ class PhaseEngine(DerivedBracketEngine):
     """Engine over a phase-space function algebra."""
 
     def __init__(self, structure: HigherStructure):
+        if structure.flavor not in FLAVOURS:
+            raise GradedAlgebraError(f"unknown flavor {structure.flavor!r}")
         self.structure = structure
         self.chart = structure.chart
         self.parent = self.chart.parent_chart()
-        if structure.flavor == "schouten":
-            self.flavor = "schouten"
-            self.koszul_shift = 0
-            self._bracket = canonical_poisson
-        elif structure.flavor == "poisson":
-            self.flavor = "poisson"
-            self.koszul_shift = 1
-            self._bracket = canonical_schouten
-        else:
-            raise GradedAlgebraError(f"unknown flavor {structure.flavor!r}")
+        self.flavour = FLAVOURS[structure.flavor]
+        self.flavor = self.flavour.name
+        self.koszul_shift = self.flavour.koszul_shift
+        self._bracket = ambient_bracket(self.flavor)
 
     def bracket(self, f, g):
         return self._bracket(f, g, self.chart)
@@ -205,42 +260,40 @@ class FieldEngine(DerivedBracketEngine):
         return out
 
 
+def _phase_engine(h: HigherStructure, flavor: str) -> PhaseEngine:
+    if h.flavor != flavor:
+        raise GradedAlgebraError(f"expected a {flavor}-flavor structure")
+    return PhaseEngine(h)
+
+
 def schouten_engine(s: HigherStructure) -> PhaseEngine:
-    if s.flavor != "schouten":
-        raise GradedAlgebraError("expected a schouten-flavor structure")
-    return PhaseEngine(s)
+    return _phase_engine(s, "schouten")
 
 
 def poisson_engine(p: HigherStructure) -> PhaseEngine:
-    if p.flavor != "poisson":
-        raise GradedAlgebraError("expected a poisson-flavor structure")
-    return PhaseEngine(p)
+    return _phase_engine(p, "poisson")
 
 
 # ---------------------------------------------------------------------------
 # the user-facing bracket families
 # ---------------------------------------------------------------------------
 
+def _higher_bracket(eng: PhaseEngine, args: list[GradedPoly]) -> GradedPoly:
+    raw = eng.derived(args)
+    rule = eng.flavour.sign_exponent
+    if rule is not None and rule([eng.parity_of(a) for a in args]):
+        return raw.scaled(-1)
+    return raw
+
+
 def higher_schouten_bracket(s: HigherStructure, args: list[GradedPoly]) -> GradedPoly:
     """(X1, ..., Xr)_S: nested even brackets with S, then zero-section."""
-    return schouten_engine(s).derived(args)
-
-
-def poisson_sign_exponent(parities: list[int]) -> int:
-    """Skew-symmetrising exponent F1(r-1) + F2(r-2) + ... + F_{r-1} + r."""
-    r = len(parities)
-    e = r
-    for i, p in enumerate(parities[:-1], start=1):
-        e += p * (r - i)
-    return e & 1
+    return _higher_bracket(schouten_engine(s), args)
 
 
 def higher_poisson_bracket(p: HigherStructure, args: list[GradedPoly]) -> GradedPoly:
     """{F1, ..., Fr}_P: nested odd brackets with P, sign-corrected, restricted."""
-    eng = poisson_engine(p)
-    raw = eng.derived(args)
-    e = poisson_sign_exponent([eng.parity_of(a) for a in args])
-    return raw.scaled(-1) if e else raw
+    return _higher_bracket(poisson_engine(p), args)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +366,7 @@ def leibniz_exponent(flavor: str, parities: list[int]) -> int:
     with s = 1 for the odd (schouten) family and s = r for the poisson one.
     """
     *front, last = parities
-    s = 1 if flavor == "schouten" else len(parities)
-    return (last * (sum(front) + s)) & 1
+    return (last * (sum(front) + FLAVOURS[flavor].leibniz_s(parities))) & 1
 
 
 def leibniz_check(bracket, chart: Chart, flavor: str, arity: int,
@@ -375,6 +427,24 @@ def fibre_parity_of_index(chart: Chart, i: int) -> int:
     return (chart.generators[i].parity + 1) & 1
 
 
+def _structure_value(q: VectorField, dual_chart: Chart, family: str,
+                     tup: tuple[int, ...]) -> GradedPoly:
+    """sum_b Q^b_(tup) family_b, with the base-target part dropped."""
+    out = dual_chart.zero()
+    for j, i in enumerate(fibre_indices(q.chart)):
+        c = structure_constant(q, q.chart.generators[i].name, tup)
+        if not c.is_zero():
+            out = out + _base_function_on(c, dual_chart) * dual_chart.gen(f"{family}{j + 1}")
+    return out
+
+
+def _fundamental_value(q: VectorField, dual_chart: Chart, tup: tuple[int, ...],
+                       flavour: Flavour) -> GradedPoly:
+    fp = [fibre_parity_of_index(q.chart, i) for i in tup]
+    value = _structure_value(q, dual_chart, flavour.family, tup)
+    return value.scaled(-1 if flavour.fundamental_sign(fp) & 1 else 1)
+
+
 def fundamental_schouten_value(q: VectorField, dual_chart: Chart,
                                tup: tuple[int, ...]) -> GradedPoly:
     """(eta_a1, ..., eta_ar)_S from the structure constants directly.
@@ -383,16 +453,7 @@ def fundamental_schouten_value(q: VectorField, dual_chart: Chart,
     base-target part dropped (it does not survive the zero-section
     restriction at this weight).
     """
-    chart = q.chart
-    sign_e = sum(fibre_parity_of_index(chart, i) for i in tup) & 1
-    out = dual_chart.zero()
-    for j, i in enumerate(fibre_indices(chart)):
-        c = structure_constant(q, chart.generators[i].name, tup)
-        if c.is_zero():
-            continue
-        coeff = _base_function_on(c, dual_chart)
-        out = out + coeff * dual_chart.gen(f"eta{j + 1}")
-    return out.scaled(-1 if sign_e else 1)
+    return _fundamental_value(q, dual_chart, tup, FLAVOURS["schouten"])
 
 
 def fundamental_poisson_value(q: VectorField, dual_chart: Chart,
@@ -401,25 +462,45 @@ def fundamental_poisson_value(q: VectorField, dual_chart: Chart,
 
     Equals (-1)^(sum_i a_i (r - i + 1) + 1) * sum_b Q^b_(a1...ar) e_b.
     """
-    chart = q.chart
-    r = len(tup)
-    e = 1
-    for pos, i in enumerate(tup, start=1):
-        e += fibre_parity_of_index(chart, i) * (r - pos + 1)
-    out = dual_chart.zero()
-    for j, i in enumerate(fibre_indices(chart)):
-        c = structure_constant(q, chart.generators[i].name, tup)
-        if c.is_zero():
-            continue
-        coeff = _base_function_on(c, dual_chart)
-        out = out + coeff * dual_chart.gen(f"e{j + 1}")
-    return out.scaled(-1 if e & 1 else 1)
+    return _fundamental_value(q, dual_chart, tup, FLAVOURS["poisson"])
 
 
 def _base_function_on(f: GradedPoly, target: Chart) -> GradedPoly:
     """Transport a base-coordinate function onto another chart over the same base."""
     images = {name: target.gen(name) for name in f.chart.base_names()}
     return f.substitute(images, target)
+
+
+def _closed_form(q: VectorField, dual_chart: Chart, args: list[GradedPoly],
+                 flavour: Flavour) -> GradedPoly:
+    if q.chart.n_base != 0:
+        raise ChartMismatch("the closed formulas apply over a point base")
+    r = len(args)
+    fidx = fibre_indices(q.chart)
+    arg_par = []
+    for a in args:
+        p = a.parity()
+        if p is None:
+            raise ParityMismatch("closed-form arguments must be homogeneous")
+        arg_par.append(p)
+    out = dual_chart.zero()
+    for tup in product(fidx, repeat=r):
+        factor = dual_chart.one()
+        for pos, i in enumerate(tup):
+            factor = factor * args[pos].left_derivative(
+                f"{flavour.family}{fidx.index(i) + 1}"
+            )
+            if factor.is_zero():
+                break
+        if factor.is_zero():
+            continue
+        core = _structure_value(q, dual_chart, flavour.family, tuple(reversed(tup)))
+        if core.is_zero():
+            continue
+        fp = [fibre_parity_of_index(q.chart, i) for i in tup]
+        eps = flavour.closed_eps(r, fp, arg_par)
+        out = out + (core * factor).scaled(-1 if eps else 1)
+    return out
 
 
 def lie_schouten_closed_form(q: VectorField, dual_chart: Chart,
@@ -431,45 +512,7 @@ def lie_schouten_closed_form(q: VectorField, dual_chart: Chart,
     with eps = sum_j Xj (a_{j+1} + ... + a_r + r + j)  +  sum_i a_i,
     parities of X read per homogeneous argument.
     """
-    if q.chart.n_base != 0:
-        raise ChartMismatch("the closed formulas apply over a point base")
-    r = len(args)
-    fidx = fibre_indices(q.chart)
-    arg_par = []
-    for a in args:
-        p = a.parity()
-        if p is None:
-            raise ParityMismatch("closed-form arguments must be homogeneous")
-        arg_par.append(p)
-    out = dual_chart.zero()
-    for tup in product(fidx, repeat=r):
-        fp = [fibre_parity_of_index(q.chart, i) for i in tup]
-        eps = sum(fp) & 1
-        for j in range(r - 1):
-            eps ^= (arg_par[j] * (sum(fp[j + 1:]) + r + j + 1)) & 1
-        factor = dual_chart.one()
-        dead = False
-        for pos, i in enumerate(tup):
-            eta = f"eta{fidx.index(i) + 1}"
-            d = args[pos].left_derivative(eta)
-            if d.is_zero():
-                dead = True
-                break
-            factor = factor * d
-            if factor.is_zero():
-                dead = True
-                break
-        if dead:
-            continue
-        core = dual_chart.zero()
-        for j, i in enumerate(fidx):
-            c = structure_constant(q, q.chart.generators[i].name, tuple(reversed(tup)))
-            if not c.is_zero():
-                core = core + dual_chart.gen(f"eta{j + 1}").scaled(c.constant_term())
-        if core.is_zero():
-            continue
-        out = out + (core * factor).scaled(-1 if eps else 1)
-    return out
+    return _closed_form(q, dual_chart, args, FLAVOURS["schouten"])
 
 
 def lie_poisson_closed_form(q: VectorField, dual_chart: Chart,
@@ -481,48 +524,7 @@ def lie_poisson_closed_form(q: VectorField, dual_chart: Chart,
     with eps = 1 + r + r(r+1)/2 + sum_j Fj (a_{j+1} + ... + a_r)
                + sum_i i a_i   (1-based positions).
     """
-    if q.chart.n_base != 0:
-        raise ChartMismatch("the closed formulas apply over a point base")
-    r = len(args)
-    fidx = fibre_indices(q.chart)
-    arg_par = []
-    for a in args:
-        p = a.parity()
-        if p is None:
-            raise ParityMismatch("closed-form arguments must be homogeneous")
-        arg_par.append(p)
-    base_eps = (1 + r + r * (r + 1) // 2) & 1
-    out = dual_chart.zero()
-    for tup in product(fidx, repeat=r):
-        fp = [fibre_parity_of_index(q.chart, i) for i in tup]
-        eps = base_eps
-        for j in range(r - 1):
-            eps ^= (arg_par[j] * sum(fp[j + 1:])) & 1
-        for pos, p in enumerate(fp, start=1):
-            eps ^= (pos * p) & 1
-        factor = dual_chart.one()
-        dead = False
-        for pos, i in enumerate(tup):
-            e = f"e{fidx.index(i) + 1}"
-            d = args[pos].left_derivative(e)
-            if d.is_zero():
-                dead = True
-                break
-            factor = factor * d
-            if factor.is_zero():
-                dead = True
-                break
-        if dead:
-            continue
-        core = dual_chart.zero()
-        for j, i in enumerate(fidx):
-            c = structure_constant(q, q.chart.generators[i].name, tuple(reversed(tup)))
-            if not c.is_zero():
-                core = core + dual_chart.gen(f"e{j + 1}").scaled(c.constant_term())
-        if core.is_zero():
-            continue
-        out = out + (core * factor).scaled(-1 if eps else 1)
-    return out
+    return _closed_form(q, dual_chart, args, FLAVOURS["poisson"])
 
 
 # ---------------------------------------------------------------------------
@@ -575,65 +577,65 @@ def _table_metadata(chart: Chart, labels, entries, arity: int):
     return shift, 1 - arity
 
 
-def schouten_bracket_table(s: HigherStructure, arity: int) -> BracketTable:
-    eng = schouten_engine(s)
+def _phase_table(eng: PhaseEngine, arity: int) -> BracketTable:
     parent = eng.parent
     fibre = parent.fibre_names()
     entries = {}
     for tup in combinations_with_replacement(range(len(fibre)), arity):
-        args = [parent.gen(fibre[i]) for i in tup]
-        entries[tup] = higher_schouten_bracket(s, args)
+        entries[tup] = _higher_bracket(eng, [parent.gen(fibre[i]) for i in tup])
     parity, weight = _table_metadata(parent, fibre, entries, arity)
-    return BracketTable("schouten", arity, fibre, entries, parity, weight)
+    return BracketTable(eng.flavor, arity, fibre, entries, parity, weight)
+
+
+def schouten_bracket_table(s: HigherStructure, arity: int) -> BracketTable:
+    return _phase_table(schouten_engine(s), arity)
 
 
 def poisson_bracket_table(p: HigherStructure, arity: int) -> BracketTable:
-    eng = poisson_engine(p)
-    parent = eng.parent
-    fibre = parent.fibre_names()
-    entries = {}
-    for tup in combinations_with_replacement(range(len(fibre)), arity):
-        args = [parent.gen(fibre[i]) for i in tup]
-        entries[tup] = higher_poisson_bracket(p, args)
-    parity, weight = _table_metadata(parent, fibre, entries, arity)
-    return BracketTable("poisson", arity, fibre, entries, parity, weight)
+    return _phase_table(poisson_engine(p), arity)
+
+
+def _field_entry(eng: FieldEngine, tup: tuple[int, ...]) -> GradedPoly:
+    """(s_a1, ..., s_ar) written as the fibre-linear polynomial sum c_b xi^b."""
+    chart = eng.chart
+    value = eng.derived([eng.basis_field(i) for i in tup])
+    poly = chart.zero()
+    for j, c in enumerate(eng.coefficients(value)):
+        if c != 0:
+            poly = poly + chart.gen(chart.generators[j].name).scaled(c)
+    return poly
+
+
+def _skew_sign(chart: Chart, tup: tuple[int, ...]) -> int:
+    """(-1)^(a1 (r-1) + a2 (r-2) + ... + a_{r-1} + 1), unshifted parities a_i."""
+    r = len(tup)
+    e = 1
+    for pos, i in enumerate(tup[:-1], start=1):
+        e += fibre_parity_of_index(chart, i) * (r - pos)
+    return -1 if e & 1 else 1
 
 
 def symmetric_field_table(q: VectorField, arity: int) -> BracketTable:
     """Symmetric brackets (s_a1, ..., s_ar) over a point base, as fields."""
     eng = FieldEngine(q)
-    chart = q.chart
-    n = len(chart.generators)
-    entries = {}
-    for tup in combinations_with_replacement(range(n), arity):
-        args = [eng.basis_field(i) for i in tup]
-        value = eng.derived(args)
-        poly = chart.zero()
-        for j, c in enumerate(eng.coefficients(value)):
-            if c != 0:
-                poly = poly + chart.gen(chart.generators[j].name).scaled(c)
-        entries[tup] = poly
-    labels = [g.name for g in chart.generators]
+    entries = {
+        tup: _field_entry(eng, tup)
+        for tup in combinations_with_replacement(range(len(q.chart.generators)), arity)
+    }
+    labels = [g.name for g in q.chart.generators]
     return BracketTable("field", arity, labels, entries)
 
 
 def skew_bracket_table(q: VectorField, arity: int) -> BracketTable:
     """Skew brackets {T_a1, ..., T_ar} on the unshifted space.
 
-    Obtained from the symmetric table by the parity-shift sign
-    (-1)^(a1 (r-1) + a2 (r-2) + ... + a_{r-1} + 1) with a_i the unshifted
-    parities; skew-symmetry under adjacent exchanges is verified.
+    Obtained from the symmetric table by the parity-shift sign of
+    ``_skew_sign``; skew-symmetry under adjacent exchanges is verified.
     """
     sym = symmetric_field_table(q, arity)
-    chart = q.chart
-    r = arity
-    entries = {}
-    for tup, value in sym.entries.items():
-        e = 1
-        for pos, i in enumerate(tup, start=1):
-            if pos < r:
-                e += fibre_parity_of_index(chart, i) * (r - pos)
-        entries[tup] = value.scaled(-1 if e & 1 else 1)
+    entries = {
+        tup: value.scaled(_skew_sign(q.chart, tup)) for tup, value in sym.entries.items()
+    }
     table = BracketTable("skew", arity, sym.labels, entries)
     _verify_skew(q, table)
     return table
@@ -647,31 +649,16 @@ def _verify_skew(q: VectorField, table: BracketTable):
         for k in range(len(tup) - 1):
             swapped = list(tup)
             swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+            swapped = tuple(swapped)
             pi_ = fibre_parity_of_index(chart, tup[k])
             pj = fibre_parity_of_index(chart, tup[k + 1])
             sign = -1 if not (pi_ and pj) else 1
-            value = _skew_value(q, eng, tuple(swapped))
+            value = _field_entry(eng, swapped).scaled(_skew_sign(chart, swapped))
             expected = table.entries[tup].scaled(sign)
             if value != expected:
                 raise GradedAlgebraError(
                     f"skew table fails antisymmetry on {tup} at slot {k}"
                 )
-
-
-def _skew_value(q: VectorField, eng: FieldEngine, tup: tuple[int, ...]):
-    chart = q.chart
-    r = len(tup)
-    args = [eng.basis_field(i) for i in tup]
-    value = eng.derived(args)
-    poly = chart.zero()
-    for j, c in enumerate(eng.coefficients(value)):
-        if c != 0:
-            poly = poly + chart.gen(chart.generators[j].name).scaled(c)
-    e = 1
-    for pos, i in enumerate(tup, start=1):
-        if pos < r:
-            e += fibre_parity_of_index(chart, i) * (r - pos)
-    return poly.scaled(-1 if e & 1 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -719,70 +706,28 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     """
     if q.chart.n_base != 0:
         raise ChartMismatch("the restriction statement is for a point base")
-    eng_s = schouten_engine(s)
-    eng_p = poisson_engine(p)
-    dual_pi = eng_s.parent
-    dual_e = eng_p.parent
+    sides = ((schouten_engine(s), symmetric_field_table),
+             (poisson_engine(p), skew_bracket_table))
     n = len(q.chart.generators)
     per_arity: dict[int, bool] = {}
     details: list[str] = []
     for r in range(0, max_arity + 1):
         ok = True
-        sym = symmetric_field_table(q, r) if r > 0 else None
-        skew = skew_bracket_table(q, r) if r > 0 else None
-        if r == 0:
-            lhs_s = s.restricted()
-            rhs_s = _transport_fibre(q, dual_pi, "eta", _zero_coefficients(q))
-            lhs_p = higher_poisson_bracket(p, [])
-            rhs_p = _transport_fibre(q, dual_e, "e", _zero_coefficients(q)).scaled(-1)
-            if lhs_s != rhs_s:
-                ok = False
-                details.append("arity 0 schouten side differs")
-            if lhs_p != rhs_p:
-                ok = False
-                details.append("arity 0 poisson side differs")
-        else:
-            for tup in combinations_with_replacement(range(n), r):
-                args_s = [dual_pi.gen(f"eta{i + 1}") for i in tup]
-                lhs = higher_schouten_bracket(s, args_s)
-                rhs = _transport_value(sym.entries[tup], dual_pi, "eta")
+        tables = [table_of(q, r) for _, table_of in sides]
+        for tup in combinations_with_replacement(range(n), r):
+            for (eng, _), table in zip(sides, tables):
+                family = eng.flavour.family
+                lhs = _higher_bracket(eng, [eng.parent.gen(f"{family}{i + 1}") for i in tup])
+                rhs = _transport_value(table.entries[tup], eng.parent, family)
                 if lhs != rhs:
                     ok = False
-                    details.append(f"arity {r} schouten tuple {tup} differs")
-                args_p = [dual_e.gen(f"e{i + 1}") for i in tup]
-                lhs_p = higher_poisson_bracket(p, args_p)
-                rhs_p = _transport_value(skew.entries[tup], dual_e, "e")
-                if lhs_p != rhs_p:
-                    ok = False
-                    details.append(f"arity {r} poisson tuple {tup} differs")
+                    details.append(f"arity {r} {eng.flavor} tuple {tup} differs")
         per_arity[r] = ok
     return StatementReport(per_arity, details)
 
 
-def _zero_coefficients(q: VectorField) -> list[Fraction]:
-    out = []
-    for g in q.chart.generators:
-        out.append(
-            q.component(g.name).drop_generators(q.chart.fibre_names()).constant_term()
-        )
-    return out
-
-
-def _transport_fibre(q: VectorField, dual: Chart, family: str,
-                     coeffs: list[Fraction]) -> GradedPoly:
-    poly = dual.zero()
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            poly = poly + dual.gen(f"{family}{i + 1}").scaled(c)
-    return poly
-
-
 def _transport_value(value: GradedPoly, dual: Chart, family: str) -> GradedPoly:
     """Send a fibre-linear value sum c_b xi^b to sum c_b eta_b (or e_b)."""
-    chart = value.chart
-    images = {}
-    for i, g in enumerate(chart.generators):
-        images[g.name] = dual.gen(f"{family}{i + 1}")
     out = dual.zero()
     for m, c in value.terms.items():
         if len(m) != 1 or m[0][1] != 1:

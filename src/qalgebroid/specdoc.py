@@ -74,9 +74,16 @@ def _parse_entry(entry, where: str) -> tuple[str, int]:
     parity = entry["parity"]
     if not isinstance(name, str) or not name:
         raise SpecError(f"{where}: bad generator name {name!r}")
-    if parity not in _PARITY:
+    if not isinstance(parity, str) or parity not in _PARITY:
         raise SpecError(f"{where}: parity must be 'even' or 'odd', got {parity!r}")
     return name, _PARITY[parity]
+
+
+def _list(holder: dict, key: str, where: str = "") -> list:
+    value = holder.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"{where}{key} must be a list, got {type(value).__name__}")
+    return value
 
 
 def _parse_coefficient(raw, where: str) -> Fraction:
@@ -94,7 +101,7 @@ def parse_spec(document) -> AlgebroidSpec:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or undecodable bytes
             raise SpecError(f"not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise SpecError("the document must be a JSON object")
@@ -103,10 +110,10 @@ def parse_spec(document) -> AlgebroidSpec:
         raise SpecError("missing document name")
 
     base = tuple(
-        _parse_entry(e, f"base[{i}]") for i, e in enumerate(document.get("base", []))
+        _parse_entry(e, f"base[{i}]") for i, e in enumerate(_list(document, "base"))
     )
     fibre = tuple(
-        _parse_entry(e, f"fibre[{i}]") for i, e in enumerate(document.get("fibre", []))
+        _parse_entry(e, f"fibre[{i}]") for i, e in enumerate(_list(document, "fibre"))
     )
     if not fibre:
         raise SpecError("the fibre list is empty: no bundle to present")
@@ -121,19 +128,21 @@ def parse_spec(document) -> AlgebroidSpec:
     fibre_order = {n: i for i, (n, _) in enumerate(fibre)}
 
     terms = []
-    for i, t in enumerate(document.get("q_terms", [])):
+    for i, t in enumerate(_list(document, "q_terms")):
         where = f"q_terms[{i}]"
         if not isinstance(t, dict):
             raise SpecError(f"{where}: expected an object")
         target = t.get("target")
-        if target not in base_parity and target not in fibre_parity:
+        if not isinstance(target, str) or (
+            target not in base_parity and target not in fibre_parity
+        ):
             raise SpecError(f"{where}: unknown target {target!r}")
         coeff = _parse_coefficient(t.get("coefficient", "0"), where)
-        mono = tuple(t.get("monomial", []))
+        mono = tuple(_list(t, "monomial", f"{where}: "))
         parity_sum = 0
         last = -1
         for m in mono:
-            if m not in fibre_order:
+            if not isinstance(m, str) or m not in fibre_order:
                 raise SpecError(f"{where}: unknown fibre symbol {m!r} in monomial")
             pos = fibre_order[m]
             xi_parity = (fibre_parity[m] + 1) & 1
@@ -146,11 +155,11 @@ def parse_spec(document) -> AlgebroidSpec:
             parity_sum ^= xi_parity
         bmono = []
         blast = -1
-        for pair in t.get("base_monomial", []):
+        for pair in _list(t, "base_monomial", f"{where}: "):
             if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
                 raise SpecError(f"{where}: base_monomial entries are [name, exponent]")
             bname, exp = pair
-            if bname not in base_order:
+            if not isinstance(bname, str) or bname not in base_order:
                 raise SpecError(f"{where}: unknown base symbol {bname!r}")
             if not isinstance(exp, int) or exp < 1:
                 raise SpecError(f"{where}: base exponent must be a positive integer")

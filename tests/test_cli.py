@@ -192,6 +192,55 @@ class TestCommands:
         assert result.exit_code == 2
 
 
+def _so3_document(**changes) -> str:
+    doc = json.loads(render_spec(builtin_spec("so3")))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+class TestInputContract:
+    """Unreadable or malformed input exits 2 with one line, never a traceback."""
+
+    @pytest.mark.parametrize("kind, content", [
+        ("source", _so3_document(q_terms=None)),
+        ("source", _so3_document(fibre=None)),
+        ("source", b"\xff\xfe not utf-8"),
+        ("source", None),  # a directory
+        ("matrix", "null"),
+        ("matrix", "[1, 2, 3]"),
+    ], ids=["q_terms-null", "fibre-null", "non-utf8", "directory",
+            "matrix-null", "matrix-flat"])
+    def test_bad_input_exits_2(self, runner, tmp_path, kind, content):
+        bad = tmp_path / "input"
+        if content is None:
+            bad.mkdir()
+        elif isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content)
+        if kind == "source":
+            args = ["check-q", str(bad)]
+        else:
+            args = ["naturality", "so3", "--matrix", str(bad)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_naturality_non_homological_is_a_failed_check(self, runner, tmp_path):
+        matrix = tmp_path / "t.json"
+        matrix.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        result = runner.invoke(
+            main, ["naturality", "so3-broken", "--matrix", str(matrix), "--json"]
+        )
+        assert result.exit_code == 1
+        doc = json.loads(result.stdout)
+        assert doc["status"] == "fail"
+        assert [c["name"] for c in doc["checks"]] == ["homological input"]
+        assert "[Q, Q] != 0" in doc["checks"][0]["witness"]
+
+
 class TestDeterminism:
     def test_json_output_is_byte_stable(self, runner):
         outs = set()
