@@ -64,17 +64,17 @@ _CONJUGATE_FAMILY = {
 class Chart:
     """An ordered list of generators with a chart kind tag.
 
-    Phase-space charts keep their parent's generators as a prefix, followed by
-    one conjugate per parent generator in the same order, so lifting a
-    function to the phase space and restricting back are index-preserving.
+    Phase-space charts keep their parent chart in ``parent`` (not part of
+    equality) and its generators as a prefix, followed by one conjugate per
+    parent generator in the same order, so lifting a function to the phase
+    space and restricting back are index-preserving.
     """
 
     generators: tuple[Generator, ...]
     kind: str
     space: str
     n_base: int
-    n_parent: int = 0
-    parent_space: str = ""
+    parent: "Chart | None" = field(default=None, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     odd_flags: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
 
@@ -106,29 +106,25 @@ class Chart:
         """(parent index, conjugate index) pairs of a phase-space chart."""
         if not self.is_phase:
             raise ChartMismatch(f"{self.space} is not a phase-space chart")
-        return [(i, self.n_parent + i) for i in range(self.n_parent)]
+        n = len(self.parent.generators)
+        return [(i, n + i) for i in range(n)]
 
     def parent_chart(self) -> "Chart":
         if not self.is_phase:
             raise ChartMismatch(f"{self.space} has no parent chart")
-        return Chart(
-            self.generators[: self.n_parent],
-            BASE_FIBRE,
-            self.parent_space,
-            self.n_base,
-        )
+        return self.parent
 
     def base_names(self) -> list[str]:
         return [g.name for g in self.generators[: self.n_base]]
 
     def fibre_names(self) -> list[str]:
-        top = self.n_parent if self.is_phase else len(self.generators)
-        return [g.name for g in self.generators[self.n_base: top]]
+        chart = self.parent or self
+        return [g.name for g in chart.generators[chart.n_base:]]
 
     def conjugate_names(self) -> list[str]:
         if not self.is_phase:
             return []
-        return [g.name for g in self.generators[self.n_parent:]]
+        return [g.name for g in self.generators[len(self.parent.generators):]]
 
     # -- polynomial constructors -------------------------------------------
 
@@ -147,15 +143,17 @@ class Chart:
 
     def monomial(self, exponents: dict[str, int], coeff=1) -> GradedPoly:
         """Build coeff * prod(name**exp) with names in any order."""
-        acc = self.const(coeff)
+        c = Fraction(coeff)
+        mono = []
         for name in sorted(exponents, key=self.index_of):
             exp = exponents[name]
             if exp < 0:
                 raise GradedAlgebraError("negative exponent")
             if self.generator(name).parity == ODD and exp > 1:
                 return self.zero()
-            acc = acc * (self.gen(name) ** exp)
-        return acc
+            if exp:
+                mono.append((self.index_of(name), exp))
+        return GradedPoly(self, {tuple(mono): c} if c else None)
 
 
 @dataclass(frozen=True)
@@ -232,8 +230,7 @@ def _cotangent(c: Chart, kind: str, label: str) -> Chart:
         kind,
         f"{label}({c.space})",
         c.n_base,
-        n_parent=len(c.generators),
-        parent_space=c.space,
+        parent=c,
     )
 
 

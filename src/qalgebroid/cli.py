@@ -6,7 +6,8 @@ failed (a field that is not homological fails the "homological input" check
 of every command that needs one), 2 the input was unreadable or malformed.
 With --json the report is emitted as one deterministic JSON object (no
 timing field, so byte-identical reruns); human-readable output appends the
-elapsed time.
+elapsed time.  Every echo names its stream: without ``file=`` click caches
+each stream it resolves, pinning the buffers of redirected in-process runs.
 """
 
 from __future__ import annotations
@@ -81,21 +82,21 @@ class Report:
             }
             if self.extra:
                 doc["extra"] = self.extra
-            click.echo(json.dumps(doc, indent=2, sort_keys=True))
+            click.echo(json.dumps(doc, indent=2, sort_keys=True), file=sys.stdout)
         else:
             for c in self.checks:
                 mark = "PASS" if c["ok"] else "FAIL"
                 line = f"[{mark}] {c['name']}"
                 if c.get("detail"):
                     line += f": {c['detail']}"
-                click.echo(line)
+                click.echo(line, file=sys.stdout)
                 if c.get("witness"):
-                    click.echo(f"       witness: {c['witness']}")
+                    click.echo(f"       witness: {c['witness']}", file=sys.stdout)
             for k, v in self.extra.items():
-                click.echo(f"{k}: {v}")
+                click.echo(f"{k}: {v}", file=sys.stdout)
             status = "pass" if self.ok else "fail"
             elapsed = (time.perf_counter() - started) * 1000.0
-            click.echo(f"status: {status}  ({elapsed:.1f} ms)")
+            click.echo(f"status: {status}  ({elapsed:.1f} ms)", file=sys.stdout)
         return 0 if self.ok else 1
 
 
@@ -132,7 +133,7 @@ def _load_matrix(path: str) -> list[list[Fraction]]:
 
 
 def _fail_input(message: str):
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -190,8 +191,8 @@ def describe(report, spec):
         }
     else:
         for chart in charts.values():
-            click.echo(describe_chart(chart))
-            click.echo("")
+            click.echo(describe_chart(chart), file=sys.stdout)
+            click.echo("", file=sys.stdout)
 
 
 @report_command("check-q")
@@ -364,6 +365,8 @@ def statement_check(report, spec, max_arity):
     q = assemble_field(spec)
     if q.chart.n_base != 0:
         raise SpecError("statement-check needs a point base (no base symbols)")
+    if max_arity < 0:
+        raise SpecError("max-arity must be nonnegative")
     s = build_schouten(q)
     p = build_poisson(q)
     result = weight_one_restriction_check(q, s, p, max_arity)
@@ -381,7 +384,7 @@ def example(name):
         spec = builtin_spec(name) if name != "so3-broken" else so3_broken()
     except KeyError as exc:
         _fail_input(str(exc.args[0]))
-    click.echo(render_spec(spec))
+    click.echo(render_spec(spec), file=sys.stdout)
     sys.exit(0)
 
 

@@ -16,7 +16,7 @@ bi-weight (1-n, n); the audit below checks that term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import (
@@ -256,11 +256,12 @@ class FibreChange:
     """A constant invertible fibre transformation over the identity base map.
 
     ``matrix[b][a]`` is the coefficient of the old fibre index b in the new
-    index a (new_xi^a = xi^b T_b^a).  The matrix must not mix parities.  The
-    induced substitutions on each chart follow the coordinate tables: primal
-    fibre coordinates (xi, estar) transform by T, dual ones (eta, e, pi on
-    T*(PiE), xistar) by the inverse transpose rule, and base coordinates with
-    their momenta stay fixed because T is constant.
+    index a (new_xi^a = xi^b T_b^a).  The matrix must not mix parities.  On
+    every chart one rule gives the substitution: base coordinates and their
+    momenta (x, p, xstar) stay fixed because T is constant; primal fibre
+    coordinates (xi, estar, and pi on T*(PiE*)) take column i of T; dual ones
+    (eta, e, xistar, and pi on T*(PiE)) take row i of the inverse of T.
+    Because T preserves parity, no sign enters.
     """
 
     def __init__(self, b: BundlePresentation, matrix):
@@ -275,68 +276,37 @@ class FibreChange:
                     raise ParityMismatch("fibre change mixes parities")
         self.t_inv = invert_matrix(self.t)
 
-    def _by_t(self, chart: Chart, family: str, i: int, sign_rule=None) -> GradedPoly:
-        # new coordinate i as a combination of old ones: sum_b old_b * T[b][i]
-        out = chart.zero()
-        for bidx in range(self.bundle.rank):
-            c = self.t[bidx][i]
-            if c == 0:
-                continue
-            if sign_rule is not None and sign_rule(bidx, i):
-                c = -c
-            out = out + chart.gen(f"{family}{bidx + 1}").scaled(c)
-        return out
-
-    def _by_t_inv(self, chart: Chart, family: str, i: int) -> GradedPoly:
-        # dual rule: new_i = sum_b Tinv[i][b] old_b
-        out = chart.zero()
-        for bidx in range(self.bundle.rank):
-            c = self.t_inv[i][bidx]
-            if c != 0:
-                out = out + chart.gen(f"{family}{bidx + 1}").scaled(c)
-        return out
+    def inverse(self) -> "FibreChange":
+        return FibreChange(self.bundle, self.t_inv)
 
     def substitution(self, chart: Chart) -> dict[str, GradedPoly]:
         """Generator images implementing the change on a given chart."""
-        par = self.bundle.fibre_parities
         images: dict[str, GradedPoly] = {}
         for g in chart.generators:
             fam = g.family
-            suffix = int(g.name[len(fam):]) - 1
             if fam in ("x", "p", "xstar"):
                 images[g.name] = chart.gen(g.name)
-            elif fam in ("xi", "estar"):
-                images[g.name] = self._by_t(chart, fam, suffix)
-            elif fam in ("eta", "e", "xistar"):
-                images[g.name] = self._by_t_inv(chart, fam, suffix)
-            elif fam == "pi":
-                if chart.parent_space == "PiE":
-                    # conjugate of xi: dual rule
-                    images[g.name] = self._by_t_inv(chart, fam, suffix)
-                else:
-                    # conjugate of eta on T*(PiE*): transforms by T with the
-                    # parity sign (-1)^(a+b), trivial for a parity-preserving T
-                    images[g.name] = self._by_t(
-                        chart, fam, suffix,
-                        sign_rule=lambda bi, ai: (par[bi] + par[ai]) & 1,
-                    )
+                continue
+            i = int(g.name[len(fam):]) - 1
+            if fam in ("xi", "estar") or (fam == "pi" and chart.parent.space != "PiE"):
+                coeffs = [row[i] for row in self.t]
+            elif fam in ("eta", "e", "xistar", "pi"):
+                coeffs = self.t_inv[i]
             else:
                 raise GradedAlgebraError(f"no change rule for family {fam!r}")
+            images[g.name] = GradedPoly(chart, {
+                ((chart.index_of(f"{fam}{b + 1}"), 1),): c
+                for b, c in enumerate(coeffs) if c != 0
+            })
         return images
-
-    def apply(self, f: GradedPoly) -> GradedPoly:
-        return f.substitute(self.substitution(f.chart), f.chart)
-
-    def apply_inverse(self, f: GradedPoly) -> GradedPoly:
-        return FibreChange(self.bundle, self.t_inv).apply(f)
 
     def transform_field(self, q: VectorField) -> VectorField:
         """Conjugate a field by the change: component_z = inv(Q(change(z)))."""
+        forward = self.substitution(q.chart)
+        back = self.inverse().substitution(q.chart)
         comps: dict[str, GradedPoly] = {}
-        sub = self.substitution(q.chart)
         for g in q.chart.generators:
-            img = q(sub[g.name])
-            comp = self.apply_inverse(img)
+            comp = q(forward[g.name]).substitute(back, q.chart)
             if not comp.is_zero():
                 comps[g.name] = comp
         return VectorField(q.chart, comps, q.parity)
@@ -370,8 +340,9 @@ def chart_change_naturality(q: VectorField, matrix, rng=None, pairs: int = 25) -
     s2 = build_schouten(q2)
     p2 = build_poisson(q2)
 
+    inverse = change.inverse()
     for before, after in ((s1, s2), (p1, p2)):
-        expected = change.apply_inverse(before.value)
+        expected = before.value.substitute(inverse.substitution(before.chart), before.chart)
         ok = after.value == expected
         checks.append((
             f"{before.flavor} route equality", ok,
@@ -382,13 +353,14 @@ def chart_change_naturality(q: VectorField, matrix, rng=None, pairs: int = 25) -
         for h, label in ((s1, "even lift symplectomorphism"),
                          (p1, "odd lift symplectomorphism")):
             chart, bracket = h.chart, ambient_bracket(h.flavor)
+            sub = change.substitution(chart)
             good = True
             detail = ""
             for _ in range(pairs):
                 f = random_poly(rng, chart, max_degree=3, n_terms=3)
                 g = random_poly(rng, chart, max_degree=3, n_terms=3)
-                lhs = bracket(change.apply(f), change.apply(g), chart)
-                rhs = change.apply(bracket(f, g, chart))
+                lhs = bracket(f.substitute(sub, chart), g.substitute(sub, chart), chart)
+                rhs = bracket(f, g, chart).substitute(sub, chart)
                 if lhs != rhs:
                     good = False
                     detail = f"failed on {f.render()} , {g.render()}"

@@ -202,9 +202,7 @@ class PhaseEngine(DerivedBracketEngine):
         return self.structure.value
 
     def squared_generator(self):
-        return self.bracket(self.structure.value, self.structure.value).scaled(
-            Fraction(1, 2)
-        )
+        return self.structure.self_bracket.scaled(Fraction(1, 2))
 
 
 class FieldEngine(DerivedBracketEngine):
@@ -229,10 +227,9 @@ class FieldEngine(DerivedBracketEngine):
         return commutator(f, g)
 
     def project(self, x: VectorField) -> VectorField:
-        names = [g.name for g in self.chart.generators]
         comps = {}
         for n, comp in x.components.items():
-            c = comp.drop_generators(names).constant_term()
+            c = comp.constant_term()
             if c != 0:
                 comps[n] = self.chart.const(c)
         return VectorField(self.chart, comps, x.parity)

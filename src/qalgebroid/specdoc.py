@@ -161,7 +161,7 @@ def parse_spec(document) -> AlgebroidSpec:
             bname, exp = pair
             if not isinstance(bname, str) or bname not in base_order:
                 raise SpecError(f"{where}: unknown base symbol {bname!r}")
-            if not isinstance(exp, int) or exp < 1:
+            if type(exp) is not int or exp < 1:  # bool is an int subclass
                 raise SpecError(f"{where}: base exponent must be a positive integer")
             if base_parity[bname] == ODD and exp > 1:
                 raise SpecError(f"{where}: odd base symbol squared")

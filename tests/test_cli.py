@@ -1,6 +1,10 @@
 """Command surface: parsing, reports, exit codes, determinism, golden output."""
 
+import gc
+import io
 import json
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
@@ -198,6 +202,13 @@ def _so3_document(**changes) -> str:
     return json.dumps(doc)
 
 
+def _base_exponent_true() -> str:
+    doc = json.loads(render_spec(builtin_spec("lie-algebroid-demo")))
+    term = next(t for t in doc["q_terms"] if t["base_monomial"])
+    term["base_monomial"][0][1] = True
+    return json.dumps(doc)
+
+
 class TestInputContract:
     """Unreadable or malformed input exits 2 with one line, never a traceback."""
 
@@ -206,10 +217,12 @@ class TestInputContract:
         ("source", _so3_document(fibre=None)),
         ("source", b"\xff\xfe not utf-8"),
         ("source", None),  # a directory
+        ("source", _base_exponent_true()),
         ("matrix", "null"),
         ("matrix", "[1, 2, 3]"),
+        ("max-arity", "-1"),
     ], ids=["q_terms-null", "fibre-null", "non-utf8", "directory",
-            "matrix-null", "matrix-flat"])
+            "base-exponent-true", "matrix-null", "matrix-flat", "max-arity-negative"])
     def test_bad_input_exits_2(self, runner, tmp_path, kind, content):
         bad = tmp_path / "input"
         if content is None:
@@ -220,8 +233,10 @@ class TestInputContract:
             bad.write_text(content)
         if kind == "source":
             args = ["check-q", str(bad)]
-        else:
+        elif kind == "matrix":
             args = ["naturality", "so3", "--matrix", str(bad)]
+        else:
+            args = ["statement-check", "so3", f"--{kind}", content]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
@@ -239,6 +254,25 @@ class TestInputContract:
         assert doc["status"] == "fail"
         assert [c["name"] for c in doc["checks"]] == ["homological input"]
         assert "[Q, Q] != 0" in doc["checks"][0]["witness"]
+
+
+def test_in_process_runs_release_captured_output():
+    """Output written while stdout is redirected keeps no reference to the
+    capture buffers, so repeated in-process runs do not grow the process."""
+    refs = []
+    for args in (["check-q", "so3"], ["describe", "so3", "--json"],
+                 ["statement-check", "so3", "--max-arity", "-1"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                main(args, standalone_mode=False)
+            except SystemExit:
+                pass
+        assert out.getvalue() or err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 class TestDeterminism:

@@ -15,10 +15,12 @@ from qalgebroid.builtins import (
 )
 from qalgebroid.charts import (
     BundlePresentation,
+    all_charts,
     chart_even_cotangent,
     chart_pi_e,
 )
 from qalgebroid.construction import (
+    FibreChange,
     build_poisson,
     build_schouten,
     chart_change_naturality,
@@ -36,7 +38,7 @@ from qalgebroid.fields import (
 )
 from qalgebroid.gradedpoly import GradedAlgebraError, ParityMismatch
 from qalgebroid.homotopy import structure_constant
-from qalgebroid.randgen import random_poly
+from qalgebroid.randgen import random_field, random_poly, random_presentation
 from qalgebroid.specdoc import assemble_field
 
 MIXED = BundlePresentation((0, 1), (0, 1))
@@ -264,6 +266,41 @@ class TestNaturality:
         q = assemble_field(so3())
         with pytest.raises(GradedAlgebraError):
             chart_change_naturality(q, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+
+
+def _random_change(rng: Random, b: BundlePresentation) -> FibreChange:
+    """A random invertible fibre change, block diagonal by parity."""
+    par = b.fibre_parities
+    while True:
+        t = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if par[i] == par[j] else 0
+              for j in range(b.rank)] for i in range(b.rank)]
+        try:
+            return FibreChange(b, t)
+        except GradedAlgebraError:
+            continue  # singular: draw again
+
+
+class TestFibreChangeRoundTrip:
+    def test_substitutions_invert_on_every_chart(self):
+        rng = Random(47)
+        for _ in range(40):
+            b = random_presentation(rng)
+            change = _random_change(rng, b)
+            inverse = change.inverse()
+            for chart in all_charts(b).values():
+                forward = change.substitution(chart)
+                back = inverse.substitution(chart)
+                for g in chart.generators:
+                    image = forward[g.name].substitute(back, chart)
+                    assert image == chart.gen(g.name), (chart.space, g.name)
+
+    def test_transform_field_round_trip(self):
+        rng = Random(53)
+        for _ in range(20):
+            b = random_presentation(rng)
+            q = random_field(rng, chart_pi_e(b), parity=1)
+            change = _random_change(rng, b)
+            assert change.inverse().transform_field(change.transform_field(q)) == q
 
 
 def test_invert_matrix_round_trip():
