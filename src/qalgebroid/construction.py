@@ -34,6 +34,7 @@ from .fields import (
     VectorField,
     canonical_poisson,
     canonical_schouten,
+    conjugate_field,
     even_symbol,
     odd_symbol,
     require_homological,
@@ -302,14 +303,9 @@ class FibreChange:
 
     def transform_field(self, q: VectorField) -> VectorField:
         """Conjugate a field by the change: component_z = inv(Q(change(z)))."""
-        forward = self.substitution(q.chart)
-        back = self.inverse().substitution(q.chart)
-        comps: dict[str, GradedPoly] = {}
-        for g in q.chart.generators:
-            comp = q(forward[g.name]).substitute(back, q.chart)
-            if not comp.is_zero():
-                comps[g.name] = comp
-        return VectorField(q.chart, comps, q.parity)
+        return conjugate_field(
+            q, self.substitution(q.chart), self.inverse().substitution(q.chart)
+        )
 
 
 @dataclass

@@ -97,10 +97,10 @@ class VectorField:
         """Derivation action: sum of component * left derivative."""
         if f.chart != self.chart:
             raise ChartMismatch("field and function live on different charts")
-        out = self.chart.zero()
-        for name, comp in self.components.items():
-            out = out + comp * f.left_derivative(name)
-        return out
+        return GradedPoly.sum(
+            self.chart,
+            (comp * f.left_derivative(name) for name, comp in self.components.items()),
+        )
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.chart != other.chart:
@@ -166,6 +166,12 @@ def require_homological(q: VectorField):
         raise NotHomological(f"[Q, Q] != 0, witness: {w!r}", witness=w)
 
 
+def conjugate_field(q: VectorField, forward, back) -> VectorField:
+    """Conjugate q by mutually inverse substitutions: component z = back(Q(forward[z]))."""
+    comps = {g.name: q(forward[g.name]).substitute(back, q.chart) for g in q.chart.generators}
+    return VectorField(q.chart, comps, q.parity)
+
+
 # ---------------------------------------------------------------------------
 # canonical brackets
 # ---------------------------------------------------------------------------
@@ -185,7 +191,7 @@ def _canonical(f: GradedPoly, g: GradedPoly, phase: Chart | None, kind: str,
     if f.chart != phase or g.chart != phase:
         raise ChartMismatch("arguments must live on the phase chart")
     parts = f.parity_parts().items()
-    out = phase.zero()
+    summands = []
     gens = phase.generators
     for zi, ci in phase.conjugate_pairs():
         a = gens[zi].parity
@@ -196,11 +202,11 @@ def _canonical(f: GradedPoly, g: GradedPoly, phase: Chart | None, kind: str,
         for p, fp in parts:
             if not dg_z.is_zero():
                 s1 = -1 if ((a + c) * (p + 1)) & 1 else 1
-                out = out + (fp.left_derivative(cn) * dg_z).scaled(s1)
+                summands.append((fp.left_derivative(cn) * dg_z).scaled(s1))
             if not dg_c.is_zero():
                 s2 = -1 if (a * (p + c)) & 1 else 1
-                out = out - (fp.left_derivative(zn) * dg_c).scaled(s2)
-    return out
+                summands.append((fp.left_derivative(zn) * dg_c).scaled(-s2))
+    return GradedPoly.sum(phase, summands)
 
 
 def canonical_poisson(f: GradedPoly, g: GradedPoly, phase: Chart | None = None) -> GradedPoly:
@@ -234,10 +240,8 @@ def _symbol(x: VectorField, phase: Chart | None, kind: str, cotangent) -> Graded
     _require_kind(phase, kind)
     if phase.parent_chart() != x.chart:
         raise ChartMismatch("phase chart was not built from the field's chart")
-    out = phase.zero()
-    for zi, ci in phase.conjugate_pairs():
-        comp = x.component(phase.generators[zi].name)
-        if comp.is_zero():
-            continue
-        out = out + lift_to_phase(comp, phase) * phase.gen(phase.generators[ci].name)
-    return out
+    gens = phase.generators
+    return GradedPoly.sum(phase, (
+        lift_to_phase(x.components[gens[zi].name], phase) * phase.gen(gens[ci].name)
+        for zi, ci in phase.conjugate_pairs() if gens[zi].name in x.components
+    ))

@@ -17,6 +17,10 @@ Conventions used throughout the package:
 
 Values are immutable after construction; every operation returns a new
 polynomial, so instances can be shared freely.
+
+The rule "add a coefficient, delete the monomial when it cancels" lives in
+``_add_term`` alone.  Every sum goes through ``GradedPoly.sum``, which fills
+one term map for all summands instead of copying a growing one per summand.
 """
 
 from __future__ import annotations
@@ -50,10 +54,6 @@ ZERO_WEIGHT: Weight = (0, 0)
 # A monomial is a tuple of (generator index, exponent) pairs, sorted by index.
 Monomial = tuple[tuple[int, int], ...]
 ONE_MONOMIAL: Monomial = ()
-
-
-def add_weights(a: Weight, b: Weight) -> Weight:
-    return (a[0] + b[0], a[1] + b[1])
 
 
 def total_weight(w: Weight) -> int:
@@ -116,6 +116,37 @@ def _merge_monomials(m1: Monomial, m2: Monomial, odd: tuple[bool, ...]):
     out.extend(m1[i:])
     out.extend(m2[j:])
     return sign & 1, tuple(out)
+
+
+def _add_term(terms: dict[Monomial, Fraction], m: Monomial, c: Fraction):
+    """Add the nonzero coefficient c to m in place, deleting m if it cancels."""
+    acc = terms.get(m)
+    acc = c if acc is None else acc + c
+    if acc:
+        terms[m] = acc
+    else:
+        del terms[m]
+
+
+def _product(t1: dict[Monomial, Fraction], t2: dict[Monomial, Fraction],
+             odd: tuple[bool, ...]) -> dict[Monomial, Fraction]:
+    """The term map of the product of two term maps on one chart."""
+    out: dict[Monomial, Fraction] = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            merged = _merge_monomials(m1, m2, odd)
+            if merged is not None:
+                s, m = merged
+                _add_term(out, m, -c1 * c2 if s else c1 * c2)
+    return out
+
+
+def _require_chart(chart, other: "GradedPoly"):
+    if chart != other.chart:
+        raise ChartMismatch(
+            f"operands live on different charts: "
+            f"{chart.space} vs {other.chart.space}"
+        )
 
 
 class GradedPoly:
@@ -187,33 +218,29 @@ class GradedPoly:
             parts.setdefault(self.monomial_parity(m), {})[m] = c
         return {p: GradedPoly(self.chart, t) for p, t in parts.items()}
 
-    def max_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
     def constant_term(self) -> Fraction:
         return self.terms.get(ONE_MONOMIAL, Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_chart(self, other: "GradedPoly"):
-        if self.chart != other.chart:
-            raise ChartMismatch(
-                f"operands live on different charts: "
-                f"{self.chart.space} vs {other.chart.space}"
-            )
+    @staticmethod
+    def sum(chart, polys) -> "GradedPoly":
+        """The sum of polynomials on ``chart``, accumulated in one term map.
+
+        Equals the left fold of ``+`` over ``polys`` (zero when empty); a
+        summand on another chart raises ChartMismatch, as ``+`` does.
+        """
+        terms: dict[Monomial, Fraction] = {}
+        for p in polys:
+            _require_chart(chart, p)
+            for m, c in p.terms.items():
+                _add_term(terms, m, c)
+        return GradedPoly(chart, terms)
 
     def __add__(self, other):
         if not isinstance(other, GradedPoly):
             other = GradedPoly.constant(self.chart, other)
-        self._require_same_chart(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m, Fraction(0)) + c
-            if acc == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = acc
-        return GradedPoly(self.chart, terms)
+        return GradedPoly.sum(self.chart, (self, other))
 
     __radd__ = __add__
 
@@ -221,32 +248,13 @@ class GradedPoly:
         return GradedPoly(self.chart, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, GradedPoly):
-            other = GradedPoly.constant(self.chart, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
             return self.scaled(other)
-        self._require_same_chart(other)
-        odd = self.chart.odd_flags
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = _merge_monomials(m1, m2, odd)
-                if merged is None:
-                    continue
-                s, m = merged
-                c = c1 * c2 if s == 0 else -c1 * c2
-                acc = out.get(m, Fraction(0)) + c
-                if acc == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
-        return GradedPoly(self.chart, out)
+        _require_chart(self.chart, other)
+        return GradedPoly(self.chart, _product(self.terms, other.terms, self.chart.odd_flags))
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -267,11 +275,13 @@ class GradedPoly:
         return acc
 
     def __eq__(self, other):
-        if not isinstance(other, GradedPoly):
-            if other == 0:
-                return self.is_zero()
-            return self == GradedPoly.constant(self.chart, other)
-        return self.chart == other.chart and self.terms == other.terms
+        """Equal to a polynomial on the same chart with the same terms, or to
+        a rational number (int or Fraction) read as a constant."""
+        if isinstance(other, GradedPoly):
+            return self.chart == other.chart and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == GradedPoly.constant(self.chart, other).terms
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.chart, tuple(sorted(self.terms.items()))))
@@ -304,11 +314,7 @@ class GradedPoly:
                     new_m = m[:pos] + m[pos + 1:]
                 else:
                     new_m = m[:pos] + ((idx, exp - 1),) + m[pos + 1:]
-            acc = out.get(new_m, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(new_m, None)
-            else:
-                out[new_m] = acc
+            _add_term(out, new_m, coeff)
         return GradedPoly(self.chart, out)
 
     def substitute(self, images: dict[str, "GradedPoly"], target_chart) -> "GradedPoly":
@@ -330,18 +336,21 @@ class GradedPoly:
                     f"image of {name} must be parity-homogeneous of parity "
                     f"{src.parity}"
                 )
-        out = GradedPoly(target_chart)
+        odd = target_chart.odd_flags
+        out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            acc = GradedPoly.constant(target_chart, c)
+            acc = {ONE_MONOMIAL: c}
             for idx, exp in m:
                 name = self.chart.generators[idx].name
                 if name not in images:
                     raise UnknownGenerator(f"no image provided for {name}")
-                acc = acc * (images[name] ** exp)
-                if acc.is_zero():
+                for _ in range(exp):
+                    acc = _product(acc, images[name].terms, odd)
+                if not acc:
                     break
-            out = out + acc
-        return out
+            for term, coeff in acc.items():
+                _add_term(out, term, coeff)
+        return GradedPoly(target_chart, out)
 
     def drop_generators(self, names) -> "GradedPoly":
         """Delete every term containing one of the named generators.
@@ -363,28 +372,14 @@ class GradedPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def _print_key(self, m: Monomial):
-        factors = self._print_factors(m)
-        group = 0 if any(g.family in ("p", "xstar") for g, _ in factors) else 1
-        return (group, tuple((g.weight, self.chart.index_of(g.name), e) for g, e in factors))
-
-    def _print_factors(self, m: Monomial) -> list[tuple[Generator, int]]:
-        factors = [(self.chart.generators[g], e) for g, e in m]
-        factors.sort(key=lambda fe: (fe[0].weight, self.chart.index_of(fe[0].name)))
-        return factors
-
-    def _display_sign(self, m: Monomial) -> int:
-        """Sign of reordering the stored factors into display order."""
-        display = self._print_factors(m)
-        odd_sequence = [
-            self.chart.index_of(g.name) for g, _ in display if g.parity == ODD
-        ]
-        inversions = 0
-        for a in range(len(odd_sequence)):
-            for b in range(a + 1, len(odd_sequence)):
-                if odd_sequence[a] > odd_sequence[b]:
-                    inversions += 1
-        return -1 if inversions & 1 else 1
+    def _display_order(self, m: Monomial) -> tuple[list[tuple[int, int]], int]:
+        """The (index, exp) pairs of m in display order (bi-weight, then chart
+        index), with the sign of reordering the stored odd factors into it."""
+        gens = self.chart.generators
+        order = sorted(m, key=lambda ie: (gens[ie[0]].weight, ie[0]))
+        odd = [i for i, _ in order if gens[i].parity == ODD]
+        inversions = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
+        return order, -1 if inversions & 1 else 1
 
     def render(self) -> str:
         """Deterministic text form.
@@ -397,15 +392,19 @@ class GradedPoly:
         """
         if not self.terms:
             return "0"
-        keyed = sorted(self.terms.items(), key=lambda mc: self._print_key(mc[0]))
+        gens = self.chart.generators
+        keyed = []
+        for m, c in self.terms.items():
+            order, sign = self._display_order(m)
+            group = 0 if any(gens[i].family in ("p", "xstar") for i, _ in order) else 1
+            keyed.append(((group, [(gens[i].weight, i, e) for i, e in order]), order, c * sign))
+        keyed.sort(key=lambda entry: entry[0])
         pieces: list[str] = []
-        for n, (m, c) in enumerate(keyed):
-            c = c * self._display_sign(m)
+        for n, (_, order, c) in enumerate(keyed):
             sign = "-" if c < 0 else "+"
             mag = -c if c < 0 else c
             factors = [
-                g.name if e == 1 else f"{g.name}^{e}"
-                for g, e in self._print_factors(m)
+                gens[i].name if e == 1 else f"{gens[i].name}^{e}" for i, e in order
             ]
             if not factors:
                 body = str(mag)

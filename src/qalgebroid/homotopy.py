@@ -156,9 +156,6 @@ class DerivedBracketEngine:
             cur = self.bracket(cur, self.prepare(a))
         return self.finish(self.project(cur))
 
-    def zero_bracket(self):
-        return self.derived([])
-
 
 class PhaseEngine(DerivedBracketEngine):
     """Engine over a phase-space function algebra."""
@@ -222,6 +219,7 @@ class FieldEngine(DerivedBracketEngine):
             )
         self.q = q
         self.chart = q.chart
+        self._squared = None
 
     def bracket(self, f, g):
         return commutator(f, g)
@@ -247,7 +245,9 @@ class FieldEngine(DerivedBracketEngine):
         return self.q
 
     def squared_generator(self):
-        return commutator(self.q, self.q).scaled(Fraction(1, 2))
+        if self._squared is None:
+            self._squared = commutator(self.q, self.q).scaled(Fraction(1, 2))
+        return self._squared
 
     def coefficients(self, x: VectorField) -> list[Fraction]:
         """Constant-field coefficients in the basis-field order."""
@@ -427,12 +427,12 @@ def fibre_parity_of_index(chart: Chart, i: int) -> int:
 def _structure_value(q: VectorField, dual_chart: Chart, family: str,
                      tup: tuple[int, ...]) -> GradedPoly:
     """sum_b Q^b_(tup) family_b, with the base-target part dropped."""
-    out = dual_chart.zero()
+    summands = []
     for j, i in enumerate(fibre_indices(q.chart)):
         c = structure_constant(q, q.chart.generators[i].name, tup)
         if not c.is_zero():
-            out = out + _base_function_on(c, dual_chart) * dual_chart.gen(f"{family}{j + 1}")
-    return out
+            summands.append(_base_function_on(c, dual_chart) * dual_chart.gen(f"{family}{j + 1}"))
+    return GradedPoly.sum(dual_chart, summands)
 
 
 def _fundamental_value(q: VectorField, dual_chart: Chart, tup: tuple[int, ...],
@@ -480,7 +480,7 @@ def _closed_form(q: VectorField, dual_chart: Chart, args: list[GradedPoly],
         if p is None:
             raise ParityMismatch("closed-form arguments must be homogeneous")
         arg_par.append(p)
-    out = dual_chart.zero()
+    summands = []
     for tup in product(fidx, repeat=r):
         factor = dual_chart.one()
         for pos, i in enumerate(tup):
@@ -496,8 +496,8 @@ def _closed_form(q: VectorField, dual_chart: Chart, args: list[GradedPoly],
             continue
         fp = [fibre_parity_of_index(q.chart, i) for i in tup]
         eps = flavour.closed_eps(r, fp, arg_par)
-        out = out + (core * factor).scaled(-1 if eps else 1)
-    return out
+        summands.append((core * factor).scaled(-1 if eps else 1))
+    return GradedPoly.sum(dual_chart, summands)
 
 
 def lie_schouten_closed_form(q: VectorField, dual_chart: Chart,
@@ -594,13 +594,10 @@ def poisson_bracket_table(p: HigherStructure, arity: int) -> BracketTable:
 
 def _field_entry(eng: FieldEngine, tup: tuple[int, ...]) -> GradedPoly:
     """(s_a1, ..., s_ar) written as the fibre-linear polynomial sum c_b xi^b."""
-    chart = eng.chart
     value = eng.derived([eng.basis_field(i) for i in tup])
-    poly = chart.zero()
-    for j, c in enumerate(eng.coefficients(value)):
-        if c != 0:
-            poly = poly + chart.gen(chart.generators[j].name).scaled(c)
-    return poly
+    return GradedPoly(eng.chart, {
+        ((j, 1),): c for j, c in enumerate(eng.coefficients(value)) if c != 0
+    })
 
 
 def _skew_sign(chart: Chart, tup: tuple[int, ...]) -> int:
@@ -725,10 +722,9 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
 
 def _transport_value(value: GradedPoly, dual: Chart, family: str) -> GradedPoly:
     """Send a fibre-linear value sum c_b xi^b to sum c_b eta_b (or e_b)."""
-    out = dual.zero()
+    terms = {}
     for m, c in value.terms.items():
         if len(m) != 1 or m[0][1] != 1:
             raise GradedAlgebraError("expected a fibre-linear bracket value")
-        idx = m[0][0]
-        out = out + dual.gen(f"{family}{idx + 1}").scaled(c)
-    return out
+        terms[((dual.index_of(f"{family}{m[0][0] + 1}"), 1),)] = c
+    return GradedPoly(dual, terms)

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .charts import BundlePresentation, Chart, chart_pi_e
-from .fields import VectorField, is_homological
+from .fields import VectorField, conjugate_field, is_homological
 from .gradedpoly import EVEN, ODD, GradedPoly
 
 COEFF_POOL = [
@@ -121,16 +121,6 @@ def _shear(rng: random.Random, chart: Chart, max_degree: int):
     return None
 
 
-def _conjugate_field(q: VectorField, fwd, bwd) -> VectorField:
-    comps: dict[str, GradedPoly] = {}
-    for g in q.chart.generators:
-        img = q(fwd[g.name])
-        comp = img.substitute(bwd, q.chart)
-        if not comp.is_zero():
-            comps[g.name] = comp
-    return VectorField(q.chart, comps, q.parity)
-
-
 def random_homological_field(rng: random.Random, max_base: int = 2,
                              max_rank: int = 3, max_degree: int = 3,
                              shears: int | None = None):
@@ -179,6 +169,6 @@ def random_homological_field(rng: random.Random, max_base: int = 2,
         pair = _shear(rng, chart, max_degree)
         if pair is None:
             break
-        q = _conjugate_field(q, *pair)
+        q = conjugate_field(q, *pair)
     assert is_homological(q), "internal: conjugation broke [Q,Q] = 0"
     return q

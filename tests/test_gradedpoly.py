@@ -1,9 +1,13 @@
 """Arithmetic, signs, derivatives and substitution on graded polynomials."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qalgebroid.charts import (
     BundlePresentation,
@@ -11,10 +15,59 @@ from qalgebroid.charts import (
     chart_pi_e,
     chart_pi_e_star,
 )
-from qalgebroid.gradedpoly import ChartMismatch, ParityMismatch, UnknownGenerator
+from qalgebroid.gradedpoly import (
+    ChartMismatch,
+    GradedPoly,
+    ParityMismatch,
+    UnknownGenerator,
+)
 from qalgebroid.randgen import random_homogeneous_poly, random_poly
 
 MIXED = BundlePresentation((0, 1), (0, 1))  # even and odd base, even and odd fibre
+
+# property tests run a fixed example sequence, so the suite stays deterministic
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+PIE = chart_pi_e(MIXED)
+PIE_PHASE = chart_even_cotangent(PIE)
+COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+def polys(chart, parity=None, max_terms=4, max_factors=3, min_terms=0):
+    """Sums of random monomials on ``chart``, all of one parity if given."""
+    names = [g.name for g in chart.generators]
+    monomials = st.dictionaries(st.sampled_from(names), st.integers(1, 3),
+                                max_size=max_factors)
+    if parity is not None:
+        monomials = monomials.filter(lambda e: parity == sum(
+            chart.generator(n).parity * k for n, k in e.items()) % 2)
+    terms = st.lists(st.tuples(monomials, COEFFS), min_size=min_terms, max_size=max_terms)
+    return terms.map(
+        lambda ts: reduce(add, (chart.monomial(e, c) for e, c in ts), chart.zero())
+    )
+
+
+def images_for(source, target):
+    """Parity-preserving images on ``target`` of every generator of ``source``.
+
+    Each image is zero, a random polynomial of the generator's parity, or a
+    shear z + (random polynomial) like the ones randgen conjugates by.
+    """
+    def image(g):
+        shear = polys(target, g.parity, 2, 2).map(lambda p: target.gen(g.name) + p)
+        return st.one_of(shear, polys(target, g.parity, 2, 2), st.just(target.zero()))
+
+    return st.fixed_dictionaries({g.name: image(g) for g in source.generators})
+
+
+def reference_substitute(f, images, target):
+    """Per term, the coefficient times the product of image ** exp, summed with +."""
+    out = target.zero()
+    for m, c in f.terms.items():
+        acc = target.const(c)
+        for idx, exp in m:
+            acc = acc * images[f.chart.generators[idx].name] ** exp
+        out = out + acc
+    return out
 
 
 @pytest.fixture
@@ -196,6 +249,58 @@ class TestSubstitute:
             lhs = (f * g).substitute(images, target)
             rhs = f.substitute(images, target) * g.substitute(images, target)
             assert lhs == rhs
+
+
+class TestSumProperties:
+    @PROPERTY
+    @given(st.data())
+    def test_sum_is_the_left_fold(self, data):
+        drawn = data.draw(st.lists(polys(PIE), max_size=6))
+        k = data.draw(st.integers(0, len(drawn)))
+        ps = drawn + [-p for p in drawn[:k]]  # the first k summands cancel
+        total = GradedPoly.sum(PIE, ps)
+        assert total == reduce(add, ps, PIE.zero())
+        expected = {}
+        for p in ps:
+            for m, c in p.terms.items():
+                expected[m] = expected.get(m, 0) + c
+        assert total.terms == {m: c for m, c in expected.items() if c != 0}
+        if k == len(drawn):
+            assert total.is_zero()
+
+    @PROPERTY
+    @given(st.lists(polys(PIE), max_size=3), polys(chart_pi_e_star(MIXED)),
+           st.integers(0, 3))
+    def test_sum_rejects_another_chart(self, ps, stranger, at):
+        with pytest.raises(ChartMismatch):
+            GradedPoly.sum(PIE, ps[:at] + [stranger] + ps[at:])
+
+
+class TestSubstituteProperties:
+    @PROPERTY
+    @given(st.data())
+    def test_substitute_matches_reference(self, data):
+        target = data.draw(st.sampled_from([PIE, PIE_PHASE]))
+        images = data.draw(images_for(PIE, target))
+        f = data.draw(polys(PIE, min_terms=1))
+        assert f.substitute(images, target) == reference_substitute(f, images, target)
+
+
+class TestEquality:
+    def test_none_is_not_equal(self, pie):
+        f = pie.gen("xi1")
+        assert not f == None  # noqa: E711
+        assert f != None  # noqa: E711
+        assert f in [None, f]
+
+    def test_strings_are_not_rationals(self, pie):
+        assert not pie.one() == "1"
+        assert pie.one() != "1"
+
+    def test_rationals_compare_as_constants(self, pie):
+        assert pie.zero() == 0 and pie.one() == 1
+        assert pie.const(Fraction(1, 2)) == Fraction(1, 2)
+        assert pie.gen("x1") != 0 and pie.gen("x1") != 1
 
 
 class TestRender:

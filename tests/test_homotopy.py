@@ -389,6 +389,25 @@ class TestJacobiators:
             v, _ = jacobiator(eng, [dual.gen(f"eta{i + 1}")])
             assert v.is_zero()
 
+    def test_field_engine_squares_q_once(self, so3_pair, monkeypatch):
+        # an arity-3 sweep on so3 has 10 tuples; [Q,Q] is computed on the first
+        import qalgebroid.homotopy as homotopy
+
+        squares = []
+
+        def counting(x, y):
+            if x is y:
+                squares.append(x)
+            return commutator(x, y)
+
+        monkeypatch.setattr(homotopy, "commutator", counting)
+        q, _, _ = so3_pair
+        fe = FieldEngine(q)
+        basis = [fe.basis_field(i) for i in range(3)]
+        for tup in combinations_with_replacement(range(3), 3):
+            jacobiator(fe, [basis[i] for i in tup])
+        assert len(squares) == 1
+
 
 class TestJacobiatorsOnArbitraryGenerators:
     """The two-route equality needs only an odd generator, not one built
