@@ -9,7 +9,8 @@ written by this module's ``__main__`` block:
 and is compared byte for byte, so any drift in a report, a rendered
 polynomial or an exit code shows up as a diff.  ``naturality`` runs with the
 identity matrix, which is written to a temporary file (the placeholder
-``IDENTITY`` in the case id).
+``IDENTITY`` in the case id).  ``jacobiator`` is also frozen at the deep
+arities of ``JACOBIATOR_DEEP``, where a sweep shares the most inner brackets.
 """
 
 import json
@@ -23,6 +24,14 @@ from qalgebroid.cli import main
 
 GOLDENS = Path(__file__).parent / "data" / "cli_json_goldens.json"
 IDENTITY = "IDENTITY"
+
+# arities beyond 3 at which each builtin's Jacobiator sweep is frozen
+JACOBIATOR_DEEP = {
+    "so3": (4, 5, 6),
+    "graded-3-lie": (4, 5, 6),
+    "lie-3-algebroid-demo": (4, 5),
+    "so3-broken": (4, 5),
+}
 
 
 def _point_base(name: str) -> bool:
@@ -52,6 +61,8 @@ def cases() -> list[list[str]]:
         if name != "so3-broken":
             out.append(["naturality", name, "--matrix", IDENTITY, "--json"])
         out.append(["example", name])
+        for arity in JACOBIATOR_DEEP.get(name, (4,)):
+            out.append(["jacobiator", name, "--arity", str(arity), "--json"])
     return out
 
 
