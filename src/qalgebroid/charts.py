@@ -87,6 +87,15 @@ class Chart:
             self, "odd_flags", tuple(g.parity == ODD for g in self.generators)
         )
 
+    def __eq__(self, other):
+        # defining __eq__ here keeps the dataclass-generated field hash
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators, self.kind, self.space, self.n_base) == (
+            other.generators, other.kind, other.space, other.n_base)
+
     # -- lookups -----------------------------------------------------------
 
     def index_of(self, name: str) -> int:

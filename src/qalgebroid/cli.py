@@ -39,6 +39,7 @@ from .gradedpoly import GradedAlgebraError
 from .homotopy import (
     FieldEngine,
     JacobiatorMismatch,
+    PrefixMemo,
     higher_poisson_bracket,
     higher_schouten_bracket,
     jacobiator,
@@ -291,10 +292,11 @@ def jacobiator_cmd(report, spec, arity):
         else:
             basis = [eng.parent.gen(name) for name in eng.parent.fibre_names()]
             render = lambda v: v.render()
+        memo = PrefixMemo(eng, basis)
         try:
             worst = None
             for tup in combinations_with_replacement(range(len(basis)), arity):
-                value, _ = jacobiator(eng, [basis[i] for i in tup])
+                value, _ = jacobiator(eng, [basis[i] for i in tup], memo)
                 if not value.is_zero():
                     all_zero = False
                     worst = (tup, render(value))

@@ -191,14 +191,20 @@ def _canonical(f: GradedPoly, g: GradedPoly, phase: Chart | None, kind: str,
     if f.chart != phase or g.chart != phase:
         raise ChartMismatch("arguments must live on the phase chart")
     parts = f.parity_parts().items()
+    sf, sg = f.support(), g.support()
     summands = []
     gens = phase.generators
     for zi, ci in phase.conjugate_pairs():
+        # d_{z'}f d_z g needs z' in f and z in g; d_z f d_{z'}g the reverse
+        first = zi in sg and ci in sf
+        second = zi in sf and ci in sg
+        if not (first or second):
+            continue
         a = gens[zi].parity
         zn = gens[zi].name
         cn = gens[ci].name
-        dg_z = g.left_derivative(zn)
-        dg_c = g.left_derivative(cn)
+        dg_z = g.left_derivative(zn) if first else phase.zero()
+        dg_c = g.left_derivative(cn) if second else phase.zero()
         for p, fp in parts:
             if not dg_z.is_zero():
                 s1 = -1 if ((a + c) * (p + 1)) & 1 else 1

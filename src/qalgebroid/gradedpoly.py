@@ -366,6 +366,10 @@ class GradedPoly:
         }
         return GradedPoly(self.chart, terms)
 
+    def support(self) -> set[int]:
+        """Indices of the generators that occur in some term."""
+        return {g for m in self.terms for g, _ in m}
+
     def contains_any(self, names) -> bool:
         idxs = {self.chart.index_of(n) for n in names}
         return any(any(g in idxs for g, _ in m) for m in self.terms)

@@ -20,6 +20,17 @@ Koszul exchange signs in the engine's parities) equals the n-th derived
 bracket of half the self-bracket of the generator.  The equality is asserted
 each time; it holds whether or not the generator squares to zero, which is
 exactly what makes non-homological negative controls meaningful.
+
+A sweep (the Jacobiators of every basis tuple, a bracket table, the
+restriction statement) shares its nested brackets through one ``PrefixMemo``
+per engine and basis, dropped when the sweep ends.  Keys are tuples of basis
+positions naming the arguments in bracket order; a first entry
+``("in", positions)`` stands for the value of that inner bracket used as the
+first argument.  The memo keeps each unprojected partial bracket
+``[...[D, a1], ..., ak]``, so a key costs one bracket past its longest known
+prefix.  Only the unshuffle sum reads it: the squared-generator route calls
+``engine.derived`` afresh for every Jacobiator, so the two routes share no
+computed bracket.
 """
 
 from __future__ import annotations
@@ -157,6 +168,58 @@ class DerivedBracketEngine:
         return self.finish(self.project(cur))
 
 
+class PrefixMemo:
+    """The nested brackets of one engine on one basis, shared across a sweep.
+
+    ``value(key)`` equals ``engine.derived`` on the arguments the key names.
+    A key is a tuple of basis positions; its first entry may instead be
+    ``("in", positions)``, the value of an inner bracket used as the first
+    argument.  Each unprojected partial bracket ``[...[D, a1], ..., ak]`` is
+    computed once, from the partial of its prefix, and kept together with the
+    prepared arguments and the projected values.  Arguments met for the first
+    time (by identity) are appended to the basis.
+    """
+
+    def __init__(self, engine: DerivedBracketEngine, basis=()):
+        self.engine = engine
+        self.basis: list = []
+        self._position: dict[int, int] = {}
+        self._prepared: dict = {}
+        self._partial: dict = {(): engine.generator()}
+        self._value: dict = {}
+        self.positions(basis)
+
+    def positions(self, args) -> tuple[int, ...]:
+        out = []
+        for a in args:
+            pos = self._position.get(id(a))
+            if pos is None:
+                pos = self._position[id(a)] = len(self.basis)
+                self.basis.append(a)
+            out.append(pos)
+        return tuple(out)
+
+    def _prepare(self, slot):
+        arg = self._prepared.get(slot)
+        if arg is None:
+            raw = self.value(slot[1]) if isinstance(slot, tuple) else self.basis[slot]
+            arg = self._prepared[slot] = self.engine.prepare(raw)
+        return arg
+
+    def _partial_of(self, key: tuple):
+        cur = self._partial.get(key)
+        if cur is None:
+            cur = self.engine.bracket(self._partial_of(key[:-1]), self._prepare(key[-1]))
+            self._partial[key] = cur
+        return cur
+
+    def value(self, key: tuple):
+        v = self._value.get(key)
+        if v is None:
+            v = self._value[key] = self.engine.finish(self.engine.project(self._partial_of(key)))
+        return v
+
+
 class PhaseEngine(DerivedBracketEngine):
     """Engine over a phase-space function algebra."""
 
@@ -275,8 +338,9 @@ def poisson_engine(p: HigherStructure) -> PhaseEngine:
 # the user-facing bracket families
 # ---------------------------------------------------------------------------
 
-def _higher_bracket(eng: PhaseEngine, args: list[GradedPoly]) -> GradedPoly:
-    raw = eng.derived(args)
+def _higher_bracket(eng: PhaseEngine, args: list[GradedPoly],
+                    memo: PrefixMemo | None = None) -> GradedPoly:
+    raw = eng.derived(args) if memo is None else memo.value(memo.positions(args))
     rule = eng.flavour.sign_exponent
     if rule is not None and rule([eng.parity_of(a) for a in args]):
         return raw.scaled(-1)
@@ -311,23 +375,30 @@ def koszul_sign(order: list[int], parities: list[int]) -> int:
     return -1 if e & 1 else 1
 
 
-def jacobiator(engine: DerivedBracketEngine, args: list) -> tuple:
+def jacobiator(engine: DerivedBracketEngine, args: list,
+               memo: PrefixMemo | None = None) -> tuple:
     """The n-th Jacobiator, computed two independent ways.
 
     Returns (value, via_squared_generator).  Raises JacobiatorMismatch when
     the unshuffle sum disagrees with the derived bracket of the squared
-    generator, which would signal a sign-convention bug.
+    generator, which would signal a sign-convention bug.  The unshuffle sum
+    reads its brackets from ``memo`` (a fresh one when None is passed); the
+    squared-generator route never does.
     """
+    if memo is None:
+        memo = PrefixMemo(engine)
+    elif memo.engine is not engine:
+        raise GradedAlgebraError("the memo belongs to another engine")
     n = len(args)
     parities = [engine.koszul_parity(a) for a in args]
+    pos = memo.positions(args)
     total = None
     for k in range(n + 1):
         for subset in combinations(range(n), k):
             rest = [i for i in range(n) if i not in subset]
             sign = koszul_sign(list(subset) + rest, parities)
-            inner = engine.derived([args[i] for i in subset])
-            term = engine.derived([inner] + [args[i] for i in rest])
-            term = term.scaled(sign)
+            inner = ("in", tuple(pos[i] for i in subset))
+            term = memo.value((inner, *(pos[i] for i in rest))).scaled(sign)
             total = term if total is None else total + term
     via_square = engine.derived(args, generator=engine.squared_generator())
     if total != via_square:
@@ -577,9 +648,10 @@ def _table_metadata(chart: Chart, labels, entries, arity: int):
 def _phase_table(eng: PhaseEngine, arity: int) -> BracketTable:
     parent = eng.parent
     fibre = parent.fibre_names()
+    memo = PrefixMemo(eng, [parent.gen(name) for name in fibre])
     entries = {}
     for tup in combinations_with_replacement(range(len(fibre)), arity):
-        entries[tup] = _higher_bracket(eng, [parent.gen(fibre[i]) for i in tup])
+        entries[tup] = _higher_bracket(eng, [memo.basis[i] for i in tup], memo)
     parity, weight = _table_metadata(parent, fibre, entries, arity)
     return BracketTable(eng.flavor, arity, fibre, entries, parity, weight)
 
@@ -592,11 +664,17 @@ def poisson_bracket_table(p: HigherStructure, arity: int) -> BracketTable:
     return _phase_table(poisson_engine(p), arity)
 
 
-def _field_entry(eng: FieldEngine, tup: tuple[int, ...]) -> GradedPoly:
+def _field_memo(q: VectorField) -> PrefixMemo:
+    """A memo over the constant basis fields, in generator order."""
+    eng = FieldEngine(q)
+    return PrefixMemo(eng, [eng.basis_field(i) for i in range(len(q.chart.generators))])
+
+
+def _field_entry(memo: PrefixMemo, tup: tuple[int, ...]) -> GradedPoly:
     """(s_a1, ..., s_ar) written as the fibre-linear polynomial sum c_b xi^b."""
-    value = eng.derived([eng.basis_field(i) for i in tup])
+    eng = memo.engine
     return GradedPoly(eng.chart, {
-        ((j, 1),): c for j, c in enumerate(eng.coefficients(value)) if c != 0
+        ((j, 1),): c for j, c in enumerate(eng.coefficients(memo.value(tup))) if c != 0
     })
 
 
@@ -609,11 +687,13 @@ def _skew_sign(chart: Chart, tup: tuple[int, ...]) -> int:
     return -1 if e & 1 else 1
 
 
-def symmetric_field_table(q: VectorField, arity: int) -> BracketTable:
+def symmetric_field_table(q: VectorField, arity: int,
+                          memo: PrefixMemo | None = None) -> BracketTable:
     """Symmetric brackets (s_a1, ..., s_ar) over a point base, as fields."""
-    eng = FieldEngine(q)
+    if memo is None:
+        memo = _field_memo(q)
     entries = {
-        tup: _field_entry(eng, tup)
+        tup: _field_entry(memo, tup)
         for tup in combinations_with_replacement(range(len(q.chart.generators)), arity)
     }
     labels = [g.name for g in q.chart.generators]
@@ -626,19 +706,19 @@ def skew_bracket_table(q: VectorField, arity: int) -> BracketTable:
     Obtained from the symmetric table by the parity-shift sign of
     ``_skew_sign``; skew-symmetry under adjacent exchanges is verified.
     """
-    sym = symmetric_field_table(q, arity)
+    memo = _field_memo(q)
+    sym = symmetric_field_table(q, arity, memo)
     entries = {
         tup: value.scaled(_skew_sign(q.chart, tup)) for tup, value in sym.entries.items()
     }
     table = BracketTable("skew", arity, sym.labels, entries)
-    _verify_skew(q, table)
+    _verify_skew(memo, table)
     return table
 
 
-def _verify_skew(q: VectorField, table: BracketTable):
+def _verify_skew(memo: PrefixMemo, table: BracketTable):
     """Adjacent exchange must flip the sign by -(-1)^(a_i a_j)."""
-    eng = FieldEngine(q)
-    chart = q.chart
+    chart = memo.engine.chart
     for tup in table.entries:
         for k in range(len(tup) - 1):
             swapped = list(tup)
@@ -647,7 +727,7 @@ def _verify_skew(q: VectorField, table: BracketTable):
             pi_ = fibre_parity_of_index(chart, tup[k])
             pj = fibre_parity_of_index(chart, tup[k + 1])
             sign = -1 if not (pi_ and pj) else 1
-            value = _field_entry(eng, swapped).scaled(_skew_sign(chart, swapped))
+            value = _field_entry(memo, swapped).scaled(_skew_sign(chart, swapped))
             expected = table.entries[tup].scaled(sign)
             if value != expected:
                 raise GradedAlgebraError(
@@ -700,19 +780,22 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     """
     if q.chart.n_base != 0:
         raise ChartMismatch("the restriction statement is for a point base")
-    sides = ((schouten_engine(s), symmetric_field_table),
-             (poisson_engine(p), skew_bracket_table))
     n = len(q.chart.generators)
+    sides = []
+    for eng, table_of in ((schouten_engine(s), symmetric_field_table),
+                          (poisson_engine(p), skew_bracket_table)):
+        family = eng.flavour.family
+        basis = [eng.parent.gen(f"{family}{i + 1}") for i in range(n)]
+        sides.append((eng, PrefixMemo(eng, basis), table_of))
     per_arity: dict[int, bool] = {}
     details: list[str] = []
     for r in range(0, max_arity + 1):
         ok = True
-        tables = [table_of(q, r) for _, table_of in sides]
+        tables = [table_of(q, r) for _, _, table_of in sides]
         for tup in combinations_with_replacement(range(n), r):
-            for (eng, _), table in zip(sides, tables):
-                family = eng.flavour.family
-                lhs = _higher_bracket(eng, [eng.parent.gen(f"{family}{i + 1}") for i in tup])
-                rhs = _transport_value(table.entries[tup], eng.parent, family)
+            for (eng, memo, _), table in zip(sides, tables):
+                lhs = _higher_bracket(eng, [memo.basis[i] for i in tup], memo)
+                rhs = _transport_value(table.entries[tup], eng.parent, eng.flavour.family)
                 if lhs != rhs:
                     ok = False
                     details.append(f"arity {r} {eng.flavor} tuple {tup} differs")

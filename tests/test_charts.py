@@ -14,7 +14,7 @@ from qalgebroid.charts import (
     lift_to_phase,
     restrict_to_zero_section,
 )
-from qalgebroid.gradedpoly import ChartMismatch
+from qalgebroid.gradedpoly import ChartMismatch, Generator
 from qalgebroid.randgen import random_poly
 from random import Random
 
@@ -135,3 +135,25 @@ def test_describe_is_aligned_text():
     assert "(-1, 1)" in out
     lines = out.splitlines()
     assert len(lines) == 2 + 8  # header + column row + eight generators
+
+
+class TestChartEquality:
+    def test_separately_built_charts_are_equal_with_equal_hashes(self):
+        for name, chart in all_charts(MIXED).items():
+            again = all_charts(MIXED)[name]
+            assert again is not chart
+            assert again == chart and hash(again) == hash(chart)
+            assert chart == chart
+
+    def test_differing_field_breaks_equality(self):
+        chart = chart_pi_e(MIXED)
+        renamed = type(chart)(chart.generators, chart.kind, "other", chart.n_base)
+        assert renamed != chart
+        extra = chart.generators + (Generator("y", 0, (0, 0), "x"),)
+        assert type(chart)(extra, chart.kind, chart.space, chart.n_base) != chart
+        assert chart != "PiE"
+
+    def test_sum_across_charts_raises(self):
+        pe, pes = chart_pi_e(MIXED), chart_pi_e_star(MIXED)
+        with pytest.raises(ChartMismatch):
+            pe.gen("x1") + pes.gen("x1")

@@ -1,14 +1,20 @@
 """Vector fields, commutators, canonical brackets and principal symbols."""
 
+from functools import reduce
+from operator import add
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qalgebroid.charts import (
     BundlePresentation,
+    chart_e_star,
     chart_even_cotangent,
     chart_odd_cotangent,
     chart_pi_e,
+    chart_pi_e_star,
 )
 from qalgebroid.builtins import derham, so3
 from qalgebroid.fields import (
@@ -25,6 +31,42 @@ from qalgebroid.randgen import random_field, random_homogeneous_poly
 from qalgebroid.specdoc import assemble_field
 
 MIXED = BundlePresentation((0, 1), (0, 1))
+
+# property tests run a fixed example sequence, so the suite stays deterministic
+PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+EVEN_PHASES = [chart_even_cotangent(chart_pi_e(MIXED)),
+               chart_even_cotangent(chart_pi_e_star(MIXED))]
+ODD_PHASES = [chart_odd_cotangent(chart_pi_e(MIXED)),
+              chart_odd_cotangent(chart_e_star(MIXED))]
+
+
+def mixed_polys(chart, max_terms=5, max_factors=3):
+    """Sums of random nonconstant monomials on ``chart``, of either or both
+    parities."""
+    names = [g.name for g in chart.generators]
+    monomials = st.dictionaries(st.sampled_from(names), st.integers(1, 2),
+                                min_size=1, max_size=max_factors)
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    terms = st.lists(st.tuples(monomials, coeffs), min_size=1, max_size=max_terms)
+    return terms.map(
+        lambda ts: reduce(add, (chart.monomial(e, c) for e, c in ts), chart.zero())
+    )
+
+
+def dense_canonical(f, g, phase, c):
+    """The canonical bracket of parity c summed over every conjugate pair and
+    both parity parts of f, with no support test."""
+    out = phase.zero()
+    gens = phase.generators
+    for zi, ci in phase.conjugate_pairs():
+        a = gens[zi].parity
+        zn, cn = gens[zi].name, gens[ci].name
+        for p, fp in f.parity_parts().items():
+            s1 = -1 if ((a + c) * (p + 1)) & 1 else 1
+            s2 = -1 if (a * (p + c)) & 1 else 1
+            out = out + (fp.left_derivative(cn) * g.left_derivative(zn)).scaled(s1)
+            out = out - (fp.left_derivative(zn) * g.left_derivative(cn)).scaled(s2)
+    return out
 
 
 @pytest.fixture
@@ -125,6 +167,15 @@ class TestCanonicalBrackets:
             canonical_poisson(odd.one(), odd.one(), odd)
         with pytest.raises(ChartMismatch):
             canonical_schouten(even.one(), even.one(), even)
+
+    @PROPERTY
+    @given(st.data())
+    def test_sparse_brackets_equal_the_dense_sum(self, data):
+        for phases, bracket, c in ((EVEN_PHASES, canonical_poisson, EVEN),
+                                   (ODD_PHASES, canonical_schouten, ODD)):
+            phase = data.draw(st.sampled_from(phases))
+            f, g = data.draw(mixed_polys(phase)), data.draw(mixed_polys(phase))
+            assert bracket(f, g, phase) == dense_canonical(f, g, phase, c)
 
     def test_poisson_axioms(self, rng):
         phase = chart_even_cotangent(chart_pi_e(MIXED))

@@ -1,6 +1,6 @@
 """Derived brackets, Jacobiators, Leibniz rules, tables, anchors, statement."""
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from random import Random
 
 import pytest
@@ -23,9 +23,10 @@ from qalgebroid.construction import (
     build_schouten_unchecked,
 )
 from qalgebroid.fields import VectorField, commutator
-from qalgebroid.gradedpoly import GradedAlgebraError
+from qalgebroid.gradedpoly import ODD, GradedAlgebraError
 from qalgebroid.homotopy import (
     FieldEngine,
+    PrefixMemo,
     fundamental_poisson_value,
     fundamental_schouten_value,
     higher_anchor,
@@ -45,7 +46,12 @@ from qalgebroid.homotopy import (
     symmetric_field_table,
     weight_one_restriction_check,
 )
-from qalgebroid.randgen import random_homogeneous_poly, random_poly
+from qalgebroid.randgen import (
+    random_field,
+    random_homogeneous_poly,
+    random_homological_field,
+    random_poly,
+)
 from qalgebroid.specdoc import assemble_field
 
 
@@ -407,6 +413,165 @@ class TestJacobiators:
         for tup in combinations_with_replacement(range(3), 3):
             jacobiator(fe, [basis[i] for i in tup])
         assert len(squares) == 1
+
+
+def reference_jacobiator(engine, args):
+    """The unshuffle sum by the nested definition: engine.derived per subset."""
+    n = len(args)
+    parities = [engine.koszul_parity(a) for a in args]
+    total = None
+    for k in range(n + 1):
+        for subset in combinations(range(n), k):
+            rest = [i for i in range(n) if i not in subset]
+            inner = engine.derived([args[i] for i in subset])
+            term = engine.derived([inner] + [args[i] for i in rest])
+            term = term.scaled(koszul_sign(list(subset) + rest, parities))
+            total = term if total is None else total + term
+    return total
+
+
+def random_odd_fields(seed: int, count: int) -> list[VectorField]:
+    """Homological fields and, on the same charts, odd fields that are not;
+    every other presentation has a point base, so the field engine applies."""
+    rng = Random(seed)
+    out = []
+    for k in range(count):
+        q = random_homological_field(rng, max_base=k % 2, max_rank=4, max_degree=3)
+        out += [q, random_field(rng, q.chart, ODD, max_degree=3)]
+    return out
+
+
+def engines_and_bases(q: VectorField) -> list[tuple]:
+    """Every engine of q with its basis: fibre and base coordinates, or the
+    constant fields."""
+    out = []
+    for eng in (schouten_engine(build_schouten_unchecked(q)),
+                poisson_engine(build_poisson_unchecked(q))):
+        names = eng.parent.fibre_names() + eng.parent.base_names()
+        out.append((eng, [eng.parent.gen(name) for name in names]))
+    if q.chart.n_base == 0:
+        fe = FieldEngine(q)
+        out.append((fe, [fe.basis_field(i) for i in range(len(q.chart.generators))]))
+    return out
+
+
+class TestPrefixMemo:
+    def test_sweep_matches_nested_definition(self):
+        flavors, nonzero = set(), 0
+        for q in random_odd_fields(seed=5, count=6):
+            for eng, basis in engines_and_bases(q):
+                memo = PrefixMemo(eng, basis)
+                for r in range(5):
+                    for tup in combinations_with_replacement(range(len(basis)), r):
+                        args = [basis[i] for i in tup]
+                        value, _ = jacobiator(eng, args, memo)
+                        assert value == reference_jacobiator(eng, args), (eng.flavor, tup)
+                        nonzero += not value.is_zero()
+                flavors.add(eng.flavor)
+        assert flavors == {"schouten", "poisson", "field"}
+        assert nonzero  # the non-homological fields give nonzero Jacobiators
+
+    def test_tables_match_the_nested_definition(self):
+        for q in random_odd_fields(seed=21, count=4):
+            for r in range(4):
+                for h, table_of, bracket in (
+                    (build_schouten_unchecked(q), schouten_bracket_table,
+                     higher_schouten_bracket),
+                    (build_poisson_unchecked(q), poisson_bracket_table,
+                     higher_poisson_bracket),
+                ):
+                    table = table_of(h, r)
+                    dual = h.chart.parent_chart()
+                    for tup, value in table.entries.items():
+                        assert value == bracket(h, [dual.gen(table.labels[i]) for i in tup])
+                if q.chart.n_base:
+                    continue
+                fe = FieldEngine(q)
+                n = len(q.chart.generators)
+                for tup, value in symmetric_field_table(q, r).entries.items():
+                    nested = fe.derived([fe.basis_field(i) for i in tup])
+                    assert [value.terms.get(((j, 1),), 0) for j in range(n)] == (
+                        fe.coefficients(nested))
+                skew_bracket_table(q, r)  # checks antisymmetry on swapped tuples
+
+    def test_values_on_unsorted_and_inner_keys(self):
+        rng = Random(17)
+        for q in random_odd_fields(seed=9, count=2):
+            for eng, basis in engines_and_bases(q):
+                memo = PrefixMemo(eng, basis)
+                for _ in range(12):
+                    inner = tuple(rng.randrange(len(basis)) for _ in range(rng.randint(0, 2)))
+                    rest = tuple(rng.randrange(len(basis)) for _ in range(rng.randint(0, 2)))
+                    assert memo.value(inner + rest) == eng.derived(
+                        [basis[i] for i in inner + rest])
+                    inner_value = eng.derived([basis[i] for i in inner])
+                    assert memo.value((("in", inner),) + rest) == eng.derived(
+                        [inner_value] + [basis[i] for i in rest])
+
+    def test_new_arguments_join_the_basis(self, so3_pair):
+        _, s, _ = so3_pair
+        eng = schouten_engine(s)
+        memo = PrefixMemo(eng)
+        eta = [eng.parent.gen(f"eta{i + 1}") for i in range(3)]
+        assert memo.positions([eta[1], eta[0], eta[1]]) == (0, 1, 0)
+        assert memo.basis == [eta[1], eta[0]]
+
+    def test_memo_of_another_engine_is_rejected(self, so3_pair):
+        _, s, p = so3_pair
+        memo = PrefixMemo(poisson_engine(p))
+        with pytest.raises(GradedAlgebraError):
+            jacobiator(schouten_engine(s), [], memo)
+
+    def test_squared_route_makes_the_same_brackets_with_and_without_memo(self):
+        for q in random_odd_fields(seed=13, count=2):
+            counts = {}
+            for shared in (True, False):
+                for eng, basis in engines_and_bases(q):
+                    route = SquaredRouteCounter(eng)
+                    memo = PrefixMemo(eng, basis) if shared else None
+                    tuples = list(combinations_with_replacement(range(len(basis)), 3))
+                    for tup in tuples:
+                        jacobiator(eng, [basis[i] for i in tup], memo)
+                    assert route.brackets == 3 * len(tuples)
+                    counts.setdefault(eng.flavor, []).append(route.brackets)
+            assert all(with_memo == without for with_memo, without in counts.values())
+
+    def test_so3_arity_six_sweep_bracket_count(self, monkeypatch):
+        # the nested definition per subset and tuple took 38136 brackets
+        import qalgebroid.homotopy as homotopy
+        from click.testing import CliRunner
+        from qalgebroid.cli import main
+
+        calls = []
+        for cls in (homotopy.PhaseEngine, homotopy.FieldEngine):
+            def counting(self, f, g, _bracket=cls.bracket):
+                calls.append(1)
+                return _bracket(self, f, g)
+            monkeypatch.setattr(cls, "bracket", counting)
+        result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", "6", "--json"])
+        assert result.exit_code == 0
+        assert len(calls) == 3525
+
+
+class SquaredRouteCounter:
+    """Counts the brackets an engine makes inside ``derived(..., generator=...)``."""
+
+    def __init__(self, eng):
+        self.brackets = 0
+        self._inside = False
+        self._derived, self._bracket = eng.derived, eng.bracket
+        eng.derived, eng.bracket = self.derived, self.bracket
+
+    def derived(self, args, generator=None):
+        self._inside = generator is not None
+        try:
+            return self._derived(args, generator)
+        finally:
+            self._inside = False
+
+    def bracket(self, f, g):
+        self.brackets += self._inside
+        return self._bracket(f, g)
 
 
 class TestJacobiatorsOnArbitraryGenerators:
