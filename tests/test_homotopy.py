@@ -431,8 +431,9 @@ def reference_jacobiator(engine, args):
 
 
 def random_odd_fields(seed: int, count: int) -> list[VectorField]:
-    """Homological fields and, on the same charts, odd fields that are not;
-    every other presentation has a point base, so the field engine applies."""
+    """Homological fields and, on the same charts, random odd fields (in
+    general not homological); every other presentation is drawn without base
+    coordinates, so the field engine applies to it."""
     rng = Random(seed)
     out = []
     for k in range(count):
