@@ -3,7 +3,9 @@
 Every command reads a builtin name or a JSON document path, runs its checks
 and writes a report to stdout.  Exit codes: 0 all checks passed, 1 a check
 failed (a field that is not homological fails the "homological input" check
-of every command that needs one), 2 the input was unreadable or malformed.
+of every command that needs one), 2 the input was unreadable or malformed,
+3 an internal error: an identity that holds for every input did not (the two
+Jacobiator routes disagree, a self-bracket of a homological field is nonzero).
 With --json the report is emitted as one deterministic JSON object (no
 timing field, so byte-identical reruns); human-readable output appends the
 elapsed time.  Every echo names its stream: without ``file=`` click caches
@@ -26,6 +28,7 @@ import click
 from .builtins import BUILTINS, builtin_spec, so3_broken
 from .charts import all_charts, describe_chart
 from .construction import (
+    FibreChange,
     build_poisson,
     build_poisson_unchecked,
     build_schouten,
@@ -38,7 +41,6 @@ from .fields import NotHomological, commutator, is_homological
 from .gradedpoly import GradedAlgebraError
 from .homotopy import (
     FieldEngine,
-    JacobiatorMismatch,
     PrefixMemo,
     higher_poisson_bracket,
     higher_schouten_bracket,
@@ -133,9 +135,9 @@ def _load_matrix(path: str) -> list[list[Fraction]]:
     raise SpecError("the matrix must be a JSON list of rows")
 
 
-def _fail_input(message: str):
+def _fail(message: str, code: int = 2):
     click.echo(f"error: {message}", file=sys.stderr)
-    sys.exit(2)
+    sys.exit(code)
 
 
 arity_option = click.option("--arity", type=int, required=True)
@@ -154,7 +156,8 @@ def report_command(name: str, *options):
     spec (bodies that check the field assemble it, so ``describe`` builds
     none), then emits the report and exits with its verdict.  A SpecError
     exits 2; a NotHomological raised by the body becomes a failed
-    "homological input" check.
+    "homological input" check; any other GradedAlgebraError is a bug of the
+    program, not a verdict on the input, and exits 3 without a report.
     """
     def register(body):
         def run(source, as_json, **kwargs):
@@ -164,9 +167,11 @@ def report_command(name: str, *options):
                 report = Report(name, spec.name, as_json)
                 body(report, spec, **kwargs)
             except SpecError as exc:
-                _fail_input(str(exc))
+                _fail(str(exc))
             except NotHomological as exc:
                 report.add("homological input", False, witness=str(exc))
+            except GradedAlgebraError as exc:
+                _fail(f"internal: {exc}", 3)
             sys.exit(report.emit(started))
 
         run.__doc__ = body.__doc__
@@ -293,20 +298,17 @@ def jacobiator_cmd(report, spec, arity):
             basis = [eng.parent.gen(name) for name in eng.parent.fibre_names()]
             render = lambda v: v.render()
         memo = PrefixMemo(eng, basis)
-        try:
-            worst = None
-            for tup in combinations_with_replacement(range(len(basis)), arity):
-                value, _ = jacobiator(eng, [basis[i] for i in tup], memo)
-                if not value.is_zero():
-                    all_zero = False
-                    worst = (tup, render(value))
-            report.add(
-                f"{eng.flavor}: unshuffle sum equals squared-generator route", True,
-                detail=f"arity {arity}",
-                witness="" if worst is None else f"nonzero at {worst[0]}: {worst[1]}",
-            )
-        except JacobiatorMismatch as exc:
-            report.add(f"{eng.flavor}: two-way agreement", False, witness=str(exc))
+        worst = None
+        for tup in combinations_with_replacement(range(len(basis)), arity):
+            value, _ = jacobiator(eng, [basis[i] for i in tup], memo)
+            if not value.is_zero():
+                all_zero = False
+                worst = (tup, render(value))
+        report.add(
+            f"{eng.flavor}: unshuffle sum equals squared-generator route", True,
+            detail=f"arity {arity}",
+            witness="" if worst is None else f"nonzero at {worst[0]}: {worst[1]}",
+        )
     if homological:
         report.add("all Jacobiators vanish", all_zero)
     report.extra = {"all-zero": all_zero}
@@ -350,12 +352,10 @@ def naturality(report, spec, matrix_path, seed):
     q = assemble_field(spec)
     matrix = _load_matrix(matrix_path)
     try:
-        result = chart_change_naturality(q, matrix, rng=Random(seed))
-    except NotHomological:
-        raise
+        FibreChange(spec.presentation, matrix)
     except GradedAlgebraError as exc:  # the matrix is singular, misshapen or mixes parities
         raise SpecError(str(exc)) from None
-    for name, ok, detail in result.checks:
+    for name, ok, detail in chart_change_naturality(q, matrix, rng=Random(seed)).checks:
         report.add(name, ok, detail=detail)
 
 
@@ -385,7 +385,7 @@ def example(name):
     try:
         spec = builtin_spec(name) if name != "so3-broken" else so3_broken()
     except KeyError as exc:
-        _fail_input(str(exc.args[0]))
+        _fail(str(exc.args[0]))
     click.echo(render_spec(spec), file=sys.stdout)
     sys.exit(0)
 

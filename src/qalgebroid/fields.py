@@ -14,6 +14,19 @@ from parity-homogeneous f (the sign only reads the parity of the first
 argument).  The property tests pin skew-symmetry, Leibniz, Jacobi and the
 symbol identities sigma[X,Y] = {sigma X, sigma Y} and
 varsigma[X,Y] = [[varsigma X, varsigma Y]] for this exact formula.
+
+Self-brackets take one product per term instead of two, because the two
+halves of a graded-symmetric expression agree up to an exact sign.  When the
+same object is passed twice, commutator(X, X) is 0 for even X and has
+component 2 X(X^z) for odd X.  For f of one parity p, the two products of a
+pair in (f, f) are related by d_z f d_{z'} f = (-1)^((p+a)(p+a+c)) d_{z'} f d_z f
+(the parity of z' is a + c), so the pair contributes k d_{z'}f d_z f with
+
+    k = s1 - s2 (-1)^((p+a)(p+a+c)),  s1 = (-1)^((a+c)(p+1)),  s2 = (-1)^(a(p+c))
+
+which is 2 for odd S under {,}, -2(-1)^a for even P under [[,]], and 0 (the
+pair is skipped) for an even f under {,} or an odd f under [[,]].  Mixed
+parity f, or a distinct g, takes the general formula.
 """
 
 from __future__ import annotations
@@ -94,13 +107,15 @@ class VectorField:
         return not self.components
 
     def __call__(self, f: GradedPoly) -> GradedPoly:
-        """Derivation action: sum of component * left derivative."""
+        """Derivation action: sum of component * left derivative, over the
+        generators that occur in f."""
         if f.chart != self.chart:
             raise ChartMismatch("field and function live on different charts")
-        return GradedPoly.sum(
-            self.chart,
-            (comp * f.left_derivative(name) for name, comp in self.components.items()),
-        )
+        support, index_of = f.support(), self.chart.index_of
+        return GradedPoly.sum(self.chart, (
+            comp * f.left_derivative(name)
+            for name, comp in self.components.items() if index_of(name) in support
+        ))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.chart != other.chart:
@@ -140,9 +155,20 @@ class VectorField:
 
 
 def commutator(x: VectorField, y: VectorField) -> VectorField:
-    """Graded commutator [X, Y] = X Y - (-1)^(XY) Y X, in components."""
+    """Graded commutator [X, Y] = X Y - (-1)^(XY) Y X, in components.
+
+    [X, X] of one object is 0 for even X and 2 X(X^z) for odd X.
+    """
     if x.chart != y.chart:
         raise ChartMismatch("fields live on different charts")
+    if x is y:
+        comps = {}
+        if x.parity == ODD:
+            for z, comp in x.components.items():
+                acc = x(comp)
+                if not acc.is_zero():
+                    comps[z] = acc.scaled(2)
+        return VectorField(x.chart, comps, EVEN)
     sign = -1 if (x.parity & y.parity) else 1
     comps: dict[str, GradedPoly] = {}
     for gen in x.chart.generators:
@@ -190,7 +216,9 @@ def _canonical(f: GradedPoly, g: GradedPoly, phase: Chart | None, kind: str,
     _require_kind(phase, kind)
     if f.chart != phase or g.chart != phase:
         raise ChartMismatch("arguments must live on the phase chart")
-    parts = f.parity_parts().items()
+    parts = f.parity_parts()
+    if g is f and len(parts) == 1:
+        return _self_canonical(f, next(iter(parts)), phase, c)
     sf, sg = f.support(), g.support()
     summands = []
     gens = phase.generators
@@ -205,13 +233,37 @@ def _canonical(f: GradedPoly, g: GradedPoly, phase: Chart | None, kind: str,
         cn = gens[ci].name
         dg_z = g.left_derivative(zn) if first else phase.zero()
         dg_c = g.left_derivative(cn) if second else phase.zero()
-        for p, fp in parts:
+        for p, fp in parts.items():
+            s1, s2 = _pair_signs(a, p, c)
             if not dg_z.is_zero():
-                s1 = -1 if ((a + c) * (p + 1)) & 1 else 1
                 summands.append((fp.left_derivative(cn) * dg_z).scaled(s1))
             if not dg_c.is_zero():
-                s2 = -1 if (a * (p + c)) & 1 else 1
                 summands.append((fp.left_derivative(zn) * dg_c).scaled(-s2))
+    return GradedPoly.sum(phase, summands)
+
+
+def _pair_signs(a: int, p: int, c: int) -> tuple[int, int]:
+    """(s1, s2) of a conjugate pair with |z| = a, for f of parity p."""
+    return (-1 if ((a + c) * (p + 1)) & 1 else 1,
+            -1 if (a * (p + c)) & 1 else 1)
+
+
+def _self_canonical(f: GradedPoly, p: int, phase: Chart, c: int) -> GradedPoly:
+    """(f, f) for f of parity p: k d_{z'}f d_z f per pair, k as in the module
+    docstring."""
+    sf = f.support()
+    gens = phase.generators
+    summands = []
+    for zi, ci in phase.conjugate_pairs():
+        if zi not in sf or ci not in sf:
+            continue
+        a = gens[zi].parity
+        s1, s2 = _pair_signs(a, p, c)
+        k = s1 + s2 if ((p + a) * (p + a + c)) & 1 else s1 - s2
+        if k:
+            summands.append(
+                (f.left_derivative(gens[ci].name) * f.left_derivative(gens[zi].name)).scaled(k)
+            )
     return GradedPoly.sum(phase, summands)
 
 

@@ -700,13 +700,15 @@ def symmetric_field_table(q: VectorField, arity: int,
     return BracketTable("field", arity, labels, entries)
 
 
-def skew_bracket_table(q: VectorField, arity: int) -> BracketTable:
+def skew_bracket_table(q: VectorField, arity: int,
+                       memo: PrefixMemo | None = None) -> BracketTable:
     """Skew brackets {T_a1, ..., T_ar} on the unshifted space.
 
     Obtained from the symmetric table by the parity-shift sign of
     ``_skew_sign``; skew-symmetry under adjacent exchanges is verified.
     """
-    memo = _field_memo(q)
+    if memo is None:
+        memo = _field_memo(q)
     sym = symmetric_field_table(q, arity, memo)
     entries = {
         tup: value.scaled(_skew_sign(q.chart, tup)) for tup, value in sym.entries.items()
@@ -776,11 +778,13 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     For every tuple of weight-one coordinates eta (resp. e) up to the arity
     bound, the derived bracket with S (resp. the sign-corrected one with P)
     must match the symmetric (resp. skew) bracket table of Q transported
-    through s_b -> eta_b (resp. T_b -> e_b).
+    through s_b -> eta_b (resp. T_b -> e_b).  Both tables, at every arity,
+    read one field memo; each phase side has its own.
     """
     if q.chart.n_base != 0:
         raise ChartMismatch("the restriction statement is for a point base")
     n = len(q.chart.generators)
+    field_memo = _field_memo(q)
     sides = []
     for eng, table_of in ((schouten_engine(s), symmetric_field_table),
                           (poisson_engine(p), skew_bracket_table)):
@@ -791,7 +795,7 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     details: list[str] = []
     for r in range(0, max_arity + 1):
         ok = True
-        tables = [table_of(q, r) for _, _, table_of in sides]
+        tables = [table_of(q, r, field_memo) for _, _, table_of in sides]
         for tup in combinations_with_replacement(range(n), r):
             for (eng, memo, _), table in zip(sides, tables):
                 lhs = _higher_bracket(eng, [memo.basis[i] for i in tup], memo)

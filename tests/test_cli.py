@@ -256,6 +256,36 @@ class TestInputContract:
         assert "[Q, Q] != 0" in doc["checks"][0]["witness"]
 
 
+class TestInternalErrors:
+    """An identity that holds for every input failing is a bug of the program:
+    exit 3 with one line, never a report, a traceback or exit 1."""
+
+    def assert_internal(self, result):
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: internal: ")
+
+    def test_jacobiator_routes_disagree(self, runner, monkeypatch):
+        import qalgebroid.homotopy as homotopy
+
+        # Q in place of half of [Q,Q]: the squared-generator route goes wrong
+        monkeypatch.setattr(homotopy.FieldEngine, "squared_generator", lambda self: self.q)
+        result = runner.invoke(main, ["jacobiator", "so3", "--arity", "2", "--json"])
+        self.assert_internal(result)
+        assert "disagrees with the squared-generator route" in result.stderr
+
+    def test_nonzero_self_bracket_of_a_homological_field(self, runner, monkeypatch):
+        import qalgebroid.construction as construction
+
+        monkeypatch.setattr(construction, "ambient_bracket", lambda flavor: lambda f, g, phase: f)
+        for command in ("build-schouten", "build-poisson", "statement-check"):
+            result = runner.invoke(main, [command, "so3"])
+            self.assert_internal(result)
+            assert "!= 0 for a homological field" in result.stderr
+
+
 def test_in_process_runs_release_captured_output():
     """Output written while stdout is redirected keeps no reference to the
     capture buffers, so repeated in-process runs do not grow the process."""

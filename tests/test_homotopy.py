@@ -893,6 +893,21 @@ class TestStatement:
                 v.is_zero() for v in symmetric_field_table(q, r).entries.values()
             )
 
+    def test_so3_field_brackets_share_one_memo(self, so3_pair, monkeypatch):
+        # a fresh field memo per table and arity took 170 brackets
+        import qalgebroid.homotopy as homotopy
+
+        calls = []
+
+        def counting(self, f, g, _bracket=homotopy.FieldEngine.bracket):
+            calls.append(1)
+            return _bracket(self, f, g)
+
+        monkeypatch.setattr(homotopy.FieldEngine, "bracket", counting)
+        q, s, p = so3_pair
+        assert weight_one_restriction_check(q, s, p, 4).ok
+        assert len(calls) == 60
+
     def test_curved_mixed_algebra(self, mixed_pair):
         q, s, p = mixed_pair
         rep = weight_one_restriction_check(q, s, p, 4)
