@@ -5,7 +5,8 @@ and writes a report to stdout.  Exit codes: 0 all checks passed, 1 a check
 failed (a field that is not homological fails the "homological input" check
 of every command that needs one), 2 the input was unreadable or malformed,
 3 an internal error: an identity that holds for every input did not (the two
-Jacobiator routes disagree, a self-bracket of a homological field is nonzero).
+Jacobiator routes disagree, a self-bracket of a homological field is nonzero)
+or an exception escaped that is not a verdict on the input.
 With --json the report is emitted as one deterministic JSON object (no
 timing field, so byte-identical reruns); human-readable output appends the
 elapsed time.  Every echo names its stream: without ``file=`` click caches
@@ -41,7 +42,6 @@ from .fields import NotHomological, commutator, is_homological
 from .gradedpoly import GradedAlgebraError
 from .homotopy import (
     FieldEngine,
-    PrefixMemo,
     higher_poisson_bracket,
     higher_schouten_bracket,
     jacobiator,
@@ -156,8 +156,9 @@ def report_command(name: str, *options):
     spec (bodies that check the field assemble it, so ``describe`` builds
     none), then emits the report and exits with its verdict.  A SpecError
     exits 2; a NotHomological raised by the body becomes a failed
-    "homological input" check; any other GradedAlgebraError is a bug of the
-    program, not a verdict on the input, and exits 3 without a report.
+    "homological input" check; any other exception (a GradedAlgebraError, a
+    KeyError, ...) is a bug of the program, not a verdict on the input, and
+    exits 3 with one line and without a report.
     """
     def register(body):
         def run(source, as_json, **kwargs):
@@ -172,6 +173,8 @@ def report_command(name: str, *options):
                 report.add("homological input", False, witness=str(exc))
             except GradedAlgebraError as exc:
                 _fail(f"internal: {exc}", 3)
+            except Exception as exc:
+                _fail(f"internal: {type(exc).__name__}: {exc}", 3)
             sys.exit(report.emit(started))
 
         run.__doc__ = body.__doc__
@@ -291,16 +294,11 @@ def jacobiator_cmd(report, spec, arity):
         engines.append(FieldEngine(q))
     all_zero = True
     for eng in engines:
-        if eng.flavor == "field":
-            basis = [eng.basis_field(i) for i in range(len(q.chart.generators))]
-            render = repr
-        else:
-            basis = [eng.parent.gen(name) for name in eng.parent.fibre_names()]
-            render = lambda v: v.render()
-        memo = PrefixMemo(eng, basis)
+        render = repr if eng.flavor == "field" else lambda v: v.render()
+        basis = eng.basis
         worst = None
         for tup in combinations_with_replacement(range(len(basis)), arity):
-            value, _ = jacobiator(eng, [basis[i] for i in tup], memo)
+            value, _ = jacobiator(eng, [basis[i] for i in tup])
             if not value.is_zero():
                 all_zero = False
                 worst = (tup, render(value))
@@ -328,11 +326,10 @@ def leibniz(report, spec, arity, trials, seed):
     s = build_schouten(q)
     p = build_poisson(q)
     rng = Random(seed)
-    for h, engine, bracket in ((s, schouten_engine, higher_schouten_bracket),
-                               (p, poisson_engine, higher_poisson_bracket)):
+    for h, bracket in ((s, higher_schouten_bracket), (p, higher_poisson_bracket)):
         rep = leibniz_check(
             lambda args: bracket(h, args),
-            engine(h).parent, h.flavor, arity, trials, rng,
+            h.chart.parent_chart(), h.flavor, arity, trials, rng,
         )
         report.add(
             f"{h.flavor} multiderivation rule, arity {arity}", rep.ok,

@@ -21,21 +21,23 @@ bracket of half the self-bracket of the generator.  The equality is asserted
 each time; it holds whether or not the generator squares to zero, which is
 exactly what makes non-homological negative controls meaningful.
 
-A sweep (the Jacobiators of every basis tuple, a bracket table, the
-restriction statement) shares its nested brackets through one ``PrefixMemo``
-per engine and basis, dropped when the sweep ends.  Keys are tuples of basis
-positions naming the arguments in bracket order; a first entry
-``("in", positions)`` stands for the value of that inner bracket used as the
-first argument.  The memo keeps each unprojected partial bracket
-``[...[D, a1], ..., ak]``, so a key costs one bracket past its longest known
-prefix.  Only the unshuffle sum reads it: the squared-generator route calls
-``engine.derived`` afresh for every Jacobiator, so the two routes share no
-computed bracket.
+Every engine owns a memo of its nested brackets, which lives as long as the
+engine (one command): a sweep (the Jacobiators of every basis tuple, a
+bracket table, the restriction statement) shares its brackets through it.
+Arguments are registered by identity and named by their positions; the
+memo keeps each unprojected partial bracket ``[...[D, a1], ..., ak]`` under
+its position tuple, so a bracket costs one ambient bracket past its longest
+known prefix.  ``engine.derived(args)`` reads and extends the memo;
+``engine.derived(args, generator=g)`` computes the nested definition with
+the generator g afresh and never touches it.  The squared-generator route of
+the Jacobiator takes the second form, so the two routes share no computed
+bracket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable
@@ -128,16 +130,21 @@ FLAVOURS = {
 # ---------------------------------------------------------------------------
 
 class DerivedBracketEngine:
-    """Nested-bracket evaluation (a1, ..., an) = project [...[D, a1], ..., an]."""
+    """Nested-bracket evaluation (a1, ..., an) = project [...[D, a1], ..., an].
 
-    flavor = "abstract"
+    An engine supplies ``flavor``, ``bracket``, ``project``, ``parity_of``,
+    ``generator`` and ``squared_generator`` (half the self-bracket of the
+    generator), and calls ``__init__`` once its generator is available.
+    """
+
     koszul_shift = 0
 
-    def bracket(self, f, g):
-        raise NotImplementedError
-
-    def project(self, f):
-        raise NotImplementedError
+    def __init__(self):
+        self._args: list = []  # registered arguments, held so that ids stay unique
+        self._position: dict[int, int] = {}
+        self._prepared: list = []
+        self._partial: dict[tuple, object] = {(): self.generator()}
+        self._value: dict[tuple, object] = {}
 
     def prepare(self, arg):
         """Lift an argument of the abelian subalgebra into the ambient algebra."""
@@ -147,76 +154,43 @@ class DerivedBracketEngine:
         """Map a projected ambient value back to the abelian subalgebra."""
         return value
 
-    def parity_of(self, arg) -> int:
-        raise NotImplementedError
-
     def koszul_parity(self, arg) -> int:
         return (self.parity_of(arg) + self.koszul_shift) & 1
 
-    def generator(self):
-        raise NotImplementedError
-
-    def squared_generator(self):
-        """Half the self-bracket of the generator."""
-        raise NotImplementedError
-
     def derived(self, args, generator=None):
-        gen = self.generator() if generator is None else generator
-        cur = gen
+        """The nested bracket of ``args``: from the memo, or afresh with ``generator``."""
+        if generator is None:
+            return self.value(self.positions(args))
+        cur = generator
         for a in args:
             cur = self.bracket(cur, self.prepare(a))
         return self.finish(self.project(cur))
 
-
-class PrefixMemo:
-    """The nested brackets of one engine on one basis, shared across a sweep.
-
-    ``value(key)`` equals ``engine.derived`` on the arguments the key names.
-    A key is a tuple of basis positions; its first entry may instead be
-    ``("in", positions)``, the value of an inner bracket used as the first
-    argument.  Each unprojected partial bracket ``[...[D, a1], ..., ak]`` is
-    computed once, from the partial of its prefix, and kept together with the
-    prepared arguments and the projected values.  Arguments met for the first
-    time (by identity) are appended to the basis.
-    """
-
-    def __init__(self, engine: DerivedBracketEngine, basis=()):
-        self.engine = engine
-        self.basis: list = []
-        self._position: dict[int, int] = {}
-        self._prepared: dict = {}
-        self._partial: dict = {(): engine.generator()}
-        self._value: dict = {}
-        self.positions(basis)
-
     def positions(self, args) -> tuple[int, ...]:
+        """Memo positions of ``args``; an argument met for the first time
+        (by identity) is prepared and registered."""
         out = []
         for a in args:
             pos = self._position.get(id(a))
             if pos is None:
-                pos = self._position[id(a)] = len(self.basis)
-                self.basis.append(a)
+                prepared = self.prepare(a)
+                pos = self._position[id(a)] = len(self._args)
+                self._args.append(a)
+                self._prepared.append(prepared)
             out.append(pos)
         return tuple(out)
 
-    def _prepare(self, slot):
-        arg = self._prepared.get(slot)
-        if arg is None:
-            raw = self.value(slot[1]) if isinstance(slot, tuple) else self.basis[slot]
-            arg = self._prepared[slot] = self.engine.prepare(raw)
-        return arg
-
-    def _partial_of(self, key: tuple):
-        cur = self._partial.get(key)
-        if cur is None:
-            cur = self.engine.bracket(self._partial_of(key[:-1]), self._prepare(key[-1]))
-            self._partial[key] = cur
-        return cur
-
     def value(self, key: tuple):
+        """The derived bracket of the registered arguments at ``key``."""
         v = self._value.get(key)
         if v is None:
-            v = self._value[key] = self.engine.finish(self.engine.project(self._partial_of(key)))
+            k = len(key)
+            while key[:k] not in self._partial:
+                k -= 1
+            cur = self._partial[key[:k]]
+            for i in range(k, len(key)):
+                cur = self._partial[key[:i + 1]] = self.bracket(cur, self._prepared[key[i]])
+            v = self._value[key] = self.finish(self.project(cur))
         return v
 
 
@@ -233,6 +207,12 @@ class PhaseEngine(DerivedBracketEngine):
         self.flavor = self.flavour.name
         self.koszul_shift = self.flavour.koszul_shift
         self._bracket = ambient_bracket(self.flavor)
+        super().__init__()
+
+    @cached_property
+    def basis(self) -> list[GradedPoly]:
+        """The fibre coordinates of the parent chart."""
+        return [self.parent.gen(name) for name in self.parent.fibre_names()]
 
     def bracket(self, f, g):
         return self._bracket(f, g, self.chart)
@@ -273,7 +253,6 @@ class FieldEngine(DerivedBracketEngine):
     """
 
     flavor = "field"
-    koszul_shift = 0
 
     def __init__(self, q: VectorField):
         if q.chart.kind != BASE_FIBRE or q.chart.n_base != 0:
@@ -283,6 +262,13 @@ class FieldEngine(DerivedBracketEngine):
         self.q = q
         self.chart = q.chart
         self._squared = None
+        super().__init__()
+
+    @cached_property
+    def basis(self) -> list[VectorField]:
+        """The constant fields d/dxi^(i+1), in generator order."""
+        return [VectorField(self.chart, {g.name: self.chart.one()}, g.parity)
+                for g in self.chart.generators]
 
     def bracket(self, f, g):
         return commutator(f, g)
@@ -300,9 +286,7 @@ class FieldEngine(DerivedBracketEngine):
 
     def basis_field(self, i: int) -> VectorField:
         """The constant field d/dxi^(i+1), the image of the i-th basis vector."""
-        name = self.chart.generators[i].name
-        gen_parity = self.chart.generators[i].parity
-        return VectorField(self.chart, {name: self.chart.one()}, gen_parity)
+        return self.basis[i]
 
     def generator(self):
         return self.q
@@ -338,9 +322,8 @@ def poisson_engine(p: HigherStructure) -> PhaseEngine:
 # the user-facing bracket families
 # ---------------------------------------------------------------------------
 
-def _higher_bracket(eng: PhaseEngine, args: list[GradedPoly],
-                    memo: PrefixMemo | None = None) -> GradedPoly:
-    raw = eng.derived(args) if memo is None else memo.value(memo.positions(args))
+def _higher_bracket(eng: PhaseEngine, args: list[GradedPoly]) -> GradedPoly:
+    raw = eng.derived(args)
     rule = eng.flavour.sign_exponent
     if rule is not None and rule([eng.parity_of(a) for a in args]):
         return raw.scaled(-1)
@@ -375,31 +358,27 @@ def koszul_sign(order: list[int], parities: list[int]) -> int:
     return -1 if e & 1 else 1
 
 
-def jacobiator(engine: DerivedBracketEngine, args: list,
-               memo: PrefixMemo | None = None) -> tuple:
+def jacobiator(engine: DerivedBracketEngine, args: list) -> tuple:
     """The n-th Jacobiator, computed two independent ways.
 
     Returns (value, via_squared_generator).  Raises JacobiatorMismatch when
     the unshuffle sum disagrees with the derived bracket of the squared
     generator, which would signal a sign-convention bug.  The unshuffle sum
-    reads its brackets from ``memo`` (a fresh one when None is passed); the
-    squared-generator route never does.
+    reads and extends the engine's memo: each inner bracket value is
+    registered as one more argument and fed first to the outer bracket.  The
+    squared-generator route computes afresh and never touches the memo.
     """
-    if memo is None:
-        memo = PrefixMemo(engine)
-    elif memo.engine is not engine:
-        raise GradedAlgebraError("the memo belongs to another engine")
     n = len(args)
     parities = [engine.koszul_parity(a) for a in args]
-    pos = memo.positions(args)
+    pos = engine.positions(args)
+    subsets = [s for k in range(n + 1) for s in combinations(range(n), k)]
+    inners = engine.positions([engine.value(tuple(pos[i] for i in s)) for s in subsets])
     total = None
-    for k in range(n + 1):
-        for subset in combinations(range(n), k):
-            rest = [i for i in range(n) if i not in subset]
-            sign = koszul_sign(list(subset) + rest, parities)
-            inner = ("in", tuple(pos[i] for i in subset))
-            term = memo.value((inner, *(pos[i] for i in rest))).scaled(sign)
-            total = term if total is None else total + term
+    for subset, inner in zip(subsets, inners):
+        rest = [i for i in range(n) if i not in subset]
+        sign = koszul_sign(list(subset) + rest, parities)
+        term = engine.value((inner, *(pos[i] for i in rest))).scaled(sign)
+        total = term if total is None else total + term
     via_square = engine.derived(args, generator=engine.squared_generator())
     if total != via_square:
         raise JacobiatorMismatch(
@@ -646,13 +625,11 @@ def _table_metadata(chart: Chart, labels, entries, arity: int):
 
 
 def _phase_table(eng: PhaseEngine, arity: int) -> BracketTable:
-    parent = eng.parent
-    fibre = parent.fibre_names()
-    memo = PrefixMemo(eng, [parent.gen(name) for name in fibre])
+    fibre = eng.parent.fibre_names()
     entries = {}
     for tup in combinations_with_replacement(range(len(fibre)), arity):
-        entries[tup] = _higher_bracket(eng, [memo.basis[i] for i in tup], memo)
-    parity, weight = _table_metadata(parent, fibre, entries, arity)
+        entries[tup] = _higher_bracket(eng, [eng.basis[i] for i in tup])
+    parity, weight = _table_metadata(eng.parent, fibre, entries, arity)
     return BracketTable(eng.flavor, arity, fibre, entries, parity, weight)
 
 
@@ -664,17 +641,11 @@ def poisson_bracket_table(p: HigherStructure, arity: int) -> BracketTable:
     return _phase_table(poisson_engine(p), arity)
 
 
-def _field_memo(q: VectorField) -> PrefixMemo:
-    """A memo over the constant basis fields, in generator order."""
-    eng = FieldEngine(q)
-    return PrefixMemo(eng, [eng.basis_field(i) for i in range(len(q.chart.generators))])
-
-
-def _field_entry(memo: PrefixMemo, tup: tuple[int, ...]) -> GradedPoly:
+def _field_entry(eng: FieldEngine, tup: tuple[int, ...]) -> GradedPoly:
     """(s_a1, ..., s_ar) written as the fibre-linear polynomial sum c_b xi^b."""
-    eng = memo.engine
+    value = eng.derived([eng.basis[i] for i in tup])
     return GradedPoly(eng.chart, {
-        ((j, 1),): c for j, c in enumerate(eng.coefficients(memo.value(tup))) if c != 0
+        ((j, 1),): c for j, c in enumerate(eng.coefficients(value)) if c != 0
     })
 
 
@@ -687,40 +658,34 @@ def _skew_sign(chart: Chart, tup: tuple[int, ...]) -> int:
     return -1 if e & 1 else 1
 
 
-def symmetric_field_table(q: VectorField, arity: int,
-                          memo: PrefixMemo | None = None) -> BracketTable:
+def symmetric_field_table(eng: FieldEngine, arity: int) -> BracketTable:
     """Symmetric brackets (s_a1, ..., s_ar) over a point base, as fields."""
-    if memo is None:
-        memo = _field_memo(q)
     entries = {
-        tup: _field_entry(memo, tup)
-        for tup in combinations_with_replacement(range(len(q.chart.generators)), arity)
+        tup: _field_entry(eng, tup)
+        for tup in combinations_with_replacement(range(len(eng.basis)), arity)
     }
-    labels = [g.name for g in q.chart.generators]
+    labels = [g.name for g in eng.chart.generators]
     return BracketTable("field", arity, labels, entries)
 
 
-def skew_bracket_table(q: VectorField, arity: int,
-                       memo: PrefixMemo | None = None) -> BracketTable:
+def skew_bracket_table(eng: FieldEngine, arity: int) -> BracketTable:
     """Skew brackets {T_a1, ..., T_ar} on the unshifted space.
 
     Obtained from the symmetric table by the parity-shift sign of
     ``_skew_sign``; skew-symmetry under adjacent exchanges is verified.
     """
-    if memo is None:
-        memo = _field_memo(q)
-    sym = symmetric_field_table(q, arity, memo)
+    sym = symmetric_field_table(eng, arity)
     entries = {
-        tup: value.scaled(_skew_sign(q.chart, tup)) for tup, value in sym.entries.items()
+        tup: value.scaled(_skew_sign(eng.chart, tup)) for tup, value in sym.entries.items()
     }
     table = BracketTable("skew", arity, sym.labels, entries)
-    _verify_skew(memo, table)
+    _verify_skew(eng, table)
     return table
 
 
-def _verify_skew(memo: PrefixMemo, table: BracketTable):
+def _verify_skew(eng: FieldEngine, table: BracketTable):
     """Adjacent exchange must flip the sign by -(-1)^(a_i a_j)."""
-    chart = memo.engine.chart
+    chart = eng.chart
     for tup in table.entries:
         for k in range(len(tup) - 1):
             swapped = list(tup)
@@ -729,7 +694,7 @@ def _verify_skew(memo: PrefixMemo, table: BracketTable):
             pi_ = fibre_parity_of_index(chart, tup[k])
             pj = fibre_parity_of_index(chart, tup[k + 1])
             sign = -1 if not (pi_ and pj) else 1
-            value = _field_entry(memo, swapped).scaled(_skew_sign(chart, swapped))
+            value = _field_entry(eng, swapped).scaled(_skew_sign(chart, swapped))
             expected = table.entries[tup].scaled(sign)
             if value != expected:
                 raise GradedAlgebraError(
@@ -779,26 +744,22 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     bound, the derived bracket with S (resp. the sign-corrected one with P)
     must match the symmetric (resp. skew) bracket table of Q transported
     through s_b -> eta_b (resp. T_b -> e_b).  Both tables, at every arity,
-    read one field memo; each phase side has its own.
+    read the memo of one field engine; each phase side has its own engine.
     """
     if q.chart.n_base != 0:
         raise ChartMismatch("the restriction statement is for a point base")
     n = len(q.chart.generators)
-    field_memo = _field_memo(q)
-    sides = []
-    for eng, table_of in ((schouten_engine(s), symmetric_field_table),
-                          (poisson_engine(p), skew_bracket_table)):
-        family = eng.flavour.family
-        basis = [eng.parent.gen(f"{family}{i + 1}") for i in range(n)]
-        sides.append((eng, PrefixMemo(eng, basis), table_of))
+    field = FieldEngine(q)
+    sides = ((schouten_engine(s), symmetric_field_table),
+             (poisson_engine(p), skew_bracket_table))
     per_arity: dict[int, bool] = {}
     details: list[str] = []
     for r in range(0, max_arity + 1):
         ok = True
-        tables = [table_of(q, r, field_memo) for _, _, table_of in sides]
+        tables = [table_of(field, r) for _, table_of in sides]
         for tup in combinations_with_replacement(range(n), r):
-            for (eng, memo, _), table in zip(sides, tables):
-                lhs = _higher_bracket(eng, [memo.basis[i] for i in tup], memo)
+            for (eng, _), table in zip(sides, tables):
+                lhs = _higher_bracket(eng, [eng.basis[i] for i in tup])
                 rhs = _transport_value(table.entries[tup], eng.parent, eng.flavour.family)
                 if lhs != rhs:
                     ok = False

@@ -243,6 +243,22 @@ class TestInputContract:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("flavor", ["schouten", "poisson"])
+    def test_deep_arity_brackets_exit_0(self, runner, tmp_path, flavor):
+        # one even fibre symbol and Q = 0: a single all-zero tuple of arity 1200,
+        # deeper than the interpreter's recursion limit
+        doc = tmp_path / "r1.json"
+        doc.write_text(json.dumps(
+            {"name": "r1", "fibre": [{"name": "s1", "parity": "even"}], "q_terms": []}
+        ))
+        result = runner.invoke(main, [
+            "brackets", str(doc), "--flavor", flavor, "--arity", "1200", "--json",
+        ])
+        assert result.exit_code == 0, result.exception
+        assert result.stderr == ""
+        table = json.loads(result.stdout)["extra"]["table"]
+        assert len(table) == 1 and set(table.values()) == {"0"}
+
     def test_naturality_non_homological_is_a_failed_check(self, runner, tmp_path):
         matrix = tmp_path / "t.json"
         matrix.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
@@ -257,8 +273,9 @@ class TestInputContract:
 
 
 class TestInternalErrors:
-    """An identity that holds for every input failing is a bug of the program:
-    exit 3 with one line, never a report, a traceback or exit 1."""
+    """An identity that holds for every input failing, or any exception that
+    is not a verdict on the input, is a bug of the program: exit 3 with one
+    line, never a report, a traceback or exit 1."""
 
     def assert_internal(self, result):
         assert result.exit_code == 3, result.output
@@ -284,6 +301,17 @@ class TestInternalErrors:
             result = runner.invoke(main, [command, "so3"])
             self.assert_internal(result)
             assert "!= 0 for a homological field" in result.stderr
+
+    def test_exception_outside_the_algebra_errors(self, runner, monkeypatch):
+        import qalgebroid.cli as cli
+
+        def broken(spec):
+            raise KeyError("xi9")
+
+        monkeypatch.setattr(cli, "assemble_field", broken)
+        result = runner.invoke(main, ["check-q", "so3", "--json"])
+        self.assert_internal(result)
+        assert result.stderr == "error: internal: KeyError: 'xi9'\n"
 
 
 def test_in_process_runs_release_captured_output():

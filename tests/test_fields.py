@@ -1,8 +1,6 @@
 """Vector fields, commutators, canonical brackets and principal symbols."""
 
-from functools import reduce
 from itertools import combinations_with_replacement
-from operator import add
 from random import Random
 
 import pytest
@@ -29,7 +27,7 @@ from qalgebroid.fields import (
     odd_symbol,
 )
 from qalgebroid.gradedpoly import ChartMismatch, EVEN, ODD, GradedPoly
-from qalgebroid.homotopy import FieldEngine, PrefixMemo, jacobiator
+from qalgebroid.homotopy import FieldEngine, jacobiator
 from qalgebroid.randgen import random_field, random_homogeneous_poly, random_poly
 from qalgebroid.specdoc import assemble_field
 
@@ -43,17 +41,10 @@ ODD_PHASES = [chart_odd_cotangent(chart_pi_e(MIXED)),
               chart_odd_cotangent(chart_e_star(MIXED))]
 
 
-def mixed_polys(chart, max_terms=5, max_factors=3):
-    """Sums of random nonconstant monomials on ``chart``, of either or both
-    parities."""
-    names = [g.name for g in chart.generators]
-    monomials = st.dictionaries(st.sampled_from(names), st.integers(1, 2),
-                                min_size=1, max_size=max_factors)
-    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=2)
-    terms = st.lists(st.tuples(monomials, coeffs), min_size=1, max_size=max_terms)
-    return terms.map(
-        lambda ts: reduce(add, (chart.monomial(e, c) for e, c in ts), chart.zero())
-    )
+def mixed_poly(data, rng, chart):
+    """A random polynomial on ``chart`` of one drawn parity or of both."""
+    parities = data.draw(st.sampled_from([(EVEN,), (ODD,), (EVEN, ODD)]))
+    return GradedPoly.sum(chart, (random_poly(rng, chart, 3, 4, p) for p in parities))
 
 
 def copy_of(x):
@@ -132,11 +123,10 @@ class TestDerivationAction:
         # component
         q = assemble_field(so3())
         eng = FieldEngine(q)
-        basis = [eng.basis_field(i) for i in range(3)]
-        memo = PrefixMemo(eng, basis)
+        basis = eng.basis
         counter = KernelCounter(monkeypatch)
         for tup in combinations_with_replacement(range(3), 6):
-            jacobiator(eng, [basis[i] for i in tup], memo)
+            jacobiator(eng, [basis[i] for i in tup])
         assert (counter.derivatives, counter.zero_derivatives) == (27, 0)
 
 
@@ -246,7 +236,8 @@ class TestCanonicalBrackets:
         for phases, bracket, c in ((EVEN_PHASES, canonical_poisson, EVEN),
                                    (ODD_PHASES, canonical_schouten, ODD)):
             phase = data.draw(st.sampled_from(phases))
-            f, g = data.draw(mixed_polys(phase)), data.draw(mixed_polys(phase))
+            rng = data.draw(st.randoms(use_true_random=False))
+            f, g = mixed_poly(data, rng, phase), mixed_poly(data, rng, phase)
             assert bracket(f, g, phase) == dense_canonical(f, g, phase, c)
 
     @PROPERTY
@@ -256,8 +247,7 @@ class TestCanonicalBrackets:
                                    (ODD_PHASES, canonical_schouten, ODD)):
             phase = data.draw(st.sampled_from(phases))
             rng = data.draw(st.randoms(use_true_random=False))
-            parities = data.draw(st.sampled_from([(EVEN,), (ODD,), (EVEN, ODD)]))
-            f = GradedPoly.sum(phase, (random_poly(rng, phase, 3, 4, p) for p in parities))
+            f = mixed_poly(data, rng, phase)
             own = bracket(f, f, phase)
             assert own == bracket(f, copy_of(f), phase)
             assert own == dense_canonical(f, f, phase, c)

@@ -26,7 +26,6 @@ from qalgebroid.fields import VectorField, commutator
 from qalgebroid.gradedpoly import ODD, GradedAlgebraError
 from qalgebroid.homotopy import (
     FieldEngine,
-    PrefixMemo,
     fundamental_poisson_value,
     fundamental_schouten_value,
     higher_anchor,
@@ -416,15 +415,17 @@ class TestJacobiators:
 
 
 def reference_jacobiator(engine, args):
-    """The unshuffle sum by the nested definition: engine.derived per subset."""
+    """The unshuffle sum by the nested definition, computed afresh per subset
+    (an explicit generator bypasses the engine's memo)."""
     n = len(args)
     parities = [engine.koszul_parity(a) for a in args]
+    gen = engine.generator()
     total = None
     for k in range(n + 1):
         for subset in combinations(range(n), k):
             rest = [i for i in range(n) if i not in subset]
-            inner = engine.derived([args[i] for i in subset])
-            term = engine.derived([inner] + [args[i] for i in rest])
+            inner = engine.derived([args[i] for i in subset], generator=gen)
+            term = engine.derived([inner] + [args[i] for i in rest], generator=gen)
             term = term.scaled(koszul_sign(list(subset) + rest, parities))
             total = term if total is None else total + term
     return total
@@ -448,24 +449,22 @@ def engines_and_bases(q: VectorField) -> list[tuple]:
     out = []
     for eng in (schouten_engine(build_schouten_unchecked(q)),
                 poisson_engine(build_poisson_unchecked(q))):
-        names = eng.parent.fibre_names() + eng.parent.base_names()
-        out.append((eng, [eng.parent.gen(name) for name in names]))
+        out.append((eng, eng.basis + [eng.parent.gen(x) for x in eng.parent.base_names()]))
     if q.chart.n_base == 0:
         fe = FieldEngine(q)
-        out.append((fe, [fe.basis_field(i) for i in range(len(q.chart.generators))]))
+        out.append((fe, fe.basis))
     return out
 
 
-class TestPrefixMemo:
+class TestEngineMemo:
     def test_sweep_matches_nested_definition(self):
         flavors, nonzero = set(), 0
         for q in random_odd_fields(seed=5, count=6):
             for eng, basis in engines_and_bases(q):
-                memo = PrefixMemo(eng, basis)
                 for r in range(5):
                     for tup in combinations_with_replacement(range(len(basis)), r):
                         args = [basis[i] for i in tup]
-                        value, _ = jacobiator(eng, args, memo)
+                        value, _ = jacobiator(eng, args)
                         assert value == reference_jacobiator(eng, args), (eng.flavor, tup)
                         nonzero += not value.is_zero()
                 flavors.add(eng.flavor)
@@ -489,53 +488,43 @@ class TestPrefixMemo:
                     continue
                 fe = FieldEngine(q)
                 n = len(q.chart.generators)
-                for tup, value in symmetric_field_table(q, r).entries.items():
-                    nested = fe.derived([fe.basis_field(i) for i in tup])
+                for tup, value in symmetric_field_table(fe, r).entries.items():
+                    nested = fe.derived([fe.basis[i] for i in tup], generator=fe.generator())
                     assert [value.terms.get(((j, 1),), 0) for j in range(n)] == (
                         fe.coefficients(nested))
-                skew_bracket_table(q, r)  # checks antisymmetry on swapped tuples
+                skew_bracket_table(fe, r)  # checks antisymmetry on swapped tuples
 
-    def test_values_on_unsorted_and_inner_keys(self):
+    def test_values_on_unsorted_keys_and_inner_values(self):
         rng = Random(17)
         for q in random_odd_fields(seed=9, count=2):
             for eng, basis in engines_and_bases(q):
-                memo = PrefixMemo(eng, basis)
+                gen = eng.generator()
                 for _ in range(12):
-                    inner = tuple(rng.randrange(len(basis)) for _ in range(rng.randint(0, 2)))
-                    rest = tuple(rng.randrange(len(basis)) for _ in range(rng.randint(0, 2)))
-                    assert memo.value(inner + rest) == eng.derived(
-                        [basis[i] for i in inner + rest])
-                    inner_value = eng.derived([basis[i] for i in inner])
-                    assert memo.value((("in", inner),) + rest) == eng.derived(
-                        [inner_value] + [basis[i] for i in rest])
+                    inner = [basis[rng.randrange(len(basis))] for _ in range(rng.randint(0, 2))]
+                    rest = [basis[rng.randrange(len(basis))] for _ in range(rng.randint(0, 2))]
+                    assert eng.derived(inner + rest) == eng.derived(inner + rest, generator=gen)
+                    # a memo value fed back as an argument is registered like any other
+                    args = [eng.derived(inner)] + rest
+                    assert eng.derived(args) == eng.derived(args, generator=gen)
 
-    def test_new_arguments_join_the_basis(self, so3_pair):
+    def test_new_arguments_join_the_memo(self, so3_pair):
         _, s, _ = so3_pair
         eng = schouten_engine(s)
-        memo = PrefixMemo(eng)
         eta = [eng.parent.gen(f"eta{i + 1}") for i in range(3)]
-        assert memo.positions([eta[1], eta[0], eta[1]]) == (0, 1, 0)
-        assert memo.basis == [eta[1], eta[0]]
+        assert eng.positions([eta[1], eta[0], eta[1]]) == (0, 1, 0)
+        assert eng.positions([eta[2], eta[1]]) == (2, 0)
+        assert eng.value((0, 1)) == eng.derived([eta[1], eta[0]], generator=eng.generator())
+        # an equal argument that is another object takes a new position
+        assert eng.positions([eng.parent.gen("eta2")]) == (3,)
 
-    def test_memo_of_another_engine_is_rejected(self, so3_pair):
-        _, s, p = so3_pair
-        memo = PrefixMemo(poisson_engine(p))
-        with pytest.raises(GradedAlgebraError):
-            jacobiator(schouten_engine(s), [], memo)
-
-    def test_squared_route_makes_the_same_brackets_with_and_without_memo(self):
+    def test_squared_route_makes_three_brackets_per_ternary_tuple(self):
         for q in random_odd_fields(seed=13, count=2):
-            counts = {}
-            for shared in (True, False):
-                for eng, basis in engines_and_bases(q):
-                    route = SquaredRouteCounter(eng)
-                    memo = PrefixMemo(eng, basis) if shared else None
-                    tuples = list(combinations_with_replacement(range(len(basis)), 3))
-                    for tup in tuples:
-                        jacobiator(eng, [basis[i] for i in tup], memo)
-                    assert route.brackets == 3 * len(tuples)
-                    counts.setdefault(eng.flavor, []).append(route.brackets)
-            assert all(with_memo == without for with_memo, without in counts.values())
+            for eng, basis in engines_and_bases(q):
+                route = SquaredRouteCounter(eng)
+                tuples = list(combinations_with_replacement(range(len(basis)), 3))
+                for tup in tuples:
+                    jacobiator(eng, [basis[i] for i in tup])
+                assert route.brackets == 3 * len(tuples)
 
     def test_so3_arity_six_sweep_bracket_count(self, monkeypatch):
         # the nested definition per subset and tuple took 38136 brackets
@@ -752,7 +741,7 @@ class TestTables:
     def test_skew_table_even_fibre_sign(self, so3_pair):
         # for an even fibre {T_a, T_b} = -Q^c_(ab) T_c
         q, _, _ = so3_pair
-        table = skew_bracket_table(q, 2)
+        table = skew_bracket_table(FieldEngine(q), 2)
         chart = q.chart
         i1, i2 = chart.index_of("xi1"), chart.index_of("xi2")
         expected = chart.gen("xi3")  # -Q^3_(12) = +1
@@ -761,8 +750,8 @@ class TestTables:
     def test_skew_unary_sign(self, mixed_pair):
         # {T_a} = -(-1)^a Q^b_a T_b, with the constants read off the field
         q, _, _ = mixed_pair
-        table = skew_bracket_table(q, 1)
-        sym = symmetric_field_table(q, 1)
+        table = skew_bracket_table(FieldEngine(q), 1)
+        sym = symmetric_field_table(FieldEngine(q), 1)
         chart = q.chart
         for (i,), value in table.entries.items():
             assert value == sym.entries[(i,)].scaled(-1)
@@ -777,13 +766,13 @@ class TestTables:
 
     def test_skew_repeated_even_argument_vanishes(self, so3_pair):
         q, _, _ = so3_pair
-        table = skew_bracket_table(q, 2)
+        table = skew_bracket_table(FieldEngine(q), 2)
         for i in range(3):
             assert table.entries[(i, i)].is_zero()
 
     def test_empty_table(self, so3_pair):
         q, _, _ = so3_pair
-        t = symmetric_field_table(q, 0)
+        t = symmetric_field_table(FieldEngine(q), 0)
         assert list(t.entries) == [()]
         assert t.entries[()].is_zero()  # strict input: no background term
 
@@ -809,7 +798,7 @@ class TestTables:
         q, _, p = so3_pair
         table = poisson_bracket_table(p, 2)
         dual = poisson_engine(p).parent
-        skew = skew_bracket_table(q, 2)
+        skew = skew_bracket_table(FieldEngine(q), 2)
         for tup, value in table.entries.items():
             transported = dual.zero()
             for m, c in skew.entries[tup].terms.items():
@@ -877,9 +866,9 @@ class TestStatement:
         assert rep.ok
         # every arity other than 3 carries only zero brackets
         for r in (0, 1, 2, 4):
-            table = symmetric_field_table(q, r)
+            table = symmetric_field_table(FieldEngine(q), r)
             assert all(v.is_zero() for v in table.entries.values())
-        t3 = symmetric_field_table(q, 3)
+        t3 = symmetric_field_table(FieldEngine(q), 3)
         assert any(not v.is_zero() for v in t3.entries.values())
 
     def test_zero_field_statement(self):
@@ -890,7 +879,7 @@ class TestStatement:
         assert rep.ok
         for r in (1, 2, 3):
             assert all(
-                v.is_zero() for v in symmetric_field_table(q, r).entries.values()
+                v.is_zero() for v in symmetric_field_table(FieldEngine(q), r).entries.values()
             )
 
     def test_so3_field_brackets_share_one_memo(self, so3_pair, monkeypatch):
