@@ -59,8 +59,7 @@ from .homotopy import (
     FieldEngine,
     PhaseEngine,
     higher_anchor,
-    higher_poisson_bracket,
-    higher_schouten_bracket,
+    higher_bracket,
     jacobiator,
     leibniz_check,
     poisson_bracket_table,

@@ -42,8 +42,7 @@ from .fields import NotHomological, commutator, is_homological
 from .gradedpoly import GradedAlgebraError
 from .homotopy import (
     FieldEngine,
-    higher_poisson_bracket,
-    higher_schouten_bracket,
+    higher_bracket,
     jacobiator,
     leibniz_check,
     poisson_bracket_table,
@@ -52,7 +51,7 @@ from .homotopy import (
     schouten_engine,
     weight_one_restriction_check,
 )
-from .specdoc import SpecError, assemble_field, parse_spec, render_spec
+from .specdoc import SpecError, assemble_field, parse_rational, parse_spec, render_spec
 
 
 @dataclass
@@ -128,10 +127,11 @@ def _load_matrix(path: str) -> list[list[Fraction]]:
     """A matrix of rationals from a JSON file holding a list of rows."""
     try:
         raw = json.loads(_read_text(path))
-        if isinstance(raw, list) and all(isinstance(row, list) for row in raw):
-            return [[Fraction(str(v)) for v in row] for row in raw]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(str(exc)) from None
+    except (ValueError, RecursionError) as exc:  # malformed or too deeply nested
+        raise SpecError(f"the matrix is not valid JSON: {exc}") from None
+    if isinstance(raw, list) and all(isinstance(row, list) for row in raw):
+        return [[parse_rational(v, f"matrix[{i}][{j}]") for j, v in enumerate(row)]
+                for i, row in enumerate(raw)]
     raise SpecError("the matrix must be a JSON list of rows")
 
 
@@ -323,16 +323,14 @@ def leibniz(report, spec, arity, trials, seed):
     q = assemble_field(spec)
     if arity < 1 or trials < 1:
         raise SpecError("arity and trials must be positive")
-    s = build_schouten(q)
-    p = build_poisson(q)
     rng = Random(seed)
-    for h, bracket in ((s, higher_schouten_bracket), (p, higher_poisson_bracket)):
+    for eng in (schouten_engine(build_schouten(q)), poisson_engine(build_poisson(q))):
         rep = leibniz_check(
-            lambda args: bracket(h, args),
-            h.chart.parent_chart(), h.flavor, arity, trials, rng,
+            lambda args: higher_bracket(eng, args),
+            eng.parent, eng.flavor, arity, trials, rng,
         )
         report.add(
-            f"{h.flavor} multiderivation rule, arity {arity}", rep.ok,
+            f"{eng.flavor} multiderivation rule, arity {arity}", rep.ok,
             detail=f"{trials} trials",
             witness="; ".join(rep.failures[:1]),
         )
@@ -347,12 +345,11 @@ def leibniz(report, spec, arity, trials, seed):
 def naturality(report, spec, matrix_path, seed):
     """Rebuild after a constant fibre change and compare with the lift."""
     q = assemble_field(spec)
-    matrix = _load_matrix(matrix_path)
     try:
-        FibreChange(spec.presentation, matrix)
+        change = FibreChange(spec.presentation, _load_matrix(matrix_path))
     except GradedAlgebraError as exc:  # the matrix is singular, misshapen or mixes parities
         raise SpecError(str(exc)) from None
-    for name, ok, detail in chart_change_naturality(q, matrix, rng=Random(seed)).checks:
+    for name, ok, detail in chart_change_naturality(q, change, rng=Random(seed)).checks:
         report.add(name, ok, detail=detail)
 
 

@@ -12,6 +12,13 @@ canonical brackets, so S = even_exchange(sigma Q) satisfies {S, S} = 0 and
 P = odd_exchange(varsigma Q) satisfies [[P, P]] = 0 whenever [Q, Q] = 0.
 Every term of S and P has total weight one, homogeneous pieces sitting in
 bi-weight (1-n, n); the audit below checks that term by term.
+
+Every invertible change of generators is one record, ``MorphismR``: images
+of the domain generators, inverse images of the codomain ones, ``pullback``,
+``inverse`` (the two sides swapped) and ``conjugate`` (a field transported by
+a change of its own chart).  The exchanges are such records, and so are the
+constant fibre changes lifted to a chart by ``FibreChange.on`` and the shears
+that ``randgen`` conjugates random fields by.
 """
 
 from __future__ import annotations
@@ -34,13 +41,12 @@ from .fields import (
     VectorField,
     canonical_poisson,
     canonical_schouten,
-    conjugate_field,
     even_symbol,
     odd_symbol,
     require_homological,
 )
 from .gradedpoly import (
-    ODD,
+    EVEN,
     ChartMismatch,
     GradedAlgebraError,
     GradedPoly,
@@ -51,64 +57,70 @@ from .gradedpoly import (
 
 @dataclass(frozen=True)
 class MorphismR:
-    """A signed generator substitution between two phase-space charts.
+    """An invertible change of generators from ``domain`` to ``codomain``.
 
-    ``images`` sends each generator name of ``domain`` to (coefficient, name
-    on ``codomain``).  ``pullback`` applies it to functions; the map is a
-    bijection on generators up to sign, so an exact inverse is available.
+    ``images`` maps every generator name of ``domain`` to a polynomial on
+    ``codomain``; ``inverse_images`` maps every generator of ``codomain`` back
+    to a polynomial on ``domain``, and the two substitutions are mutually
+    inverse.  ``pullback`` applies ``images`` to functions on ``domain``.
     """
 
     domain: Chart
     codomain: Chart
-    images: tuple[tuple[str, Fraction, str], ...]
-
-    def _image_polys(self) -> dict[str, GradedPoly]:
-        return {
-            src: self.codomain.gen(dst).scaled(c)
-            for src, c, dst in self.images
-        }
+    images: dict[str, GradedPoly]
+    inverse_images: dict[str, GradedPoly]
 
     def pullback(self, f: GradedPoly) -> GradedPoly:
         if f.chart != self.domain:
             raise ChartMismatch(
                 f"pullback expects functions on {self.domain.space}"
             )
-        return f.substitute(self._image_polys(), self.codomain)
+        return f.substitute(self.images, self.codomain)
 
     def inverse(self) -> "MorphismR":
-        inv = tuple(
-            (dst, Fraction(1) / c, src) for src, c, dst in self.images
-        )
-        return MorphismR(self.codomain, self.domain, inv)
+        return MorphismR(self.codomain, self.domain, self.inverse_images, self.images)
+
+    def conjugate(self, q: VectorField) -> VectorField:
+        """The field transported by a change of its own chart: component z is
+        ``inverse_images`` applied to Q(images[z])."""
+        if not self.domain == self.codomain == q.chart:
+            raise ChartMismatch("conjugation needs a change of the field's own chart")
+        comps = {
+            g.name: q(self.images[g.name]).substitute(self.inverse_images, q.chart)
+            for g in q.chart.generators
+        }
+        return VectorField(q.chart, comps, q.parity)
+
+
+def _exchange(domain: Chart, codomain: Chart, rename: dict[str, str], negate) -> MorphismR:
+    """Send each generator of ``domain`` to +-1 times the generator of
+    ``codomain`` with the same index in the renamed family; ``negate(g)``
+    picks the sign, which is its own inverse."""
+    images: dict[str, GradedPoly] = {}
+    inverse_images: dict[str, GradedPoly] = {}
+    for i, g in enumerate(domain.generators):
+        name = rename.get(g.family, g.family) + g.name[len(g.family):]
+        c = Fraction(-1) if negate(g) else Fraction(1)
+        images[g.name] = GradedPoly(codomain, {((codomain.index_of(name), 1),): c})
+        inverse_images[name] = GradedPoly(domain, {((i, 1),): c})
+    return MorphismR(domain, codomain, images, inverse_images)
 
 
 def even_dual_exchange(b: BundlePresentation) -> MorphismR:
     """Identifies functions on T*(PiE) with functions on T*(PiE*)."""
-    domain = chart_even_cotangent(chart_pi_e(b))
-    codomain = chart_even_cotangent(chart_pi_e_star(b))
-    images: list[tuple[str, Fraction, str]] = []
-    for i in range(b.base_dim):
-        images.append((f"x{i + 1}", Fraction(1), f"x{i + 1}"))
-        images.append((f"p{i + 1}", Fraction(1), f"p{i + 1}"))
-    for i, p in enumerate(b.fibre_parities):
-        sign = Fraction(-1) if p == ODD else Fraction(1)
-        images.append((f"xi{i + 1}", sign, f"pi{i + 1}"))
-        images.append((f"pi{i + 1}", Fraction(1), f"eta{i + 1}"))
-    return MorphismR(domain, codomain, tuple(images))
+    # xi^a has parity a + 1, so an odd fibre direction a has an even xi^a
+    return _exchange(
+        chart_even_cotangent(chart_pi_e(b)), chart_even_cotangent(chart_pi_e_star(b)),
+        {"xi": "pi", "pi": "eta"}, lambda g: g.family == "xi" and g.parity == EVEN,
+    )
 
 
 def odd_dual_exchange(b: BundlePresentation) -> MorphismR:
     """Identifies functions on PiT*(PiE) with functions on PiT*(E*)."""
-    domain = chart_odd_cotangent(chart_pi_e(b))
-    codomain = chart_odd_cotangent(chart_e_star(b))
-    images: list[tuple[str, Fraction, str]] = []
-    for i in range(b.base_dim):
-        images.append((f"x{i + 1}", Fraction(1), f"x{i + 1}"))
-        images.append((f"xstar{i + 1}", Fraction(1), f"xstar{i + 1}"))
-    for i in range(len(b.fibre_parities)):
-        images.append((f"xi{i + 1}", Fraction(1), f"estar{i + 1}"))
-        images.append((f"xistar{i + 1}", Fraction(-1), f"e{i + 1}"))
-    return MorphismR(domain, codomain, tuple(images))
+    return _exchange(
+        chart_odd_cotangent(chart_pi_e(b)), chart_odd_cotangent(chart_e_star(b)),
+        {"xi": "estar", "xistar": "e"}, lambda g: g.family == "xistar",
+    )
 
 
 @dataclass(frozen=True)
@@ -258,10 +270,11 @@ class FibreChange:
 
     ``matrix[b][a]`` is the coefficient of the old fibre index b in the new
     index a (new_xi^a = xi^b T_b^a).  The matrix must not mix parities.  On
-    every chart one rule gives the substitution: base coordinates and their
-    momenta (x, p, xstar) stay fixed because T is constant; primal fibre
-    coordinates (xi, estar, and pi on T*(PiE*)) take column i of T; dual ones
-    (eta, e, xistar, and pi on T*(PiE)) take row i of the inverse of T.
+    every chart one rule, read off the first weight of a generator, gives the
+    substitution: base coordinates and their momenta (x, p, xstar; weight 0)
+    stay fixed because T is constant; primal fibre coordinates (xi, estar,
+    and pi on T*(PiE*); weight -1) take column i of T; dual ones (eta, e,
+    xistar, and pi on T*(PiE); weight +1) take row i of the inverse of T.
     Because T preserves parity, no sign enters.
     """
 
@@ -277,35 +290,27 @@ class FibreChange:
                     raise ParityMismatch("fibre change mixes parities")
         self.t_inv = invert_matrix(self.t)
 
-    def inverse(self) -> "FibreChange":
-        return FibreChange(self.bundle, self.t_inv)
+    def on(self, chart: Chart) -> MorphismR:
+        """The change lifted to ``chart``, as a record from the chart to itself;
+        its inverse images apply the same rule with T and its inverse swapped."""
+        return MorphismR(chart, chart, _lifted_images(chart, self.t, self.t_inv),
+                         _lifted_images(chart, self.t_inv, self.t))
 
-    def substitution(self, chart: Chart) -> dict[str, GradedPoly]:
-        """Generator images implementing the change on a given chart."""
-        images: dict[str, GradedPoly] = {}
-        for g in chart.generators:
-            fam = g.family
-            if fam in ("x", "p", "xstar"):
-                images[g.name] = chart.gen(g.name)
-                continue
-            i = int(g.name[len(fam):]) - 1
-            if fam in ("xi", "estar") or (fam == "pi" and chart.parent.space != "PiE"):
-                coeffs = [row[i] for row in self.t]
-            elif fam in ("eta", "e", "xistar", "pi"):
-                coeffs = self.t_inv[i]
-            else:
-                raise GradedAlgebraError(f"no change rule for family {fam!r}")
-            images[g.name] = GradedPoly(chart, {
-                ((chart.index_of(f"{fam}{b + 1}"), 1),): c
-                for b, c in enumerate(coeffs) if c != 0
-            })
-        return images
 
-    def transform_field(self, q: VectorField) -> VectorField:
-        """Conjugate a field by the change: component_z = inv(Q(change(z)))."""
-        return conjugate_field(
-            q, self.substitution(q.chart), self.inverse().substitution(q.chart)
-        )
+def _lifted_images(chart: Chart, t, t_inv) -> dict[str, GradedPoly]:
+    """Generator images of the fibre change T on ``chart`` (see FibreChange)."""
+    images: dict[str, GradedPoly] = {}
+    for g in chart.generators:
+        if g.weight[0] == 0:
+            images[g.name] = chart.gen(g.name)
+            continue
+        i = int(g.name[len(g.family):]) - 1
+        coeffs = [row[i] for row in t] if g.weight[0] < 0 else t_inv[i]
+        images[g.name] = GradedPoly(chart, {
+            ((chart.index_of(f"{g.family}{b + 1}"), 1),): c
+            for b, c in enumerate(coeffs) if c != 0
+        })
+    return images
 
 
 @dataclass
@@ -317,7 +322,8 @@ class NaturalityReport:
         return all(ok for _, ok, _ in self.checks)
 
 
-def chart_change_naturality(q: VectorField, matrix, rng=None, pairs: int = 25) -> NaturalityReport:
+def chart_change_naturality(q: VectorField, change: FibreChange, rng=None,
+                            pairs: int = 25) -> NaturalityReport:
     """Transform Q by a constant fibre change and compare both build routes.
 
     Checks that building S and P from the transformed field agrees with
@@ -326,19 +332,19 @@ def chart_change_naturality(q: VectorField, matrix, rng=None, pairs: int = 25) -
     """
     from .randgen import random_poly  # local import to avoid a cycle
 
-    b = _presentation_of_pi_e(q.chart)
-    change = FibreChange(b, matrix)
+    if change.bundle != _presentation_of_pi_e(q.chart):
+        raise ChartMismatch("the fibre change is for another bundle")
     checks: list[tuple[str, bool, str]] = []
 
-    q2 = change.transform_field(q)
+    q2 = change.on(q.chart).conjugate(q)
     s1 = build_schouten(q)
     p1 = build_poisson(q)
     s2 = build_schouten(q2)
     p2 = build_poisson(q2)
 
-    inverse = change.inverse()
-    for before, after in ((s1, s2), (p1, p2)):
-        expected = before.value.substitute(inverse.substitution(before.chart), before.chart)
+    lifts = [(h, change.on(h.chart)) for h in (s1, p1)]
+    for (before, lift), after in zip(lifts, (s2, p2)):
+        expected = lift.inverse().pullback(before.value)
         ok = after.value == expected
         checks.append((
             f"{before.flavor} route equality", ok,
@@ -346,20 +352,17 @@ def chart_change_naturality(q: VectorField, matrix, rng=None, pairs: int = 25) -
         ))
 
     if rng is not None:
-        for h, label in ((s1, "even lift symplectomorphism"),
-                         (p1, "odd lift symplectomorphism")):
+        labels = ("even lift symplectomorphism", "odd lift symplectomorphism")
+        for (h, lift), label in zip(lifts, labels):
             chart, bracket = h.chart, ambient_bracket(h.flavor)
-            sub = change.substitution(chart)
-            good = True
-            detail = ""
             for _ in range(pairs):
                 f = random_poly(rng, chart, max_degree=3, n_terms=3)
                 g = random_poly(rng, chart, max_degree=3, n_terms=3)
-                lhs = bracket(f.substitute(sub, chart), g.substitute(sub, chart), chart)
-                rhs = bracket(f, g, chart).substitute(sub, chart)
+                lhs = bracket(lift.pullback(f), lift.pullback(g), chart)
+                rhs = lift.pullback(bracket(f, g, chart))
                 if lhs != rhs:
-                    good = False
-                    detail = f"failed on {f.render()} , {g.render()}"
+                    checks.append((label, False, f"failed on {f.render()} , {g.render()}"))
                     break
-            checks.append((label, good, detail))
+            else:
+                checks.append((label, True, ""))
     return NaturalityReport(checks)

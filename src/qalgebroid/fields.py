@@ -192,12 +192,6 @@ def require_homological(q: VectorField):
         raise NotHomological(f"[Q, Q] != 0, witness: {w!r}", witness=w)
 
 
-def conjugate_field(q: VectorField, forward, back) -> VectorField:
-    """Conjugate q by mutually inverse substitutions: component z = back(Q(forward[z]))."""
-    comps = {g.name: q(forward[g.name]).substitute(back, q.chart) for g in q.chart.generators}
-    return VectorField(q.chart, comps, q.parity)
-
-
 # ---------------------------------------------------------------------------
 # canonical brackets
 # ---------------------------------------------------------------------------

@@ -322,22 +322,15 @@ def poisson_engine(p: HigherStructure) -> PhaseEngine:
 # the user-facing bracket families
 # ---------------------------------------------------------------------------
 
-def _higher_bracket(eng: PhaseEngine, args: list[GradedPoly]) -> GradedPoly:
+def higher_bracket(eng: PhaseEngine, args: list[GradedPoly]) -> GradedPoly:
+    """(X1, ..., Xr)_S on a schouten engine: nested even brackets with S, then
+    zero-section; {F1, ..., Fr}_P on a poisson engine: nested odd brackets
+    with P, sign-corrected, restricted.  Brackets of one engine share its memo."""
     raw = eng.derived(args)
     rule = eng.flavour.sign_exponent
     if rule is not None and rule([eng.parity_of(a) for a in args]):
         return raw.scaled(-1)
     return raw
-
-
-def higher_schouten_bracket(s: HigherStructure, args: list[GradedPoly]) -> GradedPoly:
-    """(X1, ..., Xr)_S: nested even brackets with S, then zero-section."""
-    return _higher_bracket(schouten_engine(s), args)
-
-
-def higher_poisson_bracket(p: HigherStructure, args: list[GradedPoly]) -> GradedPoly:
-    """{F1, ..., Fr}_P: nested odd brackets with P, sign-corrected, restricted."""
-    return _higher_bracket(poisson_engine(p), args)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +621,7 @@ def _phase_table(eng: PhaseEngine, arity: int) -> BracketTable:
     fibre = eng.parent.fibre_names()
     entries = {}
     for tup in combinations_with_replacement(range(len(fibre)), arity):
-        entries[tup] = _higher_bracket(eng, [eng.basis[i] for i in tup])
+        entries[tup] = higher_bracket(eng, [eng.basis[i] for i in tup])
     parity, weight = _table_metadata(eng.parent, fibre, entries, arity)
     return BracketTable(eng.flavor, arity, fibre, entries, parity, weight)
 
@@ -759,7 +752,7 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
         tables = [table_of(field, r) for _, table_of in sides]
         for tup in combinations_with_replacement(range(n), r):
             for (eng, _), table in zip(sides, tables):
-                lhs = _higher_bracket(eng, [eng.basis[i] for i in tup])
+                lhs = higher_bracket(eng, [eng.basis[i] for i in tup])
                 rhs = _transport_value(table.entries[tup], eng.parent, eng.flavour.family)
                 if lhs != rhs:
                     ok = False

@@ -14,7 +14,8 @@ import random
 from fractions import Fraction
 
 from .charts import BundlePresentation, Chart, chart_pi_e
-from .fields import VectorField, conjugate_field, is_homological
+from .construction import MorphismR
+from .fields import VectorField, is_homological
 from .gradedpoly import EVEN, ODD, GradedPoly
 
 COEFF_POOL = [
@@ -92,32 +93,26 @@ def random_presentation(rng: random.Random, max_base: int = 2,
     return BundlePresentation(base, fibre)
 
 
-def _shear(rng: random.Random, chart: Chart, max_degree: int):
+def _shear(rng: random.Random, chart: Chart, max_degree: int) -> MorphismR | None:
     """An invertible polynomial substitution touching a single generator.
 
     z -> z + c * m with m a z-free monomial of z's parity; the inverse is
     z -> z - c * m, exactly.
     """
     gens = list(chart.generators)
+    if len(gens) < 2:
+        return None
     rng.shuffle(gens)
     for g in gens:
-        others = [h for h in chart.generators if h.name != g.name]
-        if not others:
-            continue
-        sub_chart_names = [h.name for h in others]
         for _ in range(30):
             expo = random_monomial(rng, chart, max_degree, parity=g.parity)
             if expo is None or g.name in expo or not expo:
                 continue
-            if not all(n in sub_chart_names for n in expo):
-                continue
             c = rng.choice(COEFF_POOL)
             m = chart.monomial(expo, c)
-            fwd = {h.name: chart.gen(h.name) for h in chart.generators}
-            bwd = dict(fwd)
-            fwd[g.name] = chart.gen(g.name) + m
-            bwd[g.name] = chart.gen(g.name) - m
-            return fwd, bwd
+            fixed = {h.name: chart.gen(h.name) for h in chart.generators}
+            z = fixed[g.name]
+            return MorphismR(chart, chart, {**fixed, g.name: z + m}, {**fixed, g.name: z - m})
     return None
 
 
@@ -166,9 +161,9 @@ def random_homological_field(rng: random.Random, max_base: int = 2,
     q = VectorField(chart, comps, ODD)
     n_shears = rng.randint(1, 3) if shears is None else shears
     for _ in range(n_shears):
-        pair = _shear(rng, chart, max_degree)
-        if pair is None:
+        shear = _shear(rng, chart, max_degree)
+        if shear is None:
             break
-        q = conjugate_field(q, *pair)
+        q = shear.conjugate(q)
     assert is_homological(q), "internal: conjugation broke [Q,Q] = 0"
     return q

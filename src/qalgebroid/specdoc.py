@@ -28,6 +28,8 @@ construction, and parsing rejects anything else.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,14 +88,28 @@ def _list(holder: dict, key: str, where: str = "") -> list:
     return value
 
 
-def _parse_coefficient(raw, where: str) -> Fraction:
+# a decimal exponent: Fraction builds its power of ten before anything else
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_rational(raw, where: str) -> Fraction:
+    """An exact rational from a JSON number or string ("3", "-1/2", "2.5e-3").
+
+    Refuses a value whose numerator or denominator has more digits than the
+    interpreter converts to a string (``sys.get_int_max_str_digits``), and a
+    decimal exponent past twice that limit, whose power of ten outgrows every
+    mantissa within the limit.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     try:
-        c = Fraction(str(raw))
+        exponent = _EXPONENT.search(str(raw))
+        if exponent is not None and abs(int(exponent.group(1))) > 2 * limit:
+            raise SpecError(f"{where}: the exponent of {raw!r} is too large")
+        value = Fraction(str(raw))
+        str(value)  # raises past the limit, as rendering the value would
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"{where}: bad rational coefficient {raw!r}: {exc}") from None
-    if c == 0:
-        raise SpecError(f"{where}: zero coefficients are not stored")
-    return c
+        raise SpecError(f"{where}: bad rational {raw!r}: {exc}") from None
+    return value
 
 
 def parse_spec(document) -> AlgebroidSpec:
@@ -101,7 +117,7 @@ def parse_spec(document) -> AlgebroidSpec:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except ValueError as exc:  # malformed JSON or undecodable bytes
+        except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
             raise SpecError(f"not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise SpecError("the document must be a JSON object")
@@ -137,7 +153,9 @@ def parse_spec(document) -> AlgebroidSpec:
             target not in base_parity and target not in fibre_parity
         ):
             raise SpecError(f"{where}: unknown target {target!r}")
-        coeff = _parse_coefficient(t.get("coefficient", "0"), where)
+        coeff = parse_rational(t.get("coefficient", "0"), f"{where} coefficient")
+        if coeff == 0:
+            raise SpecError(f"{where}: zero coefficients are not stored")
         mono = tuple(_list(t, "monomial", f"{where}: "))
         parity_sum = 0
         last = -1

@@ -9,8 +9,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from click.testing import CliRunner
 
+from qalgebroid import construction
 from qalgebroid.builtins import builtin_names, builtin_spec
 from qalgebroid.cli import main
+from qalgebroid.homotopy import PhaseEngine
 from qalgebroid.specdoc import SpecError, parse_spec, render_spec
 
 
@@ -157,6 +159,38 @@ class TestCommands:
         result = runner.invoke(main, ["naturality", "so3", "--matrix", str(matrix)])
         assert result.exit_code == 0
 
+    def test_naturality_inverts_the_matrix_once(self, runner, tmp_path, monkeypatch):
+        inverted = []
+        invert = construction.invert_matrix
+        monkeypatch.setattr(construction, "invert_matrix",
+                            lambda t: inverted.append(t) or invert(t))
+        matrix = tmp_path / "t.json"
+        matrix.write_text(json.dumps([[2, 0, 0], [1, 1, 0], [0, "1/3", 1]]))
+        result = runner.invoke(main, ["naturality", "so3", "--matrix", str(matrix), "--json"])
+        assert result.exit_code == 0, result.output
+        assert len(inverted) == 1
+
+    @pytest.mark.parametrize("arity, brackets", [(2, 200), (3, 250)])
+    def test_leibniz_uses_one_engine_per_structure(self, runner, monkeypatch, arity, brackets):
+        # the three brackets of a trial share their first arity - 1 arguments,
+        # so one engine per structure computes that prefix once
+        counts = {"engines": 0, "brackets": 0}
+        init, bracket = PhaseEngine.__init__, PhaseEngine.bracket
+
+        def counted_init(self, structure):
+            counts["engines"] += 1
+            init(self, structure)
+
+        def counted_bracket(self, f, g):
+            counts["brackets"] += 1
+            return bracket(self, f, g)
+
+        monkeypatch.setattr(PhaseEngine, "__init__", counted_init)
+        monkeypatch.setattr(PhaseEngine, "bracket", counted_bracket)
+        result = runner.invoke(main, ["leibniz", "so3", "--arity", str(arity), "--json"])
+        assert result.exit_code == 0, result.output
+        assert counts == {"engines": 2, "brackets": brackets}
+
     def test_naturality_singular_matrix(self, runner, tmp_path):
         matrix = tmp_path / "t.json"
         matrix.write_text(json.dumps([[1, 0, 0], [1, 0, 0], [0, 0, 1]]))
@@ -209,6 +243,22 @@ def _base_exponent_true() -> str:
     return json.dumps(doc)
 
 
+def _so3_coefficient(value: str) -> str:
+    doc = json.loads(render_spec(builtin_spec("so3")))
+    doc["q_terms"][0]["coefficient"] = value
+    return json.dumps(doc)
+
+
+def _matrix_corner(value: str) -> str:
+    return json.dumps([[value, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+# numerators and denominators past the interpreter's integer string limit;
+# 10**999999999 alone would take longer than any run should
+OVERSIZED = ["1e5000", "-2.5e-9000", "1e999999999"]
+NESTED = "[" * 100_000  # deeper than the JSON decoder's recursion
+
+
 class TestInputContract:
     """Unreadable or malformed input exits 2 with one line, never a traceback."""
 
@@ -218,11 +268,18 @@ class TestInputContract:
         ("source", b"\xff\xfe not utf-8"),
         ("source", None),  # a directory
         ("source", _base_exponent_true()),
+        ("source", NESTED),
+        *[("source", _so3_coefficient(v)) for v in OVERSIZED],
         ("matrix", "null"),
         ("matrix", "[1, 2, 3]"),
+        ("matrix", NESTED),
+        *[("matrix", _matrix_corner(v)) for v in OVERSIZED],
         ("max-arity", "-1"),
     ], ids=["q_terms-null", "fibre-null", "non-utf8", "directory",
-            "base-exponent-true", "matrix-null", "matrix-flat", "max-arity-negative"])
+            "base-exponent-true", "source-nested",
+            *[f"coefficient-{v}" for v in OVERSIZED],
+            "matrix-null", "matrix-flat", "matrix-nested",
+            *[f"matrix-{v}" for v in OVERSIZED], "max-arity-negative"])
     def test_bad_input_exits_2(self, runner, tmp_path, kind, content):
         bad = tmp_path / "input"
         if content is None:

@@ -21,6 +21,7 @@ from qalgebroid.charts import (
 )
 from qalgebroid.construction import (
     FibreChange,
+    MorphismR,
     build_poisson,
     build_schouten,
     chart_change_naturality,
@@ -36,9 +37,9 @@ from qalgebroid.fields import (
     canonical_poisson,
     canonical_schouten,
 )
-from qalgebroid.gradedpoly import GradedAlgebraError, ParityMismatch
+from qalgebroid.gradedpoly import ChartMismatch, GradedAlgebraError, ParityMismatch
 from qalgebroid.homotopy import structure_constant
-from qalgebroid.randgen import random_field, random_poly, random_presentation
+from qalgebroid.randgen import _shear, random_field, random_poly, random_presentation
 from qalgebroid.specdoc import assemble_field
 
 MIXED = BundlePresentation((0, 1), (0, 1))
@@ -225,8 +226,9 @@ class TestStrictness:
 
 class TestNaturality:
     def test_identity(self):
-        q = assemble_field(so3())
-        rep = chart_change_naturality(q, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], rng=Random(0))
+        spec = so3()
+        change = FibreChange(spec.presentation, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        rep = chart_change_naturality(assemble_field(spec), change, rng=Random(0))
         assert rep.ok
 
     def test_diagonal_rank_one(self):
@@ -234,38 +236,46 @@ class TestNaturality:
         b = BundlePresentation((0,), (0,))
         c = chart_pi_e(b)
         q = VectorField(c, {"x1": c.gen("xi1")})
-        rep = chart_change_naturality(q, [[Fraction(2)]], rng=Random(1))
+        rep = chart_change_naturality(q, FibreChange(b, [[Fraction(2)]]), rng=Random(1))
         assert rep.ok
 
     def test_diagonal_and_permutation_so3(self):
-        q = assemble_field(so3())
+        spec = so3()
+        q = assemble_field(spec)
         for t in (
             [[2, 0, 0], [0, 3, 0], [0, 0, Fraction(1, 2)]],
             [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
         ):
-            rep = chart_change_naturality(q, t, rng=Random(2))
+            rep = chart_change_naturality(q, FibreChange(spec.presentation, t), rng=Random(2))
             assert rep.ok
 
     def test_general_invertible_on_mixed_fibre(self):
-        q = assemble_field(lie_3_algebroid_demo())
+        spec = lie_3_algebroid_demo()
         # block structure: slots 1 and 3 are even, slot 2 is odd
         t = [
             [1, 0, 2],
             [0, Fraction(1, 3), 0],
             [1, 0, 3],
         ]
-        rep = chart_change_naturality(q, t, rng=Random(3))
+        change = FibreChange(spec.presentation, t)
+        rep = chart_change_naturality(assemble_field(spec), change, rng=Random(3))
         assert rep.ok
 
     def test_rejects_parity_mixing(self):
-        q = assemble_field(lie_3_algebroid_demo())
+        b = lie_3_algebroid_demo().presentation
         with pytest.raises(ParityMismatch):
-            chart_change_naturality(q, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+            FibreChange(b, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_rejects_singular(self):
-        q = assemble_field(so3())
+        b = so3().presentation
         with pytest.raises(GradedAlgebraError):
-            chart_change_naturality(q, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+            FibreChange(b, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+
+    def test_rejects_a_change_of_another_bundle(self):
+        q = assemble_field(so3())
+        change = FibreChange(BundlePresentation((), (0, 0)), [[1, 0], [0, 1]])
+        with pytest.raises(ChartMismatch):
+            chart_change_naturality(q, change)
 
 
 def _random_change(rng: Random, b: BundlePresentation) -> FibreChange:
@@ -280,27 +290,50 @@ def _random_change(rng: Random, b: BundlePresentation) -> FibreChange:
             continue  # singular: draw again
 
 
-class TestFibreChangeRoundTrip:
-    def test_substitutions_invert_on_every_chart(self):
+class TestMorphismR:
+    """Exchanges, lifted fibre changes and shears are one invertible record."""
+
+    @staticmethod
+    def records(rng: Random, b: BundlePresentation) -> list[MorphismR]:
+        change = _random_change(rng, b)
+        records = [even_dual_exchange(b), odd_dual_exchange(b)]
+        for chart in all_charts(b).values():
+            records.append(change.on(chart))
+            shear = _shear(rng, chart, max_degree=2)
+            if shear is not None:
+                records.append(shear)
+        return records
+
+    def test_inverse_images_undo_images(self):
         rng = Random(47)
         for _ in range(40):
-            b = random_presentation(rng)
-            change = _random_change(rng, b)
-            inverse = change.inverse()
-            for chart in all_charts(b).values():
-                forward = change.substitution(chart)
-                back = inverse.substitution(chart)
-                for g in chart.generators:
-                    image = forward[g.name].substitute(back, chart)
-                    assert image == chart.gen(g.name), (chart.space, g.name)
+            for m in self.records(rng, random_presentation(rng)):
+                for side in (m, m.inverse()):
+                    assert set(side.images) == {g.name for g in side.domain.generators}
+                    for name, image in side.images.items():
+                        back = image.substitute(side.inverse_images, side.domain)
+                        assert back == side.domain.gen(name), (side.domain.space, name)
 
-    def test_transform_field_round_trip(self):
+    def test_inverse_pullback_undoes_pullback(self):
         rng = Random(53)
-        for _ in range(20):
-            b = random_presentation(rng)
-            q = random_field(rng, chart_pi_e(b), parity=1)
-            change = _random_change(rng, b)
-            assert change.inverse().transform_field(change.transform_field(q)) == q
+        for _ in range(40):
+            for m in self.records(rng, random_presentation(rng)):
+                f = random_poly(rng, m.domain, max_degree=3, n_terms=4)
+                assert m.inverse().pullback(m.pullback(f)) == f, m.domain.space
+
+    def test_inverse_conjugate_undoes_conjugate(self):
+        rng = Random(59)
+        for _ in range(40):
+            for m in self.records(rng, random_presentation(rng)):
+                if m.domain != m.codomain:
+                    continue
+                q = random_field(rng, m.domain, parity=rng.randint(0, 1), max_degree=2)
+                assert m.inverse().conjugate(m.conjugate(q)) == q, m.domain.space
+
+    def test_conjugate_needs_the_fields_own_chart(self):
+        q = assemble_field(so3())
+        with pytest.raises(ChartMismatch):
+            even_dual_exchange(so3().presentation).conjugate(q)
 
 
 def test_invert_matrix_round_trip():

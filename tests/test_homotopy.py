@@ -29,8 +29,7 @@ from qalgebroid.homotopy import (
     fundamental_poisson_value,
     fundamental_schouten_value,
     higher_anchor,
-    higher_poisson_bracket,
-    higher_schouten_bracket,
+    higher_bracket,
     jacobiator,
     koszul_sign,
     leibniz_check,
@@ -100,19 +99,19 @@ class TestDerivedBrackets:
         s = build_schouten(q)
         parent = schouten_engine(s).parent
         x, y = parent.gen("x1"), parent.gen("x2")
-        assert higher_schouten_bracket(s, [x, y]).is_zero()
+        assert higher_bracket(schouten_engine(s), [x, y]).is_zero()
 
     def test_so3_fundamental_binary(self, so3_pair):
         q, s, _ = so3_pair
         dual = schouten_engine(s).parent
-        value = higher_schouten_bracket(s, [dual.gen("eta1"), dual.gen("eta2")])
+        value = higher_bracket(schouten_engine(s), [dual.gen("eta1"), dual.gen("eta2")])
         assert value == -dual.gen("eta3")
         assert value == fundamental_schouten_value(q, dual, (0, 1))
 
     def test_so3_poisson_binary(self, so3_pair):
         q, _, p = so3_pair
         dual = poisson_engine(p).parent
-        value = higher_poisson_bracket(p, [dual.gen("e1"), dual.gen("e2")])
+        value = higher_bracket(poisson_engine(p), [dual.gen("e1"), dual.gen("e2")])
         assert value == dual.gen("e3")
         assert value == fundamental_poisson_value(q, dual, (0, 1))
 
@@ -124,25 +123,25 @@ class TestDerivedBrackets:
         for r in (1, 2, 3):
             for tup in product(range(n), repeat=r):
                 args = [dual_s.gen(f"eta{i + 1}") for i in tup]
-                assert higher_schouten_bracket(s, args) == fundamental_schouten_value(
+                assert higher_bracket(schouten_engine(s), args) == fundamental_schouten_value(
                     q, dual_s, tup
                 )
                 argsp = [dual_p.gen(f"e{i + 1}") for i in tup]
-                assert higher_poisson_bracket(p, argsp) == fundamental_poisson_value(
+                assert higher_bracket(poisson_engine(p), argsp) == fundamental_poisson_value(
                     q, dual_p, tup
                 )
 
     def test_zero_bracket_strict_input(self, so3_pair):
         q, s, p = so3_pair
-        assert higher_schouten_bracket(s, []).is_zero()
-        assert higher_poisson_bracket(p, []).is_zero()
+        assert higher_bracket(schouten_engine(s), []).is_zero()
+        assert higher_bracket(poisson_engine(p), []).is_zero()
 
     def test_bracket_with_constant_vanishes(self, so3_pair):
         _, s, p = so3_pair
         dual_s = schouten_engine(s).parent
         dual_p = poisson_engine(p).parent
-        assert higher_schouten_bracket(s, [dual_s.gen("eta1"), dual_s.one()]).is_zero()
-        assert higher_poisson_bracket(p, [dual_p.gen("e1"), dual_p.one()]).is_zero()
+        assert higher_bracket(schouten_engine(s), [dual_s.gen("eta1"), dual_s.one()]).is_zero()
+        assert higher_bracket(poisson_engine(p), [dual_p.gen("e1"), dual_p.one()]).is_zero()
 
     def test_graded_symmetry_random_swaps(self, mixed_pair):
         q, s, _ = mixed_pair
@@ -162,8 +161,8 @@ class TestDerivedBrackets:
                 if args[i].parity() and args[i + 1].parity()
                 else 1
             )
-            lhs = higher_schouten_bracket(s, args)
-            rhs = higher_schouten_bracket(s, swapped).scaled(sign)
+            lhs = higher_bracket(schouten_engine(s), args)
+            rhs = higher_bracket(schouten_engine(s), swapped).scaled(sign)
             assert lhs == rhs
 
     def test_output_weight_drop(self, mixed_pair):
@@ -173,7 +172,7 @@ class TestDerivedBrackets:
         for r in (1, 2, 3):
             for tup in combinations_with_replacement(range(3), r):
                 args = [dual.gen(f"eta{i + 1}") for i in tup]
-                value = higher_schouten_bracket(s, args)
+                value = higher_bracket(schouten_engine(s), args)
                 if value.is_zero():
                     continue
                 w = value.weight()
@@ -187,16 +186,16 @@ class TestDerivedBrackets:
         dual_s = schouten_engine(s).parent
         dual_p = poisson_engine(p).parent
         rng = Random(67)
-        for dual, s_or_p, bracket in (
-            (dual_s, s, higher_schouten_bracket),
-            (dual_p, p, higher_poisson_bracket),
+        for dual, s_or_p, engine in (
+            (dual_s, s, schouten_engine),
+            (dual_p, p, poisson_engine),
         ):
             for _ in range(40):
                 r = rng.randint(1, 3)
                 args = [random_poly(rng, dual, 3, 1) for _ in range(r)]
                 if any(a.is_zero() for a in args):
                     continue
-                value = bracket(s_or_p, args)
+                value = higher_bracket(engine(s_or_p), args)
                 if value.is_zero():
                     continue
                 w_in = sum(a.weight()[0] for a in args)
@@ -254,7 +253,7 @@ class TestDerhamGeneratesCanonicalBrackets:
             f = random_homogeneous_poly(rng, dual, 3, 2)
             g = random_homogeneous_poly(rng, dual, 3, 2)
             sign = 1 if f.parity() else -1
-            lhs = higher_schouten_bracket(s, [f, g]).substitute(ren_s, pit).scaled(sign)
+            lhs = higher_bracket(schouten_engine(s), [f, g]).substitute(ren_s, pit).scaled(sign)
             rhs = canonical_schouten(
                 f.substitute(ren_s, pit), g.substitute(ren_s, pit), pit
             )
@@ -269,7 +268,7 @@ class TestDerhamGeneratesCanonicalBrackets:
         for _ in range(60):
             f = random_homogeneous_poly(rng, dual, 3, 2)
             g = random_homogeneous_poly(rng, dual, 3, 2)
-            lhs = higher_poisson_bracket(p, [f, g]).substitute(ren_p, t).scaled(-1)
+            lhs = higher_bracket(poisson_engine(p), [f, g]).substitute(ren_p, t).scaled(-1)
             rhs = canonical_poisson(
                 f.substitute(ren_p, t), g.substitute(ren_p, t), t
             )
@@ -319,7 +318,7 @@ class TestTransportOfDifferential:
         dual = schouten_engine(s).parent
         n = len(q.chart.generators)
         for i in range(n):
-            lhs = higher_schouten_bracket(s, [dual.gen(f"eta{i + 1}")])
+            lhs = higher_bracket(schouten_engine(s), [dual.gen(f"eta{i + 1}")])
             rhs = fundamental_schouten_value(q, dual, (i,))
             assert lhs == rhs
 
@@ -474,16 +473,15 @@ class TestEngineMemo:
     def test_tables_match_the_nested_definition(self):
         for q in random_odd_fields(seed=21, count=4):
             for r in range(4):
-                for h, table_of, bracket in (
-                    (build_schouten_unchecked(q), schouten_bracket_table,
-                     higher_schouten_bracket),
-                    (build_poisson_unchecked(q), poisson_bracket_table,
-                     higher_poisson_bracket),
+                for h, table_of, engine in (
+                    (build_schouten_unchecked(q), schouten_bracket_table, schouten_engine),
+                    (build_poisson_unchecked(q), poisson_bracket_table, poisson_engine),
                 ):
                     table = table_of(h, r)
                     dual = h.chart.parent_chart()
                     for tup, value in table.entries.items():
-                        assert value == bracket(h, [dual.gen(table.labels[i]) for i in tup])
+                        args = [dual.gen(table.labels[i]) for i in tup]
+                        assert value == higher_bracket(engine(h), args)
                 if q.chart.n_base:
                     continue
                 fe = FieldEngine(q)
@@ -652,12 +650,12 @@ class TestLeibniz:
             q = assemble_field(fac())
             s, p = build_schouten(q), build_poisson(q)
             rep = leibniz_check(
-                lambda a: higher_schouten_bracket(s, a),
+                lambda a: higher_bracket(schouten_engine(s), a),
                 schouten_engine(s).parent, "schouten", arity, 35, rng,
             )
             assert rep.ok, rep.failures[:1]
             rep = leibniz_check(
-                lambda a: higher_poisson_bracket(p, a),
+                lambda a: higher_bracket(poisson_engine(p), a),
                 poisson_engine(p).parent, "poisson", arity, 35, rng,
             )
             assert rep.ok, rep.failures[:1]
@@ -685,7 +683,7 @@ class TestClosedForms:
         for r in (1, 2, 3):
             for tup in product(range(3), repeat=r):
                 args = [dual.gen(f"eta{i + 1}") for i in tup]
-                assert higher_schouten_bracket(s, args) == lie_schouten_closed_form(
+                assert higher_bracket(schouten_engine(s), args) == lie_schouten_closed_form(
                     q, dual, args
                 )
 
@@ -695,7 +693,7 @@ class TestClosedForms:
         for r in (1, 2, 3):
             for tup in product(range(3), repeat=r):
                 args = [dual.gen(f"e{i + 1}") for i in tup]
-                assert higher_poisson_bracket(p, args) == lie_poisson_closed_form(
+                assert higher_bracket(poisson_engine(p), args) == lie_poisson_closed_form(
                     q, dual, args
                 )
 
@@ -707,11 +705,11 @@ class TestClosedForms:
         for _ in range(40):
             r = rng.randint(1, 3)
             args = [random_homogeneous_poly(rng, dual_s, 2, 1) for _ in range(r)]
-            assert higher_schouten_bracket(s, args) == lie_schouten_closed_form(
+            assert higher_bracket(schouten_engine(s), args) == lie_schouten_closed_form(
                 q, dual_s, args
             )
             argsp = [random_homogeneous_poly(rng, dual_p, 2, 1) for _ in range(r)]
-            assert higher_poisson_bracket(p, argsp) == lie_poisson_closed_form(
+            assert higher_bracket(poisson_engine(p), argsp) == lie_poisson_closed_form(
                 q, dual_p, argsp
             )
 
@@ -721,11 +719,11 @@ class TestClosedForms:
         dual_p = poisson_engine(p).parent
         for tup in product(range(3), repeat=2):
             args = [dual_s.gen(f"eta{i + 1}") for i in tup]
-            assert higher_schouten_bracket(s, args) == lie_schouten_closed_form(
+            assert higher_bracket(schouten_engine(s), args) == lie_schouten_closed_form(
                 q, dual_s, args
             )
             argsp = [dual_p.gen(f"e{i + 1}") for i in tup]
-            assert higher_poisson_bracket(p, argsp) == lie_poisson_closed_form(
+            assert higher_bracket(poisson_engine(p), argsp) == lie_poisson_closed_form(
                 q, dual_p, argsp
             )
 
@@ -845,8 +843,8 @@ class TestAnchors:
                 f = chart.gen("x1") ** power
                 f_dual = dual.gen("x1") ** power
                 for i, gi in enumerate(fibre_idx):
-                    lhs = higher_schouten_bracket(
-                        s, [dual.gen(f"eta{i + 1}"), f_dual]
+                    lhs = higher_bracket(
+                        schouten_engine(s), [dual.gen(f"eta{i + 1}"), f_dual]
                     )
                     anchor = higher_anchor(q, (gi,), f)
                     rhs = anchor.substitute({"x1": dual.gen("x1")}, dual)
