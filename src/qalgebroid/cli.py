@@ -38,7 +38,7 @@ from .construction import (
     is_strict,
     total_weight_audit,
 )
-from .fields import NotHomological, commutator, is_homological
+from .fields import NotHomological, is_homological
 from .gradedpoly import GradedAlgebraError
 from .homotopy import (
     FieldEngine,
@@ -209,7 +209,7 @@ def check_q(report, spec):
     """Verify that the field is odd and supercommutes with itself."""
     q = assemble_field(spec)
     report.add("q is odd", q.parity == 1)
-    w = commutator(q, q)
+    w = q.square()
     report.add(
         "[Q,Q] = 0",
         w.is_zero(),

@@ -69,10 +69,11 @@ class VectorField:
     Components are keyed by generator name; missing keys mean zero.  Fields
     must be parity-homogeneous: each nonzero component's parity equals the
     field parity plus the generator parity.  An all-zero field defaults to
-    odd so that it counts as homological.
+    odd so that it counts as homological.  A field is never mutated, so it
+    keeps its self-commutator once ``square`` has computed it.
     """
 
-    __slots__ = ("chart", "components", "parity")
+    __slots__ = ("chart", "components", "parity", "_square")
 
     def __init__(self, chart: Chart, components: dict[str, GradedPoly], parity: int | None = None):
         self.chart = chart
@@ -99,6 +100,15 @@ class VectorField:
             raise ParityMismatch("declared parity contradicts the components")
         self.components = comps
         self.parity = parity
+        self._square = None
+
+    def square(self) -> "VectorField":
+        """[X, X], computed on first use and kept: every gate on one field
+        (``is_homological``, ``require_homological``, the field engine's
+        squared generator) shares one self-commutator."""
+        if self._square is None:
+            self._square = commutator(self, self)
+        return self._square
 
     def component(self, name: str) -> GradedPoly:
         return self.components.get(name, self.chart.zero())
@@ -181,13 +191,13 @@ def commutator(x: VectorField, y: VectorField) -> VectorField:
 
 def is_homological(q: VectorField) -> bool:
     """True iff the field is odd and supercommutes with itself exactly."""
-    return q.parity == ODD and commutator(q, q).is_zero()
+    return q.parity == ODD and q.square().is_zero()
 
 
 def require_homological(q: VectorField):
     if q.parity != ODD:
         raise NotHomological("the field is not odd", witness=q)
-    w = commutator(q, q)
+    w = q.square()
     if not w.is_zero():
         raise NotHomological(f"[Q, Q] != 0, witness: {w!r}", witness=w)
 

@@ -32,6 +32,18 @@ known prefix.  ``engine.derived(args)`` reads and extends the memo;
 the generator g afresh and never touches it.  The squared-generator route of
 the Jacobiator takes the second form, so the two routes share no computed
 bracket.
+
+The memo route uses bilinearity, [0, a] = 0: the walk stops at the first
+partial that vanishes, and no longer partial is stored.  Each bracket with
+an argument of the abelian subalgebra lowers the conjugate degree of a phase
+partial (the argument carries no conjugates) or the polynomial degree of a
+field partial (the argument is constant) by one, so a stored key is at most
+one longer than that degree of the generator.  The bound is on the depth of
+the memo, not on its number of distinct keys.  The unshuffle sum of the
+Jacobiator skips a subset whose inner bracket vanishes and an outer term
+that vanishes, by the same rule.  ``derived(args, generator=g)`` applies no
+zero rule: it is the literal nested definition, the oracle the memo route is
+tested against.
 """
 
 from __future__ import annotations
@@ -133,8 +145,9 @@ class DerivedBracketEngine:
     """Nested-bracket evaluation (a1, ..., an) = project [...[D, a1], ..., an].
 
     An engine supplies ``flavor``, ``bracket``, ``project``, ``parity_of``,
-    ``generator`` and ``squared_generator`` (half the self-bracket of the
-    generator), and calls ``__init__`` once its generator is available.
+    ``generator``, ``squared_generator`` (half the self-bracket of the
+    generator) and ``sum`` (of values, the zero value when there are none),
+    and calls ``__init__`` once its generator is available.
     """
 
     koszul_shift = 0
@@ -181,15 +194,26 @@ class DerivedBracketEngine:
         return tuple(out)
 
     def value(self, key: tuple):
-        """The derived bracket of the registered arguments at ``key``."""
+        """The derived bracket of the registered arguments at ``key``.
+
+        The walk goes down the prefixes of ``key`` from the generator,
+        reading stored partials and storing the ones it makes, and stops at
+        the first partial that vanishes: every longer partial is zero by
+        bilinearity, so none is stored, and the value is that zero projected.
+        The stored keys are therefore closed under prefixes, and none extends
+        a key whose partial vanishes.
+        """
         v = self._value.get(key)
         if v is None:
-            k = len(key)
-            while key[:k] not in self._partial:
-                k -= 1
-            cur = self._partial[key[:k]]
-            for i in range(k, len(key)):
-                cur = self._partial[key[:i + 1]] = self.bracket(cur, self._prepared[key[i]])
+            cur = self._partial[()]
+            for k in range(len(key)):
+                if cur.is_zero():
+                    break
+                prefix = key[:k + 1]
+                known = self._partial.get(prefix)
+                if known is None:
+                    known = self._partial[prefix] = self.bracket(cur, self._prepared[key[k]])
+                cur = known
             v = self._value[key] = self.finish(self.project(cur))
         return v
 
@@ -244,6 +268,9 @@ class PhaseEngine(DerivedBracketEngine):
     def squared_generator(self):
         return self.structure.self_bracket.scaled(Fraction(1, 2))
 
+    def sum(self, values):
+        return GradedPoly.sum(self.parent, values)
+
 
 class FieldEngine(DerivedBracketEngine):
     """Engine over vector fields on a point-base chart.
@@ -261,7 +288,6 @@ class FieldEngine(DerivedBracketEngine):
             )
         self.q = q
         self.chart = q.chart
-        self._squared = None
         super().__init__()
 
     @cached_property
@@ -292,9 +318,13 @@ class FieldEngine(DerivedBracketEngine):
         return self.q
 
     def squared_generator(self):
-        if self._squared is None:
-            self._squared = commutator(self.q, self.q).scaled(Fraction(1, 2))
-        return self._squared
+        return self.q.square().scaled(Fraction(1, 2))
+
+    def sum(self, values):
+        total = VectorField(self.chart, {})
+        for v in values:
+            total = total + v
+        return total
 
     def coefficients(self, x: VectorField) -> list[Fraction]:
         """Constant-field coefficients in the basis-field order."""
@@ -357,21 +387,28 @@ def jacobiator(engine: DerivedBracketEngine, args: list) -> tuple:
     Returns (value, via_squared_generator).  Raises JacobiatorMismatch when
     the unshuffle sum disagrees with the derived bracket of the squared
     generator, which would signal a sign-convention bug.  The unshuffle sum
-    reads and extends the engine's memo: each inner bracket value is
-    registered as one more argument and fed first to the outer bracket.  The
-    squared-generator route computes afresh and never touches the memo.
+    reads and extends the engine's memo: each nonzero inner bracket value is
+    registered as one more argument and fed first to the outer bracket.  A
+    subset whose inner bracket vanishes, and an outer term that vanishes,
+    contribute nothing by linearity and are skipped; the surviving terms are
+    signed and summed once (the engine's zero when none survives).  The
+    squared-generator route computes the nested definition afresh, with no
+    zero rule, and never touches the memo.
     """
     n = len(args)
     parities = [engine.koszul_parity(a) for a in args]
     pos = engine.positions(args)
     subsets = [s for k in range(n + 1) for s in combinations(range(n), k)]
-    inners = engine.positions([engine.value(tuple(pos[i] for i in s)) for s in subsets])
-    total = None
-    for subset, inner in zip(subsets, inners):
+    live = [(s, engine.value(tuple(pos[i] for i in s))) for s in subsets]
+    live = [(s, v) for s, v in live if not v.is_zero()]
+    inners = engine.positions([v for _, v in live])
+    terms = []
+    for (subset, _), inner in zip(live, inners):
         rest = [i for i in range(n) if i not in subset]
-        sign = koszul_sign(list(subset) + rest, parities)
-        term = engine.value((inner, *(pos[i] for i in rest))).scaled(sign)
-        total = term if total is None else total + term
+        term = engine.value((inner, *(pos[i] for i in rest)))
+        if not term.is_zero():
+            terms.append(term.scaled(koszul_sign(list(subset) + rest, parities)))
+    total = engine.sum(terms)
     via_square = engine.derived(args, generator=engine.squared_generator())
     if total != via_square:
         raise JacobiatorMismatch(

@@ -170,10 +170,36 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         assert len(inverted) == 1
 
-    @pytest.mark.parametrize("arity, brackets", [(2, 200), (3, 250)])
+    @pytest.mark.parametrize("args, squares", [
+        (["jacobiator", "so3", "--arity", "3"], 1),
+        (["statement-check", "so3"], 1),
+        (["leibniz", "so3"], 1),
+        (["check-q", "so3"], 1),
+        # the field and its transform are two fields, each built twice
+        (["naturality", "so3", "--matrix", "MATRIX"], 2),
+    ])
+    def test_one_self_commutator_per_field(self, runner, tmp_path, monkeypatch,
+                                           args, squares):
+        # each gate reads the square the field keeps; jacobiator,
+        # statement-check and leibniz computed it twice, naturality four times
+        from qalgebroid import fields
+
+        counted = []
+        commutator = fields.commutator
+        monkeypatch.setattr(fields, "commutator",
+                            lambda x, y: counted.append(x is y) or commutator(x, y))
+        matrix = tmp_path / "t.json"
+        matrix.write_text(json.dumps([[2, 0, 0], [1, 1, 0], [0, "1/3", 1]]))
+        args = [str(matrix) if a == "MATRIX" else a for a in args]
+        result = runner.invoke(main, args + ["--json"])
+        assert result.exit_code == 0, result.output
+        assert sum(counted) == squares
+
+    @pytest.mark.parametrize("arity, brackets", [(2, 143), (3, 138)])
     def test_leibniz_uses_one_engine_per_structure(self, runner, monkeypatch, arity, brackets):
         # the three brackets of a trial share their first arity - 1 arguments,
-        # so one engine per structure computes that prefix once
+        # so one engine per structure computes that prefix once; walks that
+        # did not stop at a vanishing partial took 200 and 250 brackets
         counts = {"engines": 0, "brackets": 0}
         init, bracket = PhaseEngine.__init__, PhaseEngine.bracket
 
@@ -301,20 +327,26 @@ class TestInputContract:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("flavor", ["schouten", "poisson"])
-    def test_deep_arity_brackets_exit_0(self, runner, tmp_path, flavor):
-        # one even fibre symbol and Q = 0: a single all-zero tuple of arity 1200,
-        # deeper than the interpreter's recursion limit
+    def test_deep_arity_brackets_exit_0(self, runner, tmp_path, monkeypatch, flavor):
+        # one even fibre symbol and Q = 0: a single all-zero tuple of arity 4800,
+        # deeper than the interpreter's recursion limit; the generator is zero,
+        # so the walk stops before its first bracket and stores no partial
+        brackets = []
+        bracket = PhaseEngine.bracket
+        monkeypatch.setattr(PhaseEngine, "bracket",
+                            lambda self, f, g: brackets.append(1) or bracket(self, f, g))
         doc = tmp_path / "r1.json"
         doc.write_text(json.dumps(
             {"name": "r1", "fibre": [{"name": "s1", "parity": "even"}], "q_terms": []}
         ))
         result = runner.invoke(main, [
-            "brackets", str(doc), "--flavor", flavor, "--arity", "1200", "--json",
+            "brackets", str(doc), "--flavor", flavor, "--arity", "4800", "--json",
         ])
         assert result.exit_code == 0, result.exception
         assert result.stderr == ""
         table = json.loads(result.stdout)["extra"]["table"]
         assert len(table) == 1 and set(table.values()) == {"0"}
+        assert brackets == []
 
     def test_naturality_non_homological_is_a_failed_check(self, runner, tmp_path):
         matrix = tmp_path / "t.json"

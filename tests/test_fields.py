@@ -312,6 +312,51 @@ class TestCanonicalBrackets:
             assert j.is_zero()
 
 
+CANONICAL = ((EVEN_PHASES, canonical_poisson, EVEN), (ODD_PHASES, canonical_schouten, ODD))
+
+
+class TestAlgebraLaws:
+    """Laws of the canonical brackets and the commutator on drawn inputs."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_graded_jacobi(self, data):
+        # cyclic form in the shifted parities |f| + c
+        for phases, bracket, c in CANONICAL:
+            phase = data.draw(st.sampled_from(phases))
+            rng = data.draw(st.randoms(use_true_random=False))
+            f, g, h = (random_homogeneous_poly(rng, phase, 3, 3) for _ in range(3))
+            pf, pg, ph = ((x.parity() + c) & 1 for x in (f, g, h))
+
+            def br(a, b):
+                return bracket(a, b, phase)
+
+            j = GradedPoly.sum(phase, [
+                br(f, br(g, h)).scaled(-1 if pf & ph else 1),
+                br(g, br(h, f)).scaled(-1 if pg & pf else 1),
+                br(h, br(f, g)).scaled(-1 if ph & pg else 1),
+            ])
+            assert j.is_zero()
+
+    @PROPERTY
+    @given(st.data())
+    def test_zero_is_absorbing(self, data):
+        # [0, a] = 0 = [a, 0], which lets a derived-bracket walk stop at a
+        # vanishing partial
+        for phases, bracket, _ in CANONICAL:
+            phase = data.draw(st.sampled_from(phases))
+            rng = data.draw(st.randoms(use_true_random=False))
+            f, zero = mixed_poly(data, rng, phase), phase.zero()
+            assert bracket(zero, f, phase) == bracket(f, zero, phase) == zero
+            assert bracket(zero, zero, phase) == zero
+        rng = data.draw(st.randoms(use_true_random=False))
+        pie = chart_pi_e(MIXED)
+        x = random_field(rng, pie, data.draw(st.sampled_from([EVEN, ODD])), 3)
+        for zero in (VectorField(pie, {}, EVEN), VectorField(pie, {}, ODD)):
+            assert commutator(zero, x).is_zero() and commutator(x, zero).is_zero()
+            assert commutator(zero, zero).is_zero()
+
+
 class TestErrorPaths:
     def test_commutator_chart_mismatch(self, pie):
         other = chart_pi_e(BundlePresentation((0,), (0,)))

@@ -393,9 +393,10 @@ class TestJacobiators:
             v, _ = jacobiator(eng, [dual.gen(f"eta{i + 1}")])
             assert v.is_zero()
 
-    def test_field_engine_squares_q_once(self, so3_pair, monkeypatch):
-        # an arity-3 sweep on so3 has 10 tuples; [Q,Q] is computed on the first
-        import qalgebroid.homotopy as homotopy
+    def test_field_engine_squares_q_once(self, monkeypatch):
+        # an arity-3 sweep on so3 has 10 tuples; [Q,Q] is computed on the
+        # first and kept on the field
+        import qalgebroid.fields as fields
 
         squares = []
 
@@ -404,8 +405,8 @@ class TestJacobiators:
                 squares.append(x)
             return commutator(x, y)
 
-        monkeypatch.setattr(homotopy, "commutator", counting)
-        q, _, _ = so3_pair
+        monkeypatch.setattr(fields, "commutator", counting)
+        q = assemble_field(so3())
         fe = FieldEngine(q)
         basis = [fe.basis_field(i) for i in range(3)]
         for tup in combinations_with_replacement(range(3), 3):
@@ -525,7 +526,8 @@ class TestEngineMemo:
                 assert route.brackets == 3 * len(tuples)
 
     def test_so3_arity_six_sweep_bracket_count(self, monkeypatch):
-        # the nested definition per subset and tuple took 38136 brackets
+        # the nested definition per subset and tuple took 38136 brackets, a
+        # memo without the zero rule 3525
         import qalgebroid.homotopy as homotopy
         from click.testing import CliRunner
         from qalgebroid.cli import main
@@ -538,7 +540,78 @@ class TestEngineMemo:
             monkeypatch.setattr(cls, "bracket", counting)
         result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", "6", "--json"])
         assert result.exit_code == 0
-        assert len(calls) == 3525
+        assert len(calls) == 615
+
+
+def memo_depth_bound(eng) -> int:
+    """The longest nonzero partial a walk can reach: the conjugate degree of
+    a phase generator, the polynomial degree of a field's components."""
+    gen = eng.generator()
+    if eng.flavor == "field":
+        monomials = [m for comp in gen.components.values() for m in comp.terms]
+        return max((sum(e for _, e in m) for m in monomials), default=0)
+    first_conjugate = len(eng.parent.generators)
+    return max((sum(e for i, e in m if i >= first_conjugate) for m in gen.terms), default=0)
+
+
+class TestZeroRule:
+    """The memo walk stops at its first vanishing partial; the nested
+    definition (``generator=``, no zero rule) is the oracle."""
+
+    @staticmethod
+    def fields():
+        """Homological fields, with and without base coordinates, and random
+        odd fields of degree up to 4 on their charts."""
+        rng = Random(5)
+        out = []
+        for k in range(8):
+            q = random_homological_field(rng, max_base=k % 2, max_rank=4, max_degree=3)
+            out += [q, random_field(rng, q.chart, ODD, max_degree=4)]
+        return out
+
+    def test_memo_route_equals_the_nested_definition(self):
+        flavors, stopped, deepest, based = set(), 0, 0, 0
+        for q in self.fields():
+            based += q.chart.n_base > 0
+            for eng, basis in engines_and_bases(q):
+                gen = eng.generator()
+                # sorted tuples, shortest first: each walk extends a stored prefix
+                for r in range(6):
+                    for tup in combinations_with_replacement(range(len(basis)), r):
+                        args = [basis[i] for i in tup]
+                        assert eng.derived(args) == eng.derived(args, generator=gen), (
+                            eng.flavor, tup)
+                zeros = [key for key, v in eng._partial.items() if v.is_zero()]
+                for key in eng._partial:
+                    assert not any(len(z) < len(key) and key[:len(z)] == z for z in zeros)
+                nonzero = [len(key) for key, v in eng._partial.items() if not v.is_zero()]
+                bound = memo_depth_bound(eng)
+                assert max(nonzero, default=0) <= bound
+                assert max(map(len, eng._partial)) <= bound + 1
+                stopped += sum(len(z) < 5 for z in zeros)
+                deepest = max(deepest, max(nonzero, default=0))
+                flavors.add(eng.flavor)
+        assert flavors == {"schouten", "poisson", "field"} and based
+        assert stopped and deepest >= 3  # walks did stop early, and partials nest
+
+    @pytest.mark.parametrize("arity, brackets", [(6, 504), (8, 1080)])
+    def test_squared_route_counts_on_so3(self, monkeypatch, arity, brackets):
+        # the squared-generator route keeps computing every bracket: 3 engines,
+        # C(arity + 2, arity) tuples, arity brackets each
+        import qalgebroid.homotopy as homotopy
+        from click.testing import CliRunner
+        from qalgebroid.cli import main
+
+        routes = []
+        for cls in (homotopy.PhaseEngine, homotopy.FieldEngine):
+            def counted_init(self, *args, _init=cls.__init__):
+                _init(self, *args)
+                routes.append(SquaredRouteCounter(self))
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", str(arity), "--json"])
+        assert result.exit_code == 0
+        assert len(routes) == 3
+        assert sum(route.brackets for route in routes) == brackets
 
 
 class SquaredRouteCounter:
@@ -881,7 +954,8 @@ class TestStatement:
             )
 
     def test_so3_field_brackets_share_one_memo(self, so3_pair, monkeypatch):
-        # a fresh field memo per table and arity took 170 brackets
+        # a fresh field memo per table and arity took 170 brackets, one memo
+        # without the zero rule 60
         import qalgebroid.homotopy as homotopy
 
         calls = []
@@ -893,7 +967,7 @@ class TestStatement:
         monkeypatch.setattr(homotopy.FieldEngine, "bracket", counting)
         q, s, p = so3_pair
         assert weight_one_restriction_check(q, s, p, 4).ok
-        assert len(calls) == 60
+        assert len(calls) == 24
 
     def test_curved_mixed_algebra(self, mixed_pair):
         q, s, p = mixed_pair
