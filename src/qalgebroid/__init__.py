@@ -63,9 +63,7 @@ from .homotopy import (
     jacobiator,
     leibniz_check,
     poisson_bracket_table,
-    poisson_engine,
     schouten_bracket_table,
-    schouten_engine,
     skew_bracket_table,
     symmetric_field_table,
     weight_one_restriction_check,

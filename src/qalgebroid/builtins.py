@@ -28,7 +28,7 @@ from .charts import chart_pi_e
 from .construction import build_schouten
 from .fields import VectorField
 from .gradedpoly import GradedPoly, ODD
-from .homotopy import schouten_engine
+from .homotopy import PhaseEngine
 from .specdoc import AlgebroidSpec, QTerm, assemble_field, spec_from_field
 
 EVEN_P = "even"
@@ -160,7 +160,7 @@ def higher_poisson_on_algebroid() -> AlgebroidSpec:
     """
     demo = assemble_field(lie_algebroid_demo())
     s = build_schouten(demo)
-    eng = schouten_engine(s)
+    eng = PhaseEngine(s)
     dual = eng.parent
     bivector = (dual.one() + dual.gen("x1")) * dual.gen("eta1") * dual.gen("eta2")
     if not eng.derived([bivector, bivector]).is_zero():

@@ -42,13 +42,12 @@ from .fields import NotHomological, is_homological
 from .gradedpoly import GradedAlgebraError
 from .homotopy import (
     FieldEngine,
+    PhaseEngine,
     higher_bracket,
     jacobiator,
     leibniz_check,
     poisson_bracket_table,
-    poisson_engine,
     schouten_bracket_table,
-    schouten_engine,
     weight_one_restriction_check,
 )
 from .specdoc import SpecError, assemble_field, parse_rational, parse_spec, render_spec
@@ -287,8 +286,8 @@ def jacobiator_cmd(report, spec, arity):
     report.add("[Q,Q] = 0", homological, detail="informational" if homological else
                "nonzero: Jacobiators need not vanish, two-way equality still must hold")
     engines = [
-        schouten_engine(build_schouten_unchecked(q)),
-        poisson_engine(build_poisson_unchecked(q)),
+        PhaseEngine(build_schouten_unchecked(q)),
+        PhaseEngine(build_poisson_unchecked(q)),
     ]
     if q.chart.n_base == 0:
         engines.append(FieldEngine(q))
@@ -298,7 +297,7 @@ def jacobiator_cmd(report, spec, arity):
         basis = eng.basis
         worst = None
         for tup in combinations_with_replacement(range(len(basis)), arity):
-            value, _ = jacobiator(eng, [basis[i] for i in tup])
+            value = jacobiator(eng, [basis[i] for i in tup])
             if not value.is_zero():
                 all_zero = False
                 worst = (tup, render(value))
@@ -324,7 +323,7 @@ def leibniz(report, spec, arity, trials, seed):
     if arity < 1 or trials < 1:
         raise SpecError("arity and trials must be positive")
     rng = Random(seed)
-    for eng in (schouten_engine(build_schouten(q)), poisson_engine(build_poisson(q))):
+    for eng in (PhaseEngine(build_schouten(q)), PhaseEngine(build_poisson(q))):
         rep = leibniz_check(
             lambda args: higher_bracket(eng, args),
             eng.parent, eng.flavor, arity, trials, rng,

@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from typing import Callable
 
 from .charts import (
@@ -84,17 +84,14 @@ class Flavour:
 
     Sign rules take parity lists and return an exponent of -1:
     ``sign_exponent`` corrects the nested bracket into the user-facing one
-    (None: no correction), ``closed_eps(r, fibre parities, argument
-    parities)`` is the closed-form exponent, ``fundamental_sign`` that of a
-    fundamental value, and ``leibniz_s`` gives s in the multiderivation rule.
+    (None: no correction), and ``leibniz_s`` gives s in the multiderivation
+    rule.
     """
 
     name: str
     koszul_shift: int  # the parity of the ambient canonical bracket
     family: str  # dual fibre coordinates: eta on T*(PiE*), e on PiT*(E*)
     sign_exponent: Callable[[list[int]], int] | None
-    closed_eps: Callable[[int, list[int], list[int]], int]
-    fundamental_sign: Callable[[list[int]], int]
     leibniz_s: Callable[[list[int]], int]
 
 
@@ -107,33 +104,9 @@ def poisson_sign_exponent(parities: list[int]) -> int:
     return e & 1
 
 
-def _schouten_closed_eps(r: int, fp: list[int], arg_par: list[int]) -> int:
-    e = sum(fp)
-    for j in range(r - 1):
-        e += arg_par[j] * (sum(fp[j + 1:]) + r + j + 1)
-    return e & 1
-
-
-def _poisson_closed_eps(r: int, fp: list[int], arg_par: list[int]) -> int:
-    e = 1 + r + r * (r + 1) // 2
-    for j in range(r - 1):
-        e += arg_par[j] * sum(fp[j + 1:])
-    for pos, p in enumerate(fp, start=1):
-        e += pos * p
-    return e & 1
-
-
 FLAVOURS = {
-    "schouten": Flavour(
-        "schouten", 0, "eta", None, _schouten_closed_eps,
-        fundamental_sign=sum,
-        leibniz_s=lambda parities: 1,
-    ),
-    "poisson": Flavour(
-        "poisson", 1, "e", poisson_sign_exponent, _poisson_closed_eps,
-        fundamental_sign=lambda fp: 1 + sum(p * (len(fp) - i) for i, p in enumerate(fp)),
-        leibniz_s=len,
-    ),
+    "schouten": Flavour("schouten", 0, "eta", None, leibniz_s=lambda parities: 1),
+    "poisson": Flavour("poisson", 1, "e", poisson_sign_exponent, leibniz_s=len),
 }
 
 
@@ -219,7 +192,7 @@ class DerivedBracketEngine:
 
 
 class PhaseEngine(DerivedBracketEngine):
-    """Engine over a phase-space function algebra."""
+    """Engine over a phase-space function algebra, in the flavour of its structure."""
 
     def __init__(self, structure: HigherStructure):
         if structure.flavor not in FLAVOURS:
@@ -310,10 +283,6 @@ class FieldEngine(DerivedBracketEngine):
     def parity_of(self, arg: VectorField) -> int:
         return arg.parity
 
-    def basis_field(self, i: int) -> VectorField:
-        """The constant field d/dxi^(i+1), the image of the i-th basis vector."""
-        return self.basis[i]
-
     def generator(self):
         return self.q
 
@@ -332,20 +301,6 @@ class FieldEngine(DerivedBracketEngine):
         for g in self.chart.generators:
             out.append(x.component(g.name).constant_term())
         return out
-
-
-def _phase_engine(h: HigherStructure, flavor: str) -> PhaseEngine:
-    if h.flavor != flavor:
-        raise GradedAlgebraError(f"expected a {flavor}-flavor structure")
-    return PhaseEngine(h)
-
-
-def schouten_engine(s: HigherStructure) -> PhaseEngine:
-    return _phase_engine(s, "schouten")
-
-
-def poisson_engine(p: HigherStructure) -> PhaseEngine:
-    return _phase_engine(p, "poisson")
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +336,10 @@ def koszul_sign(order: list[int], parities: list[int]) -> int:
     return -1 if e & 1 else 1
 
 
-def jacobiator(engine: DerivedBracketEngine, args: list) -> tuple:
+def jacobiator(engine: DerivedBracketEngine, args: list):
     """The n-th Jacobiator, computed two independent ways.
 
-    Returns (value, via_squared_generator).  Raises JacobiatorMismatch when
+    Returns the value both routes agree on.  Raises JacobiatorMismatch when
     the unshuffle sum disagrees with the derived bracket of the squared
     generator, which would signal a sign-convention bug.  The unshuffle sum
     reads and extends the engine's memo: each nonzero inner bracket value is
@@ -415,7 +370,7 @@ def jacobiator(engine: DerivedBracketEngine, args: list) -> tuple:
             f"unshuffle sum disagrees with the squared-generator route "
             f"for arity {n}"
         )
-    return total, via_square
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -478,133 +433,6 @@ def leibniz_check(bracket, chart: Chart, flavor: str, arity: int,
 
 
 # ---------------------------------------------------------------------------
-# structure constants, closed formulas, tables
-# ---------------------------------------------------------------------------
-
-def fibre_indices(chart: Chart) -> list[int]:
-    return list(range(chart.n_base, len(chart.generators)))
-
-
-def structure_constant(q: VectorField, target: str, tup: tuple[int, ...]) -> GradedPoly:
-    """The graded-symmetric coefficient of the field for one index tuple.
-
-    Computed by iterated left derivatives in tuple order applied to the
-    target component, then evaluation at zero fibre coordinates.  On a chart
-    with base coordinates the result is a base function.
-    """
-    comp = q.component(target)
-    names = [q.chart.generators[i].name for i in tup]
-    for name in reversed(names):
-        comp = comp.left_derivative(name)
-    return comp.drop_generators(q.chart.fibre_names())
-
-
-def fibre_parity_of_index(chart: Chart, i: int) -> int:
-    """The underlying fibre parity a for a PiE-chart generator xi (parity a+1)."""
-    return (chart.generators[i].parity + 1) & 1
-
-
-def _structure_value(q: VectorField, dual_chart: Chart, family: str,
-                     tup: tuple[int, ...]) -> GradedPoly:
-    """sum_b Q^b_(tup) family_b, with the base-target part dropped."""
-    summands = []
-    for j, i in enumerate(fibre_indices(q.chart)):
-        c = structure_constant(q, q.chart.generators[i].name, tup)
-        if not c.is_zero():
-            summands.append(_base_function_on(c, dual_chart) * dual_chart.gen(f"{family}{j + 1}"))
-    return GradedPoly.sum(dual_chart, summands)
-
-
-def _fundamental_value(q: VectorField, dual_chart: Chart, tup: tuple[int, ...],
-                       flavour: Flavour) -> GradedPoly:
-    fp = [fibre_parity_of_index(q.chart, i) for i in tup]
-    value = _structure_value(q, dual_chart, flavour.family, tup)
-    return value.scaled(-1 if flavour.fundamental_sign(fp) & 1 else 1)
-
-
-def fundamental_schouten_value(q: VectorField, dual_chart: Chart,
-                               tup: tuple[int, ...]) -> GradedPoly:
-    """(eta_a1, ..., eta_ar)_S from the structure constants directly.
-
-    Equals (-1)^(sum of fibre parities) * sum_b Q^b_(a1...ar) eta_b, with the
-    base-target part dropped (it does not survive the zero-section
-    restriction at this weight).
-    """
-    return _fundamental_value(q, dual_chart, tup, FLAVOURS["schouten"])
-
-
-def fundamental_poisson_value(q: VectorField, dual_chart: Chart,
-                              tup: tuple[int, ...]) -> GradedPoly:
-    """{e_a1, ..., e_ar}_P from the structure constants directly.
-
-    Equals (-1)^(sum_i a_i (r - i + 1) + 1) * sum_b Q^b_(a1...ar) e_b.
-    """
-    return _fundamental_value(q, dual_chart, tup, FLAVOURS["poisson"])
-
-
-def _base_function_on(f: GradedPoly, target: Chart) -> GradedPoly:
-    """Transport a base-coordinate function onto another chart over the same base."""
-    images = {name: target.gen(name) for name in f.chart.base_names()}
-    return f.substitute(images, target)
-
-
-def _closed_form(q: VectorField, dual_chart: Chart, args: list[GradedPoly],
-                 flavour: Flavour) -> GradedPoly:
-    if q.chart.n_base != 0:
-        raise ChartMismatch("the closed formulas apply over a point base")
-    r = len(args)
-    fidx = fibre_indices(q.chart)
-    arg_par = []
-    for a in args:
-        p = a.parity()
-        if p is None:
-            raise ParityMismatch("closed-form arguments must be homogeneous")
-        arg_par.append(p)
-    summands = []
-    for tup in product(fidx, repeat=r):
-        factor = dual_chart.one()
-        for pos, i in enumerate(tup):
-            factor = factor * args[pos].left_derivative(
-                f"{flavour.family}{fidx.index(i) + 1}"
-            )
-            if factor.is_zero():
-                break
-        if factor.is_zero():
-            continue
-        core = _structure_value(q, dual_chart, flavour.family, tuple(reversed(tup)))
-        if core.is_zero():
-            continue
-        fp = [fibre_parity_of_index(q.chart, i) for i in tup]
-        eps = flavour.closed_eps(r, fp, arg_par)
-        summands.append((core * factor).scaled(-1 if eps else 1))
-    return GradedPoly.sum(dual_chart, summands)
-
-
-def lie_schouten_closed_form(q: VectorField, dual_chart: Chart,
-                             args: list[GradedPoly]) -> GradedPoly:
-    """Closed evaluation of (X1, ..., Xr)_S over a point base.
-
-    Sums over index tuples (a1..ar):
-        (-1)^eps Q^b_(ar...a1) eta_b  d X1/d eta_a1 ... d Xr/d eta_ar
-    with eps = sum_j Xj (a_{j+1} + ... + a_r + r + j)  +  sum_i a_i,
-    parities of X read per homogeneous argument.
-    """
-    return _closed_form(q, dual_chart, args, FLAVOURS["schouten"])
-
-
-def lie_poisson_closed_form(q: VectorField, dual_chart: Chart,
-                            args: list[GradedPoly]) -> GradedPoly:
-    """Closed evaluation of {F1, ..., Fr}_P over a point base.
-
-    Sums over index tuples:
-        (-1)^eps Q^b_(ar...a1) e_b  d F1/d e_a1 ... d Fr/d e_ar
-    with eps = 1 + r + r(r+1)/2 + sum_j Fj (a_{j+1} + ... + a_r)
-               + sum_i i a_i   (1-based positions).
-    """
-    return _closed_form(q, dual_chart, args, FLAVOURS["poisson"])
-
-
-# ---------------------------------------------------------------------------
 # bracket tables
 # ---------------------------------------------------------------------------
 
@@ -664,11 +492,11 @@ def _phase_table(eng: PhaseEngine, arity: int) -> BracketTable:
 
 
 def schouten_bracket_table(s: HigherStructure, arity: int) -> BracketTable:
-    return _phase_table(schouten_engine(s), arity)
+    return _phase_table(PhaseEngine(s), arity)
 
 
 def poisson_bracket_table(p: HigherStructure, arity: int) -> BracketTable:
-    return _phase_table(poisson_engine(p), arity)
+    return _phase_table(PhaseEngine(p), arity)
 
 
 def _field_entry(eng: FieldEngine, tup: tuple[int, ...]) -> GradedPoly:
@@ -677,6 +505,11 @@ def _field_entry(eng: FieldEngine, tup: tuple[int, ...]) -> GradedPoly:
     return GradedPoly(eng.chart, {
         ((j, 1),): c for j, c in enumerate(eng.coefficients(value)) if c != 0
     })
+
+
+def fibre_parity_of_index(chart: Chart, i: int) -> int:
+    """The underlying fibre parity a for a PiE-chart generator xi (parity a+1)."""
+    return (chart.generators[i].parity + 1) & 1
 
 
 def _skew_sign(chart: Chart, tup: tuple[int, ...]) -> int:
@@ -780,8 +613,8 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
         raise ChartMismatch("the restriction statement is for a point base")
     n = len(q.chart.generators)
     field = FieldEngine(q)
-    sides = ((schouten_engine(s), symmetric_field_table),
-             (poisson_engine(p), skew_bracket_table))
+    sides = ((PhaseEngine(s), symmetric_field_table),
+             (PhaseEngine(p), skew_bracket_table))
     per_arity: dict[int, bool] = {}
     details: list[str] = []
     for r in range(0, max_arity + 1):

@@ -44,17 +44,16 @@ from qalgebroid.fields import (
 from qalgebroid.gradedpoly import ODD
 from qalgebroid.homotopy import (
     FieldEngine,
+    PhaseEngine,
     higher_bracket,
     jacobiator,
     leibniz_check,
-    lie_poisson_closed_form,
-    lie_schouten_closed_form,
-    poisson_engine,
-    schouten_engine,
     weight_one_restriction_check,
 )
 from qalgebroid.randgen import random_field, random_homological_field, random_poly
 from qalgebroid.specdoc import assemble_field
+
+from closed_forms import closed_form
 
 MIXED = BundlePresentation((0, 1), (0, 1))
 
@@ -175,13 +174,13 @@ def test_criterion_6_jacobiator_two_way(builtin_fields):
     for name, q in fixtures.items():
         s = build_schouten(q)
         p = build_poisson(q)
-        for eng, family in ((schouten_engine(s), "eta"), (poisson_engine(p), "e")):
+        for eng, family in ((PhaseEngine(s), "eta"), (PhaseEngine(p), "e")):
             parent = eng.parent
             names = parent.fibre_names() + parent.base_names()
             for n in range(0, 5):
                 for tup in combinations_with_replacement(range(len(names)), n):
-                    v, w = jacobiator(eng, [parent.gen(names[i]) for i in tup])
-                    assert v.is_zero() and w.is_zero(), (name, n, tup)
+                    v = jacobiator(eng, [parent.gen(names[i]) for i in tup])
+                    assert v.is_zero(), (name, n, tup)
                     evaluations += 1
         if q.chart.n_base == 0:
             fe = FieldEngine(q)
@@ -189,22 +188,22 @@ def test_criterion_6_jacobiator_two_way(builtin_fields):
                 for tup in combinations_with_replacement(
                     range(len(q.chart.generators)), n
                 ):
-                    v, w = jacobiator(fe, [fe.basis_field(i) for i in tup])
-                    assert v.is_zero() and w.is_zero()
+                    v = jacobiator(fe, [fe.basis[i] for i in tup])
+                    assert v.is_zero()
                     evaluations += 1
 
     qb = assemble_field(so3_broken())
     assert not commutator(qb, qb).is_zero()
     sb = build_schouten_unchecked(qb)
     pb = build_poisson_unchecked(qb)
-    eng_s, eng_p, fe = schouten_engine(sb), poisson_engine(pb), FieldEngine(qb)
+    eng_s, eng_p, fe = PhaseEngine(sb), PhaseEngine(pb), FieldEngine(qb)
     ds, dp = eng_s.parent, eng_p.parent
-    v, w = jacobiator(eng_s, [ds.gen(n) for n in ("eta1", "eta2", "eta3")])
-    assert not v.is_zero() and v == w
-    v, w = jacobiator(eng_p, [dp.gen(n) for n in ("e1", "e2", "e3")])
-    assert not v.is_zero() and v == w
-    v, w = jacobiator(fe, [fe.basis_field(i) for i in (0, 1, 2)])
-    assert not v.is_zero() and v == w
+    v = jacobiator(eng_s, [ds.gen(n) for n in ("eta1", "eta2", "eta3")])
+    assert not v.is_zero()
+    v = jacobiator(eng_p, [dp.gen(n) for n in ("e1", "e2", "e3")])
+    assert not v.is_zero()
+    v = jacobiator(fe, [fe.basis[i] for i in (0, 1, 2)])
+    assert not v.is_zero()
     for n in range(0, 5):
         for tup in combinations_with_replacement(range(3), n):
             jacobiator(eng_s, [ds.gen(f"eta{i + 1}") for i in tup])
@@ -251,19 +250,19 @@ def test_criterion_9_closed_forms():
     assert 0 in fibre_parities and 1 in fibre_parities  # both parities present
     s = build_schouten(q)
     p = build_poisson(q)
-    dual_s = schouten_engine(s).parent
-    dual_p = poisson_engine(p).parent
+    dual_s = PhaseEngine(s).parent
+    dual_p = PhaseEngine(p).parent
     n = len(q.chart.generators)
     checked = 0
     for r in (1, 2, 3):
         for tup in product(range(n), repeat=r):
             args = [dual_s.gen(f"eta{i + 1}") for i in tup]
-            assert higher_bracket(schouten_engine(s), args) == lie_schouten_closed_form(
-                q, dual_s, args
+            assert higher_bracket(PhaseEngine(s), args) == closed_form(
+                "schouten", q, dual_s, args
             )
             argsp = [dual_p.gen(f"e{i + 1}") for i in tup]
-            assert higher_bracket(poisson_engine(p), argsp) == lie_poisson_closed_form(
-                q, dual_p, argsp
+            assert higher_bracket(PhaseEngine(p), argsp) == closed_form(
+                "poisson", q, dual_p, argsp
             )
             checked += 2
     print(f"[ACCEPT] criterion 9: PASS - {checked} closed-form agreements")
@@ -275,16 +274,16 @@ def test_criterion_10_leibniz(builtin_fields):
     q = builtin_fields["lie-3-algebroid-demo"]
     s = build_schouten(q)
     p = build_poisson(q)
-    parent_s = schouten_engine(s).parent
-    parent_p = poisson_engine(p).parent
+    parent_s = PhaseEngine(s).parent
+    parent_p = PhaseEngine(p).parent
     for arity in (1, 2, 3):
         rep = leibniz_check(
-            lambda a: higher_bracket(schouten_engine(s), a),
+            lambda a: higher_bracket(PhaseEngine(s), a),
             parent_s, "schouten", arity, 100, rng,
         )
         assert rep.ok, rep.failures[:1]
         rep = leibniz_check(
-            lambda a: higher_bracket(poisson_engine(p), a),
+            lambda a: higher_bracket(PhaseEngine(p), a),
             parent_p, "poisson", arity, 100, rng,
         )
         assert rep.ok, rep.failures[:1]

@@ -3,8 +3,10 @@
 import gc
 import io
 import json
+import re
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -12,8 +14,8 @@ from click.testing import CliRunner
 from qalgebroid import construction
 from qalgebroid.builtins import builtin_names, builtin_spec
 from qalgebroid.cli import main
-from qalgebroid.homotopy import PhaseEngine
-from qalgebroid.specdoc import SpecError, parse_spec, render_spec
+from qalgebroid.homotopy import JacobiatorMismatch, PhaseEngine, jacobiator
+from qalgebroid.specdoc import SpecError, assemble_field, parse_spec, render_spec
 
 
 @pytest.fixture
@@ -382,6 +384,19 @@ class TestInternalErrors:
         self.assert_internal(result)
         assert "disagrees with the squared-generator route" in result.stderr
 
+    def test_phase_jacobiator_routes_disagree(self, runner, monkeypatch):
+        # S or P in place of half its self-bracket: both phase engines must
+        # catch the wrong squared-generator route
+        monkeypatch.setattr(PhaseEngine, "squared_generator", lambda self: self.generator())
+        q = assemble_field(builtin_spec("so3"))
+        for build in (construction.build_schouten, construction.build_poisson):
+            eng = PhaseEngine(build(q))
+            with pytest.raises(JacobiatorMismatch):
+                jacobiator(eng, eng.basis[:2])
+        result = runner.invoke(main, ["jacobiator", "so3", "--arity", "2", "--json"])
+        self.assert_internal(result)
+        assert "disagrees with the squared-generator route" in result.stderr
+
     def test_nonzero_self_bracket_of_a_homological_field(self, runner, monkeypatch):
         import qalgebroid.construction as construction
 
@@ -420,6 +435,16 @@ def test_in_process_runs_release_captured_output():
         del out, err
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_readme_library_example_runs():
+    """The README's Python example runs as written and prints what it shows."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue() == "-eta3\n"
 
 
 class TestDeterminism:

@@ -38,9 +38,10 @@ from qalgebroid.fields import (
     canonical_schouten,
 )
 from qalgebroid.gradedpoly import ChartMismatch, GradedAlgebraError, ParityMismatch
-from qalgebroid.homotopy import structure_constant
 from qalgebroid.randgen import _shear, random_field, random_poly, random_presentation
 from qalgebroid.specdoc import assemble_field
+
+from closed_forms import structure_constant
 
 MIXED = BundlePresentation((0, 1), (0, 1))
 

@@ -5,7 +5,7 @@ from random import Random
 from qalgebroid.charts import BundlePresentation, chart_pi_e
 from qalgebroid.construction import build_poisson, build_schouten
 from qalgebroid.fields import commutator, is_homological
-from qalgebroid.homotopy import poisson_engine, schouten_engine
+from qalgebroid.homotopy import PhaseEngine
 from qalgebroid.randgen import (
     random_field,
     random_homogeneous_poly,
@@ -69,7 +69,7 @@ class TestEngineInvariants:
         q = random_homological_field(Random(31), max_base=1, max_rank=2)
         s = build_schouten(q)
         p = build_poisson(q)
-        for eng in (schouten_engine(s), poisson_engine(p)):
+        for eng in (PhaseEngine(s), PhaseEngine(p)):
             for _ in range(30):
                 f = random_homogeneous_poly(rng, eng.chart, 3, 3)
                 once = eng.project(f)
@@ -81,7 +81,7 @@ class TestEngineInvariants:
         rng = Random(37)
         q = random_homological_field(Random(41), max_base=1, max_rank=2)
         s = build_schouten(q)
-        eng = schouten_engine(s)
+        eng = PhaseEngine(s)
         for _ in range(40):
             a = random_homogeneous_poly(rng, eng.chart, 3, 2)
             b = random_homogeneous_poly(rng, eng.chart, 3, 2)
