@@ -1,5 +1,6 @@
 """Derived brackets, Jacobiators, Leibniz rules, tables, anchors, statement."""
 
+from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, product
 from random import Random
 
@@ -250,6 +251,16 @@ class TestDerhamGeneratesCanonicalBrackets:
 
 
 class TestErrorPaths:
+    def test_engine_flavor_mismatch(self, so3_pair):
+        # the engine takes its flavour from the structure and refuses one it
+        # has no bracket for
+        _, s, p = so3_pair
+        assert PhaseEngine(s).flavor == "schouten"
+        assert PhaseEngine(p).flavor == "poisson"
+        for h in (s, p):
+            with pytest.raises(GradedAlgebraError, match="unknown flavor"):
+                PhaseEngine(replace(h, flavor="hamilton"))
+
     def test_argument_with_momenta_rejected(self, so3_pair):
         _, s, _ = so3_pair
         eng = PhaseEngine(s)
@@ -748,6 +759,25 @@ class TestClosedForms:
             assert higher_bracket(PhaseEngine(s), args) == closed_form("schouten", q, dual_s, args)
             argsp = [random_homogeneous_poly(rng, dual_p, 2, 1) for _ in range(r)]
             assert higher_bracket(PhaseEngine(p), argsp) == closed_form("poisson", q, dual_p, argsp)
+
+    def test_so3_closed_forms(self, so3_pair):
+        # the oracle on so3 gives the Levi-Civita values read off the spec,
+        # (eta_a, eta_b)_S = -eps_abc eta_c and {e_a, e_b}_P = eps_abc e_c,
+        # and the nested derived brackets agree with it
+        q, s, p = so3_pair
+        dual_s = PhaseEngine(s).parent
+        dual_p = PhaseEngine(p).parent
+        for a, b in product(range(3), repeat=2):
+            c = 3 - a - b
+            eps = 0 if a == b else (1 if (b - a) % 3 == 1 else -1)
+            args = [dual_s.gen(f"eta{a + 1}"), dual_s.gen(f"eta{b + 1}")]
+            expected = dual_s.gen(f"eta{c + 1}").scaled(-eps) if eps else dual_s.zero()
+            assert closed_form("schouten", q, dual_s, args) == expected
+            assert higher_bracket(PhaseEngine(s), args) == expected
+            argsp = [dual_p.gen(f"e{a + 1}"), dual_p.gen(f"e{b + 1}")]
+            expected = dual_p.gen(f"e{c + 1}").scaled(eps) if eps else dual_p.zero()
+            assert closed_form("poisson", q, dual_p, argsp) == expected
+            assert higher_bracket(PhaseEngine(p), argsp) == expected
 
 
 class TestTables:
