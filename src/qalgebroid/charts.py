@@ -30,7 +30,6 @@ stable byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .gradedpoly import (
     EVEN,
@@ -41,6 +40,7 @@ from .gradedpoly import (
     Generator,
     UnknownGenerator,
     Weight,
+    coefficient,
 )
 
 BASE_FIBRE = "base-fibre"
@@ -148,11 +148,11 @@ class Chart:
 
     def gen(self, name: str) -> GradedPoly:
         idx = self.index_of(name)
-        return GradedPoly(self, {((idx, 1),): Fraction(1)})
+        return GradedPoly(self, {((idx, 1),): 1})
 
     def monomial(self, exponents: dict[str, int], coeff=1) -> GradedPoly:
         """Build coeff * prod(name**exp) with names in any order."""
-        c = Fraction(coeff)
+        c = coefficient(coeff)
         mono = []
         for name in sorted(exponents, key=self.index_of):
             exp = exponents[name]
@@ -265,13 +265,17 @@ def lift_to_phase(f: GradedPoly, phase: Chart) -> GradedPoly:
 
 
 def restrict_to_zero_section(f: GradedPoly) -> GradedPoly:
-    """Set all conjugate coordinates to zero, landing on the parent chart."""
+    """Set all conjugate coordinates to zero, landing on the parent chart.
+
+    The conjugates are the chart's suffix, so a term survives exactly when
+    its last (largest) index lies below the parent's generator count.
+    """
     phase = f.chart
     if not phase.is_phase:
         raise ChartMismatch(f"{phase.space} is not a phase space")
     parent = phase.parent_chart()
-    kept = f.drop_generators(phase.conjugate_names())
-    return GradedPoly(parent, dict(kept.terms))
+    n = len(parent.generators)
+    return GradedPoly(parent, {m: c for m, c in f.terms.items() if not m or m[-1][0] < n})
 
 
 def all_charts(b: BundlePresentation) -> dict[str, Chart]:

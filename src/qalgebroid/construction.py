@@ -51,6 +51,7 @@ from .gradedpoly import (
     GradedAlgebraError,
     GradedPoly,
     ParityMismatch,
+    checked_images,
     total_weight,
 )
 
@@ -63,12 +64,22 @@ class MorphismR:
     ``codomain``; ``inverse_images`` maps every generator of ``codomain`` back
     to a polynomial on ``domain``, and the two substitutions are mutually
     inverse.  ``pullback`` applies ``images`` to functions on ``domain``.
+
+    Both image maps are checked once, when the record is built (ChartMismatch
+    or ParityMismatch as ``GradedPoly.substitute`` raises them), so pullbacks
+    and conjugations substitute without checking again.
     """
 
     domain: Chart
     codomain: Chart
     images: dict[str, GradedPoly]
     inverse_images: dict[str, GradedPoly]
+
+    def __post_init__(self):
+        object.__setattr__(self, "images",
+                           checked_images(self.domain, self.images, self.codomain))
+        object.__setattr__(self, "inverse_images",
+                           checked_images(self.codomain, self.inverse_images, self.domain))
 
     def pullback(self, f: GradedPoly) -> GradedPoly:
         if f.chart != self.domain:
@@ -100,7 +111,7 @@ def _exchange(domain: Chart, codomain: Chart, rename: dict[str, str], negate) ->
     inverse_images: dict[str, GradedPoly] = {}
     for i, g in enumerate(domain.generators):
         name = rename.get(g.family, g.family) + g.name[len(g.family):]
-        c = Fraction(-1) if negate(g) else Fraction(1)
+        c = -1 if negate(g) else 1
         images[g.name] = GradedPoly(codomain, {((codomain.index_of(name), 1),): c})
         inverse_images[name] = GradedPoly(domain, {((i, 1),): c})
     return MorphismR(domain, codomain, images, inverse_images)

@@ -31,8 +31,6 @@ parity f, or a distinct g, takes the general formula.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .charts import (
     BASE_FIBRE,
     EVEN_COTANGENT,
@@ -49,6 +47,7 @@ from .gradedpoly import (
     GradedAlgebraError,
     GradedPoly,
     ParityMismatch,
+    coefficient,
 )
 
 
@@ -143,7 +142,7 @@ class VectorField:
         return VectorField(self.chart, comps, parity if comps else self.parity)
 
     def scaled(self, value) -> "VectorField":
-        c = Fraction(value)
+        c = coefficient(value)
         return VectorField(
             self.chart,
             {n: comp.scaled(c) for n, comp in self.components.items()},

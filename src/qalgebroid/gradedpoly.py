@@ -9,8 +9,11 @@ Conventions used throughout the package:
   appear in the chart's fixed order, odd generators with exponent one.  All
   reordering signs are produced during normalisation, so equality is a plain
   comparison of term maps.
-* Coefficients are exact rationals (``fractions.Fraction``).  Nothing is ever
-  rounded, which is what makes identity checks meaningful.
+* Coefficients are exact rationals: an ``int`` when the denominator is 1, a
+  ``fractions.Fraction`` otherwise (``coefficient`` normalises a value).  A
+  term map may mix the two; 3 and Fraction(3) compare and hash equal and print
+  alike.  Nothing is ever rounded, which is what makes identity checks
+  meaningful.
 * Derivatives act from the left: d/dz moves z to the front of a monomial,
   picking up one minus sign per odd generator jumped over, then strikes it.
 * The zero polynomial reports parity 0 and weight (0, 0) by convention.
@@ -19,8 +22,17 @@ Values are immutable after construction; every operation returns a new
 polynomial, so instances can be shared freely.
 
 The rule "add a coefficient, delete the monomial when it cancels" lives in
-``_add_term`` alone.  Every sum goes through ``GradedPoly.sum``, which fills
-one term map for all summands instead of copying a growing one per summand.
+``_collect``, and ``_product`` repeats its lines inline in the pair loop, the
+hottest loop of the package, where a call per pair would cost more than the
+work.  Every sum goes through ``GradedPoly.sum``, which fills one term map for
+all summands instead of copying a growing one per summand.
+
+Products work on bitmasks (the bitmap representation of Grassmann monomials,
+Dorst, Fontijne and Mann, *Geometric Algebra for Computer Science*, ch. 19):
+each monomial's odd and even generators become two integers, so a pair of
+terms with a common odd generator is dropped with one AND, the reordering
+sign is an ``int.bit_count`` parity, and only pairs sharing an even
+generator need an exponent-adding merge.
 """
 
 from __future__ import annotations
@@ -54,6 +66,7 @@ ZERO_WEIGHT: Weight = (0, 0)
 # A monomial is a tuple of (generator index, exponent) pairs, sorted by index.
 Monomial = tuple[tuple[int, int], ...]
 ONE_MONOMIAL: Monomial = ()
+Coefficient = int | Fraction
 
 
 def total_weight(w: Weight) -> int:
@@ -78,67 +91,151 @@ class Generator:
             raise ParityMismatch(f"parity of {self.name} must be 0 or 1")
 
 
-def _merge_monomials(m1: Monomial, m2: Monomial, odd: tuple[bool, ...]):
-    """Merge two normal-form monomials, returning (sign_exponent, monomial).
+def coefficient(value) -> Coefficient:
+    """The exact coefficient of ``value``: an int when its denominator is 1,
+    a Fraction otherwise."""
+    if type(value) is int:
+        return value
+    c = Fraction(value)
+    return c.numerator if c.denominator == 1 else c
 
-    Returns None when the product vanishes (an odd generator squared).  The
-    sign exponent counts transpositions of odd generators needed to sort the
-    concatenation m1 * m2.
-    """
-    if not m1:
-        return 0, m2
-    if not m2:
-        return 0, m1
-    # number of odd factors of m1 at position >= i
-    odd_suffix = [0] * (len(m1) + 1)
-    for t in range(len(m1) - 1, -1, -1):
-        odd_suffix[t] = odd_suffix[t + 1] + (1 if odd[m1[t][0]] else 0)
-    out: list[tuple[int, int]] = []
-    sign = 0
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        gi, ei = m1[i]
-        gj, ej = m2[j]
-        if gi < gj:
-            out.append((gi, ei))
-            i += 1
-        elif gi == gj:
-            if odd[gi]:
-                return None
-            out.append((gi, ei + ej))
-            i += 1
-            j += 1
+
+def _add_exponents(m1: Monomial, m2: Monomial) -> Monomial:
+    """The sorted merge of two monomials that share even generators."""
+    exps = dict(m1)
+    for g, e in m2:
+        exps[g] = exps.get(g, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _collect(terms: dict[Monomial, Coefficient], pairs) -> dict[Monomial, Coefficient]:
+    """Add each (monomial, nonzero coefficient) pair into ``terms`` in place,
+    deleting a monomial whose coefficient cancels; returns ``terms``."""
+    get = terms.get
+    for m, c in pairs:
+        acc = get(m)
+        if acc is None:
+            terms[m] = c
         else:
-            if odd[gj]:
-                sign += odd_suffix[i]
-            out.append((gj, ej))
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return sign & 1, tuple(out)
+            acc += c
+            if acc:
+                terms[m] = acc
+            else:
+                del terms[m]
+    return terms
 
 
-def _add_term(terms: dict[Monomial, Fraction], m: Monomial, c: Fraction):
-    """Add the nonzero coefficient c to m in place, deleting m if it cancels."""
-    acc = terms.get(m)
-    acc = c if acc is None else acc + c
-    if acc:
-        terms[m] = acc
-    else:
-        del terms[m]
+def _product(t1: dict[Monomial, Coefficient], t2: dict[Monomial, Coefficient],
+             odd: tuple[bool, ...]) -> dict[Monomial, Coefficient]:
+    """The term map of the product of two term maps on one chart.
 
-
-def _product(t1: dict[Monomial, Fraction], t2: dict[Monomial, Fraction],
-             odd: tuple[bool, ...]) -> dict[Monomial, Fraction]:
-    """The term map of the product of two term maps on one chart."""
-    out: dict[Monomial, Fraction] = {}
+    Each monomial's masks are computed once per product: bit g of its odd
+    (even) mask is set when generator g is an odd (even) factor, and bit k of
+    a left monomial's sign mask is set when an odd number of its odd factors
+    have index above k.  A pair whose odd masks meet vanishes, with one AND.
+    Carrying the right factor's odd generators leftwards past the left
+    factor's takes ``(sign & odd mask).bit_count()`` transpositions, which
+    gives the sign.  A pair with disjoint supports merges by sorting the
+    concatenation; only a pair that shares an even generator adds exponents.
+    """
+    right = []
+    for m, c in t2.items():
+        o = e = 0
+        for g, _ in m:
+            if odd[g]:
+                o |= 1 << g
+            else:
+                e |= 1 << g
+        right.append((m, c, o, e))
+    out: dict[Monomial, Coefficient] = {}
+    get = out.get
     for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            merged = _merge_monomials(m1, m2, odd)
-            if merged is not None:
-                s, m = merged
-                _add_term(out, m, -c1 * c2 if s else c1 * c2)
+        o1 = e1 = s1 = 0
+        for g, _ in m1:
+            bit = 1 << g
+            if odd[g]:
+                o1 |= bit
+                s1 ^= bit - 1
+            else:
+                e1 |= bit
+        for m2, c2, o2, e2 in right:
+            if o1 & o2:
+                continue
+            m = _add_exponents(m1, m2) if e1 & e2 else tuple(sorted(m1 + m2))
+            c = -c1 * c2 if (s1 & o2).bit_count() & 1 else c1 * c2
+            acc = get(m)
+            if acc is None:
+                out[m] = c
+            else:
+                acc += c
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
     return out
+
+
+def _derivative_terms(terms: dict[Monomial, Coefficient], idx: int,
+                      odd: tuple[bool, ...]):
+    """The (monomial, coefficient) terms of the left derivative by generator
+    ``idx``: each monomial containing it, with the generator moved to the
+    front (one sign per odd factor jumped over, when it is odd) and struck."""
+    z_odd = odd[idx]
+    for m, c in terms.items():
+        sign = 0
+        for pos, (g, exp) in enumerate(m):
+            if g >= idx:
+                break
+            sign ^= odd[g]
+        else:
+            continue
+        if g != idx:
+            continue
+        if z_odd:
+            yield m[:pos] + m[pos + 1:], (-c if sign else c)
+        elif exp == 1:
+            yield m[:pos] + m[pos + 1:], c
+        else:
+            yield m[:pos] + ((idx, exp - 1),) + m[pos + 1:], c * exp
+
+
+class CheckedImages(dict):
+    """Generator images that ``checked_images`` has checked against a source
+    and a target chart; ``GradedPoly.substitute`` does not check them again."""
+
+    __slots__ = ("source", "target")
+
+
+def _already_checked(images, source, target) -> bool:
+    return (isinstance(images, CheckedImages) and images.source == source
+            and images.target == target)
+
+
+def checked_images(source, images: dict[str, "GradedPoly"], target) -> CheckedImages:
+    """The images as a CheckedImages record, after ``check_images``."""
+    if _already_checked(images, source, target):
+        return images
+    check_images(source, images, target)
+    out = CheckedImages(images)
+    out.source, out.target = source, target
+    return out
+
+
+def check_images(source, images: dict[str, "GradedPoly"], target) -> None:
+    """Raise unless every image names a generator of ``source``, lives on
+    ``target`` and is zero or parity-homogeneous of that generator's parity."""
+    for name, img in images.items():
+        src = source.generators[source.index_of(name)]
+        if img.chart != target:
+            raise ChartMismatch(f"image of {name} is not on the target chart")
+        if img.is_zero():
+            continue
+        p = img.parity()
+        if p is None or p != src.parity:
+            raise ParityMismatch(
+                f"image of {name} must be parity-homogeneous of parity "
+                f"{src.parity}"
+            )
 
 
 def _require_chart(chart, other: "GradedPoly"):
@@ -152,21 +249,22 @@ def _require_chart(chart, other: "GradedPoly"):
 class GradedPoly:
     """A supercommutative polynomial attached to a chart.
 
-    ``terms`` maps normal-form monomials to nonzero Fractions.  Do not mutate;
-    construct through chart helpers or arithmetic.
+    ``terms`` maps normal-form monomials to nonzero coefficients, each an int
+    or a Fraction (see ``coefficient``).  Do not mutate; construct through
+    chart helpers or arithmetic.
     """
 
     __slots__ = ("chart", "terms")
 
-    def __init__(self, chart, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, chart, terms: dict[Monomial, Coefficient] | None = None):
         self.chart = chart
-        self.terms: dict[Monomial, Fraction] = terms or {}
+        self.terms: dict[Monomial, Coefficient] = terms or {}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(chart, value) -> "GradedPoly":
-        c = Fraction(value)
+        c = coefficient(value)
         if c == 0:
             return GradedPoly(chart)
         return GradedPoly(chart, {ONE_MONOMIAL: c})
@@ -176,19 +274,19 @@ class GradedPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _gen(self, idx: int) -> Generator:
-        return self.chart.generators[idx]
-
     def monomial_parity(self, m: Monomial) -> int:
+        # odd factors have exponent one in normal form
+        odd = self.chart.odd_flags
         p = 0
-        for idx, exp in m:
-            p += self._gen(idx).parity * exp
-        return p & 1
+        for idx, _ in m:
+            p ^= odd[idx]
+        return p
 
     def monomial_weight(self, m: Monomial) -> Weight:
+        gens = self.chart.generators
         w1 = w2 = 0
         for idx, exp in m:
-            gw = self._gen(idx).weight
+            gw = gens[idx].weight
             w1 += gw[0] * exp
             w2 += gw[1] * exp
         return (w1, w2)
@@ -213,13 +311,13 @@ class GradedPoly:
 
     def parity_parts(self) -> dict[int, "GradedPoly"]:
         """Split into even and odd parts (only nonzero parts are returned)."""
-        parts: dict[int, dict[Monomial, Fraction]] = {}
+        parts: dict[int, dict[Monomial, Coefficient]] = {}
         for m, c in self.terms.items():
             parts.setdefault(self.monomial_parity(m), {})[m] = c
         return {p: GradedPoly(self.chart, t) for p, t in parts.items()}
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(ONE_MONOMIAL, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get(ONE_MONOMIAL, 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -230,11 +328,10 @@ class GradedPoly:
         Equals the left fold of ``+`` over ``polys`` (zero when empty); a
         summand on another chart raises ChartMismatch, as ``+`` does.
         """
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Coefficient] = {}
         for p in polys:
             _require_chart(chart, p)
-            for m, c in p.terms.items():
-                _add_term(terms, m, c)
+            _collect(terms, p.terms.items())
         return GradedPoly(chart, terms)
 
     def __add__(self, other):
@@ -261,7 +358,7 @@ class GradedPoly:
         return self.scaled(other)
 
     def scaled(self, value) -> "GradedPoly":
-        c = Fraction(value)
+        c = coefficient(value)
         if c == 0:
             return GradedPoly(self.chart)
         return GradedPoly(self.chart, {m: c * t for m, t in self.terms.items()})
@@ -291,65 +388,34 @@ class GradedPoly:
     def left_derivative(self, name: str) -> "GradedPoly":
         """Left partial derivative with respect to the named generator."""
         idx = self.chart.index_of(name)
-        gen = self.chart.generators[idx]
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            pos = None
-            for k, (g, _) in enumerate(m):
-                if g == idx:
-                    pos = k
-                    break
-            if pos is None:
-                continue
-            exp = m[pos][1]
-            if gen.parity == ODD:
-                preceding_odd = sum(
-                    1 for g, _ in m[:pos] if self.chart.generators[g].parity == ODD
-                )
-                coeff = -c if preceding_odd & 1 else c
-                new_m = m[:pos] + m[pos + 1:]
-            else:
-                coeff = c * exp
-                if exp == 1:
-                    new_m = m[:pos] + m[pos + 1:]
-                else:
-                    new_m = m[:pos] + ((idx, exp - 1),) + m[pos + 1:]
-            _add_term(out, new_m, coeff)
-        return GradedPoly(self.chart, out)
+        odd = self.chart.odd_flags
+        return GradedPoly(self.chart, _collect({}, _derivative_terms(self.terms, idx, odd)))
 
     def substitute(self, images: dict[str, "GradedPoly"], target_chart) -> "GradedPoly":
         """Apply the algebra homomorphism sending each generator to its image.
 
         Every generator occurring in the polynomial must be mapped; images
         must be parity-homogeneous of the source generator's parity (the zero
-        polynomial is accepted for any generator).
+        polynomial is accepted for any generator).  Images checked once by
+        ``checked_images`` for this chart and ``target_chart`` are not
+        checked again.
         """
-        for name, img in images.items():
-            src = self.chart.generators[self.chart.index_of(name)]
-            if img.chart != target_chart:
-                raise ChartMismatch(f"image of {name} is not on the target chart")
-            if img.is_zero():
-                continue
-            p = img.parity()
-            if p is None or p != src.parity:
-                raise ParityMismatch(
-                    f"image of {name} must be parity-homogeneous of parity "
-                    f"{src.parity}"
-                )
+        if not _already_checked(images, self.chart, target_chart):
+            check_images(self.chart, images, target_chart)
+        gens = self.chart.generators
         odd = target_chart.odd_flags
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
         for m, c in self.terms.items():
             acc = {ONE_MONOMIAL: c}
             for idx, exp in m:
-                name = self.chart.generators[idx].name
+                name = gens[idx].name
                 if name not in images:
                     raise UnknownGenerator(f"no image provided for {name}")
                 for _ in range(exp):
                     acc = _product(acc, images[name].terms, odd)
                 if not acc:
                     break
-            for term, coeff in acc.items():
-                _add_term(out, term, coeff)
+            _collect(out, acc.items())
         return GradedPoly(target_chart, out)
 
     def drop_generators(self, names) -> "GradedPoly":

@@ -295,7 +295,7 @@ class FieldEngine(DerivedBracketEngine):
             total = total + v
         return total
 
-    def coefficients(self, x: VectorField) -> list[Fraction]:
+    def coefficients(self, x: VectorField) -> list[int | Fraction]:
         """Constant-field coefficients in the basis-field order."""
         out = []
         for g in self.chart.generators:

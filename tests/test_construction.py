@@ -331,6 +331,17 @@ class TestMorphismR:
                 q = random_field(rng, m.domain, parity=rng.randint(0, 1), max_degree=2)
                 assert m.inverse().conjugate(m.conjugate(q)) == q, m.domain.space
 
+    def test_bad_image_raises_at_construction(self):
+        chart = chart_pi_e(BundlePresentation((0,), (0,)))
+        other = chart_pi_e(BundlePresentation((0,), (1,)))
+        fixed = {g.name: chart.gen(g.name) for g in chart.generators}
+        with pytest.raises(ParityMismatch):
+            MorphismR(chart, chart, {**fixed, "xi1": chart.gen("x1")}, fixed)
+        with pytest.raises(ParityMismatch):
+            MorphismR(chart, chart, fixed, {**fixed, "x1": chart.gen("x1") + chart.gen("xi1")})
+        with pytest.raises(ChartMismatch):
+            MorphismR(chart, chart, {**fixed, "x1": other.gen("x1")}, fixed)
+
     def test_conjugate_needs_the_fields_own_chart(self):
         q = assemble_field(so3())
         with pytest.raises(ChartMismatch):

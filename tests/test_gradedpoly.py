@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from qalgebroid.charts import (
     BundlePresentation,
+    all_charts,
     chart_even_cotangent,
     chart_pi_e,
     chart_pi_e_star,
+    restrict_to_zero_section,
 )
 from qalgebroid.gradedpoly import (
     ChartMismatch,
@@ -68,6 +70,93 @@ def reference_substitute(f, images, target):
             acc = acc * images[f.chart.generators[idx].name] ** exp
         out = out + acc
     return out
+
+
+# whole values held both ways, so term maps mix int and Fraction(k)
+MIXED_COEFFS = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.integers(-3, 3).filter(bool).map(Fraction),
+    COEFFS.filter(bool),
+)
+
+
+@st.composite
+def any_chart(draw):
+    """One of the seven charts of a random presentation."""
+    b = BundlePresentation(
+        tuple(draw(st.lists(st.integers(0, 1), max_size=2))),
+        tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))),
+    )
+    return draw(st.sampled_from(list(all_charts(b).values())))
+
+
+def odd_heavy_polys(chart, max_terms=4, max_factors=4):
+    """Term maps built directly: monomials drawn two parts odd to one part
+    any generator, coefficients from MIXED_COEFFS."""
+    n = len(chart.generators)
+    odd = [i for i, g in enumerate(chart.generators) if g.parity]
+    index = st.one_of(st.sampled_from(odd), st.sampled_from(odd),
+                      st.integers(0, n - 1)) if odd else st.integers(0, n - 1)
+
+    def monomial(picks):
+        exps = {}
+        for idx, k in picks:
+            exps[idx] = 1 if chart.generators[idx].parity else exps.get(idx, 0) + k
+        return tuple(sorted(exps.items()))
+
+    monomials = st.lists(st.tuples(index, st.integers(1, 2)), max_size=max_factors).map(monomial)
+    return st.dictionaries(monomials, MIXED_COEFFS, max_size=max_terms).map(
+        lambda terms: GradedPoly(chart, terms))
+
+
+def reference_product(f, g):
+    """The term map of f * g with no GradedPoly arithmetic: per pair of terms,
+    concatenate the monomials, bubble-sort the factors by index with a sign
+    flip for each swap of two odd factors, then give zero on a repeated odd
+    generator and add the exponents of a repeated even one."""
+    odd = [gen.parity == 1 for gen in f.chart.generators]
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            factors, sign = list(m1 + m2), 1
+            for end in range(len(factors) - 1, 0, -1):
+                for k in range(end):
+                    a, b = factors[k], factors[k + 1]
+                    if a[0] > b[0]:
+                        factors[k], factors[k + 1] = b, a
+                        if odd[a[0]] and odd[b[0]]:
+                            sign = -sign
+            merged = []
+            for idx, exp in factors:
+                if merged and merged[-1][0] == idx:
+                    if odd[idx]:
+                        break
+                    merged[-1] = (idx, merged[-1][1] + exp)
+                else:
+                    merged.append((idx, exp))
+            else:
+                m = tuple(merged)
+                out[m] = out.get(m, 0) + sign * c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def reference_left_derivative(f, idx):
+    """The term map of d/dz f for z = generator idx: move z to the front of
+    each monomial holding it, one sign per odd factor jumped when z is odd,
+    then strike one power of it."""
+    odd = [gen.parity == 1 for gen in f.chart.generators]
+    out = {}
+    for m, c in f.terms.items():
+        held = [k for k, (g, _) in enumerate(m) if g == idx]
+        if not held:
+            continue
+        k = held[0]
+        exp = m[k][1]
+        jumped = sum(1 for g, _ in m[:k] if odd[g])
+        sign = -1 if odd[idx] and jumped % 2 else 1
+        rest = m[:k] + (((idx, exp - 1),) if exp > 1 else ()) + m[k + 1:]
+        out[rest] = out.get(rest, 0) + sign * exp * c
+    return {m: c for m, c in out.items() if c != 0}
 
 
 @pytest.fixture
@@ -284,6 +373,97 @@ class TestSubstituteProperties:
         images = data.draw(images_for(PIE, target))
         f = data.draw(polys(PIE, min_terms=1))
         assert f.substitute(images, target) == reference_substitute(f, images, target)
+
+
+class TestKernelOracle:
+    """The bitmask product, the derivative scan and the suffix restriction
+    against plain references kept in this file."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_product_matches_reference(self, data):
+        chart = data.draw(any_chart())
+        f = data.draw(odd_heavy_polys(chart))
+        g = data.draw(odd_heavy_polys(chart))
+        assert (f * g).terms == reference_product(f, g)
+
+    @PROPERTY
+    @given(st.data())
+    def test_left_derivative_matches_reference(self, data):
+        chart = data.draw(any_chart())
+        f = data.draw(odd_heavy_polys(chart, max_terms=6))
+        idx = data.draw(st.integers(0, len(chart.generators) - 1))
+        d = f.left_derivative(chart.generators[idx].name)
+        assert d.terms == reference_left_derivative(f, idx)
+
+    @PROPERTY
+    @given(st.data())
+    def test_restriction_drops_the_conjugates(self, data):
+        chart = data.draw(any_chart().filter(lambda c: c.is_phase))
+        f = data.draw(odd_heavy_polys(chart, max_terms=6))
+        restricted = restrict_to_zero_section(f)
+        assert restricted.chart == chart.parent
+        assert restricted.terms == f.drop_generators(chart.conjugate_names()).terms
+
+    def test_generator_indices_past_64(self):
+        # 40 fibre slots: the conjugates of T*(PiE) sit at indices 40..79
+        phase = chart_even_cotangent(chart_pi_e(BundlePresentation((), (0, 1) * 20)))
+        u, w, v = phase.generators[70], phase.generators[66], phase.generators[4]
+        assert u.parity == v.parity == w.parity == 1
+        # u w v -> v w u reverses three odd factors: three transpositions
+        f = phase.gen(u.name) * phase.gen(w.name) * phase.gen(v.name)
+        assert f.terms == {((4, 1), (66, 1), (70, 1)): -1}
+        assert (f * phase.gen(w.name)).is_zero()
+        even = phase.generators[65]
+        assert even.parity == 0
+        name = [gen.name for gen in phase.generators]
+        f2 = f + phase.monomial({name[65]: 1, name[72]: 1}, -2)
+        g = (phase.monomial({name[65]: 2, name[68]: 1}, Fraction(1, 2))
+             + phase.monomial({name[65]: 1, name[2]: 1}, 3) + phase.gen(name[64]))
+        product = f2 * g
+        assert len(product.terms) == 6
+        assert product.terms == reference_product(f2, g)
+        assert (g * f2).terms == reference_product(g, f2)
+        assert f.left_derivative(w.name).terms == reference_left_derivative(f, 66)
+        assert restrict_to_zero_section(f).is_zero()
+
+
+class TestCoefficients:
+    """Coefficients are nonzero ints or Fractions, never floats or bools."""
+
+    @staticmethod
+    def stored(*polys):
+        return [c for p in polys for c in p.terms.values()]
+
+    @PROPERTY
+    @given(st.data())
+    def test_every_operation_stores_int_or_fraction(self, data):
+        chart = data.draw(any_chart())
+        f = data.draw(odd_heavy_polys(chart))
+        g = data.draw(odd_heavy_polys(chart))
+        name = data.draw(st.sampled_from([gen.name for gen in chart.generators]))
+        images = {gen.name: chart.gen(gen.name).scaled(data.draw(MIXED_COEFFS))
+                  for gen in chart.generators}
+        results = (f * g, f + g, GradedPoly.sum(chart, [f, g, -f]), f - f,
+                   f.left_derivative(name), f.substitute(images, chart),
+                   f.scaled(Fraction(1, 2)), f.scaled(True), chart.const(2.0))
+        for c in self.stored(*results):
+            assert type(c) in (int, Fraction) and c != 0, repr(c)
+
+    def test_constructors_store_ints(self, pie):
+        polys = (pie.gen("xi1"), pie.one(), pie.const(Fraction(4, 2)),
+                 pie.monomial({"x1": 2}, Fraction(-6, 3)), pie.gen("x1").scaled(Fraction(2)))
+        assert [type(c) for c in self.stored(*polys)] == [int] * 5
+
+    def test_int_and_fraction_terms_agree(self, pie):
+        m = ((0, 1), (2, 1))
+        a, b = GradedPoly(pie, {m: 3}), GradedPoly(pie, {m: Fraction(3)})
+        assert a == b and hash(a) == hash(b)
+        assert a.render() == b.render() == repr(a)[len("<GradedPoly "):].split(" on ")[0]
+
+    def test_constant_term_without_constant_is_int_zero(self, pie):
+        c = pie.gen("x1").constant_term()
+        assert c == 0 and type(c) is int
 
 
 class TestEquality:
