@@ -212,16 +212,16 @@ def _already_checked(images, source, target) -> bool:
 
 
 def checked_images(source, images: dict[str, "GradedPoly"], target) -> CheckedImages:
-    """The images as a CheckedImages record, after ``check_images``."""
+    """The images as a CheckedImages record, after ``_check_images``."""
     if _already_checked(images, source, target):
         return images
-    check_images(source, images, target)
+    _check_images(source, images, target)
     out = CheckedImages(images)
     out.source, out.target = source, target
     return out
 
 
-def check_images(source, images: dict[str, "GradedPoly"], target) -> None:
+def _check_images(source, images: dict[str, "GradedPoly"], target) -> None:
     """Raise unless every image names a generator of ``source``, lives on
     ``target`` and is zero or parity-homogeneous of that generator's parity."""
     for name, img in images.items():
@@ -401,7 +401,7 @@ class GradedPoly:
         checked again.
         """
         if not _already_checked(images, self.chart, target_chart):
-            check_images(self.chart, images, target_chart)
+            _check_images(self.chart, images, target_chart)
         gens = self.chart.generators
         odd = target_chart.odd_flags
         out: dict[Monomial, Coefficient] = {}

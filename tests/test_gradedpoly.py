@@ -414,8 +414,7 @@ class TestKernelOracle:
         f = phase.gen(u.name) * phase.gen(w.name) * phase.gen(v.name)
         assert f.terms == {((4, 1), (66, 1), (70, 1)): -1}
         assert (f * phase.gen(w.name)).is_zero()
-        even = phase.generators[65]
-        assert even.parity == 0
+        assert phase.generators[65].parity == 0
         name = [gen.name for gen in phase.generators]
         f2 = f + phase.monomial({name[65]: 1, name[72]: 1}, -2)
         g = (phase.monomial({name[65]: 2, name[68]: 1}, Fraction(1, 2))
@@ -459,7 +458,8 @@ class TestCoefficients:
         m = ((0, 1), (2, 1))
         a, b = GradedPoly(pie, {m: 3}), GradedPoly(pie, {m: Fraction(3)})
         assert a == b and hash(a) == hash(b)
-        assert a.render() == b.render() == repr(a)[len("<GradedPoly "):].split(" on ")[0]
+        assert a.render() == b.render() == "3*xi1*x1"
+        assert repr(a) == repr(b)
 
     def test_constant_term_without_constant_is_int_zero(self, pie):
         c = pie.gen("x1").constant_term()
