@@ -161,6 +161,16 @@ class TestCommands:
         result = runner.invoke(main, ["naturality", "so3", "--matrix", str(matrix)])
         assert result.exit_code == 0
 
+    def test_naturality_ignores_seed(self, runner, tmp_path):
+        # --seed is still accepted, hidden, and changes nothing
+        matrix = tmp_path / "t.json"
+        matrix.write_text(json.dumps([[0, 1, 0], [1, 0, 0], [0, 0, "1/2"]]))
+        args = ["naturality", "so3", "--matrix", str(matrix), "--json"]
+        outputs = {runner.invoke(main, args + extra).stdout
+                   for extra in ([], ["--seed", "0"], ["--seed", "7"])}
+        assert len(outputs) == 1 and json.loads(outputs.pop())["status"] == "pass"
+        assert "--seed" not in runner.invoke(main, ["naturality", "--help"]).output
+
     def test_naturality_inverts_the_matrix_once(self, runner, tmp_path, monkeypatch):
         inverted = []
         invert = construction.invert_matrix

@@ -16,8 +16,11 @@ from qalgebroid.builtins import (
 from qalgebroid.charts import (
     BundlePresentation,
     all_charts,
+    chart_e_star,
     chart_even_cotangent,
+    chart_odd_cotangent,
     chart_pi_e,
+    chart_pi_e_star,
 )
 from qalgebroid.construction import (
     FibreChange,
@@ -44,6 +47,31 @@ from qalgebroid.specdoc import assemble_field
 from closed_forms import structure_constant
 
 MIXED = BundlePresentation((0, 1), (0, 1))
+
+
+def _drawn_presentations(rng: Random, count: int) -> list[BundlePresentation]:
+    """Random presentations with one or two base coordinates."""
+    return [BundlePresentation(tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 2))),
+                               random_presentation(rng).fibre_parities)
+            for _ in range(count)]
+
+
+def _sampled_bracket_verdict(m: MorphismR, bracket, rng: Random, pairs: int = 25) -> bool:
+    """Oracle for ``bracket_witness``: the bracket identity on ``pairs``
+    random pairs of cubics, the route naturality used to sample."""
+    for _ in range(pairs):
+        f = random_poly(rng, m.domain, max_degree=3, n_terms=3)
+        g = random_poly(rng, m.domain, max_degree=3, n_terms=3)
+        if bracket(m.pullback(f), m.pullback(g), m.codomain) != m.pullback(bracket(f, g, m.domain)):
+            return False
+    return True
+
+
+def _scaled(chart, name: str, factor) -> MorphismR:
+    """The algebra automorphism of ``chart`` that scales one generator."""
+    fixed = {g.name: chart.gen(g.name) for g in chart.generators}
+    return MorphismR(chart, chart, {**fixed, name: fixed[name].scaled(factor)},
+                     {**fixed, name: fixed[name].scaled(Fraction(1, factor))})
 
 
 class TestExchangeMorphisms:
@@ -77,7 +105,11 @@ class TestExchangeMorphisms:
 
     def test_even_exchange_is_symplectomorphism(self):
         rng = Random(23)
+        for b in _drawn_presentations(rng, 20):
+            assert even_dual_exchange(b).bracket_witness(canonical_poisson) is None, b
         ex = even_dual_exchange(MIXED)
+        assert ex.bracket_witness(canonical_poisson) is None
+        # oracle: the same identity on random polynomial pairs
         for _ in range(100):
             f = random_poly(rng, ex.domain, 3, 3)
             g = random_poly(rng, ex.domain, 3, 3)
@@ -87,7 +119,11 @@ class TestExchangeMorphisms:
 
     def test_odd_exchange_is_symplectomorphism(self):
         rng = Random(29)
+        for b in _drawn_presentations(rng, 20):
+            assert odd_dual_exchange(b).bracket_witness(canonical_schouten) is None, b
         ex = odd_dual_exchange(MIXED)
+        assert ex.bracket_witness(canonical_schouten) is None
+        # oracle: the same identity on random polynomial pairs
         for _ in range(100):
             f = random_poly(rng, ex.domain, 3, 3)
             g = random_poly(rng, ex.domain, 3, 3)
@@ -229,7 +265,7 @@ class TestNaturality:
     def test_identity(self):
         spec = so3()
         change = FibreChange(spec.presentation, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        rep = chart_change_naturality(assemble_field(spec), change, rng=Random(0))
+        rep = chart_change_naturality(assemble_field(spec), change)
         assert rep.ok
 
     def test_diagonal_rank_one(self):
@@ -237,7 +273,7 @@ class TestNaturality:
         b = BundlePresentation((0,), (0,))
         c = chart_pi_e(b)
         q = VectorField(c, {"x1": c.gen("xi1")})
-        rep = chart_change_naturality(q, FibreChange(b, [[Fraction(2)]]), rng=Random(1))
+        rep = chart_change_naturality(q, FibreChange(b, [[Fraction(2)]]))
         assert rep.ok
 
     def test_diagonal_and_permutation_so3(self):
@@ -247,7 +283,7 @@ class TestNaturality:
             [[2, 0, 0], [0, 3, 0], [0, 0, Fraction(1, 2)]],
             [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
         ):
-            rep = chart_change_naturality(q, FibreChange(spec.presentation, t), rng=Random(2))
+            rep = chart_change_naturality(q, FibreChange(spec.presentation, t))
             assert rep.ok
 
     def test_general_invertible_on_mixed_fibre(self):
@@ -259,7 +295,7 @@ class TestNaturality:
             [1, 0, 3],
         ]
         change = FibreChange(spec.presentation, t)
-        rep = chart_change_naturality(assemble_field(spec), change, rng=Random(3))
+        rep = chart_change_naturality(assemble_field(spec), change)
         assert rep.ok
 
     def test_rejects_parity_mixing(self):
@@ -271,6 +307,57 @@ class TestNaturality:
         b = so3().presentation
         with pytest.raises(GradedAlgebraError):
             FibreChange(b, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+
+    def test_generator_pairs_agree_with_sampled_pairs(self):
+        # random invertible block-diagonal T over presentations with base
+        # coordinates: both lifts pass the exhaustive check and the oracle
+        rng = Random(61)
+        for b in _drawn_presentations(rng, 12):
+            change = _random_change(rng, b)
+            for chart, bracket in ((chart_even_cotangent(chart_pi_e_star(b)), canonical_poisson),
+                                   (chart_odd_cotangent(chart_e_star(b)), canonical_schouten)):
+                lift = change.on(chart)
+                witness = lift.bracket_witness(bracket)
+                assert (witness is None) == _sampled_bracket_verdict(lift, bracket, rng), (b, witness)
+                assert witness is None
+
+    def test_sampled_failures_are_generator_pair_failures(self):
+        # shears are algebra automorphisms that mostly break the bracket; the
+        # sample can miss a failure, never find one the generator pairs miss
+        rng = Random(67)
+        found = sampled = 0
+        for b in _drawn_presentations(rng, 12):
+            for chart, bracket in ((chart_even_cotangent(chart_pi_e_star(b)), canonical_poisson),
+                                   (chart_odd_cotangent(chart_e_star(b)), canonical_schouten)):
+                shear = _shear(rng, chart, max_degree=2)
+                witness = shear.bracket_witness(bracket)
+                sampled_ok = _sampled_bracket_verdict(shear, bracket, rng)
+                assert witness is not None or sampled_ok
+                found += witness is not None
+                sampled += not sampled_ok
+        assert found > 12 and sampled > 12
+
+    def test_non_symplectic_automorphism_names_a_generator_pair(self):
+        # xi1 -> 2 xi1 with pi1 fixed is an invertible algebra map that
+        # doubles {pi1, xi1}
+        chart = chart_even_cotangent(chart_pi_e(MIXED))
+        m = _scaled(chart, "xi1", 2)
+        assert m.bracket_witness(canonical_poisson) == ("xi1", "pi1")
+        assert not _sampled_bracket_verdict(m, canonical_poisson, Random(71))
+
+    def test_naturality_reports_a_non_symplectic_lift(self, monkeypatch):
+        # a lift of the even phase chart that scales eta1: the even check
+        # fails with a generator pair, the odd one still passes
+        on = FibreChange.on
+        monkeypatch.setattr(FibreChange, "on", lambda self, chart: (
+            _scaled(chart, "eta1", 2) if chart.space == "T*(PiE*)" else on(self, chart)))
+        spec = so3()
+        change = FibreChange(spec.presentation, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        checks = {name: (ok, detail) for name, ok, detail in
+                  chart_change_naturality(assemble_field(spec), change).checks}
+        ok, detail = checks["even lift symplectomorphism"]
+        assert not ok and detail.startswith("failed on generator pair ")
+        assert checks["odd lift symplectomorphism"] == (True, "")
 
     def test_rejects_a_change_of_another_bundle(self):
         q = assemble_field(so3())
@@ -306,9 +393,14 @@ class TestMorphismR:
         return records
 
     def test_inverse_images_undo_images(self):
+        # substituting each map into the other gives every generator back;
+        # checking generators is complete, since both maps are algebra maps
         rng = Random(47)
-        for _ in range(40):
-            for m in self.records(rng, random_presentation(rng)):
+        fixed = [MIXED, *(fac().presentation for fac in (so3, lie_3_algebroid_demo, derham))]
+        for b in fixed + [random_presentation(rng) for _ in range(40)]:
+            records = self.records(rng, b)
+            assert {m.domain.space for m in records} >= set(all_charts(b))
+            for m in records:
                 for side in (m, m.inverse()):
                     assert set(side.images) == {g.name for g in side.domain.generators}
                     for name, image in side.images.items():
