@@ -47,15 +47,13 @@ BASE_FIBRE = "base-fibre"
 EVEN_COTANGENT = "even-cotangent"
 ODD_COTANGENT = "odd-cotangent"
 
-# conjugate family names per (cotangent kind, parent family)
+# conjugate family per (cotangent kind, parent family): the table's four phase charts
 _CONJUGATE_FAMILY = {
     (EVEN_COTANGENT, "x"): "p",
     (EVEN_COTANGENT, "xi"): "pi",
     (EVEN_COTANGENT, "eta"): "pi",
-    (EVEN_COTANGENT, "e"): "pi",
     (ODD_COTANGENT, "x"): "xstar",
     (ODD_COTANGENT, "xi"): "xistar",
-    (ODD_COTANGENT, "eta"): "etastar",
     (ODD_COTANGENT, "e"): "estar",
 }
 
@@ -186,38 +184,29 @@ class BundlePresentation:
         return len(self.fibre_parities)
 
 
-def _base_generators(b: BundlePresentation) -> list[Generator]:
-    return [
-        Generator(f"x{i + 1}", p, (0, 0), "x")
-        for i, p in enumerate(b.base_parities)
-    ]
+def _base_fibre(b: BundlePresentation, space: str, family: str, shift: int,
+                weight: Weight) -> Chart:
+    """The base coordinates x^A, then one ``family`` coordinate per fibre
+    direction a, of parity a + ``shift`` and bi-weight ``weight``."""
+    gens = [Generator(f"x{i + 1}", p, (0, 0), "x") for i, p in enumerate(b.base_parities)]
+    gens += [Generator(f"{family}{i + 1}", (p + shift) & 1, weight, family)
+             for i, p in enumerate(b.fibre_parities)]
+    return Chart(tuple(gens), BASE_FIBRE, space, b.base_dim)
 
 
 def chart_pi_e(b: BundlePresentation) -> Chart:
     """The anti-bundle chart {x^A, xi^a}: fibre parity flipped, w(xi) = (-1,1)."""
-    gens = _base_generators(b) + [
-        Generator(f"xi{i + 1}", (p + 1) & 1, (-1, 1), "xi")
-        for i, p in enumerate(b.fibre_parities)
-    ]
-    return Chart(tuple(gens), BASE_FIBRE, "PiE", b.base_dim)
+    return _base_fibre(b, "PiE", "xi", 1, (-1, 1))
 
 
 def chart_pi_e_star(b: BundlePresentation) -> Chart:
     """The dual anti-bundle chart {x^A, eta_a}: parity a+1, w(eta) = (1,0)."""
-    gens = _base_generators(b) + [
-        Generator(f"eta{i + 1}", (p + 1) & 1, (1, 0), "eta")
-        for i, p in enumerate(b.fibre_parities)
-    ]
-    return Chart(tuple(gens), BASE_FIBRE, "PiE*", b.base_dim)
+    return _base_fibre(b, "PiE*", "eta", 1, (1, 0))
 
 
 def chart_e_star(b: BundlePresentation) -> Chart:
     """The dual bundle chart {x^A, e_a}: parity a, w(e) = (1,0)."""
-    gens = _base_generators(b) + [
-        Generator(f"e{i + 1}", p, (1, 0), "e")
-        for i, p in enumerate(b.fibre_parities)
-    ]
-    return Chart(tuple(gens), BASE_FIBRE, "E*", b.base_dim)
+    return _base_fibre(b, "E*", "e", 0, (1, 0))
 
 
 def _conjugate(gen: Generator, kind: str) -> Generator:

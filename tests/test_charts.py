@@ -14,7 +14,7 @@ from qalgebroid.charts import (
     lift_to_phase,
     restrict_to_zero_section,
 )
-from qalgebroid.gradedpoly import ChartMismatch, Generator
+from qalgebroid.gradedpoly import ChartMismatch, GradedAlgebraError, Generator
 from qalgebroid.randgen import random_poly
 from random import Random
 
@@ -96,6 +96,14 @@ class TestPhaseCharts:
     def test_empty_phase(self):
         phase = chart_even_cotangent(chart_pi_e(BundlePresentation((), ())))
         assert phase.generators == ()
+
+    def test_no_phase_chart_outside_the_table(self):
+        # T*(E*) and PiT*(PiE*) are not among the seven charts: their fibre
+        # coordinates have no conjugate rule
+        with pytest.raises(GradedAlgebraError, match="no conjugate rule"):
+            chart_even_cotangent(chart_e_star(MIXED))
+        with pytest.raises(GradedAlgebraError, match="no conjugate rule"):
+            chart_odd_cotangent(chart_pi_e_star(MIXED))
 
 
 class TestRestriction:

@@ -411,10 +411,11 @@ class TestInternalErrors:
         import qalgebroid.construction as construction
 
         monkeypatch.setattr(construction, "ambient_bracket", lambda flavor: lambda f, g, phase: f)
-        for command in ("build-schouten", "build-poisson", "statement-check"):
+        for command, square in (("build-schouten", "{S,S}"), ("build-poisson", "[[P,P]]"),
+                                ("statement-check", "{S,S}")):
             result = runner.invoke(main, [command, "so3"])
             self.assert_internal(result)
-            assert "!= 0 for a homological field" in result.stderr
+            assert f"{square} != 0 for a homological field" in result.stderr
 
     def test_exception_outside_the_algebra_errors(self, runner, monkeypatch):
         import qalgebroid.cli as cli

@@ -16,7 +16,7 @@ from qalgebroid.builtins import (
     so3,
     so3_broken,
 )
-from qalgebroid.charts import BundlePresentation, chart_pi_e
+from qalgebroid.charts import BundlePresentation, chart_e_star, chart_pi_e, chart_pi_e_star
 from qalgebroid.construction import (
     build_poisson,
     build_poisson_unchecked,
@@ -24,7 +24,7 @@ from qalgebroid.construction import (
     build_schouten_unchecked,
 )
 from qalgebroid.fields import VectorField, commutator
-from qalgebroid.gradedpoly import ODD, GradedAlgebraError
+from qalgebroid.gradedpoly import ODD, GradedAlgebraError, GradedPoly
 from qalgebroid.homotopy import (
     FieldEngine,
     PhaseEngine,
@@ -38,12 +38,15 @@ from qalgebroid.homotopy import (
     skew_bracket_table,
     symmetric_field_table,
     weight_one_restriction_check,
+    _transport_value,
 )
 from qalgebroid.randgen import (
+    COEFF_POOL,
     random_field,
     random_homogeneous_poly,
     random_homological_field,
     random_poly,
+    random_presentation,
 )
 from qalgebroid.specdoc import assemble_field
 
@@ -953,6 +956,29 @@ class TestStatement:
         q, s, p = mixed_pair
         rep = weight_one_restriction_check(q, s, p, 4)
         assert rep.ok
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_transport_by_position_matches_the_name_rule(self, seed):
+        # the oracle is the rule by name: c xi^(j+1) goes to c eta(j+1) on
+        # PiE* and to c e(j+1) on E*
+        rng = Random(seed)
+        b = random_presentation(rng, max_base=0, max_rank=5)
+        pie = chart_pi_e(b)
+        value = GradedPoly.sum(pie, [pie.gen(g.name).scaled(rng.choice(COEFF_POOL))
+                                     for g in pie.generators if rng.random() < 0.7])
+        for dual, family in ((chart_pi_e_star(b), "eta"), (chart_e_star(b), "e")):
+            by_name = GradedPoly(dual, {
+                ((dual.index_of(f"{family}{m[0][0] + 1}"), 1),): c
+                for m, c in value.terms.items()
+            })
+            assert _transport_value(value, dual) == by_name
+
+    def test_transport_refuses_a_value_that_is_not_fibre_linear(self):
+        b = BundlePresentation((), (0, 1))
+        pie, dual = chart_pi_e(b), chart_e_star(b)
+        for value in (pie.one(), pie.gen("xi1") * pie.gen("xi2"), pie.gen("xi2") ** 2):
+            with pytest.raises(GradedAlgebraError, match="expected a fibre-linear bracket value"):
+                _transport_value(value, dual)
 
 
 class TestExampleFive:
