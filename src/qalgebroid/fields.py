@@ -166,10 +166,14 @@ class VectorField:
 def commutator(x: VectorField, y: VectorField) -> VectorField:
     """Graded commutator [X, Y] = X Y - (-1)^(XY) Y X, in components.
 
-    [X, X] of one object is 0 for even X and 2 X(X^z) for odd X.
+    [X, X] of one object is 0 for even X and 2 X(X^z) for odd X.  When
+    either field is zero the bracket is the zero field of parity X + Y, by
+    bilinearity, with no component visited.
     """
     if x.chart != y.chart:
         raise ChartMismatch("fields live on different charts")
+    if x.is_zero() or y.is_zero():
+        return VectorField(x.chart, {}, (x.parity + y.parity) & 1)
     if x is y:
         comps = {}
         if x.parity == ODD:
@@ -214,11 +218,17 @@ def _require_kind(phase: Chart, kind: str):
 
 def _canonical(f: GradedPoly, g: GradedPoly, phase: Chart | None, kind: str,
                c: int) -> GradedPoly:
-    """The canonical bracket of parity c on a chart of the given kind."""
+    """The canonical bracket of parity c on a chart of the given kind.
+
+    A zero operand gives the zero of ``phase`` by bilinearity, once the
+    chart checks have passed, so a bad chart raises whatever the operands.
+    """
     phase = phase or f.chart
     _require_kind(phase, kind)
     if f.chart != phase or g.chart != phase:
         raise ChartMismatch("arguments must live on the phase chart")
+    if f.is_zero() or g.is_zero():
+        return phase.zero()
     parts = f.parity_parts()
     if g is f and len(parts) == 1:
         return _self_canonical(f, next(iter(parts)), phase, c)

@@ -42,10 +42,16 @@ partial (the argument carries no conjugates) or the polynomial degree of a
 field partial (the argument is constant) by one, so a stored key is at most
 one longer than that degree of the generator.  The bound is on the depth of
 the memo, not on its number of distinct keys.  The unshuffle sum of the
-Jacobiator skips a subset whose inner bracket vanishes and an outer term
-that vanishes, by the same rule.  ``derived(args, generator=g)`` applies no
-zero rule: it is the literal nested definition, the oracle the memo route is
-tested against.
+Jacobiator walks its subsets depth first in index order and extends a
+subset only while its partial is stored and nonzero (``extends``): every
+subset that extends a vanished partial is zero, so it is never asked for.
+It skips a subset whose inner bracket vanishes and an outer term that
+vanishes, by the same rule.  ``derived(args, generator=g)`` applies no zero
+rule: it is the literal nested definition, the oracle the memo route is
+tested against.  Its ambient brackets still return at once on a zero
+operand (``fields.commutator``, the canonical brackets), which is
+bilinearity inside one bracket: the route still makes one bracket per
+argument, even when the squared generator of a homological input is zero.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .charts import (
     BASE_FIBRE,
@@ -154,6 +160,14 @@ class DerivedBracketEngine:
                 cur = known
             v = self._value[key] = self.finish(self.project(cur))
         return v
+
+    def extends(self, key: tuple) -> bool:
+        """Whether, after ``value(key)``, a key extending ``key`` can have a
+        nonzero value: only when the partial at ``key`` is stored and nonzero.
+        A vanished partial is stored as zero, or is absent because the walk
+        stopped at a vanishing prefix; every extension of it is zero."""
+        partial = self._partial.get(key)
+        return partial is not None and not partial.is_zero()
 
 
 class PhaseEngine(DerivedBracketEngine):
@@ -307,20 +321,30 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     Returns the value both routes agree on.  Raises JacobiatorMismatch when
     the unshuffle sum disagrees with the derived bracket of the squared
     generator, which would signal a sign-convention bug.  The unshuffle sum
-    reads and extends the engine's memo: each nonzero inner bracket value is
-    registered as one more argument and fed first to the outer bracket.  A
-    subset whose inner bracket vanishes, and an outer term that vanishes,
-    contribute nothing by linearity and are skipped; the surviving terms are
-    signed and summed once (the engine's zero when none survives).  The
-    squared-generator route computes the nested definition afresh, with no
-    zero rule, and never touches the memo.
+    reads and extends the engine's memo.  Its subsets are walked depth first
+    in index order, from an explicit stack, and a subset is extended only
+    when ``engine.extends`` finds its partial stored and nonzero: the inner
+    bracket of every extension of a vanished partial is zero.  Each nonzero
+    inner bracket value is registered as one more argument and fed first to
+    the outer bracket.  A subset whose inner bracket vanishes, and an outer
+    term that vanishes, contribute nothing by linearity and are skipped; the
+    surviving terms are signed and summed once (the engine's zero when none
+    survives).  The squared-generator route computes the nested definition
+    afresh, with no zero rule, and never touches the memo.
     """
     n = len(args)
     parities = [engine.koszul_parity(a) for a in args]
     pos = engine.positions(args)
-    subsets = [s for k in range(n + 1) for s in combinations(range(n), k)]
-    live = [(s, engine.value(tuple(pos[i] for i in s))) for s in subsets]
-    live = [(s, v) for s, v in live if not v.is_zero()]
+    live, stack = [], [()]
+    while stack:
+        subset = stack.pop()
+        key = tuple(pos[i] for i in subset)
+        v = engine.value(key)
+        if not v.is_zero():
+            live.append((subset, v))
+        if engine.extends(key):
+            start = subset[-1] + 1 if subset else 0
+            stack.extend(subset + (i,) for i in reversed(range(start, n)))
     inners = engine.positions([v for _, v in live])
     terms = []
     for (subset, _), inner in zip(live, inners):

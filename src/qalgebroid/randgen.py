@@ -26,8 +26,14 @@ COEFF_POOL = [
 
 def random_monomial(rng: random.Random, chart: Chart, max_degree: int,
                     parity: int | None = None, attempts: int = 60):
-    """A random normal-form monomial, optionally of prescribed parity."""
+    """A random normal-form monomial, optionally of prescribed parity.
+
+    None when every attempt misses the parity, and at once, with no draw,
+    when an odd monomial is asked for on a chart with no odd generator.
+    """
     gens = chart.generators
+    if parity == ODD and not any(chart.odd_flags):
+        return None
     for _ in range(attempts):
         degree = rng.randint(0, max_degree)
         exponents: dict[str, int] = {}

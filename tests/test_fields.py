@@ -353,8 +353,11 @@ class TestAlgebraLaws:
         pie = chart_pi_e(MIXED)
         x = random_field(rng, pie, data.draw(st.sampled_from([EVEN, ODD])), 3)
         for zero in (VectorField(pie, {}, EVEN), VectorField(pie, {}, ODD)):
-            assert commutator(zero, x).is_zero() and commutator(x, zero).is_zero()
-            assert commutator(zero, zero).is_zero()
+            parity = (zero.parity + x.parity) & 1
+            for out in (commutator(zero, x), commutator(x, zero)):
+                assert out.is_zero() and (out.chart, out.parity) == (pie, parity)
+            for out in (commutator(zero, zero), commutator(zero, copy_of(zero))):
+                assert out.is_zero() and (out.chart, out.parity) == (pie, EVEN)
 
 
 class TestErrorPaths:
@@ -362,6 +365,19 @@ class TestErrorPaths:
         other = chart_pi_e(BundlePresentation((0,), (0,)))
         with pytest.raises(ChartMismatch):
             commutator(VectorField(pie, {}), VectorField(other, {}))
+
+    def test_zero_operands_still_check_charts(self):
+        even = chart_even_cotangent(chart_pi_e(MIXED))
+        odd = chart_odd_cotangent(chart_pi_e(MIXED))
+        other = chart_even_cotangent(chart_pi_e(BundlePresentation((0,), (0,))))
+        for f, g, phase in ((odd.zero(), odd.one(), odd), (odd.one(), odd.zero(), None),
+                            (other.zero(), even.zero(), even), (even.one(), other.zero(), even)):
+            with pytest.raises(ChartMismatch):
+                canonical_poisson(f, g, phase)
+        for f, g, phase in ((even.zero(), even.zero(), even), (even.zero(), even.one(), None),
+                            (odd.zero(), odd.one(), even)):
+            with pytest.raises(ChartMismatch):
+                canonical_schouten(f, g, phase)
 
     def test_apply_chart_mismatch(self, pie):
         other = chart_pi_e(BundlePresentation((0,), (0,)))

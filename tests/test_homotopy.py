@@ -508,20 +508,25 @@ class TestEngineMemo:
 
     def test_so3_arity_six_sweep_bracket_count(self, monkeypatch):
         # the nested definition per subset and tuple took 38136 brackets, a
-        # memo without the zero rule 3525
+        # memo without the zero rule 3525; asking the memo for all 2^6
+        # subsets of every tuple took 6006 values
         import qalgebroid.homotopy as homotopy
         from click.testing import CliRunner
         from qalgebroid.cli import main
 
-        calls = []
+        calls, values = [], []
         for cls in (homotopy.PhaseEngine, homotopy.FieldEngine):
             def counting(self, f, g, _bracket=cls.bracket):
                 calls.append(1)
                 return _bracket(self, f, g)
             monkeypatch.setattr(cls, "bracket", counting)
+        value = homotopy.DerivedBracketEngine.value
+        monkeypatch.setattr(homotopy.DerivedBracketEngine, "value",
+                            lambda self, key: values.append(key) or value(self, key))
         result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", "6", "--json"])
         assert result.exit_code == 0
         assert len(calls) == 615
+        assert len(values) == 3150
 
 
 def memo_depth_bound(eng) -> int:
@@ -574,6 +579,35 @@ class TestZeroRule:
                 flavors.add(eng.flavor)
         assert flavors == {"schouten", "poisson", "field"} and based
         assert stopped and deepest >= 3  # walks did stop early, and partials nest
+
+    def test_extends_reads_the_stored_partial(self, so3_pair):
+        # S = pi1 pi2 eta3 - pi1 pi3 eta2 + pi2 pi3 eta1: [S, eta1] is nonzero
+        # with a zero value, [[S, eta1], eta1] vanishes, and the walk to
+        # (eta1, eta1, eta2) stops there
+        _, s, _ = so3_pair
+        eng = PhaseEngine(s)
+        assert eng.positions(eng.basis) == (0, 1, 2)
+        for key in [(0,), (0, 0), (0, 0, 1)]:
+            assert eng.value(key).is_zero()
+        assert eng.extends(()) and eng.extends((0,))
+        assert eng._partial[(0, 0)].is_zero() and not eng.extends((0, 0))
+        assert (0, 0, 1) not in eng._partial and not eng.extends((0, 0, 1))
+
+    def test_pruned_unshuffle_sum_equals_the_reference(self):
+        # on a homological input both sides are zero whatever is pruned, so
+        # the random odd fields, whose Jacobiators do not vanish, carry the test
+        flavors, nonzero, based = set(), 0, 0
+        for q in self.fields():
+            based += q.chart.n_base > 0
+            for eng, basis in engines_and_bases(q):
+                for r in range(6):
+                    for tup in combinations_with_replacement(range(len(basis)), r):
+                        args = [basis[i] for i in tup]
+                        value = jacobiator(eng, args)
+                        assert value == reference_jacobiator(eng, args), (eng.flavor, tup)
+                        nonzero += not value.is_zero()
+                flavors.add(eng.flavor)
+        assert flavors == {"schouten", "poisson", "field"} and based and nonzero
 
     @pytest.mark.parametrize("arity, brackets", [(6, 504), (8, 1080)])
     def test_squared_route_counts_on_so3(self, monkeypatch, arity, brackets):

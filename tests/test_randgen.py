@@ -2,14 +2,16 @@
 
 from random import Random
 
-from qalgebroid.charts import BundlePresentation, chart_pi_e
+from qalgebroid.charts import BundlePresentation, chart_e_star, chart_pi_e
 from qalgebroid.construction import build_poisson, build_schouten
 from qalgebroid.fields import commutator, is_homological
+from qalgebroid.gradedpoly import ODD
 from qalgebroid.homotopy import PhaseEngine
 from qalgebroid.randgen import (
     random_field,
     random_homogeneous_poly,
     random_homological_field,
+    random_monomial,
     random_poly,
 )
 
@@ -32,6 +34,16 @@ def test_homogeneous_poly_really_is():
     for _ in range(80):
         f = random_homogeneous_poly(rng, c, 4, 3)
         assert f.parity() is not None
+
+
+def test_odd_request_on_an_all_even_chart_draws_nothing():
+    # E* of an even fibre over an even base has no odd generator
+    chart = chart_e_star(BundlePresentation((0,), (0, 0)))
+    rng = Random(43)
+    state = rng.getstate()
+    assert random_monomial(rng, chart, 3, parity=ODD) is None
+    assert rng.getstate() == state
+    assert random_poly(rng, chart, 2, 2, parity=ODD).is_zero()
 
 
 def test_random_field_parity_discipline():
