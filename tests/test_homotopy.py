@@ -582,7 +582,7 @@ class TestZeroRule:
 
     def test_extends_reads_the_stored_partial(self, so3_pair):
         # S = pi1 pi2 eta3 - pi1 pi3 eta2 + pi2 pi3 eta1: [S, eta1] is nonzero
-        # with a zero value, [[S, eta1], eta1] vanishes, and the walk to
+        # but projects to zero, [[S, eta1], eta1] vanishes, and the walk to
         # (eta1, eta1, eta2) stops there
         _, s, _ = so3_pair
         eng = PhaseEngine(s)
