@@ -353,11 +353,26 @@ class TestAlgebraLaws:
         pie = chart_pi_e(MIXED)
         x = random_field(rng, pie, data.draw(st.sampled_from([EVEN, ODD])), 3)
         for zero in (VectorField(pie, {}, EVEN), VectorField(pie, {}, ODD)):
-            parity = (zero.parity + x.parity) & 1
-            for out in (commutator(zero, x), commutator(x, zero)):
-                assert out.is_zero() and (out.chart, out.parity) == (pie, parity)
-            for out in (commutator(zero, zero), commutator(zero, copy_of(zero))):
-                assert out.is_zero() and (out.chart, out.parity) == (pie, EVEN)
+            assert commutator(zero, x).is_zero() and commutator(x, zero).is_zero()
+            assert commutator(zero, zero).is_zero()
+
+    def test_zero_operands_give_the_zero_of_the_chart_and_parity(self, pie, rng):
+        # a zero operand returns at once, with the parity an all-cancelling
+        # result would have: X + Y for the commutator, even for [X, X]
+        for phases, bracket, _ in CANONICAL:
+            for phase in phases:
+                f = random_homogeneous_poly(rng, phase, 3, 3)
+                for a, b in ((phase.zero(), f), (f, phase.zero()), (phase.zero(), phase.zero())):
+                    out = bracket(a, b, phase)
+                    assert out.is_zero() and out.chart == phase
+                    assert bracket(a, b).chart == a.chart  # the chart defaults to f's
+        for x in (random_field(rng, pie, EVEN, 3), random_field(rng, pie, ODD, 3)):
+            for zero in (VectorField(pie, {}, EVEN), VectorField(pie, {}, ODD)):
+                parity = (zero.parity + x.parity) & 1
+                for out in (commutator(zero, x), commutator(x, zero)):
+                    assert out.is_zero() and (out.chart, out.parity) == (pie, parity)
+                for out in (commutator(zero, zero), commutator(zero, copy_of(zero))):
+                    assert out.is_zero() and (out.chart, out.parity) == (pie, EVEN)
 
 
 class TestErrorPaths:
