@@ -17,7 +17,9 @@ Six fixtures exercise the whole construction:
   odd bracket and fed back through the construction.
 
 Structure constants were found by requiring [Q, Q] = 0 exactly; each
-document is re-verified by the test suite.
+document is re-verified by the test suite.  ``BUILTINS`` lists these six;
+``FIXTURES``, which ``builtin_spec`` resolves, adds the negative control
+``so3-broken`` (so3 with one extra constant, so [Q, Q] != 0).
 """
 
 from __future__ import annotations
@@ -195,15 +197,18 @@ BUILTINS = {
 }
 
 
+FIXTURES = {**BUILTINS, "so3-broken": so3_broken}
+
+
 def builtin_names() -> list[str]:
     return list(BUILTINS)
 
 
 def builtin_spec(name: str) -> AlgebroidSpec:
     try:
-        factory = BUILTINS[name]
+        factory = FIXTURES[name]
     except KeyError:
         raise KeyError(
-            f"unknown builtin {name!r}; available: {', '.join(BUILTINS)}"
+            f"unknown builtin {name!r}; available: {', '.join(FIXTURES)}"
         ) from None
     return factory()

@@ -26,7 +26,7 @@ from random import Random
 
 import click
 
-from .builtins import BUILTINS, builtin_spec, so3_broken
+from .builtins import FIXTURES, builtin_spec
 from .charts import all_charts, describe_chart
 from .construction import (
     FLAVOURS,
@@ -111,14 +111,12 @@ def _read_text(path) -> str:
 
 def load_spec(source: str):
     """Resolve a builtin name or a JSON file path into a parsed spec."""
-    if source in BUILTINS:
+    if source in FIXTURES:
         return builtin_spec(source)
-    if source == "so3-broken":
-        return so3_broken()
     path = Path(source)
     if not path.exists():
         raise SpecError(
-            f"{source!r} is neither a builtin ({', '.join(BUILTINS)}) nor a file"
+            f"{source!r} is neither a builtin ({', '.join(FIXTURES)}) nor a file"
         )
     return parse_spec(_read_text(path))
 
@@ -377,7 +375,7 @@ def statement_check(report, spec, max_arity):
 def example(name):
     """Emit a builtin spec document."""
     try:
-        spec = builtin_spec(name) if name != "so3-broken" else so3_broken()
+        spec = builtin_spec(name)
     except KeyError as exc:
         _fail(str(exc.args[0]))
     click.echo(render_spec(spec), file=sys.stdout)

@@ -1,18 +1,21 @@
 """Higher derived brackets, Jacobiators, Leibniz checks and bracket tables.
 
-A derived-bracket engine packages (ambient Lie bracket, generator, projector
-onto an abelian subalgebra).  Three instances are used:
+A derived-bracket engine packages an ambient Lie bracket, a generator D, a
+projector ``project`` onto an abelian subalgebra V and the inclusion
+``prepare`` of V; the brackets on V are project [...[D, a1], ..., an].
+Three instances are used:
 
 * flavor "schouten": functions on T*(PiE*) under the even canonical bracket,
-  generator S, projector = restriction to the zero section.  Brackets are
-  the odd symmetric ones on functions of (x, eta).
+  generator S, V = functions on PiE*, projector = restriction to the zero
+  section, inclusion = lift.  Brackets are the odd symmetric ones on
+  functions of (x, eta).
 * flavor "poisson": functions on PiT*(E*) under the odd canonical bracket,
-  generator P, projector likewise.  Since the ambient bracket is odd, Koszul
-  signs are computed with parities shifted by one (P itself counts as odd),
+  generator P, V = functions on E*, the rest likewise.  The ambient bracket
+  is odd, so Koszul signs use parities shifted by one (P counts as odd),
   which is how the odd-bracket algebra becomes a Lie superalgebra.
 * flavor "field": vector fields on a point-base anti-bundle chart under the
-  supercommutator, generator Q, projector = evaluation of components at the
-  origin, abelian subalgebra = constant fields.
+  supercommutator, generator Q, V = constant fields, projector = evaluation
+  of components at the origin, inclusion = identity.
 
 The phase flavours' Koszul shifts and sign rules come from ``construction.FLAVOURS``.
 
@@ -88,10 +91,11 @@ class JacobiatorMismatch(GradedAlgebraError):
 class DerivedBracketEngine:
     """Nested-bracket evaluation (a1, ..., an) = project [...[D, a1], ..., an].
 
-    An engine supplies ``flavor``, ``bracket``, ``project``, ``parity_of``,
-    ``generator``, ``squared_generator`` (half the self-bracket of the
-    generator) and ``sum`` (of values, the zero value when there are none),
-    and calls ``__init__`` once its generator is available.
+    An engine supplies ``flavor``, ``bracket`` (ambient), ``project`` (onto
+    V), ``parity_of``, ``generator``, ``squared_generator`` (half the
+    self-bracket of the generator) and ``sum`` (of values, the zero value
+    when there are none), overrides ``prepare`` when the inclusion of V is
+    not the identity, and calls ``__init__`` once its generator is available.
     """
 
     koszul_shift = 0
@@ -104,12 +108,8 @@ class DerivedBracketEngine:
         self._value: dict[tuple, object] = {}
 
     def prepare(self, arg):
-        """Lift an argument of the abelian subalgebra into the ambient algebra."""
+        """Include an argument of the abelian subalgebra in the ambient algebra."""
         return arg
-
-    def finish(self, value):
-        """Map a projected ambient value back to the abelian subalgebra."""
-        return value
 
     def koszul_parity(self, arg) -> int:
         return (self.parity_of(arg) + self.koszul_shift) & 1
@@ -121,7 +121,7 @@ class DerivedBracketEngine:
         cur = generator
         for a in args:
             cur = self.bracket(cur, self.prepare(a))
-        return self.finish(self.project(cur))
+        return self.project(cur)
 
     def positions(self, args) -> tuple[int, ...]:
         """Memo positions of ``args``; an argument met for the first time
@@ -158,7 +158,7 @@ class DerivedBracketEngine:
                 if known is None:
                     known = self._partial[prefix] = self.bracket(cur, self._prepared[key[k]])
                 cur = known
-            v = self._value[key] = self.finish(self.project(cur))
+            v = self._value[key] = self.project(cur)
         return v
 
     def extends(self, key: tuple) -> bool:
@@ -193,20 +193,14 @@ class PhaseEngine(DerivedBracketEngine):
     def bracket(self, f, g):
         return self._bracket(f, g, self.chart)
 
-    def project(self, f):
-        return lift_to_phase(restrict_to_zero_section(f), self.chart)
+    def project(self, f: GradedPoly) -> GradedPoly:
+        return restrict_to_zero_section(f)
 
-    def prepare(self, arg: GradedPoly):
-        if arg.chart == self.parent:
-            return lift_to_phase(arg, self.chart)
-        if arg.chart == self.chart:
-            if arg.contains_any(self.chart.conjugate_names()):
-                raise ChartMismatch("argument is not a zero-section function")
-            return arg
-        raise ChartMismatch("argument lives on the wrong chart")
-
-    def finish(self, value: GradedPoly):
-        return restrict_to_zero_section(value)
+    def prepare(self, arg: GradedPoly) -> GradedPoly:
+        if arg.chart != self.parent:
+            raise ChartMismatch(f"arguments live on the parent chart "
+                                f"{self.parent.space}, not on {arg.chart.space}")
+        return lift_to_phase(arg, self.chart)
 
     def parity_of(self, arg: GradedPoly) -> int:
         p = arg.parity()
@@ -322,29 +316,31 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     the unshuffle sum disagrees with the derived bracket of the squared
     generator, which would signal a sign-convention bug.  The unshuffle sum
     reads and extends the engine's memo.  Its subsets are walked depth first
-    in index order, from an explicit stack, and a subset is extended only
-    when ``engine.extends`` finds its partial stored and nonzero: the inner
-    bracket of every extension of a vanished partial is zero.  Each nonzero
-    inner bracket value is registered as one more argument and fed first to
-    the outer bracket.  A subset whose inner bracket vanishes, and an outer
-    term that vanishes, contribute nothing by linearity and are skipped; the
-    surviving terms are signed and summed once (the engine's zero when none
-    survives).  The squared-generator route computes the nested definition
-    afresh, with no zero rule, and never touches the memo.
+    in index order, from an explicit stack that carries each subset with its
+    memo key (a child's key is its parent's key plus one position), and a
+    subset is extended only when ``engine.extends`` finds its partial stored
+    and nonzero: the inner bracket of every extension of a vanished partial
+    is zero.  Each nonzero inner bracket value is registered as one more
+    argument and fed first to the outer bracket.  A subset whose inner
+    bracket vanishes, and an outer term that vanishes, contribute nothing by
+    linearity and are skipped; the surviving terms are signed and summed
+    once (the engine's zero when none survives).  The squared-generator
+    route computes the nested definition afresh, with no zero rule, and
+    never touches the memo.
     """
     n = len(args)
     parities = [engine.koszul_parity(a) for a in args]
     pos = engine.positions(args)
-    live, stack = [], [()]
+    live, stack = [], [((), ())]
     while stack:
-        subset = stack.pop()
-        key = tuple(pos[i] for i in subset)
+        subset, key = stack.pop()
         v = engine.value(key)
         if not v.is_zero():
             live.append((subset, v))
         if engine.extends(key):
             start = subset[-1] + 1 if subset else 0
-            stack.extend(subset + (i,) for i in reversed(range(start, n)))
+            stack.extend((subset + (i,), key + (pos[i],))
+                         for i in reversed(range(start, n)))
     inners = engine.positions([v for _, v in live])
     terms = []
     for (subset, _), inner in zip(live, inners):

@@ -254,10 +254,17 @@ class TestCommands:
     def test_example_unknown(self, runner):
         result = runner.invoke(main, ["example", "nope"])
         assert result.exit_code == 2
+        assert "so3-broken" in result.output
+
+    def test_example_negative_control(self, runner):
+        result = runner.invoke(main, ["example", "so3-broken"])
+        assert result.exit_code == 0
+        assert parse_spec(result.output) == builtin_spec("so3-broken")
 
     def test_unknown_source(self, runner):
         result = runner.invoke(main, ["check-q", "no-such-thing"])
         assert result.exit_code == 2
+        assert "so3-broken" in result.output
 
     def test_file_input(self, runner, tmp_path):
         doc = tmp_path / "spec.json"

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qalgebroid.builtins import builtin_names, builtin_spec, so3_broken
+from qalgebroid.builtins import FIXTURES, builtin_spec
 from qalgebroid.cli import main
 
 GOLDENS = Path(__file__).parent / "data" / "cli_json_goldens.json"
@@ -35,13 +35,12 @@ JACOBIATOR_DEEP = {
 
 
 def _point_base(name: str) -> bool:
-    spec = so3_broken() if name == "so3-broken" else builtin_spec(name)
-    return not spec.base
+    return not builtin_spec(name).base
 
 
 def cases() -> list[list[str]]:
     out = []
-    for name in builtin_names() + ["so3-broken"]:
+    for name in FIXTURES:
         out += [
             ["describe", name, "--json"],
             ["check-q", name, "--json"],

@@ -1,5 +1,6 @@
 """Derived brackets, Jacobiators, Leibniz rules, tables, anchors, statement."""
 
+import re
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, product
 from random import Random
@@ -16,7 +17,13 @@ from qalgebroid.builtins import (
     so3,
     so3_broken,
 )
-from qalgebroid.charts import BundlePresentation, chart_e_star, chart_pi_e, chart_pi_e_star
+from qalgebroid.charts import (
+    BundlePresentation,
+    chart_e_star,
+    chart_pi_e,
+    chart_pi_e_star,
+    lift_to_phase,
+)
 from qalgebroid.construction import (
     build_poisson,
     build_poisson_unchecked,
@@ -24,7 +31,7 @@ from qalgebroid.construction import (
     build_schouten_unchecked,
 )
 from qalgebroid.fields import VectorField, commutator
-from qalgebroid.gradedpoly import ODD, GradedAlgebraError, GradedPoly
+from qalgebroid.gradedpoly import ODD, ChartMismatch, GradedAlgebraError, GradedPoly
 from qalgebroid.homotopy import (
     FieldEngine,
     PhaseEngine,
@@ -63,6 +70,12 @@ def so3_pair():
 def mixed_pair():
     q = assemble_field(mixed_linfinity_algebra())
     return q, build_schouten(q), build_poisson(q)
+
+
+def ambient_projector(eng):
+    """``project`` lands in V and ``prepare`` includes V, so their composite
+    ``prepare(project(.))`` is the projector of the ambient algebra."""
+    return lambda f: eng.prepare(eng.project(f))
 
 
 class TestStructureConstants:
@@ -184,13 +197,12 @@ class TestDerivedBrackets:
         rng = Random(43)
         for q, s, p in (so3_pair, mixed_pair):
             for eng in (PhaseEngine(s), PhaseEngine(p)):
+                proj = ambient_projector(eng)
                 for _ in range(25):
                     a = random_homogeneous_poly(rng, eng.chart, 2, 2)
                     b = random_homogeneous_poly(rng, eng.chart, 2, 2)
-                    lhs = eng.project(eng.bracket(a, b))
-                    rhs = eng.project(eng.bracket(eng.project(a), b)) + eng.project(
-                        eng.bracket(a, eng.project(b))
-                    )
+                    lhs = proj(eng.bracket(a, b))
+                    rhs = proj(eng.bracket(proj(a), b)) + proj(eng.bracket(a, proj(b)))
                     assert lhs == rhs
 
 
@@ -268,8 +280,20 @@ class TestErrorPaths:
         _, s, _ = so3_pair
         eng = PhaseEngine(s)
         bad = eng.chart.gen("pi1")
-        with pytest.raises(GradedAlgebraError):
+        with pytest.raises(ChartMismatch, match="parent chart"):
             eng.derived([bad])
+
+    def test_lifted_argument_rejected(self, so3_pair):
+        # arguments live on the parent chart only, even a momentum-free
+        # function already lifted to the phase chart
+        _, s, p = so3_pair
+        for eng, name in ((PhaseEngine(s), "eta1"), (PhaseEngine(p), "e1")):
+            lifted = lift_to_phase(eng.parent.gen(name), eng.chart)
+            assert not lifted.contains_any(eng.chart.conjugate_names())
+            with pytest.raises(ChartMismatch, match=re.escape(f"parent chart {eng.parent.space},")):
+                eng.derived([lifted])
+            with pytest.raises(ChartMismatch, match="parent chart"):
+                eng.derived([lifted], generator=eng.generator())
 
     def test_field_engine_needs_point_base(self):
         q = assemble_field(lie_algebroid_demo())

@@ -6,8 +6,9 @@ from qalgebroid.charts import BundlePresentation, chart_e_star, chart_pi_e
 from qalgebroid.construction import build_poisson, build_schouten
 from qalgebroid.fields import commutator, is_homological
 from qalgebroid.gradedpoly import ODD
-from qalgebroid.homotopy import PhaseEngine
+from qalgebroid.homotopy import FieldEngine, PhaseEngine
 from qalgebroid.randgen import (
+    COEFF_POOL,
     random_field,
     random_homogeneous_poly,
     random_homological_field,
@@ -75,30 +76,52 @@ def test_homological_fields_vary_in_shape():
     assert len(shapes) >= 4
 
 
+def ambient_projector(eng):
+    """``project`` lands in V and ``prepare`` includes V, so their composite
+    ``prepare(project(.))`` is the projector of the ambient algebra."""
+    return lambda f: eng.prepare(eng.project(f))
+
+
 class TestEngineInvariants:
+    def test_project_inverts_prepare(self):
+        rng = Random(19)
+        for seed in range(6):
+            q = random_homological_field(Random(seed), max_base=1, max_rank=2)
+            for eng in (PhaseEngine(build_schouten(q)), PhaseEngine(build_poisson(q))):
+                for _ in range(10):
+                    a = random_homogeneous_poly(rng, eng.parent, 3, 3)
+                    assert eng.project(eng.prepare(a)) == a
+            point = random_homological_field(Random(seed), max_base=0, max_rank=3)
+            eng = FieldEngine(point)
+            for _ in range(10):
+                p = rng.randint(0, 1)
+                a = eng.sum([b.scaled(rng.choice(COEFF_POOL))
+                             for b in eng.basis if b.parity == p and rng.random() < 0.7])
+                assert eng.project(eng.prepare(a)) == a
+
     def test_projector_idempotent_and_image_abelian(self):
         rng = Random(29)
         q = random_homological_field(Random(31), max_base=1, max_rank=2)
         s = build_schouten(q)
         p = build_poisson(q)
         for eng in (PhaseEngine(s), PhaseEngine(p)):
+            proj = ambient_projector(eng)
             for _ in range(30):
                 f = random_homogeneous_poly(rng, eng.chart, 3, 3)
-                once = eng.project(f)
-                assert eng.project(once) == once
+                once = proj(f)
+                assert proj(once) == once
                 g = random_homogeneous_poly(rng, eng.chart, 3, 3)
-                assert eng.bracket(eng.project(f), eng.project(g)).is_zero()
+                assert eng.bracket(proj(f), proj(g)).is_zero()
 
     def test_distributivity_random_pairs(self):
         rng = Random(37)
         q = random_homological_field(Random(41), max_base=1, max_rank=2)
         s = build_schouten(q)
         eng = PhaseEngine(s)
+        proj = ambient_projector(eng)
         for _ in range(40):
             a = random_homogeneous_poly(rng, eng.chart, 3, 2)
             b = random_homogeneous_poly(rng, eng.chart, 3, 2)
-            lhs = eng.project(eng.bracket(a, b))
-            rhs = eng.project(eng.bracket(eng.project(a), b)) + eng.project(
-                eng.bracket(a, eng.project(b))
-            )
+            lhs = proj(eng.bracket(a, b))
+            rhs = proj(eng.bracket(proj(a), b)) + proj(eng.bracket(a, proj(b)))
             assert lhs == rhs
