@@ -27,6 +27,14 @@ pair in (f, f) are related by d_z f d_{z'} f = (-1)^((p+a)(p+a+c)) d_{z'} f d_z 
 which is 2 for odd S under {,}, -2(-1)^a for even P under [[,]], and 0 (the
 pair is skipped) for an even f under {,} or an odd f under [[,]].  Mixed
 parity f, or a distinct g, takes the general formula.
+
+Every bracket here is a sum of products of a polynomial with a derivative.
+Each one fills a single term map through ``gradedpoly._product_into``,
+passing its exact sign (or the factor 2, or k) as the product's scale; no
+summand is built, scaled or summed as a polynomial of its own.  The
+derivation action and the commutator take one product per component along a
+generator in the support; the commutator visits only the generators where X
+or Y has a component.
 """
 
 from __future__ import annotations
@@ -47,6 +55,9 @@ from .gradedpoly import (
     GradedAlgebraError,
     GradedPoly,
     ParityMismatch,
+    _derivative,
+    _masked,
+    _product_into,
     coefficient,
 )
 
@@ -120,11 +131,7 @@ class VectorField:
         generators that occur in f."""
         if f.chart != self.chart:
             raise ChartMismatch("field and function live on different charts")
-        support, index_of = f.support(), self.chart.index_of
-        return GradedPoly.sum(self.chart, (
-            comp * f.left_derivative(name)
-            for name, comp in self.components.items() if index_of(name) in support
-        ))
+        return GradedPoly(self.chart, _apply_into({}, self, f.terms))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.chart != other.chart:
@@ -163,6 +170,20 @@ class VectorField:
         return f"<VectorField {' + '.join(parts)}>"
 
 
+def _apply_into(out: dict, x: VectorField, terms: dict, scale: int = 1) -> dict:
+    """Add ``scale`` times X(f) into the term map ``out``, f given by its
+    terms: one product per component along a generator that occurs in f."""
+    if not terms:
+        return out
+    support = {g for m in terms for g, _ in m}
+    odd, index_of = x.chart.odd_flags, x.chart.index_of
+    for name, comp in x.components.items():
+        idx = index_of(name)
+        if idx in support:
+            _product_into(out, comp.terms, _masked(_derivative(terms, idx, odd), odd), odd, scale)
+    return out
+
+
 def commutator(x: VectorField, y: VectorField) -> VectorField:
     """Graded commutator [X, Y] = X Y - (-1)^(XY) Y X, in components.
 
@@ -174,22 +195,24 @@ def commutator(x: VectorField, y: VectorField) -> VectorField:
         raise ChartMismatch("fields live on different charts")
     if x.is_zero() or y.is_zero():
         return VectorField(x.chart, {}, (x.parity + y.parity) & 1)
+    chart = x.chart
+    comps: dict[str, GradedPoly] = {}
     if x is y:
-        comps = {}
         if x.parity == ODD:
             for z, comp in x.components.items():
-                acc = x(comp)
-                if not acc.is_zero():
-                    comps[z] = acc.scaled(2)
-        return VectorField(x.chart, comps, EVEN)
-    sign = -1 if (x.parity & y.parity) else 1
-    comps: dict[str, GradedPoly] = {}
-    for gen in x.chart.generators:
-        z = gen.name
-        acc = x(y.component(z)) + y(x.component(z)).scaled(-sign)
-        if not acc.is_zero():
-            comps[z] = acc
-    return VectorField(x.chart, comps, (x.parity + y.parity) & 1)
+                acc = _apply_into({}, x, comp.terms, 2)
+                if acc:
+                    comps[z] = GradedPoly(chart, acc)
+        return VectorField(chart, comps, EVEN)
+    sign = 1 if (x.parity & y.parity) else -1  # of Y(X^z): -(-1)^(XY)
+    xc, yc = x.components, y.components
+    for z in sorted(xc.keys() | yc.keys(), key=chart.index_of):
+        acc = _apply_into({}, x, yc[z].terms) if z in yc else {}
+        if z in xc:
+            _apply_into(acc, y, xc[z].terms, sign)
+        if acc:
+            comps[z] = GradedPoly(chart, acc)
+    return VectorField(chart, comps, (x.parity + y.parity) & 1)
 
 
 def is_homological(q: VectorField) -> bool:
@@ -233,8 +256,8 @@ def _canonical(f: GradedPoly, g: GradedPoly, phase: Chart | None, kind: str,
     if g is f and len(parts) == 1:
         return _self_canonical(f, next(iter(parts)), phase, c)
     sf, sg = f.support(), g.support()
-    summands = []
-    gens = phase.generators
+    odd, gens = phase.odd_flags, phase.generators
+    out: dict = {}
     for zi, ci in phase.conjugate_pairs():
         # d_{z'}f d_z g needs z' in f and z in g; d_z f d_{z'}g the reverse
         first = zi in sg and ci in sf
@@ -242,17 +265,17 @@ def _canonical(f: GradedPoly, g: GradedPoly, phase: Chart | None, kind: str,
         if not (first or second):
             continue
         a = gens[zi].parity
-        zn = gens[zi].name
-        cn = gens[ci].name
-        dg_z = g.left_derivative(zn) if first else phase.zero()
-        dg_c = g.left_derivative(cn) if second else phase.zero()
+        if first:
+            dg_z = _masked(_derivative(g.terms, zi, odd), odd)
+        if second:
+            dg_c = _masked(_derivative(g.terms, ci, odd), odd)
         for p, fp in parts.items():
             s1, s2 = _pair_signs(a, p, c)
-            if not dg_z.is_zero():
-                summands.append((fp.left_derivative(cn) * dg_z).scaled(s1))
-            if not dg_c.is_zero():
-                summands.append((fp.left_derivative(zn) * dg_c).scaled(-s2))
-    return GradedPoly.sum(phase, summands)
+            if first:
+                _product_into(out, _derivative(fp.terms, ci, odd), dg_z, odd, s1)
+            if second:
+                _product_into(out, _derivative(fp.terms, zi, odd), dg_c, odd, -s2)
+    return GradedPoly(phase, out)
 
 
 def _pair_signs(a: int, p: int, c: int) -> tuple[int, int]:
@@ -265,8 +288,8 @@ def _self_canonical(f: GradedPoly, p: int, phase: Chart, c: int) -> GradedPoly:
     """(f, f) for f of parity p: k d_{z'}f d_z f per pair, k as in the module
     docstring."""
     sf = f.support()
-    gens = phase.generators
-    summands = []
+    odd, gens = phase.odd_flags, phase.generators
+    out: dict = {}
     for zi, ci in phase.conjugate_pairs():
         if zi not in sf or ci not in sf:
             continue
@@ -274,10 +297,10 @@ def _self_canonical(f: GradedPoly, p: int, phase: Chart, c: int) -> GradedPoly:
         s1, s2 = _pair_signs(a, p, c)
         k = s1 + s2 if ((p + a) * (p + a + c)) & 1 else s1 - s2
         if k:
-            summands.append(
-                (f.left_derivative(gens[ci].name) * f.left_derivative(gens[zi].name)).scaled(k)
-            )
-    return GradedPoly.sum(phase, summands)
+            d_z = f.left_derivative(gens[zi].name)
+            _product_into(out, f.left_derivative(gens[ci].name).terms,
+                          _masked(d_z.terms, odd), odd, k)
+    return GradedPoly(phase, out)
 
 
 def canonical_poisson(f: GradedPoly, g: GradedPoly, phase: Chart | None = None) -> GradedPoly:

@@ -22,16 +22,23 @@ Values are immutable after construction; every operation returns a new
 polynomial, so instances can be shared freely.
 
 The rule "add a coefficient, delete the monomial when it cancels" lives in
-``_collect``, and ``_product`` repeats its lines inline in the pair loop, the
-hottest loop of the package, where a call per pair would cost more than the
-work.  ``GradedPoly.sum`` fills one term map for all summands instead of
-copying a growing one per summand, and ``+`` is its two-summand case.  Two
-folds of ``+`` remain: ``specdoc.assemble_field`` over a document's terms and
+``_collect``, and ``_product_into`` repeats its lines inline in the pair
+loop, the hottest loop of the package, where a call per pair would cost more
+than the work.  ``_product_into`` is the one product: it adds a scaled
+product into a term map the caller owns, so ``*`` starts from an empty map
+and every bracket in ``fields`` accumulates all its products, each with its
+exact sign, into one map.  ``_masked`` prepares the right factor once, so a
+factor used many times (an image in ``substitute``, a derivative met by both
+parity parts of a canonical bracket's first argument) is masked once.
+``GradedPoly.sum`` fills one term map for all summands instead of copying a
+growing one per summand, and ``+`` is its two-summand case.  Two folds of
+``+`` remain: ``specdoc.assemble_field`` over a document's terms and
 ``homotopy.FieldEngine.sum`` over constant fields.
 
 Products work on bitmasks (the bitmap representation of Grassmann monomials,
 Dorst, Fontijne and Mann, *Geometric Algebra for Computer Science*, ch. 19):
-each monomial's odd and even generators become two integers, so a pair of
+each monomial's odd and even generators become two integers, once per left
+term and once per prepared right factor, so a pair of
 terms with a common odd generator is dropped with one AND, the reordering
 sign is an ``int.bit_count`` parity, and only pairs sharing an even
 generator need an exponent-adding merge.
@@ -127,21 +134,11 @@ def _collect(terms: dict[Monomial, Coefficient], pairs) -> dict[Monomial, Coeffi
     return terms
 
 
-def _product(t1: dict[Monomial, Coefficient], t2: dict[Monomial, Coefficient],
-             odd: tuple[bool, ...]) -> dict[Monomial, Coefficient]:
-    """The term map of the product of two term maps on one chart.
-
-    Each monomial's masks are computed once per product: bit g of its odd
-    (even) mask is set when generator g is an odd (even) factor, and bit k of
-    a left monomial's sign mask is set when an odd number of its odd factors
-    have index above k.  A pair whose odd masks meet vanishes, with one AND.
-    Carrying the right factor's odd generators leftwards past the left
-    factor's takes ``(sign & odd mask).bit_count()`` transpositions, which
-    gives the sign.  A pair with disjoint supports merges by sorting the
-    concatenation; only a pair that shares an even generator adds exponents.
-    """
+def _masked(terms: dict[Monomial, Coefficient], odd: tuple[bool, ...]):
+    """The (monomial, coefficient, odd mask, even mask) of each term: bit g of
+    the odd (even) mask is set when generator g is an odd (even) factor."""
     right = []
-    for m, c in t2.items():
+    for m, c in terms.items():
         o = e = 0
         for g, _ in m:
             if odd[g]:
@@ -149,7 +146,23 @@ def _product(t1: dict[Monomial, Coefficient], t2: dict[Monomial, Coefficient],
             else:
                 e |= 1 << g
         right.append((m, c, o, e))
-    out: dict[Monomial, Coefficient] = {}
+    return right
+
+
+def _product_into(out: dict[Monomial, Coefficient], t1: dict[Monomial, Coefficient],
+                  right, odd: tuple[bool, ...], scale: Coefficient = 1
+                  ) -> dict[Monomial, Coefficient]:
+    """Add ``scale`` times the product of the term map ``t1`` and the
+    ``_masked`` right factor into ``out`` in place; returns ``out``.
+
+    Each left monomial's masks are computed once: bit k of its sign mask is
+    set when an odd number of its odd factors have index above k.  A pair
+    whose odd masks meet vanishes, with one AND.  Carrying the right factor's
+    odd generators leftwards past the left factor's takes
+    ``(sign & odd mask).bit_count()`` transpositions, which gives the sign.  A
+    pair with disjoint supports merges by sorting the concatenation; only a
+    pair that shares an even generator adds exponents.
+    """
     get = out.get
     for m1, c1 in t1.items():
         o1 = e1 = s1 = 0
@@ -160,6 +173,8 @@ def _product(t1: dict[Monomial, Coefficient], t2: dict[Monomial, Coefficient],
                 s1 ^= bit - 1
             else:
                 e1 |= bit
+        if scale != 1:
+            c1 = scale * c1
         for m2, c2, o2, e2 in right:
             if o1 & o2:
                 continue
@@ -177,12 +192,14 @@ def _product(t1: dict[Monomial, Coefficient], t2: dict[Monomial, Coefficient],
     return out
 
 
-def _derivative_terms(terms: dict[Monomial, Coefficient], idx: int,
-                      odd: tuple[bool, ...]):
-    """The (monomial, coefficient) terms of the left derivative by generator
-    ``idx``: each monomial containing it, with the generator moved to the
-    front (one sign per odd factor jumped over, when it is odd) and struck."""
+def _derivative(terms: dict[Monomial, Coefficient], idx: int,
+                odd: tuple[bool, ...]) -> dict[Monomial, Coefficient]:
+    """The term map of the left derivative by generator ``idx``: each
+    monomial containing it, with the generator moved to the front (one sign
+    per odd factor jumped over, when it is odd) and struck.  Distinct
+    monomials give distinct results, so nothing needs collecting."""
     z_odd = odd[idx]
+    out: dict[Monomial, Coefficient] = {}
     for m, c in terms.items():
         sign = 0
         for pos, (g, exp) in enumerate(m):
@@ -194,11 +211,12 @@ def _derivative_terms(terms: dict[Monomial, Coefficient], idx: int,
         if g != idx:
             continue
         if z_odd:
-            yield m[:pos] + m[pos + 1:], (-c if sign else c)
+            out[m[:pos] + m[pos + 1:]] = -c if sign else c
         elif exp == 1:
-            yield m[:pos] + m[pos + 1:], c
+            out[m[:pos] + m[pos + 1:]] = c
         else:
-            yield m[:pos] + ((idx, exp - 1),) + m[pos + 1:], c * exp
+            out[m[:pos] + ((idx, exp - 1),) + m[pos + 1:]] = c * exp
+    return out
 
 
 class CheckedImages(dict):
@@ -353,7 +371,8 @@ class GradedPoly:
         if not isinstance(other, GradedPoly):
             return self.scaled(other)
         _require_chart(self.chart, other)
-        return GradedPoly(self.chart, _product(self.terms, other.terms, self.chart.odd_flags))
+        odd = self.chart.odd_flags
+        return GradedPoly(self.chart, _product_into({}, self.terms, _masked(other.terms, odd), odd))
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -391,7 +410,7 @@ class GradedPoly:
         """Left partial derivative with respect to the named generator."""
         idx = self.chart.index_of(name)
         odd = self.chart.odd_flags
-        return GradedPoly(self.chart, _collect({}, _derivative_terms(self.terms, idx, odd)))
+        return GradedPoly(self.chart, _derivative(self.terms, idx, odd))
 
     def substitute(self, images: dict[str, "GradedPoly"], target_chart) -> "GradedPoly":
         """Apply the algebra homomorphism sending each generator to its image.
@@ -407,14 +426,18 @@ class GradedPoly:
         gens = self.chart.generators
         odd = target_chart.odd_flags
         out: dict[Monomial, Coefficient] = {}
+        masked = {}  # generator index -> its image, _masked once per call
         for m, c in self.terms.items():
             acc = {ONE_MONOMIAL: c}
             for idx, exp in m:
-                name = gens[idx].name
-                if name not in images:
-                    raise UnknownGenerator(f"no image provided for {name}")
+                right = masked.get(idx)
+                if right is None:
+                    name = gens[idx].name
+                    if name not in images:
+                        raise UnknownGenerator(f"no image provided for {name}")
+                    right = masked[idx] = _masked(images[name].terms, odd)
                 for _ in range(exp):
-                    acc = _product(acc, images[name].terms, odd)
+                    acc = _product_into({}, acc, right, odd)
                 if not acc:
                     break
             _collect(out, acc.items())

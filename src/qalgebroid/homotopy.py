@@ -92,10 +92,10 @@ class DerivedBracketEngine:
     """Nested-bracket evaluation (a1, ..., an) = project [...[D, a1], ..., an].
 
     An engine supplies ``flavor``, ``bracket`` (ambient), ``project`` (onto
-    V), ``parity_of``, ``generator``, ``squared_generator`` (half the
-    self-bracket of the generator) and ``sum`` (of values, the zero value
-    when there are none), overrides ``prepare`` when the inclusion of V is
-    not the identity, and calls ``__init__`` once its generator is available.
+    V), ``parity_of``, ``generator``, ``self_bracket`` (of the generator)
+    and ``sum`` (of values, the zero value when there are none), overrides
+    ``prepare`` when the inclusion of V is not the identity, and calls
+    ``__init__`` once its generator is available.
     """
 
     koszul_shift = 0
@@ -106,10 +106,17 @@ class DerivedBracketEngine:
         self._prepared: list = []
         self._partial: dict[tuple, object] = {(): self.generator()}
         self._value: dict[tuple, object] = {}
+        self._half_square = None
 
     def prepare(self, arg):
         """Include an argument of the abelian subalgebra in the ambient algebra."""
         return arg
+
+    def squared_generator(self):
+        """Half the self-bracket of the generator, made on first use and kept."""
+        if self._half_square is None:
+            self._half_square = self.self_bracket().scaled(Fraction(1, 2))
+        return self._half_square
 
     def koszul_parity(self, arg) -> int:
         return (self.parity_of(arg) + self.koszul_shift) & 1
@@ -211,8 +218,8 @@ class PhaseEngine(DerivedBracketEngine):
     def generator(self):
         return self.structure.value
 
-    def squared_generator(self):
-        return self.structure.self_bracket.scaled(Fraction(1, 2))
+    def self_bracket(self):
+        return self.structure.self_bracket
 
     def sum(self, values):
         return GradedPoly.sum(self.parent, values)
@@ -259,8 +266,8 @@ class FieldEngine(DerivedBracketEngine):
     def generator(self):
         return self.q
 
-    def squared_generator(self):
-        return self.q.square().scaled(Fraction(1, 2))
+    def self_bracket(self):
+        return self.q.square()
 
     def sum(self, values):
         total = VectorField(self.chart, {})

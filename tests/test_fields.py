@@ -1,5 +1,6 @@
 """Vector fields, commutators, canonical brackets and principal symbols."""
 
+import sys
 from itertools import combinations_with_replacement
 from random import Random
 
@@ -15,6 +16,7 @@ from qalgebroid.charts import (
     chart_pi_e,
     chart_pi_e_star,
 )
+from qalgebroid import gradedpoly
 from qalgebroid.builtins import builtin_names, builtin_spec, derham, so3, so3_broken
 from qalgebroid.construction import build_poisson, build_schouten
 from qalgebroid.fields import (
@@ -55,24 +57,45 @@ def copy_of(x):
 
 
 class KernelCounter:
-    """Counts GradedPoly products and left derivatives while installed."""
+    """Counts the kernel's products and left derivatives while installed.
+
+    A product is a call of ``_product_into`` and a derivative a call of
+    ``_derivative``, wherever a package module binds them; the products of
+    ``GradedPoly.substitute`` are not counted.
+    """
 
     def __init__(self, monkeypatch):
         self.products = self.derivatives = self.zero_derivatives = 0
-        mul, derivative = GradedPoly.__mul__, GradedPoly.left_derivative
+        product, derivative = gradedpoly._product_into, gradedpoly._derivative
+        substitute = GradedPoly.substitute
+        inside_substitute = []
 
-        def counting_mul(poly, other):
-            self.products += 1
-            return mul(poly, other)
+        def counting_product(*args):
+            self.products += not inside_substitute
+            return product(*args)
 
-        def counting_derivative(poly, name):
-            out = derivative(poly, name)
+        def counting_derivative(*args):
+            out = derivative(*args)
             self.derivatives += 1
-            self.zero_derivatives += out.is_zero()
+            self.zero_derivatives += not out
             return out
 
-        monkeypatch.setattr(GradedPoly, "__mul__", counting_mul)
-        monkeypatch.setattr(GradedPoly, "left_derivative", counting_derivative)
+        def uncounted_substitute(poly, *args):
+            inside_substitute.append(True)
+            try:
+                return substitute(poly, *args)
+            finally:
+                inside_substitute.pop()
+
+        package = [m for name, m in sys.modules.items()
+                   if name == "qalgebroid" or name.startswith("qalgebroid.")]
+        for original, counting in ((product, counting_product),
+                                   (derivative, counting_derivative)):
+            for module in package:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+        monkeypatch.setattr(GradedPoly, "substitute", uncounted_substitute)
 
 
 def dense_canonical(f, g, phase, c):

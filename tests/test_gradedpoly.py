@@ -17,11 +17,14 @@ from qalgebroid.charts import (
     chart_pi_e_star,
     restrict_to_zero_section,
 )
+from qalgebroid.fields import VectorField
 from qalgebroid.gradedpoly import (
     ChartMismatch,
     GradedPoly,
     ParityMismatch,
     UnknownGenerator,
+    _masked,
+    _product_into,
 )
 from qalgebroid.randgen import random_homogeneous_poly, random_poly
 
@@ -90,7 +93,7 @@ def any_chart(draw):
     return draw(st.sampled_from(list(all_charts(b).values())))
 
 
-def odd_heavy_polys(chart, max_terms=4, max_factors=4):
+def odd_heavy_polys(chart, max_terms=4, max_factors=4, min_terms=0):
     """Term maps built directly: monomials drawn two parts odd to one part
     any generator, coefficients from MIXED_COEFFS."""
     n = len(chart.generators)
@@ -105,7 +108,7 @@ def odd_heavy_polys(chart, max_terms=4, max_factors=4):
         return tuple(sorted(exps.items()))
 
     monomials = st.lists(st.tuples(index, st.integers(1, 2)), max_size=max_factors).map(monomial)
-    return st.dictionaries(monomials, MIXED_COEFFS, max_size=max_terms).map(
+    return st.dictionaries(monomials, MIXED_COEFFS, min_size=min_terms, max_size=max_terms).map(
         lambda terms: GradedPoly(chart, terms))
 
 
@@ -425,6 +428,73 @@ class TestKernelOracle:
         assert (g * f2).terms == reference_product(g, f2)
         assert f.left_derivative(w.name).terms == reference_left_derivative(f, 66)
         assert restrict_to_zero_section(f).is_zero()
+
+
+def add_term_maps(*scaled_maps):
+    """The term map of the sum of scale * map over (scale, map) pairs,
+    with cancelled monomials left out."""
+    out = {}
+    for scale, terms in scaled_maps:
+        for m, c in terms.items():
+            out[m] = out.get(m, 0) + scale * c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+class TestProductInto:
+    """The multiply-accumulate entry point against the references above."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_adds_the_scaled_product(self, data):
+        chart = data.draw(any_chart())
+        odd = chart.odd_flags
+        f = data.draw(odd_heavy_polys(chart, min_terms=1))
+        g = data.draw(odd_heavy_polys(chart, max_factors=2, min_terms=1))
+        scale = data.draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+        product = reference_product(f, g)
+        # the old map holds other terms and cancels a drawn part of the product
+        old = dict(data.draw(odd_heavy_polys(chart)).terms)
+        for m, c in product.items():
+            if data.draw(st.booleans()):
+                old[m] = -scale * c
+        expected = add_term_maps((1, old), (scale, product))
+        out = dict(old)
+        assert _product_into(out, f.terms, _masked(g.terms, odd), odd, scale) is out
+        assert out == expected
+
+    def test_cancellation_deletes_keys(self, pie):
+        f, g = pie.gen("x1") + pie.gen("xi1"), pie.gen("x2") - pie.gen("xi2")
+        odd = pie.odd_flags
+        product = reference_product(f, g)
+        for scale in (1, -1, 2, Fraction(1, 2)):
+            out = {m: -scale * c for m, c in product.items()}
+            out[()] = 5
+            assert _product_into(out, f.terms, _masked(g.terms, odd), odd, scale) == {(): 5}
+
+    @PROPERTY
+    @given(st.data())
+    def test_derivation_action(self, data):
+        chart = data.draw(any_chart())
+        parity = data.draw(st.integers(0, 1))
+        f = data.draw(odd_heavy_polys(chart, max_terms=6, min_terms=1))
+        # directions mostly along generators of f, so that X(f) is rarely zero
+        held = [chart.generators[i] for i in sorted(f.support())] or chart.generators
+        directions = data.draw(st.lists(st.sampled_from(held), min_size=1, max_size=3)
+                               | st.lists(st.sampled_from(chart.generators), max_size=3))
+        comps = {}
+        for gen in directions:
+            # the terms of the component's parity; the field drops a zero one
+            want = (parity + gen.parity) & 1
+            comp = data.draw(odd_heavy_polys(chart, max_terms=6, min_terms=2))
+            comps[gen.name] = GradedPoly(chart, {
+                m: c for m, c in comp.terms.items() if comp.monomial_parity(m) == want})
+        x = VectorField(chart, comps, parity)
+        expected = add_term_maps(*(
+            (1, reference_product(comp, GradedPoly(
+                chart, reference_left_derivative(f, chart.index_of(name)))))
+            for name, comp in x.components.items()
+        ))
+        assert x(f).terms == expected
 
 
 class TestCoefficients:
