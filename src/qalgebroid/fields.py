@@ -28,13 +28,9 @@ which is 2 for odd S under {,}, -2(-1)^a for even P under [[,]], and 0 (the
 pair is skipped) for an even f under {,} or an odd f under [[,]].  Mixed
 parity f, or a distinct g, takes the general formula.
 
-Every bracket here is a sum of products of a polynomial with a derivative.
-Each one fills a single term map through ``gradedpoly._product_into``,
-passing its exact sign (or the factor 2, or k) as the product's scale; no
-summand is built, scaled or summed as a polynomial of its own.  The
-derivation action and the commutator take one product per component along a
-generator in the support; the commutator visits only the generators where X
-or Y has a component.
+Each bracket is a sum of products of a polynomial with a derivative, and
+fills one term map through ``gradedpoly._product_into`` with its exact sign
+(or 2, or k) as the scale: no summand becomes a polynomial of its own.
 """
 
 from __future__ import annotations

@@ -38,10 +38,10 @@ growing one per summand, and ``+`` is its two-summand case.  Two folds of
 Products work on bitmasks (the bitmap representation of Grassmann monomials,
 Dorst, Fontijne and Mann, *Geometric Algebra for Computer Science*, ch. 19):
 each monomial's odd and even generators become two integers, once per left
-term and once per prepared right factor, so a pair of
-terms with a common odd generator is dropped with one AND, the reordering
-sign is an ``int.bit_count`` parity, and only pairs sharing an even
-generator need an exponent-adding merge.
+term and once per prepared right factor, so a pair of terms with a common
+odd generator is dropped with one AND, the reordering sign is an
+``int.bit_count`` parity, and only pairs sharing an even generator need an
+exponent-adding merge.
 """
 
 from __future__ import annotations
