@@ -49,12 +49,23 @@ Jacobiator walks its subsets depth first in index order and extends a
 subset only while its partial is stored and nonzero (``extends``): every
 subset that extends a vanished partial is zero, so it is never asked for.
 It skips a subset whose inner bracket vanishes and an outer term that
-vanishes, by the same rule.  ``derived(args, generator=g)`` applies no zero
-rule: it is the literal nested definition, the oracle the memo route is
-tested against.  Its ambient brackets still return at once on a zero
-operand (``fields.commutator``, the canonical brackets), which is
-bilinearity inside one bracket: the route still makes one bracket per
-argument, even when the squared generator of a homological input is zero.
+vanishes, by the same rule.  Consecutive arguments at one memo position
+(one object) form a run, and the subsets that take as many copies of each
+run share their inner and outer keys.  So the sum walks one canonical
+subset per class, the one that takes the first copies of each run, and
+weights it by the exact signed count of the class: its Koszul sign times,
+for each run of m copies of which k are taken, C(m, k) when the run is
+Koszul-even and the Gaussian binomial [m, k] at q = -1 when it is odd
+(0 when m is even and k odd, C(m // 2, k // 2) otherwise).  The identity is
+a count of exchange signs; it does not use graded symmetry, and a tuple
+without repeats walks every subset at weight its Koszul sign.
+
+``derived(args, generator=g)`` applies no zero rule: it is the literal
+nested definition, the oracle the memo route is tested against.  Its
+ambient brackets still return at once on a zero operand
+(``fields.commutator``, the canonical brackets), which is bilinearity
+inside one bracket: the route still makes one bracket per argument, even
+when the squared generator of a homological input is zero.
 """
 
 from __future__ import annotations
@@ -63,6 +74,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 from .charts import (
     BASE_FIBRE,
@@ -302,18 +314,46 @@ def higher_bracket(eng: PhaseEngine, args: list[GradedPoly]) -> GradedPoly:
 # Jacobiators via unshuffles
 # ---------------------------------------------------------------------------
 
-def koszul_sign(order: list[int], parities: list[int]) -> int:
-    """Sign (+-1) for permuting homogeneous elements into ``order``.
+def run_weight(m: int, k: int, parity: int) -> int:
+    """The signed count of the ways to take k of a run of m equal arguments.
 
-    ``order`` lists original positions; each inverted pair contributes
-    (-1)^(p_i p_j).
+    Moving the chosen copies ahead of the others costs one exchange of two
+    copies per inverted pair, so the sum of the Koszul signs over the
+    k-subsets of the run is the Gaussian binomial [m, k] at q = (-1)^parity:
+    C(m, k) for a Koszul-even run and, for an odd one, 0 when m is even and
+    k odd, C(m // 2, k // 2) otherwise.
     """
-    e = 0
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[a] > order[b]:
-                e += parities[order[a]] * parities[order[b]]
-    return -1 if e & 1 else 1
+    if not parity:
+        return comb(m, k)
+    if m % 2 == 0 and k % 2:
+        return 0
+    return comb(m // 2, k // 2)
+
+
+def unshuffle_weight(lengths, counts, parities) -> tuple[int, list[int]]:
+    """The signed count of a canonical subset, and its complement.
+
+    The arguments fall into runs of ``lengths[r]`` consecutive equal ones,
+    with Koszul ``parities`` per argument, and the canonical subset takes
+    the first ``counts[r]`` copies of run r.  Every subset that takes as
+    many copies of each run has the same inner and outer bracket.  The sum
+    of their Koszul signs, for moving the chosen arguments ahead of the
+    others, is the canonical subset's sign times the ``run_weight`` of each
+    run; that sign is -1 to the number of pairs of a chosen Koszul-odd copy
+    and an odd argument left out of an earlier run.  Returns that sum and
+    the complement of the canonical subset, in index order.
+    """
+    rest, weight, start, odd_left = [], 1, 0, 0
+    for r, m in enumerate(lengths):
+        k, p = counts[r], parities[start]
+        rest.extend(range(start + k, start + m))
+        weight *= run_weight(m, k, p)
+        if p:
+            if k * odd_left % 2:
+                weight = -weight
+            odd_left += m - k
+        start += m
+    return weight, rest
 
 
 def jacobiator(engine: DerivedBracketEngine, args: list):
@@ -322,39 +362,56 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     Returns the value both routes agree on.  Raises JacobiatorMismatch when
     the unshuffle sum disagrees with the derived bracket of the squared
     generator, which would signal a sign-convention bug.  The unshuffle sum
-    reads and extends the engine's memo.  Its subsets are walked depth first
-    in index order, from an explicit stack that carries each subset with its
-    memo key (a child's key is its parent's key plus one position), and a
-    subset is extended only when ``engine.extends`` finds its partial stored
-    and nonzero: the inner bracket of every extension of a vanished partial
-    is zero.  Each nonzero inner bracket value is registered as one more
-    argument and fed first to the outer bracket.  A subset whose inner
-    bracket vanishes, and an outer term that vanishes, contribute nothing by
-    linearity and are skipped; the surviving terms are signed and summed
-    once (the engine's zero when none survives).  The squared-generator
-    route computes the nested definition afresh, with no zero rule, and
-    never touches the memo.
+    reads and extends the engine's memo.  Consecutive arguments at the same
+    memo position (the same object) form a run.  A subset that takes k of a
+    run's m copies has the inner and outer brackets of the canonical subset
+    that takes the first k, so only canonical subsets are walked, each
+    weighted by the exact signed count of its class (``unshuffle_weight``):
+    its Koszul sign times, per run, C(m, k) when the run is Koszul-even and
+    the Gaussian binomial [m, k] at q = -1 when it is odd, which is 0 when
+    m is even and k odd.  Without repeats every run has length 1 and every
+    subset is canonical.  The canonical subsets are walked depth first in
+    index order, from an explicit stack that carries each subset with its
+    memo key (a child's key is its parent's key plus one position; a child
+    that skips an earlier copy of its run is not pushed), and a subset is
+    extended only when ``engine.extends`` finds its partial stored and
+    nonzero: the inner bracket of every extension of a vanished partial is
+    zero.  A subset whose inner bracket or weight vanishes contributes
+    nothing and is dropped; every other inner value is registered as one
+    more argument and fed first to the outer bracket.  Outer terms that
+    vanish are skipped too; the others are weighted and summed once (the
+    engine's zero when none survives).  The squared-generator route computes
+    the nested definition afresh, with no zero rule, and never touches the
+    memo.
     """
     n = len(args)
     parities = [engine.koszul_parity(a) for a in args]
     pos = engine.positions(args)
+    starts = [i for i in range(n) if i == 0 or pos[i] != pos[i - 1]]
+    lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
+    run_of = [r for r, m in enumerate(lengths) for _ in range(m)]
     live, stack = [], [((), ())]
     while stack:
         subset, key = stack.pop()
         v = engine.value(key)
         if not v.is_zero():
-            live.append((subset, v))
+            counts = [0] * len(lengths)
+            for i in subset:
+                counts[run_of[i]] += 1
+            weight, rest = unshuffle_weight(lengths, counts, parities)
+            if weight:
+                live.append((weight, rest, v))
         if engine.extends(key):
             start = subset[-1] + 1 if subset else 0
             stack.extend((subset + (i,), key + (pos[i],))
-                         for i in reversed(range(start, n)))
-    inners = engine.positions([v for _, v in live])
+                         for i in reversed(range(start, n))
+                         if i == start or pos[i] != pos[i - 1])
+    inners = engine.positions([v for _, _, v in live])
     terms = []
-    for (subset, _), inner in zip(live, inners):
-        rest = [i for i in range(n) if i not in subset]
+    for (weight, rest, _), inner in zip(live, inners):
         term = engine.value((inner, *(pos[i] for i in rest)))
         if not term.is_zero():
-            terms.append(term.scaled(koszul_sign(list(subset) + rest, parities)))
+            terms.append(term.scaled(weight))
     total = engine.sum(terms)
     via_square = engine.derived(args, generator=engine.squared_generator())
     if total != via_square:

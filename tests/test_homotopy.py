@@ -38,12 +38,12 @@ from qalgebroid.homotopy import (
     higher_anchor,
     higher_bracket,
     jacobiator,
-    koszul_sign,
     leibniz_check,
     poisson_bracket_table,
     schouten_bracket_table,
     skew_bracket_table,
     symmetric_field_table,
+    unshuffle_weight,
     weight_one_restriction_check,
     _transport_value,
 )
@@ -419,6 +419,20 @@ class TestJacobiators:
         assert len(squares) == 1
 
 
+def koszul_sign(order: list[int], parities: list[int]) -> int:
+    """Sign (+-1) for permuting homogeneous elements into ``order``.
+
+    ``order`` lists original positions; each inverted pair contributes
+    (-1)^(p_i p_j).
+    """
+    e = 0
+    for a in range(len(order)):
+        for b in range(a + 1, len(order)):
+            if order[a] > order[b]:
+                e += parities[order[a]] * parities[order[b]]
+    return -1 if e & 1 else 1
+
+
 def reference_jacobiator(engine, args):
     """The unshuffle sum by the nested definition, computed afresh per subset
     (an explicit generator bypasses the engine's memo)."""
@@ -533,7 +547,8 @@ class TestEngineMemo:
     def test_so3_arity_six_sweep_bracket_count(self, monkeypatch):
         # the nested definition per subset and tuple took 38136 brackets, a
         # memo without the zero rule 3525; asking the memo for all 2^6
-        # subsets of every tuple took 6006 values
+        # subsets of every tuple took 6006 values; walking every subset
+        # pruned by prefix took 615 brackets and 3150 values
         import qalgebroid.homotopy as homotopy
         from click.testing import CliRunner
         from qalgebroid.cli import main
@@ -549,8 +564,79 @@ class TestEngineMemo:
                             lambda self, key: values.append(key) or value(self, key))
         result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", "6", "--json"])
         assert result.exit_code == 0
-        assert len(calls) == 615
-        assert len(values) == 3150
+        assert len(calls) == 597
+        assert len(values) == 717
+
+
+def run_layouts(n: int):
+    """Every way to cut n arguments into runs of consecutive equal ones, as
+    the list of run lengths."""
+    if n == 0:
+        yield []
+        return
+    for cuts in product((False, True), repeat=n - 1):
+        lengths = [1]
+        for cut in cuts:
+            if cut:
+                lengths.append(1)
+            else:
+                lengths[-1] += 1
+        yield lengths
+
+
+class TestRepeatedArguments:
+    """The unshuffle sum walks one canonical subset per run count, weighted
+    by the signed count of its class; the sum over every subset is the oracle."""
+
+    def test_weight_is_the_signed_count_of_its_class(self):
+        cases, zero, multiple = 0, 0, 0
+        for n in range(7):
+            for lengths in run_layouts(n):
+                run_of = [r for r, m in enumerate(lengths) for _ in range(m)]
+                first = [sum(lengths[:r]) for r in range(len(lengths))]
+                for pattern in product((0, 1), repeat=len(lengths)):
+                    parities = [pattern[r] for r in run_of]
+                    brute = {}
+                    for k in range(n + 1):
+                        for subset in combinations(range(n), k):
+                            counts = tuple(sum(run_of[i] == r for i in subset)
+                                           for r in range(len(lengths)))
+                            rest = [i for i in range(n) if i not in subset]
+                            brute[counts] = (brute.get(counts, 0)
+                                             + koszul_sign(list(subset) + rest, parities))
+                    for counts in product(*(range(m + 1) for m in lengths)):
+                        weight, rest = unshuffle_weight(lengths, counts, parities)
+                        assert weight == brute[counts], (lengths, pattern, counts)
+                        # the canonical subset takes the first copies of each run
+                        assert rest == [i for i in range(n)
+                                        if i - first[run_of[i]] >= counts[run_of[i]]]
+                        cases += 1
+                        zero += weight == 0
+                        multiple += abs(weight) > 1
+        assert cases == 23787 and zero and multiple
+
+    def test_repeats_apart_and_equal_copies_match_the_reference(self):
+        # a run of two copies has weight 2 with one copy chosen when it is
+        # Koszul-even and 0 when it is odd (the Jacobiator then vanishes by
+        # graded symmetry, but its terms do not); copies that are equal but
+        # other objects take their own positions and form runs of their own
+        layouts = [(0, 1, 0), (0, 0, 1), (0, 0, 1, 0), (1, 0, 1, 0, 0),
+                   (0, 2, 0, 2), (2, 0, 0, 2)]
+        flavors, nonzero = set(), 0
+        for q in random_odd_fields(seed=9, count=2):
+            for eng, basis in engines_and_bases(q):
+                for a, b in combinations(range(len(basis)), 2):
+                    # the copy of a is equal to it but another object
+                    slots = [basis[a], basis[b], basis[a].scaled(1)]
+                    assert slots[2] == slots[0] and slots[2] is not slots[0]
+                    for layout in layouts:
+                        args = [slots[j] for j in layout]
+                        value = jacobiator(eng, args)
+                        assert value == reference_jacobiator(eng, args), (
+                            eng.flavor, a, b, layout)
+                        nonzero += not value.is_zero()
+                flavors.add(eng.flavor)
+        assert flavors == {"schouten", "poisson", "field"} and nonzero
 
 
 def memo_depth_bound(eng) -> int:
