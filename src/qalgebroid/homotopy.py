@@ -362,27 +362,23 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     Returns the value both routes agree on.  Raises JacobiatorMismatch when
     the unshuffle sum disagrees with the derived bracket of the squared
     generator, which would signal a sign-convention bug.  The unshuffle sum
-    reads and extends the engine's memo.  Consecutive arguments at the same
-    memo position (the same object) form a run.  A subset that takes k of a
-    run's m copies has the inner and outer brackets of the canonical subset
-    that takes the first k, so only canonical subsets are walked, each
-    weighted by the exact signed count of its class (``unshuffle_weight``):
-    its Koszul sign times, per run, C(m, k) when the run is Koszul-even and
-    the Gaussian binomial [m, k] at q = -1 when it is odd, which is 0 when
-    m is even and k odd.  Without repeats every run has length 1 and every
-    subset is canonical.  The canonical subsets are walked depth first in
-    index order, from an explicit stack that carries each subset with its
-    memo key (a child's key is its parent's key plus one position; a child
-    that skips an earlier copy of its run is not pushed), and a subset is
-    extended only when ``engine.extends`` finds its partial stored and
+    reads and extends the engine's memo.  Consecutive arguments at one memo
+    position (one object) form a run, and a subset that takes k of a run's
+    m copies has the brackets of the canonical one that takes the first k.
+    Only canonical subsets are walked, each weighted by the exact signed
+    count of its class (``unshuffle_weight``): its Koszul sign times, per
+    run, C(m, k) when the run is Koszul-even and the Gaussian binomial
+    [m, k] at q = -1 when it is odd.  They are walked depth first in index
+    order, from an explicit stack that carries each subset with its memo
+    key (a child's key is its parent's key plus one position), and a subset
+    is extended only when ``engine.extends`` finds its partial stored and
     nonzero: the inner bracket of every extension of a vanished partial is
-    zero.  A subset whose inner bracket or weight vanishes contributes
-    nothing and is dropped; every other inner value is registered as one
-    more argument and fed first to the outer bracket.  Outer terms that
-    vanish are skipped too; the others are weighted and summed once (the
-    engine's zero when none survives).  The squared-generator route computes
-    the nested definition afresh, with no zero rule, and never touches the
-    memo.
+    zero.  A subset whose inner bracket or weight vanishes is dropped; every
+    other inner value is registered as one more argument and fed first to
+    the outer bracket.  Outer terms that vanish are skipped, the others
+    weighted and summed once (the engine's zero when none survives).  The
+    squared-generator route computes the nested definition afresh, with no
+    zero rule, and never touches the memo.
     """
     n = len(args)
     parities = [engine.koszul_parity(a) for a in args]
