@@ -28,12 +28,22 @@ which is 2 for odd S under {,}, -2(-1)^a for even P under [[,]], and 0 (the
 pair is skipped) for an even f under {,} or an odd f under [[,]].  Mixed
 parity f, or a distinct g, takes the general formula.
 
+The self-brackets multiply integers.  A self-bracket is quadratic in its one
+argument, so with d the lcm of the denominators of X (of all components at
+once) or of f, [dX, dX] = d^2 [X, X] and (df, df) = d^2 (f, f): each is
+computed on the integer multiple (``gradedpoly._cleared``) and divided by
+d^2 once (``gradedpoly._divided``).  That is an equality over the rationals,
+so the result is the same polynomial.  On homological input the self-bracket
+is empty, and nothing is divided.
+
 Each bracket is a sum of products of a polynomial with a derivative, and
 fills one term map through ``gradedpoly._product_into`` with its exact sign
 (or 2, or k) as the scale: no summand becomes a polynomial of its own.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .charts import (
     BASE_FIBRE,
@@ -51,7 +61,10 @@ from .gradedpoly import (
     GradedAlgebraError,
     GradedPoly,
     ParityMismatch,
+    _cleared,
+    _denominator,
     _derivative,
+    _divided,
     _masked,
     _product_into,
     coefficient,
@@ -195,10 +208,13 @@ def commutator(x: VectorField, y: VectorField) -> VectorField:
     comps: dict[str, GradedPoly] = {}
     if x is y:
         if x.parity == ODD:
-            for z, comp in x.components.items():
-                acc = _apply_into({}, x, comp.terms, 2)
+            d = lcm(*(_denominator(comp.terms) for comp in x.components.values()))
+            cleared = VectorField(chart, {z: GradedPoly(chart, _cleared(comp.terms, d)[1])
+                                          for z, comp in x.components.items()}, ODD)
+            for z, comp in cleared.components.items():
+                acc = _apply_into({}, cleared, comp.terms, 2)
                 if acc:
-                    comps[z] = GradedPoly(chart, acc)
+                    comps[z] = GradedPoly(chart, _divided(acc, d * d))
         return VectorField(chart, comps, EVEN)
     sign = 1 if (x.parity & y.parity) else -1  # of Y(X^z): -(-1)^(XY)
     xc, yc = x.components, y.components
@@ -282,7 +298,9 @@ def _pair_signs(a: int, p: int, c: int) -> tuple[int, int]:
 
 def _self_canonical(f: GradedPoly, p: int, phase: Chart, c: int) -> GradedPoly:
     """(f, f) for f of parity p: k d_{z'}f d_z f per pair, k as in the module
-    docstring."""
+    docstring, on d f with integer coefficients, divided by d^2 once."""
+    d, terms = _cleared(f.terms)
+    f = GradedPoly(phase, terms)
     sf = f.support()
     odd, gens = phase.odd_flags, phase.generators
     out: dict = {}
@@ -296,7 +314,7 @@ def _self_canonical(f: GradedPoly, p: int, phase: Chart, c: int) -> GradedPoly:
             d_z = f.left_derivative(gens[zi].name)
             _product_into(out, f.left_derivative(gens[ci].name).terms,
                           _masked(d_z.terms, odd), odd, k)
-    return GradedPoly(phase, out)
+    return GradedPoly(phase, _divided(out, d * d))
 
 
 def canonical_poisson(f: GradedPoly, g: GradedPoly, phase: Chart | None = None) -> GradedPoly:

@@ -13,7 +13,15 @@ Conventions used throughout the package:
   ``fractions.Fraction`` otherwise (``coefficient`` normalises a value).  A
   term map may mix the two; 3 and Fraction(3) compare and hash equal and print
   alike.  Nothing is ever rounded, which is what makes identity checks
-  meaningful.
+  meaningful.  Three operations multiply integers instead: ``substitute``
+  and the two self-brackets in ``fields`` clear their source's denominators
+  with ``_cleared`` (d times the map, d the lcm of its denominators), work on
+  the integer map and divide the result once with ``_divided`` (by d, or by
+  d^2 for a self-bracket).  ``substitute`` is linear in its source and a
+  self-bracket quadratic in its argument, so this is an exact rewriting over
+  the rationals, not an approximation.  The other products keep their
+  ``Fraction``s, because one gcd per product would give back what the
+  integers save.
 * Derivatives act from the left: d/dz moves z to the front of a monomial,
   picking up one minus sign per odd generator jumped over, then strikes it.
 * The zero polynomial reports parity 0 and weight (0, 0) by convention.
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class GradedAlgebraError(Exception):
@@ -107,6 +116,42 @@ def coefficient(value) -> Coefficient:
         return value
     c = Fraction(value)
     return c.numerator if c.denominator == 1 else c
+
+
+def _denominator(terms: dict[Monomial, Coefficient]) -> int:
+    """The lcm of the denominators of the coefficients (1 for an empty map)."""
+    return lcm(*(c.denominator for c in terms.values() if type(c) is not int))
+
+
+def _cleared(terms: dict[Monomial, Coefficient], d: int | None = None
+             ) -> tuple[int, dict[Monomial, int]]:
+    """``(d, d * terms)`` with every coefficient of ``d * terms`` an ``int``.
+
+    ``d`` is ``_denominator(terms)`` unless the caller gives a common multiple
+    of it (one ``d`` for several maps).  A whole-valued Fraction counts as its
+    numerator.  When ``d`` is 1 and every coefficient is already an ``int``,
+    ``terms`` itself comes back.
+    """
+    denominators = [c.denominator for c in terms.values() if type(c) is not int]
+    if d is None:
+        d = lcm(*denominators)
+    if d == 1 and not denominators:
+        return 1, terms
+    return d, {m: c * d if type(c) is int else c.numerator * (d // c.denominator)
+               for m, c in terms.items()}
+
+
+def _divided(terms: dict[Monomial, Coefficient], d: int) -> dict[Monomial, Coefficient]:
+    """A new term map with each coefficient divided by the positive int ``d``
+    once, the quotient normalised as ``coefficient`` does."""
+    out = {}
+    for m, c in terms.items():
+        if type(c) is int and not c % d:
+            out[m] = c // d
+        else:
+            q = Fraction(c, d)
+            out[m] = q.numerator if q.denominator == 1 else q
+    return out
 
 
 def _add_exponents(m1: Monomial, m2: Monomial) -> Monomial:
@@ -427,7 +472,8 @@ class GradedPoly:
         odd = target_chart.odd_flags
         out: dict[Monomial, Coefficient] = {}
         masked = {}  # generator index -> its image, _masked once per call
-        for m, c in self.terms.items():
+        d, terms = _cleared(self.terms)
+        for m, c in terms.items():
             acc = {ONE_MONOMIAL: c}
             for idx, exp in m:
                 right = masked.get(idx)
@@ -441,7 +487,7 @@ class GradedPoly:
                 if not acc:
                     break
             _collect(out, acc.items())
-        return GradedPoly(target_chart, out)
+        return GradedPoly(target_chart, _divided(out, d))
 
     def drop_generators(self, names) -> "GradedPoly":
         """Delete every term containing one of the named generators.

@@ -116,6 +116,7 @@ class DerivedBracketEngine:
         self._args: list = []  # registered arguments, held so that ids stay unique
         self._position: dict[int, int] = {}
         self._prepared: list = []
+        self._koszul: list = []  # per position: None until asked for
         self._partial: dict[tuple, object] = {(): self.generator()}
         self._value: dict[tuple, object] = {}
         self._half_square = None
@@ -130,8 +131,23 @@ class DerivedBracketEngine:
             self._half_square = self.self_bracket().scaled(Fraction(1, 2))
         return self._half_square
 
-    def koszul_parity(self, arg) -> int:
-        return (self.parity_of(arg) + self.koszul_shift) & 1
+    def koszul_parities(self, key: tuple) -> list[int]:
+        """The Koszul parity of the registered argument at each position of
+        ``key``.
+
+        Each is kept per memo position, computed the first time it is asked
+        for, so a sweep scans each argument's monomials once.  Registering
+        does not compute it, so a mixed-parity argument raises
+        ParityMismatch (from ``parity_of``) only when its parity is asked
+        for: in ``jacobiator``, not in ``derived``.
+        """
+        out = []
+        for pos in key:
+            p = self._koszul[pos]
+            if p is None:
+                p = self._koszul[pos] = (self.parity_of(self._args[pos]) + self.koszul_shift) & 1
+            out.append(p)
+        return out
 
     def derived(self, args, generator=None):
         """The nested bracket of ``args``: from the memo, or afresh with ``generator``."""
@@ -153,6 +169,7 @@ class DerivedBracketEngine:
                 pos = self._position[id(a)] = len(self._args)
                 self._args.append(a)
                 self._prepared.append(prepared)
+                self._koszul.append(None)
             out.append(pos)
         return tuple(out)
 
@@ -381,8 +398,8 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     zero rule, and never touches the memo.
     """
     n = len(args)
-    parities = [engine.koszul_parity(a) for a in args]
     pos = engine.positions(args)
+    parities = engine.koszul_parities(pos)
     starts = [i for i in range(n) if i == 0 or pos[i] != pos[i - 1]]
     lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
     run_of = [r for r, m in enumerate(lengths) for _ in range(m)]

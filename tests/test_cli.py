@@ -6,6 +6,8 @@ import json
 import re
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from itertools import cycle
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from click.testing import CliRunner
 from qalgebroid import construction
 from qalgebroid.builtins import builtin_names, builtin_spec
 from qalgebroid.cli import main
+from qalgebroid.fields import VectorField, commutator
 from qalgebroid.homotopy import JacobiatorMismatch, PhaseEngine, jacobiator
 from qalgebroid.specdoc import SpecError, assemble_field, parse_spec, render_spec
 
@@ -380,6 +383,40 @@ class TestInputContract:
         assert doc["status"] == "fail"
         assert [c["name"] for c in doc["checks"]] == ["homological input"]
         assert "[Q, Q] != 0" in doc["checks"][0]["witness"]
+
+
+def _fractional_broken(path: Path) -> Path:
+    """so3-broken with its coefficients scaled by 1/2, 1/3 and 5/7 in turn."""
+    doc = json.loads(render_spec(builtin_spec("so3-broken")))
+    for term, scale in zip(doc["q_terms"], cycle(("1/2", "1/3", "5/7"))):
+        term["coefficient"] = str(Fraction(term["coefficient"]) * Fraction(scale))
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestFractionalNegativeControl:
+    """A non-homological document with coprime denominators: its nonzero
+    [Q, Q] is the one self-bracket that divides by d^2."""
+
+    def test_check_q_witness_is_the_general_commutator(self, runner, tmp_path):
+        doc = _fractional_broken(tmp_path / "broken.json")
+        result = runner.invoke(main, ["check-q", str(doc), "--json"])
+        assert result.exit_code == 1, result.output
+        checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+        assert not checks["[Q,Q] = 0"]["ok"]
+        q = assemble_field(parse_spec(doc.read_text()))
+        # a distinct copy takes the general formula, which clears nothing
+        general = commutator(q, VectorField(q.chart, dict(q.components), q.parity))
+        assert checks["[Q,Q] = 0"]["witness"] == repr(general)
+        assert "/" in repr(general)
+
+    @pytest.mark.parametrize("command", ["build-schouten", "build-poisson"])
+    def test_builds_fail_on_homological_input(self, runner, tmp_path, command):
+        doc = _fractional_broken(tmp_path / "broken.json")
+        result = runner.invoke(main, [command, str(doc), "--json"])
+        assert result.exit_code == 1, result.output
+        checks = json.loads(result.stdout)["checks"]
+        assert [c["name"] for c in checks if not c["ok"]] == ["homological input"]
 
 
 class TestInternalErrors:

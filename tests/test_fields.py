@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qalgebroid.charts import (
@@ -28,7 +28,7 @@ from qalgebroid.fields import (
     is_homological,
     odd_symbol,
 )
-from qalgebroid.gradedpoly import ChartMismatch, EVEN, ODD, GradedPoly
+from qalgebroid.gradedpoly import ChartMismatch, EVEN, ODD, GradedPoly, coefficient
 from qalgebroid.homotopy import FieldEngine, jacobiator
 from qalgebroid.randgen import random_field, random_homogeneous_poly, random_poly
 from qalgebroid.specdoc import assemble_field
@@ -47,6 +47,15 @@ def mixed_poly(data, rng, chart):
     """A random polynomial on ``chart`` of one drawn parity or of both."""
     parities = data.draw(st.sampled_from([(EVEN,), (ODD,), (EVEN, ODD)]))
     return GradedPoly.sum(chart, (random_poly(rng, chart, 3, 4, p) for p in parities))
+
+
+# coprime denominators up to 12: the self-brackets clear them with one lcm
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool)
+
+
+def refractioned(data, poly):
+    """``poly`` with each coefficient redrawn from FRACTIONS."""
+    return GradedPoly(poly.chart, {m: coefficient(data.draw(FRACTIONS)) for m in poly.terms})
 
 
 def copy_of(x):
@@ -195,6 +204,19 @@ class TestSelfCommutator:
         x = random_field(rng, chart_pi_e(MIXED), parity, 3)
         assert commutator(x, x) == commutator(x, copy_of(x))
 
+    @PROPERTY
+    @given(st.data())
+    def test_fractional_odd_fields_equal_the_general_formula(self, data):
+        # the self path clears every component by one lcm d and divides by
+        # d^2 once; only a nonzero [X, X] divides anything, so a homological
+        # example is rejected and every kept one exercises the division
+        rng = data.draw(st.randoms(use_true_random=False))
+        x = random_field(rng, chart_pi_e(MIXED), ODD, 3)
+        x = VectorField(x.chart, {z: refractioned(data, c) for z, c in x.components.items()}, ODD)
+        general = commutator(x, copy_of(x))
+        assume(not general.is_zero())
+        assert commutator(x, x) == general
+
     def test_builtins_and_the_broken_control(self):
         fields = [assemble_field(builtin_spec(n)) for n in builtin_names()]
         broken = assemble_field(so3_broken())
@@ -274,6 +296,26 @@ class TestCanonicalBrackets:
             own = bracket(f, f, phase)
             assert own == bracket(f, copy_of(f), phase)
             assert own == dense_canonical(f, f, phase, c)
+
+    @pytest.mark.parametrize("phases, bracket, c, parity", [
+        (EVEN_PHASES, canonical_poisson, EVEN, ODD),
+        (ODD_PHASES, canonical_schouten, ODD, EVEN),
+    ], ids=["poisson", "schouten"])
+    @PROPERTY
+    @given(data=st.data())
+    def test_fractional_self_brackets_equal_the_general_formula(self, phases, bracket, c,
+                                                                parity, data):
+        # (f, f) is computed on d f, d the lcm of f's denominators, and
+        # divided by d^2 once; f takes the parity whose self-bracket need not
+        # vanish, and a zero example is rejected, so every kept one divides
+        phase = data.draw(st.sampled_from(phases))
+        rng = data.draw(st.randoms(use_true_random=False))
+        f = refractioned(data, random_poly(rng, phase, 3, 4, parity))
+        dense = dense_canonical(f, f, phase, c)
+        assume(not dense.is_zero())
+        own = bracket(f, f, phase)
+        assert own == dense
+        assert own == bracket(f, copy_of(f), phase)
 
     @pytest.mark.parametrize("build", [build_schouten, build_poisson])
     def test_build_kernel_counts(self, build, monkeypatch):

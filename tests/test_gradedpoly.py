@@ -6,7 +6,7 @@ from operator import add
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qalgebroid.charts import (
@@ -23,6 +23,8 @@ from qalgebroid.gradedpoly import (
     GradedPoly,
     ParityMismatch,
     UnknownGenerator,
+    _cleared,
+    _divided,
     _masked,
     _product_into,
 )
@@ -35,31 +37,36 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=N
 PIE = chart_pi_e(MIXED)
 PIE_PHASE = chart_even_cotangent(PIE)
 COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+# coprime denominators up to 12, so a term map's lcm is rarely one of its own
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
-def polys(chart, parity=None, max_terms=4, max_factors=3, min_terms=0):
-    """Sums of random monomials on ``chart``, all of one parity if given."""
+def polys(chart, parity=None, max_terms=4, max_factors=3, min_terms=0, coeffs=COEFFS):
+    """Sums of random monomials on ``chart``, all of one parity if given,
+    with coefficients drawn from ``coeffs``."""
     names = [g.name for g in chart.generators]
     monomials = st.dictionaries(st.sampled_from(names), st.integers(1, 3),
                                 max_size=max_factors)
     if parity is not None:
         monomials = monomials.filter(lambda e: parity == sum(
             chart.generator(n).parity * k for n, k in e.items()) % 2)
-    terms = st.lists(st.tuples(monomials, COEFFS), min_size=min_terms, max_size=max_terms)
+    terms = st.lists(st.tuples(monomials, coeffs), min_size=min_terms, max_size=max_terms)
     return terms.map(
         lambda ts: reduce(add, (chart.monomial(e, c) for e, c in ts), chart.zero())
     )
 
 
-def images_for(source, target):
+def images_for(source, target, coeffs=COEFFS):
     """Parity-preserving images on ``target`` of every generator of ``source``.
 
     Each image is zero, a random polynomial of the generator's parity, or a
-    shear z + (random polynomial) like the ones randgen conjugates by.
+    shear z + (random polynomial) like the ones randgen conjugates by, with
+    coefficients drawn from ``coeffs``.
     """
     def image(g):
-        shear = polys(target, g.parity, 2, 2).map(lambda p: target.gen(g.name) + p)
-        return st.one_of(shear, polys(target, g.parity, 2, 2), st.just(target.zero()))
+        shear = polys(target, g.parity, 2, 2, coeffs=coeffs).map(lambda p: target.gen(g.name) + p)
+        return st.one_of(shear, polys(target, g.parity, 2, 2, coeffs=coeffs),
+                         st.just(target.zero()))
 
     return st.fixed_dictionaries({g.name: image(g) for g in source.generators})
 
@@ -377,6 +384,19 @@ class TestSubstituteProperties:
         f = data.draw(polys(PIE, min_terms=1))
         assert f.substitute(images, target) == reference_substitute(f, images, target)
 
+    @PROPERTY
+    @given(st.data())
+    def test_fractional_source_and_images_match_reference(self, data):
+        # substitute clears the source's denominators and divides once; the
+        # images keep theirs.  Every example here has a nonzero result, so the
+        # division is exercised on each one
+        target = data.draw(st.sampled_from([PIE, PIE_PHASE]))
+        images = data.draw(images_for(PIE, target, FRACTIONS))
+        f = data.draw(polys(PIE, min_terms=1, coeffs=FRACTIONS))
+        expected = reference_substitute(f, images, target)
+        assume(not expected.is_zero())
+        assert f.substitute(images, target) == expected
+
 
 class TestKernelOracle:
     """The bitmask product, the derivative scan and the suffix restriction
@@ -495,6 +515,50 @@ class TestProductInto:
             for name, comp in x.components.items()
         ))
         assert x(f).terms == expected
+
+
+class TestClearedAndDivided:
+    """The integer multiple of a term map and the one division that undoes it."""
+
+    M1, M2, M3 = ((0, 1),), ((2, 1),), ((0, 1), (2, 2))
+
+    def test_cleared_takes_the_lcm_of_the_denominators(self):
+        d, ints = _cleared({self.M1: Fraction(1, 2), self.M2: Fraction(-2, 3), self.M3: 4})
+        assert (d, ints) == (6, {self.M1: 3, self.M2: -4, self.M3: 24})
+        assert {type(c) for c in ints.values()} == {int}
+
+    def test_whole_valued_fraction_counts_as_its_numerator(self):
+        d, ints = _cleared({self.M1: Fraction(6, 2), self.M2: -2})
+        assert (d, ints) == (1, {self.M1: 3, self.M2: -2})
+        assert type(ints[self.M1]) is int
+
+    def test_integer_map_comes_back_unchanged(self):
+        for terms in ({self.M1: 3, self.M2: -2}, {}):
+            d, ints = _cleared(terms)
+            assert d == 1 and ints is terms
+
+    def test_a_given_common_multiple(self):
+        assert _cleared({self.M1: Fraction(1, 2), self.M2: 1}, 6) == (6, {self.M1: 3, self.M2: 6})
+
+    def test_divided_normalises_each_quotient(self):
+        out = _divided({self.M1: 12, self.M2: -9, self.M3: Fraction(9, 2)}, 6)
+        assert out == {self.M1: 2, self.M2: Fraction(-3, 2), self.M3: Fraction(3, 4)}
+        assert type(out[self.M1]) is int
+
+    def test_divided_turns_whole_fractions_into_ints(self):
+        out = _divided({self.M1: Fraction(8), self.M2: Fraction(9, 2)}, 1)
+        assert out == {self.M1: 8, self.M2: Fraction(9, 2)} and type(out[self.M1]) is int
+        assert type(_divided({self.M1: Fraction(9, 2)}, 3)[self.M1]) is Fraction
+        assert type(_divided({self.M1: Fraction(16, 3)}, 2)[self.M1]) is Fraction
+        assert type(_divided({self.M1: Fraction(12)}, 4)[self.M1]) is int
+
+    @PROPERTY
+    @given(st.dictionaries(st.sampled_from([M1, M2, M3]), FRACTIONS.filter(bool)))
+    def test_divided_undoes_cleared(self, terms):
+        d, ints = _cleared(terms)
+        assert all(type(c) is int for c in ints.values())
+        assert all(d % Fraction(c).denominator == 0 for c in terms.values())
+        assert _divided(ints, d) == terms
 
 
 class TestCoefficients:

@@ -31,7 +31,13 @@ from qalgebroid.construction import (
     build_schouten_unchecked,
 )
 from qalgebroid.fields import VectorField, commutator
-from qalgebroid.gradedpoly import ODD, ChartMismatch, GradedAlgebraError, GradedPoly
+from qalgebroid.gradedpoly import (
+    ODD,
+    ChartMismatch,
+    GradedAlgebraError,
+    GradedPoly,
+    ParityMismatch,
+)
 from qalgebroid.homotopy import (
     FieldEngine,
     PhaseEngine,
@@ -437,7 +443,7 @@ def reference_jacobiator(engine, args):
     """The unshuffle sum by the nested definition, computed afresh per subset
     (an explicit generator bypasses the engine's memo)."""
     n = len(args)
-    parities = [engine.koszul_parity(a) for a in args]
+    parities = [(engine.parity_of(a) + engine.koszul_shift) & 1 for a in args]
     gen = engine.generator()
     total = None
     for k in range(n + 1):
@@ -637,6 +643,39 @@ class TestRepeatedArguments:
                         nonzero += not value.is_zero()
                 flavors.add(eng.flavor)
         assert flavors == {"schouten", "poisson", "field"} and nonzero
+
+
+class TestKoszulParityMemo:
+    """Each argument's Koszul parity is kept per memo position."""
+
+    @pytest.mark.parametrize("flavor", ["schouten", "poisson"])
+    def test_a_sweep_scans_each_argument_once(self, so3_pair, monkeypatch, flavor):
+        # the 15 tuples of an arity-4 sweep over 3 basis elements asked for
+        # 60 parities when none was kept
+        _, s, p = so3_pair
+        eng = PhaseEngine(s if flavor == "schouten" else p)
+        scanned = []
+        parity_of = PhaseEngine.parity_of
+        monkeypatch.setattr(PhaseEngine, "parity_of",
+                            lambda self, a: scanned.append(a) or parity_of(self, a))
+        basis = eng.basis
+        for tup in combinations_with_replacement(range(3), 4):
+            assert jacobiator(eng, [basis[i] for i in tup]).is_zero()
+        assert len(scanned) == 3 and all(a is b for a, b in zip(scanned, basis))
+
+    def test_mixed_parity_raises_in_jacobiator_only(self, so3_pair):
+        _, s, _ = so3_pair
+        eng = PhaseEngine(s)
+        basis = eng.basis
+        mixed = basis[0] + eng.parent.one()
+        assert mixed.parity() is None
+        fresh = PhaseEngine(s)
+        # registering and bracketing a mixed argument is not an error
+        assert eng.derived([mixed, basis[1]]) == fresh.derived([mixed, basis[1]])
+        for _ in range(2):
+            with pytest.raises(ParityMismatch):
+                jacobiator(eng, [basis[1], mixed])
+        assert jacobiator(eng, basis[:2]) == jacobiator(fresh, fresh.basis[:2])
 
 
 def memo_depth_bound(eng) -> int:
