@@ -49,7 +49,7 @@ def mixed_poly(data, rng, chart):
     return GradedPoly.sum(chart, (random_poly(rng, chart, 3, 4, p) for p in parities))
 
 
-# coprime denominators up to 12: the self-brackets clear them with one lcm
+# denominators up to 12, often coprime: the self-brackets clear them with one lcm
 FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool)
 
 

@@ -37,7 +37,7 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=N
 PIE = chart_pi_e(MIXED)
 PIE_PHASE = chart_even_cotangent(PIE)
 COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=2)
-# coprime denominators up to 12, so a term map's lcm is rarely one of its own
+# denominators up to 12: a term map's lcm usually exceeds each of its denominators
 FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
