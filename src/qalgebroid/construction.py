@@ -27,6 +27,12 @@ changes lifted to a chart by ``FibreChange.on`` and the shears that
 ``randgen`` conjugates random fields by.  Naturality lifts a fibre change to
 the phase charts, compares the two build routes and checks both lifts with
 ``bracket_witness``.
+
+Both exchanges send each generator to plus or minus one generator of the
+same parity, and so do the lifts of identity, permutation and diagonal fibre
+changes (up to a scale): their image maps are relabellings
+(``gradedpoly.checked_images`` records them as such), so ``pullback``
+renames indices and makes no product.
 """
 
 from __future__ import annotations

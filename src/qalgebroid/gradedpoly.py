@@ -14,10 +14,11 @@ Conventions used throughout the package:
   term map may mix the two; 3 and Fraction(3) compare and hash equal and print
   alike.  Nothing is ever rounded, which is what makes identity checks
   meaningful.  Three operations multiply integers instead: ``substitute``
-  and the two self-brackets in ``fields`` clear their source's denominators
-  with ``_cleared`` (d times the map, d the lcm of its denominators), work on
-  the integer map and divide the result once with ``_divided`` (by d, or by
-  d^2 for a self-bracket).  ``substitute`` is linear in its source and a
+  (unless its images are a relabelling, below) and the two self-brackets in
+  ``fields`` clear their source's denominators with ``_cleared`` (d times
+  the map, d the lcm of its denominators), work on the integer map and
+  divide the result once with ``_divided`` (by d, or by d^2 for a
+  self-bracket).  ``substitute`` is linear in its source and a
   self-bracket quadratic in its argument, so this is an exact rewriting over
   the rationals, not an approximation.  The other products keep their
   ``Fraction``s, because one gcd per product would give back what the
@@ -42,6 +43,14 @@ parity parts of a canonical bracket's first argument) is masked once.
 growing one per summand, and ``+`` is its two-summand case.  Two folds of
 ``+`` remain: ``specdoc.assemble_field`` over a document's terms and
 ``homotopy.FieldEngine.sum`` over constant fields.
+
+A substitution whose images are a relabelling, each generator sent to a
+nonzero multiple k of a distinct generator of its parity, makes no product:
+``checked_images`` records the (target index, k) of each source index, and
+``substitute`` renames each monomial's indices, multiplies its coefficient by
+the k^exp, sorts the factors and takes the sign of the odd pairs the sort
+inverts.  ``render`` ranks the chart's generators for display once per call
+and sorts terms on those ranks.
 
 Products work on bitmasks (the bitmap representation of Grassmann monomials,
 Dorst, Fontijne and Mann, *Geometric Algebra for Computer Science*, ch. 19):
@@ -266,9 +275,14 @@ def _derivative(terms: dict[Monomial, Coefficient], idx: int,
 
 class CheckedImages(dict):
     """Generator images that ``checked_images`` has checked against a source
-    and a target chart; ``GradedPoly.substitute`` does not check them again."""
+    and a target chart; ``GradedPoly.substitute`` does not check them again.
 
-    __slots__ = ("source", "target")
+    ``relabel`` is None, or, when every image is one term ``k*z_j`` (see
+    ``_relabelling``), the ``(j, k)`` of each source index in order, and
+    ``substitute`` then renames indices instead of multiplying.
+    """
+
+    __slots__ = ("source", "target", "relabel")
 
 
 def _already_checked(images, source, target) -> bool:
@@ -277,12 +291,73 @@ def _already_checked(images, source, target) -> bool:
 
 
 def checked_images(source, images: dict[str, "GradedPoly"], target) -> CheckedImages:
-    """The images as a CheckedImages record, after ``_check_images``."""
+    """The images as a CheckedImages record, after ``_check_images`` unless
+    they form a relabelling, which has nothing left to check."""
     if _already_checked(images, source, target):
         return images
-    _check_images(source, images, target)
+    relabel = _relabelling(source, images, target)
+    if relabel is None:
+        _check_images(source, images, target)
     out = CheckedImages(images)
-    out.source, out.target = source, target
+    out.source, out.target, out.relabel = source, target, relabel
+    return out
+
+
+def _relabelling(source, images: dict[str, "GradedPoly"], target
+                 ) -> list[tuple[int, Coefficient]] | None:
+    """The ``(j, k)`` of each source generator, in index order, when the
+    images cover exactly the source generators and each one is a single term
+    ``k*z_j`` on ``target`` with ``z_j`` a generator to the first power of
+    the source generator's parity, the ``z_j`` pairwise distinct; else None.
+
+    Such a map is a signed, scaled permutation of generators, so it sends
+    distinct monomials to distinct monomials.
+    """
+    if len(images) != len(source.generators):
+        return None
+    relabel, used = [], set()
+    for g in source.generators:
+        img = images.get(g.name)
+        if img is None or img.chart != target or len(img.terms) != 1:
+            return None
+        ((m, k),) = img.terms.items()
+        if len(m) != 1 or m[0][1] != 1 or not k:
+            return None
+        j = m[0][0]
+        if j in used or target.generators[j].parity != g.parity:
+            return None
+        used.add(j)
+        relabel.append((j, coefficient(k)))
+    return relabel
+
+
+def _relabelled(terms: dict[Monomial, Coefficient], relabel, odd: tuple[bool, ...]
+                ) -> dict[Monomial, Coefficient]:
+    """The term map with each generator ``i`` renamed to ``z_j`` and scaled
+    by ``k``, for ``(j, k) = relabel[i]``.
+
+    A monomial's coefficient picks up the product of ``k ** exp``; its
+    renamed factors are sorted, and the sign is the parity of the pairs of
+    odd factors that the sort inverts, counted on a bitmask of the odd
+    targets already seen, with one flip per factor of ``k = -1``.  Distinct
+    monomials stay distinct, so nothing is collected.
+    """
+    out = {}
+    for m, c in terms.items():
+        seen = flips = 0
+        renamed = []
+        for i, exp in m:
+            j, k = relabel[i]
+            if k == -1:
+                flips += exp
+            elif k != 1:
+                c = coefficient(c * k ** exp)
+            if odd[j]:
+                flips += (seen >> j).bit_count()
+                seen |= 1 << j
+            renamed.append((j, exp))
+        renamed.sort()
+        out[tuple(renamed)] = -c if flips & 1 else c
     return out
 
 
@@ -375,7 +450,13 @@ class GradedPoly:
         return None
 
     def parity_parts(self) -> dict[int, "GradedPoly"]:
-        """Split into even and odd parts (only nonzero parts are returned)."""
+        """Split into even and odd parts (only nonzero parts are returned);
+        a homogeneous polynomial is its own part, with no copy."""
+        if not self.terms:
+            return {}
+        p = self.parity()
+        if p is not None:
+            return {p: self}
         parts: dict[int, dict[Monomial, Coefficient]] = {}
         for m, c in self.terms.items():
             parts.setdefault(self.monomial_parity(m), {})[m] = c
@@ -427,7 +508,11 @@ class GradedPoly:
         c = coefficient(value)
         if c == 0:
             return GradedPoly(self.chart)
-        return GradedPoly(self.chart, {m: c * t for m, t in self.terms.items()})
+        terms = {}
+        for m, t in self.terms.items():
+            v = c * t
+            terms[m] = v if type(v) is int or v.denominator != 1 else v.numerator
+        return GradedPoly(self.chart, terms)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -464,10 +549,14 @@ class GradedPoly:
         must be parity-homogeneous of the source generator's parity (the zero
         polynomial is accepted for any generator).  Images checked once by
         ``checked_images`` for this chart and ``target_chart`` are not
-        checked again.
+        checked again, and a checked relabelling (``CheckedImages.relabel``)
+        is applied by renaming indices, with no product.
         """
         if not _already_checked(images, self.chart, target_chart):
             _check_images(self.chart, images, target_chart)
+        elif images.relabel is not None:
+            return GradedPoly(target_chart,
+                              _relabelled(self.terms, images.relabel, target_chart.odd_flags))
         gens = self.chart.generators
         odd = target_chart.odd_flags
         out: dict[Monomial, Coefficient] = {}
@@ -513,15 +602,6 @@ class GradedPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def _display_order(self, m: Monomial) -> tuple[list[tuple[int, int]], int]:
-        """The (index, exp) pairs of m in display order (bi-weight, then chart
-        index), with the sign of reordering the stored odd factors into it."""
-        gens = self.chart.generators
-        order = sorted(m, key=lambda ie: (gens[ie[0]].weight, ie[0]))
-        odd = [i for i, _ in order if gens[i].parity == ODD]
-        inversions = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
-        return order, -1 if inversions & 1 else 1
-
     def render(self) -> str:
         """Deterministic text form.
 
@@ -530,23 +610,43 @@ class GradedPoly:
         lead and fibre coordinates trail, matching how the structures are
         usually written out.  Reordering odd factors for display folds the
         transposition sign into the printed coefficient.
+
+        Each generator's display rank (its place in the chart sorted by
+        bi-weight, then index) is computed once per call.  A term sorts by
+        ``(group, [(rank, exp), ...])`` over its factors in display order,
+        which orders terms as (bi-weight, index, exp) would; the display sign
+        is the parity of the odd factors that the rank sort inverts, counted
+        on a bitmask.
         """
         if not self.terms:
             return "0"
         gens = self.chart.generators
+        by_rank = sorted(range(len(gens)), key=lambda i: (gens[i].weight, i))
+        rank = [0] * len(gens)
+        for r, i in enumerate(by_rank):
+            rank[i] = r
+        names = [gens[i].name for i in by_rank]
+        odd = [gens[i].parity == ODD for i in by_rank]
+        momenta = sum(1 << r for r, i in enumerate(by_rank) if gens[i].family in ("p", "xstar"))
         keyed = []
         for m, c in self.terms.items():
-            order, sign = self._display_order(m)
-            group = 0 if any(gens[i].family in ("p", "xstar") for i, _ in order) else 1
-            keyed.append(((group, [(gens[i].weight, i, e) for i, e in order]), order, c * sign))
-        keyed.sort(key=lambda entry: entry[0])
+            seen = held = swaps = 0
+            key = []
+            for i, e in m:
+                r = rank[i]
+                held |= 1 << r
+                if odd[r]:
+                    swaps += (seen >> r).bit_count()
+                    seen |= 1 << r
+                key.append((r, e))
+            key.sort()
+            keyed.append((0 if held & momenta else 1, key, -c if swaps & 1 else c))
+        keyed.sort()  # (group, key) names the monomial, so c is never compared
         pieces: list[str] = []
-        for n, (_, order, c) in enumerate(keyed):
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            factors = [
-                gens[i].name if e == 1 else f"{gens[i].name}^{e}" for i, e in order
-            ]
+        for n, (_, key, c) in enumerate(keyed):
+            negative = c.numerator < 0  # an int is its own numerator
+            mag = -c if negative else c
+            factors = [names[r] if e == 1 else f"{names[r]}^{e}" for r, e in key]
             if not factors:
                 body = str(mag)
             elif mag == 1:
@@ -554,9 +654,9 @@ class GradedPoly:
             else:
                 body = str(mag) + "*" + "*".join(factors)
             if n == 0:
-                pieces.append(body if sign == "+" else "-" + body)
+                pieces.append("-" + body if negative else body)
             else:
-                pieces.append(f" {sign} {body}")
+                pieces.append(f" {'-' if negative else '+'} {body}")
         return "".join(pieces)
 
     def __repr__(self):

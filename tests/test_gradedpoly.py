@@ -17,8 +17,10 @@ from qalgebroid.charts import (
     chart_pi_e_star,
     restrict_to_zero_section,
 )
+from qalgebroid.construction import FibreChange, even_dual_exchange, odd_dual_exchange
 from qalgebroid.fields import VectorField
 from qalgebroid.gradedpoly import (
+    ODD,
     ChartMismatch,
     GradedPoly,
     ParityMismatch,
@@ -27,6 +29,7 @@ from qalgebroid.gradedpoly import (
     _divided,
     _masked,
     _product_into,
+    checked_images,
 )
 from qalgebroid.randgen import random_homogeneous_poly, random_poly
 
@@ -633,3 +636,239 @@ class TestRender:
         phase = chart_odd_cotangent(chart_e_star(BundlePresentation((0,), (0,))))
         f = phase.gen("estar1") * phase.gen("xstar1")
         assert f.render() == "estar1*xstar1"
+
+
+SIGNS = st.sampled_from([1, -1])
+# signs, and nonzero scales that are whole or fractional, int or Fraction
+SCALES = st.one_of(SIGNS, MIXED_COEFFS)
+
+
+@st.composite
+def relabellings(draw, source, target, scales):
+    """Images sending each generator of ``source`` to k*z_j on ``target``,
+    for a random parity-preserving bijection onto the generators of
+    ``target`` (same count per parity) and nonzero k drawn from ``scales``."""
+    images = {}
+    for parity in (0, 1):
+        sources = [g.name for g in source.generators if g.parity == parity]
+        targets = [j for j, g in enumerate(target.generators) if g.parity == parity]
+        for name, j in zip(sources, draw(st.permutations(targets))):
+            images[name] = GradedPoly(target, {((j, 1),): draw(scales)})
+    return images
+
+
+def _replaced(images, name, image):
+    return {**images, name: image}
+
+
+# each keeps every other image of a relabelling of PIE_PHASE and breaks one
+# condition of the relabelling path; x1 and xi2 are even generators there
+NEAR_MISSES = {
+    "zero image": lambda images: _replaced(images, "x1", PIE_PHASE.zero()),
+    "two-term image": lambda images: _replaced(images, "x1", images["x1"] + PIE_PHASE.one()),
+    "square": lambda images: _replaced(images, "x1", images["x1"] * images["x1"]),
+    "two sources on one target": lambda images: _replaced(images, "x1", images["xi2"]),
+    "missing generator": lambda images: {n: v for n, v in images.items() if n != "x1"},
+}
+
+
+class TestRelabelling:
+    """Images that are a signed, scaled permutation of generators are applied
+    by renaming indices; ``reference_substitute`` is the oracle."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_relabelling_matches_reference(self, data):
+        chart = data.draw(any_chart())
+        images = data.draw(relabellings(chart, chart, data.draw(st.sampled_from([SIGNS, SCALES]))))
+        record = checked_images(chart, images, chart)
+        assert record.relabel is not None
+        f = data.draw(odd_heavy_polys(chart, max_terms=6, max_factors=6))
+        assert f.substitute(record, chart).terms == reference_substitute(f, images, chart).terms
+
+    @PROPERTY
+    @given(st.data())
+    def test_relabelling_onto_another_chart_matches_reference(self, data):
+        # PiE and PiE* of one presentation have the same parities in the same
+        # order, so a bijection between them always exists
+        b = BundlePresentation(tuple(data.draw(st.lists(st.integers(0, 1), max_size=2))),
+                               tuple(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))))
+        source, target = chart_pi_e(b), chart_pi_e_star(b)
+        images = data.draw(relabellings(source, target, SCALES))
+        record = checked_images(source, images, target)
+        assert record.relabel is not None
+        f = data.draw(odd_heavy_polys(source, max_terms=6, max_factors=6))
+        assert f.substitute(record, target).terms == reference_substitute(f, images, target).terms
+
+    def test_renaming_makes_no_product(self, monkeypatch):
+        b = BundlePresentation((0, 1), (0, 1, 1))
+        exchange = even_dual_exchange(b)
+        f = random_poly(Random(5), exchange.domain, 4, 8)
+        expected = reference_substitute(f, exchange.images, exchange.codomain)
+        assert not expected.is_zero()
+
+        def no_product(*args, **kwargs):
+            raise AssertionError("a relabelling substitution made a product")
+
+        monkeypatch.setattr("qalgebroid.gradedpoly._product_into", no_product)
+        assert exchange.pullback(f) == expected
+
+    def test_exchanges_and_monomial_changes_are_relabellings(self):
+        b = BundlePresentation((0, 1), (0, 1, 1))
+        for m in (even_dual_exchange(b), odd_dual_exchange(b)):
+            assert m.images.relabel is not None and m.inverse_images.relabel is not None
+        # identity, a parity-preserving permutation and a diagonal change
+        monomial = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, -1], [0, 1, 0]],
+                    [[Fraction(1, 2), 0, 0], [0, -3, 0], [0, 0, 1]])
+        for t in monomial:
+            for chart in all_charts(b).values():
+                lift = FibreChange(b, t).on(chart)
+                assert lift.images.relabel is not None
+                assert lift.inverse_images.relabel is not None
+        sheared = FibreChange(b, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+        for chart in all_charts(b).values():
+            assert sheared.on(chart).images.relabel is None
+
+    @PROPERTY
+    @given(st.data(), st.sampled_from(sorted(NEAR_MISSES)))
+    def test_near_misses_take_the_general_path(self, data, kind):
+        images = NEAR_MISSES[kind](data.draw(relabellings(PIE_PHASE, PIE_PHASE, SCALES)))
+        record = checked_images(PIE_PHASE, images, PIE_PHASE)
+        assert record.relabel is None
+        f = data.draw(odd_heavy_polys(PIE_PHASE, max_terms=6, max_factors=6))
+        if kind == "missing generator":
+            f = f.drop_generators(["x1"])
+        assert f.substitute(record, PIE_PHASE) == reference_substitute(f, images, PIE_PHASE)
+
+    def test_missing_generator_still_raises_when_used(self):
+        images = NEAR_MISSES["missing generator"](
+            {g.name: PIE_PHASE.gen(g.name) for g in PIE_PHASE.generators})
+        record = checked_images(PIE_PHASE, images, PIE_PHASE)
+        with pytest.raises(UnknownGenerator):
+            PIE_PHASE.gen("x1").substitute(record, PIE_PHASE)
+
+    @pytest.mark.parametrize("kind, error", [
+        ("parity flip", ParityMismatch),
+        ("image on another chart", ChartMismatch),
+        ("unknown name", UnknownGenerator),
+    ])
+    def test_bad_near_misses_raise_as_before(self, kind, error):
+        identity = {g.name: PIE_PHASE.gen(g.name) for g in PIE_PHASE.generators}
+        images = {
+            # a bijection, but it swaps the even x1 with the odd x2
+            "parity flip": {**identity, "x1": PIE_PHASE.gen("x2"), "x2": PIE_PHASE.gen("x1")},
+            "image on another chart": {**identity, "x1": PIE.gen("x1")},
+            # as many names as generators, one of them not a generator
+            "unknown name": {**{n: v for n, v in identity.items() if n != "x1"},
+                             "y1": PIE_PHASE.gen("x1")},
+        }[kind]
+        with pytest.raises(error):
+            checked_images(PIE_PHASE, images, PIE_PHASE)
+        with pytest.raises(error):
+            PIE_PHASE.gen("xi1").substitute(images, PIE_PHASE)
+
+
+def reference_render(f):
+    """The text form as rendered before display ranks: each monomial's factors
+    sorted by (bi-weight, index) with a lambda key, the display sign from an
+    O(k^2) count of inverted odd pairs, and terms sorted by momentum group,
+    then by their (bi-weight, index, exp) factor lists."""
+    if not f.terms:
+        return "0"
+    gens = f.chart.generators
+    keyed = []
+    for m, c in f.terms.items():
+        order = sorted(m, key=lambda ie: (gens[ie[0]].weight, ie[0]))
+        odd = [i for i, _ in order if gens[i].parity == ODD]
+        inversions = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
+        sign = -1 if inversions & 1 else 1
+        group = 0 if any(gens[i].family in ("p", "xstar") for i, _ in order) else 1
+        keyed.append(((group, [(gens[i].weight, i, e) for i, e in order]), order, c * sign))
+    keyed.sort(key=lambda entry: entry[0])
+    pieces = []
+    for n, (_, order, c) in enumerate(keyed):
+        sign = "-" if c < 0 else "+"
+        mag = -c if c < 0 else c
+        factors = [gens[i].name if e == 1 else f"{gens[i].name}^{e}" for i, e in order]
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = str(mag) + "*" + "*".join(factors)
+        if n == 0:
+            pieces.append(body if sign == "+" else "-" + body)
+        else:
+            pieces.append(f" {sign} {body}")
+    return "".join(pieces)
+
+
+# two base and three fibre coordinates of both parities: every chart holds
+# several odd generators whose chart and display orders differ
+WIDE_CHARTS = all_charts(BundlePresentation((0, 1), (1, 0, 1)))
+
+
+class TestRenderOracle:
+    @pytest.mark.parametrize("space", sorted(WIDE_CHARTS))
+    @PROPERTY
+    @given(data=st.data())
+    def test_render_matches_reference(self, space, data):
+        # odd_heavy_polys gives negative and Fraction coefficients, even
+        # powers and, on the phase charts, p and xstar factors
+        chart = WIDE_CHARTS[space]
+        f = data.draw(odd_heavy_polys(chart, max_terms=8, max_factors=6))
+        assert f.render() == reference_render(f)
+
+    @pytest.mark.parametrize("space", sorted(WIDE_CHARTS))
+    def test_fixed_terms_match_reference(self, space):
+        chart = WIDE_CHARTS[space]
+        momenta = [g.name for g in chart.generators if g.family in ("p", "xstar")]
+        assert (space in ("T*(PiE)", "T*(PiE*)", "PiT*(PiE)", "PiT*(E*)")) == bool(momenta)
+        rng = Random(space)
+        f = GradedPoly.sum(chart, [random_poly(rng, chart, 4, 6) for _ in range(3)])
+        f = f + chart.const(Fraction(-5, 3))
+        for name in momenta:
+            f = f + chart.gen(name) * f.scaled(Fraction(-1, 2))
+        even = [g.name for g in chart.generators if not g.parity]
+        f = f + chart.monomial({even[0]: 2, even[-1]: 4}, -7)
+        assert len(f.terms) > 8
+        assert f.render() == reference_render(f)
+        assert chart.zero().render() == reference_render(chart.zero()) == "0"
+
+
+class TestParityParts:
+    def test_homogeneous_is_its_own_part(self, pie):
+        f = pie.gen("xi1") * pie.gen("x1") + pie.gen("x2").scaled(Fraction(1, 3))
+        parts = f.parity_parts()
+        assert list(parts) == [1] and parts[1] is f
+        g = pie.gen("x1") + pie.one()
+        assert g.parity_parts()[0] is g
+
+    def test_zero_has_no_parts(self, pie):
+        assert pie.zero().parity_parts() == {}
+
+    @PROPERTY
+    @given(st.data())
+    def test_parts_split_by_parity(self, data):
+        chart = data.draw(any_chart())
+        f = data.draw(odd_heavy_polys(chart, max_terms=6))
+        parts = f.parity_parts()
+        assert GradedPoly.sum(chart, parts.values()) == f
+        for p, part in parts.items():
+            assert not part.is_zero() and part.parity() == p
+        if len(parts) == 1:
+            assert next(iter(parts.values())) is f
+
+
+class TestScaledCoefficients:
+    def test_whole_results_are_ints(self, pie):
+        f = pie.gen("x1").scaled(2) + pie.gen("xi1").scaled(Fraction(2, 3))
+        g = f.scaled(Fraction(3, 2))
+        assert g.terms == {((0, 1),): 3, ((2, 1),): 1}
+        assert [type(c) for c in g.terms.values()] == [int, int]
+        assert [type(c) for c in f.scaled(Fraction(1, 4)).terms.values()] == [Fraction] * 2
+
+    def test_vector_field_scaled_stores_ints(self, pie):
+        x = VectorField(pie, {"x1": pie.gen("xi1").scaled(Fraction(4, 3))}, 1)
+        y = x.scaled(Fraction(3, 4))
+        assert [type(c) for c in y.component("x1").terms.values()] == [int]

@@ -383,6 +383,17 @@ class TestJacobiators:
         v = jacobiator(fe, [fe.basis[i] for i in (0, 1, 2)])
         assert fe.coefficients(v) == [0, 1, 0]
 
+    def test_squared_generators_of_the_negative_control_hold_ints(self):
+        # halving an even self-bracket with scaled(1/2) stores whole results
+        # as int, so the squared route multiplies no whole-valued Fraction
+        q = assemble_field(so3_broken())
+        half = FieldEngine(q).squared_generator()
+        coeffs = [c for comp in half.components.values() for c in comp.terms.values()]
+        assert coeffs and all(type(c) is int for c in coeffs)
+        for h in (build_schouten_unchecked(q), build_poisson_unchecked(q)):
+            half = PhaseEngine(h).squared_generator()
+            assert half.terms and all(type(c) is int for c in half.terms.values())
+
     def test_two_way_on_random_polynomial_args(self):
         rng = Random(47)
         q = assemble_field(so3_broken())
