@@ -38,6 +38,7 @@ from .gradedpoly import (
     GradedAlgebraError,
     GradedPoly,
     Generator,
+    Monomial,
     UnknownGenerator,
     Weight,
     coefficient,
@@ -151,16 +152,24 @@ class Chart:
     def monomial(self, exponents: dict[str, int], coeff=1) -> GradedPoly:
         """Build coeff * prod(name**exp) with names in any order."""
         c = coefficient(coeff)
+        mono = self.normal_monomial(
+            {self.index_of(name): exp for name, exp in exponents.items()})
+        return GradedPoly(self, {mono: c} if c and mono is not None else None)
+
+    def normal_monomial(self, exponents: dict[int, int]) -> Monomial | None:
+        """The normal form of prod(generator i ** exp), None when an odd
+        generator is squared.  Exponents are read in chart order, so a
+        negative one is refused only if no odd square comes before it."""
+        odd = self.odd_flags
         mono = []
-        for name in sorted(exponents, key=self.index_of):
-            exp = exponents[name]
+        for i, exp in sorted(exponents.items()):
             if exp < 0:
                 raise GradedAlgebraError("negative exponent")
-            if self.generator(name).parity == ODD and exp > 1:
-                return self.zero()
+            if odd[i] and exp > 1:
+                return None
             if exp:
-                mono.append((self.index_of(name), exp))
-        return GradedPoly(self, {tuple(mono): c} if c else None)
+                mono.append((i, exp))
+        return tuple(mono)
 
 
 @dataclass(frozen=True)

@@ -110,15 +110,23 @@ def _read_text(path) -> str:
 
 
 def load_spec(source: str):
-    """Resolve a builtin name or a JSON file path into a parsed spec."""
+    """Resolve a builtin name or a JSON file path into a parsed spec.
+
+    The file is read once, with no check beforehand: a path naming nothing
+    is neither a builtin nor a file, any other failure to open or decode it
+    is "cannot read"."""
     if source in FIXTURES:
         return builtin_spec(source)
     path = Path(source)
-    if not path.exists():
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
         raise SpecError(
             f"{source!r} is neither a builtin ({', '.join(FIXTURES)}) nor a file"
-        )
-    return parse_spec(_read_text(path))
+        ) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read {path}: {exc}") from None
+    return parse_spec(text)
 
 
 def _load_matrix(path: str) -> list[list[Fraction]]:

@@ -67,6 +67,7 @@ from .gradedpoly import (
     GradedPoly,
     ParityMismatch,
     checked_images,
+    coefficient,
     total_weight,
 )
 
@@ -390,7 +391,7 @@ def _lifted_images(chart: Chart, t, t_inv) -> dict[str, GradedPoly]:
         i = int(g.name[len(g.family):]) - 1
         coeffs = [row[i] for row in t] if g.weight[0] < 0 else t_inv[i]
         images[g.name] = GradedPoly(chart, {
-            ((chart.index_of(f"{g.family}{b + 1}"), 1),): c
+            ((chart.index_of(f"{g.family}{b + 1}"), 1),): coefficient(c)
             for b, c in enumerate(coeffs) if c != 0
         })
     return images

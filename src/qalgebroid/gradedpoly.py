@@ -40,9 +40,10 @@ exact sign, into one map.  ``_masked`` prepares the right factor once, so a
 factor used many times (an image in ``substitute``, a derivative met by both
 parity parts of a canonical bracket's first argument) is masked once.
 ``GradedPoly.sum`` fills one term map for all summands instead of copying a
-growing one per summand, and ``+`` is its two-summand case.  Two folds of
-``+`` remain: ``specdoc.assemble_field`` over a document's terms and
-``homotopy.FieldEngine.sum`` over constant fields.
+growing one per summand, and ``+`` is its two-summand case.  One fold of
+``+`` remains, ``homotopy.FieldEngine.sum`` over constant fields;
+``specdoc.assemble_field`` collects each component of a document in one term
+map and adds it to zero once.
 
 A substitution whose images are a relabelling, each generator sent to a
 nonzero multiple k of a distinct generator of its parity, makes no product:
@@ -120,10 +121,10 @@ class Generator:
 
 def coefficient(value) -> Coefficient:
     """The exact coefficient of ``value``: an int when its denominator is 1,
-    a Fraction otherwise."""
+    a Fraction otherwise (a Fraction argument itself, not a copy)."""
     if type(value) is int:
         return value
-    c = Fraction(value)
+    c = value if type(value) is Fraction else Fraction(value)
     return c.numerator if c.denominator == 1 else c
 
 

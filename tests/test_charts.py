@@ -14,7 +14,9 @@ from qalgebroid.charts import (
     lift_to_phase,
     restrict_to_zero_section,
 )
-from qalgebroid.gradedpoly import ChartMismatch, GradedAlgebraError, Generator
+from fractions import Fraction
+
+from qalgebroid.gradedpoly import ChartMismatch, GradedAlgebraError, Generator, UnknownGenerator
 from qalgebroid.randgen import random_poly
 from random import Random
 
@@ -165,3 +167,35 @@ class TestChartEquality:
         pe, pes = chart_pi_e(MIXED), chart_pi_e_star(MIXED)
         with pytest.raises(ChartMismatch):
             pe.gen("x1") + pes.gen("x1")
+
+
+class TestMonomial:
+    """``Chart.monomial`` on PiE of MIXED: x1 even, x2 odd, xi1 odd, xi2 even."""
+
+    def test_names_in_any_order(self):
+        chart = chart_pi_e(MIXED)
+        assert chart.monomial({"xi2": 3, "x2": 1, "x1": 2}, -5).terms == {
+            ((0, 2), (1, 1), (3, 3)): -5}
+        assert chart.monomial({"x1": 0, "xi1": 1}).terms == {((2, 1),): 1}
+
+    def test_coefficients(self):
+        chart = chart_pi_e(MIXED)
+        half = Fraction(1, 2)
+        (c,) = chart.monomial({"x1": 1}, half).terms.values()
+        assert c is half
+        (c,) = chart.monomial({"x1": 1}, Fraction(4, 2)).terms.values()
+        assert type(c) is int and c == 2
+        assert chart.monomial({"x1": 1}, Fraction(0)).is_zero()
+
+    def test_unknown_name_is_refused_first(self):
+        chart = chart_pi_e(MIXED)
+        with pytest.raises(UnknownGenerator, match="y is not a generator"):
+            chart.monomial({"x1": -1, "y": 1})
+
+    def test_exponents_are_checked_in_chart_order(self):
+        chart = chart_pi_e(MIXED)
+        # x1 (negative) comes before xi1 (odd, squared)
+        with pytest.raises(GradedAlgebraError, match="negative exponent"):
+            chart.monomial({"xi1": 2, "x1": -1})
+        # x2 (odd, squared) comes before xi2 (negative)
+        assert chart.monomial({"xi2": -1, "x2": 2}).is_zero()

@@ -303,9 +303,11 @@ def _matrix_corner(value: str) -> str:
     return json.dumps([[value, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
-# numerators and denominators past the interpreter's integer string limit;
-# 10**999999999 alone would take longer than any run should
-OVERSIZED = ["1e5000", "-2.5e-9000", "1e999999999"]
+# numerators and denominators past the interpreter's integer string limit
+# (4300 digits by default), in decimal and in plain form; 10**999999999 alone
+# would take longer than any run should; keyed by test id
+OVERSIZED = {v: v for v in ("1e5000", "-2.5e-9000", "1e999999999")} | {
+    "4301-digits": "9" * 4301, "1/4301-digits": "1/" + "9" * 4301}
 NESTED = "[" * 100_000  # deeper than the JSON decoder's recursion
 
 
@@ -319,11 +321,11 @@ class TestInputContract:
         ("source", None),  # a directory
         ("source", _base_exponent_true()),
         ("source", NESTED),
-        *[("source", _so3_coefficient(v)) for v in OVERSIZED],
+        *[("source", _so3_coefficient(v)) for v in OVERSIZED.values()],
         ("matrix", "null"),
         ("matrix", "[1, 2, 3]"),
         ("matrix", NESTED),
-        *[("matrix", _matrix_corner(v)) for v in OVERSIZED],
+        *[("matrix", _matrix_corner(v)) for v in OVERSIZED.values()],
         ("max-arity", "-1"),
     ], ids=["q_terms-null", "fibre-null", "non-utf8", "directory",
             "base-exponent-true", "source-nested",

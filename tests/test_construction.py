@@ -298,6 +298,16 @@ class TestNaturality:
         rep = chart_change_naturality(assemble_field(spec), change)
         assert rep.ok
 
+    def test_lifted_whole_entries_stay_int(self):
+        b = BundlePresentation((0,), (0, 0))
+        lift = FibreChange(b, [[2, 0], [0, 1]]).on(chart_pi_e(b))
+        assert lift.images["xi1"].terms == {((1, 1),): 2}
+        assert lift.inverse_images["xi1"].terms == {((1, 1),): Fraction(1, 2)}
+        for images in (lift.images, lift.inverse_images):
+            for poly in images.values():
+                for c in poly.terms.values():
+                    assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
     def test_rejects_parity_mixing(self):
         b = lie_3_algebroid_demo().presentation
         with pytest.raises(ParityMismatch):
