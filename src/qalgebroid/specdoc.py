@@ -248,13 +248,13 @@ def assemble_field(spec: AlgebroidSpec) -> VectorField:
     Each term's monomial is built from chart indices (base symbols first, as
     ``chart_pi_e`` orders them) by ``Chart.normal_monomial``, as
     ``Chart.monomial`` builds it from names: an odd square or a zero
-    coefficient makes the term zero.  Each target's terms are
-    collected into one term map, so duplicate monomials add up and cancel as
-    the terms come, and the components keep the order in which their targets
-    first occur.  Each nonzero component is then added to zero, one ``+`` per
-    component instead of one per term: perfbench's tracer expects
-    ``GradedPoly.__add__`` busy on build-random, where this is its only
-    caller, and follows no other route into the sum.
+    coefficient makes the term zero.  Each target's terms are collected into
+    one term map, so duplicate monomials add up and cancel as the terms come,
+    and the components keep the order in which their targets first occur.
+    Each nonzero component is then added to zero, one ``+`` per component
+    instead of one per term: perfbench's tracer expects ``GradedPoly.__add__``
+    busy on build-random, where this is its only caller, and follows no
+    other route into the sum.
     """
     chart = chart_pi_e(spec.presentation)
     n_base = len(spec.base)

@@ -1,5 +1,7 @@
 """Chart construction: parities, bi-weights, conjugates, restriction."""
 
+from fractions import Fraction
+
 import pytest
 
 from qalgebroid.charts import (
@@ -14,8 +16,6 @@ from qalgebroid.charts import (
     lift_to_phase,
     restrict_to_zero_section,
 )
-from fractions import Fraction
-
 from qalgebroid.gradedpoly import ChartMismatch, GradedAlgebraError, Generator, UnknownGenerator
 from qalgebroid.randgen import random_poly
 from random import Random
