@@ -67,6 +67,10 @@ class Chart:
     equality) and its generators as a prefix, followed by one conjugate per
     parent generator in the same order, so lifting a function to the phase
     space and restricting back are index-preserving.
+
+    A chart is frozen, so what follows from its generators is computed once,
+    at construction, and kept: the name index, the odd flags and, on a phase
+    chart, the conjugate pairs that every canonical bracket walks.
     """
 
     generators: tuple[Generator, ...]
@@ -76,6 +80,7 @@ class Chart:
     parent: "Chart | None" = field(default=None, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     odd_flags: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _pairs: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
         names = [g.name for g in self.generators]
@@ -85,6 +90,9 @@ class Chart:
         object.__setattr__(
             self, "odd_flags", tuple(g.parity == ODD for g in self.generators)
         )
+        if self.is_phase:
+            n = len(self.parent.generators)
+            object.__setattr__(self, "_pairs", tuple((i, n + i) for i in range(n)))
 
     def __eq__(self, other):
         # defining __eq__ here keeps the dataclass-generated field hash
@@ -110,12 +118,11 @@ class Chart:
     def is_phase(self) -> bool:
         return self.kind in (EVEN_COTANGENT, ODD_COTANGENT)
 
-    def conjugate_pairs(self) -> list[tuple[int, int]]:
+    def conjugate_pairs(self) -> tuple[tuple[int, int], ...]:
         """(parent index, conjugate index) pairs of a phase-space chart."""
-        if not self.is_phase:
+        if self._pairs is None:
             raise ChartMismatch(f"{self.space} is not a phase-space chart")
-        n = len(self.parent.generators)
-        return [(i, n + i) for i in range(n)]
+        return self._pairs
 
     def parent_chart(self) -> "Chart":
         if not self.is_phase:

@@ -17,16 +17,19 @@ Everything that tells the two sides apart is one ``Flavour`` record in
 ``FLAVOURS`` (report labels, ambient bracket parity, exchange, symbol, sign
 rules), which the build, the CLI and the derived-bracket engines read.
 
-Every invertible change of generators is one record, ``MorphismR``: images
-of the domain generators, inverse images of the codomain ones, ``pullback``,
-``inverse`` (the two sides swapped), ``conjugate`` (a field transported by
-a change of its own chart) and ``bracket_witness`` (whether the change
-preserves a canonical bracket, checked on every ordered generator pair, which
-is complete).  The exchanges are such records, and so are the constant fibre
-changes lifted to a chart by ``FibreChange.on`` and the shears that
-``randgen`` conjugates random fields by.  Naturality lifts a fibre change to
-the phase charts, compares the two build routes and checks both lifts with
-``bracket_witness``.
+Every change of generators is one record, ``MorphismR``: images of the
+domain generators, ``pullback`` and ``bracket_witness`` (whether the change
+preserves a canonical bracket, checked on every generator pair, which is
+complete).  An invertible record also holds the inverse images of the
+codomain generators, and with them ``inverse`` (the two sides swapped) and
+``conjugate`` (a field transported by a change of its own chart).  The
+exchanges are such records, and so are the constant fibre changes lifted to
+a chart by ``FibreChange.on`` and the shears that ``randgen`` conjugates
+random fields by.  A build reads only the images, so it pulls back through a
+one-way exchange made on the field's own chart; ``even_dual_exchange`` and
+``odd_dual_exchange`` give the invertible ones.  Naturality lifts a fibre
+change to the phase charts, compares the two build routes and checks both
+lifts with ``bracket_witness``.
 
 Both exchanges send each generator to plus or minus one generator of the
 same parity, and so do the lifts of identity, permutation and diagonal fibre
@@ -74,14 +77,16 @@ from .gradedpoly import (
 
 @dataclass(frozen=True)
 class MorphismR:
-    """An invertible change of generators from ``domain`` to ``codomain``.
+    """A change of generators from ``domain`` to ``codomain``.
 
     ``images`` maps every generator name of ``domain`` to a polynomial on
-    ``codomain``; ``inverse_images`` maps every generator of ``codomain`` back
+    ``codomain``, and ``pullback`` applies it to functions on ``domain``.
+    ``inverse_images``, when given, maps every generator of ``codomain`` back
     to a polynomial on ``domain``, and the two substitutions are mutually
-    inverse.  ``pullback`` applies ``images`` to functions on ``domain``.
+    inverse; a one-way record (``inverse_images`` None) has no ``inverse``
+    and no ``conjugate``, and raises GradedAlgebraError for them.
 
-    Both image maps are checked once, when the record is built (ChartMismatch
+    The image maps are checked once, when the record is built (ChartMismatch
     or ParityMismatch as ``GradedPoly.substitute`` raises them), so pullbacks
     and conjugations substitute without checking again.
     """
@@ -89,13 +94,19 @@ class MorphismR:
     domain: Chart
     codomain: Chart
     images: dict[str, GradedPoly]
-    inverse_images: dict[str, GradedPoly]
+    inverse_images: dict[str, GradedPoly] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "images",
                            checked_images(self.domain, self.images, self.codomain))
-        object.__setattr__(self, "inverse_images",
-                           checked_images(self.codomain, self.inverse_images, self.domain))
+        if self.inverse_images is not None:
+            object.__setattr__(self, "inverse_images",
+                               checked_images(self.codomain, self.inverse_images, self.domain))
+
+    def _require_inverse(self):
+        if self.inverse_images is None:
+            raise GradedAlgebraError(
+                f"the change from {self.domain.space} to {self.codomain.space} is one-way")
 
     def pullback(self, f: GradedPoly) -> GradedPoly:
         if f.chart != self.domain:
@@ -115,22 +126,36 @@ class MorphismR:
         a biderivation along phi* (D(f, gh) = D(f, g) phi*h +- phi*g D(f, h),
         and likewise in f).  It vanishes whenever f or g is a constant, so it
         vanishes on all polynomials once it vanishes on every generator pair.
+
+        Only the pairs (a, b) with a at or before b in generator order are
+        bracketed, k(k+1) brackets on k generators instead of 2k^2.  That
+        loses nothing: both canonical brackets are graded antisymmetric and
+        phi* preserves parity, so {phi*b, phi*a} and phi*{b, a} are the same
+        sign times {phi*a, phi*b} and phi*{a, b}, and D(b, a) = +-D(a, b).
+        The pair returned is still the first failing one of the ordered
+        pairs, rows in generator order: if (a, b) with b before a failed,
+        (b, a) would fail too and come earlier, so the first failing ordered
+        pair always has a at or before b, and the walk meets it first.
         """
         domain, codomain = self.domain, self.codomain
-        for a in domain.generators:
-            for b in domain.generators:
-                lhs = bracket(self.images[a.name], self.images[b.name], codomain)
-                rhs = self.pullback(bracket(domain.gen(a.name), domain.gen(b.name), domain))
-                if lhs != rhs:
-                    return a.name, b.name
+        names = [g.name for g in domain.generators]
+        gens = [domain.gen(name) for name in names]
+        images = [self.images[name] for name in names]
+        for i, (f, image_f) in enumerate(zip(gens, images)):
+            for j in range(i, len(names)):
+                lhs = bracket(image_f, images[j], codomain)
+                if lhs != self.pullback(bracket(f, gens[j], domain)):
+                    return names[i], names[j]
         return None
 
     def inverse(self) -> "MorphismR":
+        self._require_inverse()
         return MorphismR(self.codomain, self.domain, self.inverse_images, self.images)
 
     def conjugate(self, q: VectorField) -> VectorField:
         """The field transported by a change of its own chart: component z is
         ``inverse_images`` applied to Q(images[z])."""
+        self._require_inverse()
         if not self.domain == self.codomain == q.chart:
             raise ChartMismatch("conjugation needs a change of the field's own chart")
         comps = {
@@ -140,35 +165,48 @@ class MorphismR:
         return VectorField(q.chart, comps, q.parity)
 
 
-def _exchange(domain: Chart, codomain: Chart, rename: dict[str, str], negate) -> MorphismR:
+def _exchange(domain: Chart, codomain: Chart, rename: dict[str, str], negate,
+              invertible: bool) -> MorphismR:
     """Send each generator of ``domain`` to +-1 times the generator of
     ``codomain`` with the same index in the renamed family; ``negate(g)``
-    picks the sign, which is its own inverse."""
+    picks the sign, which is its own inverse.  One-way unless ``invertible``."""
     images: dict[str, GradedPoly] = {}
-    inverse_images: dict[str, GradedPoly] = {}
+    inverse_images: dict[str, GradedPoly] | None = {} if invertible else None
     for i, g in enumerate(domain.generators):
         name = rename.get(g.family, g.family) + g.name[len(g.family):]
         c = -1 if negate(g) else 1
         images[g.name] = GradedPoly(codomain, {((codomain.index_of(name), 1),): c})
-        inverse_images[name] = GradedPoly(domain, {((i, 1),): c})
+        if invertible:
+            inverse_images[name] = GradedPoly(domain, {((i, 1),): c})
     return MorphismR(domain, codomain, images, inverse_images)
+
+
+def _even_exchange(pi_e: Chart, b: BundlePresentation, invertible: bool) -> MorphismR:
+    """The even exchange from T*(``pi_e``), ``pi_e`` the PiE chart of ``b``."""
+    # xi^a has parity a + 1, so an odd fibre direction a has an even xi^a
+    return _exchange(
+        chart_even_cotangent(pi_e), chart_even_cotangent(chart_pi_e_star(b)),
+        {"xi": "pi", "pi": "eta"}, lambda g: g.family == "xi" and g.parity == EVEN,
+        invertible,
+    )
+
+
+def _odd_exchange(pi_e: Chart, b: BundlePresentation, invertible: bool) -> MorphismR:
+    """The odd exchange from PiT*(``pi_e``), ``pi_e`` the PiE chart of ``b``."""
+    return _exchange(
+        chart_odd_cotangent(pi_e), chart_odd_cotangent(chart_e_star(b)),
+        {"xi": "estar", "xistar": "e"}, lambda g: g.family == "xistar", invertible,
+    )
 
 
 def even_dual_exchange(b: BundlePresentation) -> MorphismR:
     """Identifies functions on T*(PiE) with functions on T*(PiE*)."""
-    # xi^a has parity a + 1, so an odd fibre direction a has an even xi^a
-    return _exchange(
-        chart_even_cotangent(chart_pi_e(b)), chart_even_cotangent(chart_pi_e_star(b)),
-        {"xi": "pi", "pi": "eta"}, lambda g: g.family == "xi" and g.parity == EVEN,
-    )
+    return _even_exchange(chart_pi_e(b), b, True)
 
 
 def odd_dual_exchange(b: BundlePresentation) -> MorphismR:
     """Identifies functions on PiT*(PiE) with functions on PiT*(E*)."""
-    return _exchange(
-        chart_odd_cotangent(chart_pi_e(b)), chart_odd_cotangent(chart_e_star(b)),
-        {"xi": "estar", "xistar": "e"}, lambda g: g.family == "xistar",
-    )
+    return _odd_exchange(chart_pi_e(b), b, True)
 
 
 @dataclass(frozen=True)
@@ -210,7 +248,9 @@ class Flavour:
     """The conventions that tell the schouten and poisson families apart.
 
     ``letter`` names the structure and ``square`` its self-bracket in
-    reports; ``exchange`` and ``symbol`` build it from Q.  Sign rules take
+    reports; ``exchange`` and ``symbol`` build it from Q (``exchange(pi_e,
+    b, invertible)`` starts on the cotangent chart of the PiE chart
+    ``pi_e`` of ``b``).  Sign rules take
     parity lists and return an exponent of -1: ``sign_exponent`` corrects the
     nested bracket into the user-facing one (None: no correction), and
     ``leibniz_s`` gives s in the multiderivation rule.
@@ -220,7 +260,7 @@ class Flavour:
     letter: str
     square: str
     koszul_shift: int  # the parity of the ambient canonical bracket
-    exchange: Callable[[BundlePresentation], MorphismR]
+    exchange: Callable[[Chart, BundlePresentation, bool], MorphismR]
     symbol: Callable[[VectorField, Chart], GradedPoly]
     sign_exponent: Callable[[list[int]], int] | None
     leibniz_s: Callable[[list[int]], int]
@@ -236,9 +276,9 @@ def poisson_sign_exponent(parities: list[int]) -> int:
 
 
 FLAVOURS = {
-    "schouten": Flavour("schouten", "S", "{S,S}", 0, even_dual_exchange, even_symbol,
+    "schouten": Flavour("schouten", "S", "{S,S}", 0, _even_exchange, even_symbol,
                         None, leibniz_s=lambda parities: 1),
-    "poisson": Flavour("poisson", "P", "[[P,P]]", 1, odd_dual_exchange, odd_symbol,
+    "poisson": Flavour("poisson", "P", "[[P,P]]", 1, _odd_exchange, odd_symbol,
                        poisson_sign_exponent, leibniz_s=len),
 }
 
@@ -250,12 +290,13 @@ def ambient_bracket(flavor: str):
 
 def _build(q: VectorField, flavor: str, gated: bool) -> HigherStructure:
     """Symbol, exchange and self-bracket; ``gated`` also requires [Q,Q] = 0
-    before and a vanishing self-bracket after."""
+    before and a vanishing self-bracket after.  The exchange is one-way and
+    starts on the cotangent chart of the field's own chart."""
     flavour = FLAVOURS[flavor]
     b = _presentation_of_pi_e(q.chart)
     if gated:
         require_homological(q)
-    exchange = flavour.exchange(b)
+    exchange = flavour.exchange(q.chart, b, False)
     value = exchange.pullback(flavour.symbol(q, exchange.domain))
     self_bracket = ambient_bracket(flavor)(value, value, exchange.codomain)
     h = HigherStructure(value, flavor, exchange.codomain, self_bracket)
@@ -412,9 +453,9 @@ def chart_change_naturality(q: VectorField, change: FibreChange) -> NaturalityRe
     Checks that building S and P from the transformed field agrees with
     applying the inverse lifted change to the original S and P, and that the
     lifted changes preserve the canonical brackets.  The bracket checks run
-    on every ordered pair of generators of the lift's chart
-    (``MorphismR.bracket_witness``), which is complete for all polynomials;
-    a failure names the generator pair.
+    on the generator pairs of the lift's chart (``MorphismR.bracket_witness``),
+    which is complete for all polynomials; a failure names the first failing
+    ordered generator pair.
     """
     if change.bundle != _presentation_of_pi_e(q.chart):
         raise ChartMismatch("the fibre change is for another bundle")

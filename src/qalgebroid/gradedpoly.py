@@ -28,7 +28,13 @@ Conventions used throughout the package:
 * The zero polynomial reports parity 0 and weight (0, 0) by convention.
 
 Values are immutable after construction; every operation returns a new
-polynomial, so instances can be shared freely.
+polynomial, so instances can be shared freely.  A polynomial therefore keeps
+two facts about itself once they are asked for: its parity (``parity``) and
+its support (``support``, a frozenset of generator indices).  Both are read
+off ``terms`` alone, which never changes, so a kept answer cannot go stale;
+a sentinel marks "not yet computed", because a mixed polynomial's parity is
+None.  The canonical brackets, ``parity_parts``, ``VectorField`` and the
+derived-bracket engines ask the same small operands again and again.
 
 The rule "add a coefficient, delete the monomial when it cancels" lives in
 ``_collect``, and ``_product_into`` repeats its lines inline in the pair
@@ -95,6 +101,9 @@ ZERO_WEIGHT: Weight = (0, 0)
 Monomial = tuple[tuple[int, int], ...]
 ONE_MONOMIAL: Monomial = ()
 Coefficient = int | Fraction
+
+
+_UNSET = object()  # a kept fact not computed yet
 
 
 def total_weight(w: Weight) -> int:
@@ -392,14 +401,16 @@ class GradedPoly:
 
     ``terms`` maps normal-form monomials to nonzero coefficients, each an int
     or a Fraction (see ``coefficient``).  Do not mutate; construct through
-    chart helpers or arithmetic.
+    chart helpers or arithmetic.  ``parity()`` and ``support()`` are computed
+    on first use and kept (see the module docstring).
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_parity", "_support")
 
     def __init__(self, chart, terms: dict[Monomial, Coefficient] | None = None):
         self.chart = chart
         self.terms: dict[Monomial, Coefficient] = terms or {}
+        self._parity = self._support = _UNSET
 
     # -- constructors ------------------------------------------------------
 
@@ -433,13 +444,14 @@ class GradedPoly:
         return (w1, w2)
 
     def parity(self) -> int | None:
-        """Common parity of all terms, 0 for the zero polynomial, None if mixed."""
-        if not self.terms:
-            return EVEN
-        parities = {self.monomial_parity(m) for m in self.terms}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
+        """Common parity of all terms, 0 for the zero polynomial, None if mixed;
+        scanned on first use and kept."""
+        p = self._parity
+        if p is _UNSET:
+            parities = {self.monomial_parity(m) for m in self.terms}
+            p = self._parity = (EVEN if not parities else
+                                parities.pop() if len(parities) == 1 else None)
+        return p
 
     def weight(self) -> Weight | None:
         """Common bi-weight of all terms, (0, 0) for zero, None if mixed."""
@@ -461,7 +473,11 @@ class GradedPoly:
         parts: dict[int, dict[Monomial, Coefficient]] = {}
         for m, c in self.terms.items():
             parts.setdefault(self.monomial_parity(m), {})[m] = c
-        return {p: GradedPoly(self.chart, t) for p, t in parts.items()}
+        out = {}
+        for p, t in parts.items():
+            part = out[p] = GradedPoly(self.chart, t)
+            part._parity = p
+        return out
 
     def constant_term(self) -> int | Fraction:
         return self.terms.get(ONE_MONOMIAL, 0)
@@ -593,9 +609,13 @@ class GradedPoly:
         }
         return GradedPoly(self.chart, terms)
 
-    def support(self) -> set[int]:
-        """Indices of the generators that occur in some term."""
-        return {g for m in self.terms for g, _ in m}
+    def support(self) -> frozenset[int]:
+        """Indices of the generators that occur in some term; collected on
+        first use and kept."""
+        s = self._support
+        if s is _UNSET:
+            s = self._support = frozenset({g for m in self.terms for g, _ in m})
+        return s
 
     def contains_any(self, names) -> bool:
         idxs = {self.chart.index_of(n) for n in names}

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .charts import BundlePresentation, Chart, chart_pi_e
 from .construction import MorphismR
 from .fields import VectorField, is_homological
-from .gradedpoly import EVEN, ODD, GradedPoly
+from .gradedpoly import EVEN, ODD, GradedPoly, _collect, coefficient
 
 COEFF_POOL = [
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -57,11 +57,20 @@ def random_monomial(rng: random.Random, chart: Chart, max_degree: int,
 
 def random_poly(rng: random.Random, chart: Chart, max_degree: int = 3,
                 n_terms: int = 3, parity: int | None = None) -> GradedPoly:
-    """A random polynomial; if ``parity`` is given the result is homogeneous."""
-    drawn = (random_monomial(rng, chart, max_degree, parity) for _ in range(n_terms))
-    # each coefficient is drawn right after its monomial, as the summands are consumed
-    out = GradedPoly.sum(chart, (chart.monomial(expo, rng.choice(COEFF_POOL))
-                                 for expo in drawn if expo is not None))
+    """A random polynomial; if ``parity`` is given the result is homogeneous.
+
+    Each coefficient is drawn right after its monomial, and the drawn terms
+    are collected into one term map (a repeated monomial adds up, and drops
+    out when it cancels).
+    """
+    index_of = chart.index_of
+    drawn = []
+    for _ in range(n_terms):
+        expo = random_monomial(rng, chart, max_degree, parity)
+        if expo is not None:
+            mono = chart.normal_monomial({index_of(name): e for name, e in expo.items()})
+            drawn.append((mono, coefficient(rng.choice(COEFF_POOL))))
+    out = GradedPoly(chart, _collect({}, drawn))
     if parity is not None and out.is_zero():
         # fall back to a bare generator of the right parity when one exists
         for g in chart.generators:

@@ -93,6 +93,28 @@ def _list(holder: dict, key: str, where: str = "") -> list:
 _PLAIN = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 # a decimal exponent: Fraction builds its power of ten before anything else
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_SHOWN = 40
+# the interpreter's reason ends here: what follows quotes the value again or
+# advises raising the interpreter's digit limit
+_REASON_END = re.compile(r"[:;] ")
+
+
+def refused(raw, exc: Exception | None = None) -> str:
+    """A refused value as a one-line error shows it, then ``exc``'s reason.
+
+    A value whose text is longer than ``_SHOWN`` characters is shown by the
+    repr of its first ``_SHOWN`` and its length, so a 4301-digit coefficient
+    does not fill the line; a shorter one by its repr.  The reason is the
+    exception's text up to its first colon or semicolon.
+    """
+    text = str(raw)
+    if len(text) > _SHOWN:
+        shown = f"{text[:_SHOWN]!r}... ({len(text)} characters)"
+    else:
+        shown = repr(raw)
+    if exc is None:
+        return shown
+    return f"{shown}: {_REASON_END.split(str(exc), 1)[0]}"
 
 
 def parse_rational(raw, where: str) -> Fraction:
@@ -101,7 +123,7 @@ def parse_rational(raw, where: str) -> Fraction:
     Refuses a value whose numerator or denominator has more digits than the
     interpreter converts to a string (``sys.get_int_max_str_digits``), and a
     decimal exponent past twice that limit, whose power of ten outgrows every
-    mantissa within the limit.
+    mantissa within the limit.  The error shows the value through ``refused``.
 
     A plain string ("-12", "3/4") is converted with ``int`` and
     ``Fraction(n, d)`` instead of ``Fraction(str)``, which would match its
@@ -115,16 +137,16 @@ def parse_rational(raw, where: str) -> Fraction:
         try:
             return Fraction(int(numerator), int(denominator or 1))
         except (ValueError, ZeroDivisionError) as exc:
-            raise SpecError(f"{where}: bad rational {raw!r}: {exc}") from None
+            raise SpecError(f"{where}: bad rational {refused(raw, exc)}") from None
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     try:
         exponent = _EXPONENT.search(str(raw))
         if exponent is not None and abs(int(exponent.group(1))) > 2 * limit:
-            raise SpecError(f"{where}: the exponent of {raw!r} is too large")
+            raise SpecError(f"{where}: the exponent of {refused(raw)} is too large")
         value = Fraction(str(raw))
         str(value)  # raises past the limit, as rendering the value would
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"{where}: bad rational {raw!r}: {exc}") from None
+        raise SpecError(f"{where}: bad rational {refused(raw, exc)}") from None
     return value
 
 

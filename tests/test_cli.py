@@ -352,6 +352,17 @@ class TestInputContract:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("key", ["4301-digits", "1/4301-digits"])
+    def test_long_coefficient_error_line_is_short(self, runner, tmp_path, key):
+        # the refused value is cut to its first 40 characters and its length
+        bad = tmp_path / "input"
+        bad.write_text(_so3_coefficient(OVERSIZED[key]))
+        result = runner.invoke(main, ["check-q", str(bad)])
+        assert result.exit_code == 2, result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines[0]) < 200 and f"({len(OVERSIZED[key])} characters)" in lines[0]
+
     @pytest.mark.parametrize("flavor", ["schouten", "poisson"])
     def test_deep_arity_brackets_exit_0(self, runner, tmp_path, monkeypatch, flavor):
         # one even fibre symbol and Q = 0: a single all-zero tuple of arity 4800,

@@ -5,7 +5,10 @@ from random import Random
 
 import pytest
 
+from qalgebroid import gradedpoly
 from qalgebroid.builtins import (
+    FIXTURES,
+    builtin_spec,
     derham,
     graded_3_lie,
     lie_3_algebroid_demo,
@@ -26,7 +29,9 @@ from qalgebroid.construction import (
     FibreChange,
     MorphismR,
     build_poisson,
+    build_poisson_unchecked,
     build_schouten,
+    build_schouten_unchecked,
     chart_change_naturality,
     even_dual_exchange,
     invert_matrix,
@@ -39,9 +44,18 @@ from qalgebroid.fields import (
     VectorField,
     canonical_poisson,
     canonical_schouten,
+    even_symbol,
+    is_homological,
+    odd_symbol,
 )
 from qalgebroid.gradedpoly import ChartMismatch, GradedAlgebraError, ParityMismatch
-from qalgebroid.randgen import _shear, random_field, random_poly, random_presentation
+from qalgebroid.randgen import (
+    _shear,
+    random_field,
+    random_homological_field,
+    random_poly,
+    random_presentation,
+)
 from qalgebroid.specdoc import assemble_field
 
 from closed_forms import structure_constant
@@ -65,6 +79,25 @@ def _sampled_bracket_verdict(m: MorphismR, bracket, rng: Random, pairs: int = 25
         if bracket(m.pullback(f), m.pullback(g), m.codomain) != m.pullback(bracket(f, g, m.domain)):
             return False
     return True
+
+
+def reference_bracket_witness(m: MorphismR, bracket) -> tuple[str, str] | None:
+    """The previous ``bracket_witness``: every ordered generator pair, rows in
+    generator order, 2k^2 brackets on k generators."""
+    domain, codomain = m.domain, m.codomain
+    for a in domain.generators:
+        for b in domain.generators:
+            lhs = bracket(m.images[a.name], m.images[b.name], codomain)
+            rhs = m.pullback(bracket(domain.gen(a.name), domain.gen(b.name), domain))
+            if lhs != rhs:
+                return a.name, b.name
+    return None
+
+
+def _phase_charts(b: BundlePresentation):
+    """The four phase charts of ``b``, each with its canonical bracket."""
+    return [(chart, canonical_poisson if chart.space.startswith("T*") else canonical_schouten)
+            for chart in all_charts(b).values() if chart.is_phase]
 
 
 def _scaled(chart, name: str, factor) -> MorphismR:
@@ -330,6 +363,7 @@ class TestNaturality:
                 witness = lift.bracket_witness(bracket)
                 assert (witness is None) == _sampled_bracket_verdict(lift, bracket, rng), (b, witness)
                 assert witness is None
+                assert witness == reference_bracket_witness(lift, bracket)
 
     def test_sampled_failures_are_generator_pair_failures(self):
         # shears are algebra automorphisms that mostly break the bracket; the
@@ -341,6 +375,7 @@ class TestNaturality:
                                    (chart_odd_cotangent(chart_e_star(b)), canonical_schouten)):
                 shear = _shear(rng, chart, max_degree=2)
                 witness = shear.bracket_witness(bracket)
+                assert witness == reference_bracket_witness(shear, bracket)
                 sampled_ok = _sampled_bracket_verdict(shear, bracket, rng)
                 assert witness is not None or sampled_ok
                 found += witness is not None
@@ -354,6 +389,57 @@ class TestNaturality:
         m = _scaled(chart, "xi1", 2)
         assert m.bracket_witness(canonical_poisson) == ("xi1", "pi1")
         assert not _sampled_bracket_verdict(m, canonical_poisson, Random(71))
+
+    def test_scaled_records_name_the_pair_of_the_ordered_loop(self):
+        # one generator scaled on each phase chart: the first failing ordered
+        # pair has its row at or before its column, and both walks name it
+        rng = Random(73)
+        named = set()
+        for b in [MIXED, *_drawn_presentations(rng, 6)]:
+            for chart, bracket in _phase_charts(b):
+                for g in chart.generators:
+                    m = _scaled(chart, g.name, rng.choice([2, -1, Fraction(1, 3)]))
+                    witness = m.bracket_witness(bracket)
+                    assert witness is not None and witness == reference_bracket_witness(m, bracket)
+                    named.add(witness[0] == witness[1])
+        assert named == {False}  # a scaled generator fails with its conjugate
+
+    def test_composite_records_name_the_pair_of_the_ordered_loop(self):
+        # a fibre-change lift followed by a shear: images of several terms
+        rng = Random(79)
+        found = 0
+        for b in _drawn_presentations(rng, 10):
+            change = _random_change(rng, b)
+            for chart, bracket in _phase_charts(b):
+                lift, shear = change.on(chart), _shear(rng, chart, max_degree=2)
+                images = {name: shear.pullback(img) for name, img in lift.images.items()}
+                m = MorphismR(chart, chart, images)
+                witness = m.bracket_witness(bracket)
+                assert witness == reference_bracket_witness(m, bracket)
+                found += witness is not None
+        assert found > 10
+
+    def test_brackets_per_record(self):
+        # k(k+1) brackets on a k-generator chart when the change passes:
+        # k(k+1)/2 unordered pairs, one bracket on each side
+        rng = Random(97)
+        for b in [MIXED, *_drawn_presentations(rng, 8)]:
+            change = _random_change(rng, b)
+            records = [(even_dual_exchange(b), canonical_poisson),
+                       (odd_dual_exchange(b), canonical_schouten),
+                       *((change.on(chart), bracket) for chart, bracket in _phase_charts(b))]
+            for m, bracket in records:
+                made = []
+
+                def counted(f, g, chart, bracket=bracket):
+                    made.append(chart)
+                    return bracket(f, g, chart)
+
+                assert m.bracket_witness(counted) is None
+                k = len(m.domain.generators)
+                assert len(made) == k * (k + 1)
+                if m.domain != m.codomain:
+                    assert made.count(m.domain) == made.count(m.codomain) == k * (k + 1) // 2
 
     def test_naturality_reports_a_non_symplectic_lift(self, monkeypatch):
         # a lift of the even phase chart that scales eta1: the even check
@@ -448,6 +534,52 @@ class TestMorphismR:
         q = assemble_field(so3())
         with pytest.raises(ChartMismatch):
             even_dual_exchange(so3().presentation).conjugate(q)
+
+    def test_one_way_record_has_no_inverse(self):
+        chart = chart_pi_e(MIXED)
+        fixed = {g.name: chart.gen(g.name) for g in chart.generators}
+        m = MorphismR(chart, chart, fixed)
+        assert m.inverse_images is None
+        f = random_poly(Random(101), chart, 3, 3)
+        assert m.pullback(f) == f
+        with pytest.raises(GradedAlgebraError, match="one-way"):
+            m.inverse()
+        with pytest.raises(GradedAlgebraError, match="one-way"):
+            m.conjugate(VectorField(chart, {"x1": chart.gen("xi1")}))
+
+
+class TestOneWayBuild:
+    """A build pulls back through a one-way exchange on the field's own chart."""
+
+    def test_one_build_makes_one_relabelling(self, monkeypatch):
+        calls = []
+        relabelling = gradedpoly._relabelling
+        monkeypatch.setattr(gradedpoly, "_relabelling",
+                            lambda *args: calls.append(args[0].space) or relabelling(*args))
+        q = assemble_field(so3())
+        for build in (build_schouten, build_poisson, build_schouten_unchecked,
+                      build_poisson_unchecked):
+            calls.clear()
+            build(q)
+            assert len(calls) == 1, calls
+
+    def test_builds_equal_the_two_way_pullback(self):
+        rng = Random(103)
+        fields = [assemble_field(builtin_spec(name)) for name in FIXTURES]
+        fields += [random_homological_field(rng) for _ in range(50)]
+        for q in fields:
+            b = BundlePresentation(tuple(g.parity for g in q.chart.generators[:q.chart.n_base]),
+                                   tuple(1 - g.parity for g in q.chart.generators[q.chart.n_base:]))
+            gated = is_homological(q)
+            for build, exchange, symbol in (
+                    (build_schouten if gated else build_schouten_unchecked, even_dual_exchange,
+                     even_symbol),
+                    (build_poisson if gated else build_poisson_unchecked, odd_dual_exchange,
+                     odd_symbol)):
+                two_way = exchange(b)
+                h = build(q)
+                assert h.chart == two_way.codomain
+                assert h.value == two_way.pullback(symbol(q, two_way.domain))
 
 
 def test_invert_matrix_round_trip():

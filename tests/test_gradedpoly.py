@@ -872,3 +872,55 @@ class TestScaledCoefficients:
         x = VectorField(pie, {"x1": pie.gen("xi1").scaled(Fraction(4, 3))}, 1)
         y = x.scaled(Fraction(3, 4))
         assert [type(c) for c in y.component("x1").terms.values()] == [int]
+
+
+def fresh_parity(f):
+    """The parity read off the terms afresh: 0 for zero, None if mixed."""
+    odd = f.chart.odd_flags
+    parities = {sum(odd[g] for g, _ in m) & 1 for m in f.terms}
+    return parities.pop() if len(parities) == 1 else (0 if not parities else None)
+
+
+def fresh_support(f):
+    return {g for m in f.terms for g, _ in m}
+
+
+class TestKeptFacts:
+    """``parity()`` and ``support()`` are computed once and kept; the kept
+    answers equal a fresh scan of the terms."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_kept_answers_equal_a_fresh_scan(self, data):
+        chart = data.draw(any_chart())
+        parity = data.draw(st.sampled_from([None, 0, 1 if any(chart.odd_flags) else 0]))
+        f = data.draw(odd_heavy_polys(chart) if parity is None else polys(chart, parity))
+        order = data.draw(st.permutations(["parity", "support", "parts"]))
+        for _ in range(2):  # asked again, the same answers
+            for ask in order:
+                if ask == "parity":
+                    assert f.parity() == fresh_parity(f)
+                elif ask == "support":
+                    assert f.support() == fresh_support(f)
+                    assert isinstance(f.support(), frozenset)
+                else:
+                    for p, part in f.parity_parts().items():
+                        assert part.parity() == fresh_parity(part) == p
+                        assert part.support() == fresh_support(part)
+
+    @PROPERTY
+    @given(st.data())
+    def test_drawn_polynomials(self, data):
+        chart = data.draw(any_chart())
+        rng = Random(data.draw(st.integers(0, 10**6)))
+        for f in (random_poly(rng, chart, 3, 4), random_homogeneous_poly(rng, chart, 3, 3),
+                  random_poly(rng, chart, 3, 4) + random_poly(rng, chart, 3, 4), chart.zero()):
+            assert f.support() == fresh_support(f)
+            assert f.parity() == fresh_parity(f)
+            f.parity_parts()
+            assert f.parity() == fresh_parity(f) and f.support() == fresh_support(f)
+
+    def test_mixed_is_kept_as_none(self, pie):
+        f = pie.gen("xi1") + pie.gen("x1")
+        assert f.parity() is None and f.parity() is None
+        assert pie.zero().parity() == 0 and pie.zero().support() == frozenset()

@@ -2,10 +2,10 @@
 
 from random import Random
 
-from qalgebroid.charts import BundlePresentation, chart_e_star, chart_pi_e
+from qalgebroid.charts import BundlePresentation, all_charts, chart_e_star, chart_pi_e
 from qalgebroid.construction import build_poisson, build_schouten
 from qalgebroid.fields import commutator, is_homological
-from qalgebroid.gradedpoly import ODD
+from qalgebroid.gradedpoly import ODD, GradedPoly
 from qalgebroid.homotopy import FieldEngine, PhaseEngine
 from qalgebroid.randgen import (
     COEFF_POOL,
@@ -14,9 +14,38 @@ from qalgebroid.randgen import (
     random_homological_field,
     random_monomial,
     random_poly,
+    random_presentation,
 )
 
 MIXED = BundlePresentation((0, 1), (0, 1))
+
+
+def reference_random_poly(rng, chart, max_degree=3, n_terms=3, parity=None):
+    """The previous ``random_poly``: one ``Chart.monomial`` per drawn term,
+    each coefficient drawn right after its monomial, summed."""
+    drawn = (random_monomial(rng, chart, max_degree, parity) for _ in range(n_terms))
+    out = GradedPoly.sum(chart, (chart.monomial(expo, rng.choice(COEFF_POOL))
+                                 for expo in drawn if expo is not None))
+    if parity is not None and out.is_zero():
+        for g in chart.generators:
+            if g.parity == parity:
+                return chart.gen(g.name)
+    return out
+
+
+def test_random_poly_matches_the_reference():
+    # same polynomial, same term order and coefficient types, same stream after
+    draws = Random(83)
+    for _ in range(150):
+        chart = draws.choice(list(all_charts(random_presentation(draws)).values()))
+        args = (chart, draws.randint(0, 4), draws.randint(0, 5), draws.choice([None, 0, 1]))
+        seed = draws.randrange(10**6)
+        new_rng, old_rng = Random(seed), Random(seed)
+        new, old = random_poly(new_rng, *args), reference_random_poly(old_rng, *args)
+        assert new.chart == old.chart
+        assert [(m, c, type(c)) for m, c in new.terms.items()] == \
+            [(m, c, type(c)) for m, c in old.terms.items()]
+        assert new_rng.getstate() == old_rng.getstate()
 
 
 def test_same_seed_same_stream():

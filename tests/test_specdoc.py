@@ -30,6 +30,7 @@ from qalgebroid.specdoc import (
     assemble_field,
     parse_rational,
     parse_spec,
+    refused,
     render_spec,
     spec_from_field,
 )
@@ -40,16 +41,17 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def reference_parse_rational(raw, where: str) -> Fraction:
-    """Every value through ``Fraction(str)`` and a rendering probe."""
+    """Every value through ``Fraction(str)`` and a rendering probe; refusals
+    render the value through ``refused``, as ``parse_rational`` does."""
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     try:
         exponent = _EXPONENT.search(str(raw))
         if exponent is not None and abs(int(exponent.group(1))) > 2 * limit:
-            raise SpecError(f"{where}: the exponent of {raw!r} is too large")
+            raise SpecError(f"{where}: the exponent of {refused(raw)} is too large")
         value = Fraction(str(raw))
         str(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"{where}: bad rational {raw!r}: {exc}") from None
+        raise SpecError(f"{where}: bad rational {refused(raw, exc)}") from None
     return value
 
 
@@ -101,8 +103,21 @@ class TestParseRational:
     def test_digit_limit_as_before(self, digits, form):
         raw = form.format(n="9" * digits, z="0" * digits)
         assert_parses_as_before(raw)
-        refused = outcome(parse_rational, raw)[0] == "error"
-        assert refused is (digits > 4300)
+        failed = outcome(parse_rational, raw)[0] == "error"
+        assert failed is (digits > 4300)
+
+    @pytest.mark.parametrize("raw", [
+        "9" * 4301, "1/" + "9" * 4301, "x" * 5000, "1e" + "9" * 5000, "1.5e" + "9" * 300])
+    def test_long_refusals_stay_short(self, raw):
+        kind, message = outcome(parse_rational, raw)
+        assert kind == "error" and len(message) < 200, message
+        assert repr(raw[:40]) in message and f"({len(raw)} characters)" in message
+
+    def test_short_values_show_whole(self):
+        assert outcome(parse_rational, "1/0") == ("error", "c: bad rational '1/0': Fraction(1, 0)")
+        assert outcome(parse_rational, "9" * 40)[0] == "value"
+        assert outcome(parse_rational, "x" * 40) == (
+            "error", f"c: bad rational {'x' * 40!r}: Invalid literal for Fraction")
 
 
 def reference_assemble(spec: AlgebroidSpec) -> VectorField:
