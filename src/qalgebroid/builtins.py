@@ -26,12 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charts import chart_pi_e
-from .construction import build_schouten
-from .fields import VectorField
-from .gradedpoly import GradedPoly, ODD
-from .homotopy import PhaseEngine
-from .specdoc import AlgebroidSpec, QTerm, assemble_field, spec_from_field
+from .specdoc import AlgebroidSpec, QTerm
 
 EVEN_P = "even"
 ODD_P = "odd"
@@ -158,33 +153,26 @@ def higher_poisson_on_algebroid() -> AlgebroidSpec:
     On a rank-2 fibre the odd self-bracket of any bivector is a 3-vector and
     vanishes identically, so p = (1 + x) eta1 eta2 generates a homological
     field Q_p = -[[p, . ]] on the dual anti-bundle, presented here on a fresh
-    chart with even fibre symbols a1, a2.
+    chart with even fibre symbols a1, a2:
+
+        Q = (x(1+x) a1 - (1+x) a2) d/dx + a1 a2 (d/da2 - d/da1)
+
+    The test suite derives it again through the Schouten engine of
+    ``lie-algebroid-demo`` and compares.
     """
-    demo = assemble_field(lie_algebroid_demo())
-    s = build_schouten(demo)
-    eng = PhaseEngine(s)
-    dual = eng.parent
-    bivector = (dual.one() + dual.gen("x1")) * dual.gen("eta1") * dual.gen("eta2")
-    if not eng.derived([bivector, bivector]).is_zero():
-        raise AssertionError("the bivector no longer self-commutes")
-
-    new_base = (("x", 0),)
-    new_fibre = (("a1", 0), ("a2", 0))
-    from .charts import BundlePresentation  # local to keep imports light
-
-    new_chart = chart_pi_e(BundlePresentation((0,), (0, 0)))
-    rename = {
-        "x1": new_chart.gen("x1"),
-        "eta1": new_chart.gen("xi1"),
-        "eta2": new_chart.gen("xi2"),
-    }
-    comps: dict[str, GradedPoly] = {}
-    for old, new in (("x1", "x1"), ("eta1", "xi1"), ("eta2", "xi2")):
-        value = eng.derived([bivector, dual.gen(old)]).scaled(-1)
-        if not value.is_zero():
-            comps[new] = value.substitute(rename, new_chart)
-    q = VectorField(new_chart, comps, ODD)
-    return spec_from_field("higher-poisson-on-algebroid", new_base, new_fibre, q)
+    return _spec(
+        "higher-poisson-on-algebroid",
+        [("x", EVEN_P)],
+        [("a1", EVEN_P), ("a2", EVEN_P)],
+        [
+            ("x", "1", ["a1"], [["x", 1]]),
+            ("x", "-1", ["a2"], [["x", 1]]),
+            ("x", "1", ["a1"], [["x", 2]]),
+            ("x", "-1", ["a2"], []),
+            ("a1", "-1", ["a1", "a2"], []),
+            ("a2", "1", ["a1", "a2"], []),
+        ],
+    )
 
 
 BUILTINS = {

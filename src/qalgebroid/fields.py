@@ -140,7 +140,7 @@ class VectorField:
         generators that occur in f."""
         if f.chart != self.chart:
             raise ChartMismatch("field and function live on different charts")
-        return GradedPoly(self.chart, _apply_into({}, self, f.terms))
+        return GradedPoly(self.chart, _apply_into({}, self, f))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.chart != other.chart:
@@ -179,17 +179,15 @@ class VectorField:
         return f"<VectorField {' + '.join(parts)}>"
 
 
-def _apply_into(out: dict, x: VectorField, terms: dict, scale: int = 1) -> dict:
-    """Add ``scale`` times X(f) into the term map ``out``, f given by its
-    terms: one product per component along a generator that occurs in f."""
-    if not terms:
-        return out
-    support = {g for m in terms for g, _ in m}
+def _apply_into(out: dict, x: VectorField, f: GradedPoly, scale: int = 1) -> dict:
+    """Add ``scale`` times X(f) into the term map ``out``: one product per
+    component along a generator that occurs in f (``f.support()``)."""
+    support = f.support()
     odd, index_of = x.chart.odd_flags, x.chart.index_of
     for name, comp in x.components.items():
         idx = index_of(name)
         if idx in support:
-            _product_into(out, comp.terms, _masked(_derivative(terms, idx, odd), odd), odd, scale)
+            _product_into(out, comp.terms, _masked(_derivative(f.terms, idx, odd), odd), odd, scale)
     return out
 
 
@@ -212,16 +210,16 @@ def commutator(x: VectorField, y: VectorField) -> VectorField:
             cleared = VectorField(chart, {z: GradedPoly(chart, _cleared(comp.terms, d)[1])
                                           for z, comp in x.components.items()}, ODD)
             for z, comp in cleared.components.items():
-                acc = _apply_into({}, cleared, comp.terms, 2)
+                acc = _apply_into({}, cleared, comp, 2)
                 if acc:
                     comps[z] = GradedPoly(chart, _divided(acc, d * d))
         return VectorField(chart, comps, EVEN)
     sign = 1 if (x.parity & y.parity) else -1  # of Y(X^z): -(-1)^(XY)
     xc, yc = x.components, y.components
     for z in sorted(xc.keys() | yc.keys(), key=chart.index_of):
-        acc = _apply_into({}, x, yc[z].terms) if z in yc else {}
+        acc = _apply_into({}, x, yc[z]) if z in yc else {}
         if z in xc:
-            _apply_into(acc, y, xc[z].terms, sign)
+            _apply_into(acc, y, xc[z], sign)
         if acc:
             comps[z] = GradedPoly(chart, acc)
     return VectorField(chart, comps, (x.parity + y.parity) & 1)

@@ -13,16 +13,14 @@ Conventions used throughout the package:
   ``fractions.Fraction`` otherwise (``coefficient`` normalises a value).  A
   term map may mix the two; 3 and Fraction(3) compare and hash equal and print
   alike.  Nothing is ever rounded, which is what makes identity checks
-  meaningful.  Three operations multiply integers instead: ``substitute``
-  (unless its images are a relabelling, below) and the two self-brackets in
-  ``fields`` clear their source's denominators with ``_cleared`` (d times
-  the map, d the lcm of its denominators), work on the integer map and
-  divide the result once with ``_divided`` (by d, or by d^2 for a
-  self-bracket).  ``substitute`` is linear in its source and a
-  self-bracket quadratic in its argument, so this is an exact rewriting over
-  the rationals, not an approximation.  The other products keep their
-  ``Fraction``s, because one gcd per product would give back what the
-  integers save.
+  meaningful.  Integers are multiplied in exactly two places, the two
+  self-brackets in ``fields``: each clears its argument's denominators with
+  ``_cleared`` (d times the map, d the lcm of its denominators), works on
+  the integer map and divides the result once by d^2 with ``_divided``.  A
+  self-bracket is quadratic in its argument, so this is an exact rewriting
+  over the rationals, not an approximation.  The other products, those of
+  ``substitute`` included, keep their ``Fraction``s, because one gcd per
+  product would give back what the integers save.
 * Derivatives act from the left: d/dz moves z to the front of a monomial,
   picking up one minus sign per odd generator jumped over, then strikes it.
 * The zero polynomial reports parity 0 and weight (0, 0) by convention.
@@ -51,13 +49,16 @@ growing one per summand, and ``+`` is its two-summand case.  One fold of
 ``specdoc.assemble_field`` collects each component of a document in one term
 map and adds it to zero once.
 
-A substitution whose images are a relabelling, each generator sent to a
-nonzero multiple k of a distinct generator of its parity, makes no product:
-``checked_images`` records the (target index, k) of each source index, and
-``substitute`` renames each monomial's indices, multiplies its coefficient by
-the k^exp, sorts the factors and takes the sign of the odd pairs the sort
-inverts.  ``render`` ranks the chart's generators for display once per call
-and sorts terms on those ranks.
+``substitute`` has one entry: its images go through ``checked_images``,
+which gives a record checked for the same two charts back as it is and
+checks anything else.  A substitution whose images are a relabelling, each
+generator sent to a nonzero multiple k of a distinct generator of its
+parity, makes no product, whether its images come as a record or as a plain
+dict: ``checked_images`` records the (target index, k) of each source index,
+and ``substitute`` renames each monomial's indices, multiplies its
+coefficient by the k^exp, sorts the factors and takes the sign of the odd
+pairs the sort inverts.  ``render`` ranks the chart's generators for
+display once per call and sorts terms on those ranks.
 
 Products work on bitmasks (the bitmap representation of Grassmann monomials,
 Dorst, Fontijne and Mann, *Geometric Algebra for Computer Science*, ch. 19):
@@ -285,7 +286,7 @@ def _derivative(terms: dict[Monomial, Coefficient], idx: int,
 
 class CheckedImages(dict):
     """Generator images that ``checked_images`` has checked against a source
-    and a target chart; ``GradedPoly.substitute`` does not check them again.
+    and a target chart; ``checked_images`` gives such a record back as it is.
 
     ``relabel`` is None, or, when every image is one term ``k*z_j`` (see
     ``_relabelling``), the ``(j, k)`` of each source index in order, and
@@ -295,19 +296,27 @@ class CheckedImages(dict):
     __slots__ = ("source", "target", "relabel")
 
 
-def _already_checked(images, source, target) -> bool:
-    return (isinstance(images, CheckedImages) and images.source == source
-            and images.target == target)
-
-
 def checked_images(source, images: dict[str, "GradedPoly"], target) -> CheckedImages:
-    """The images as a CheckedImages record, after ``_check_images`` unless
-    they form a relabelling, which has nothing left to check."""
-    if _already_checked(images, source, target):
+    """The images as a CheckedImages record for ``source`` and ``target``.
+
+    A record already checked for these two charts comes back as it is.  A
+    relabelling has nothing left to check; otherwise every image must name a
+    generator of ``source``, live on ``target`` and be zero or
+    parity-homogeneous of that generator's parity.
+    """
+    if isinstance(images, CheckedImages) and images.source == source and images.target == target:
         return images
     relabel = _relabelling(source, images, target)
     if relabel is None:
-        _check_images(source, images, target)
+        for name, img in images.items():
+            src = source.generators[source.index_of(name)]
+            if img.chart != target:
+                raise ChartMismatch(f"image of {name} is not on the target chart")
+            if img.terms and img.parity() != src.parity:  # None when mixed
+                raise ParityMismatch(
+                    f"image of {name} must be parity-homogeneous of parity "
+                    f"{src.parity}"
+                )
     out = CheckedImages(images)
     out.source, out.target, out.relabel = source, target, relabel
     return out
@@ -369,23 +378,6 @@ def _relabelled(terms: dict[Monomial, Coefficient], relabel, odd: tuple[bool, ..
         renamed.sort()
         out[tuple(renamed)] = -c if flips & 1 else c
     return out
-
-
-def _check_images(source, images: dict[str, "GradedPoly"], target) -> None:
-    """Raise unless every image names a generator of ``source``, lives on
-    ``target`` and is zero or parity-homogeneous of that generator's parity."""
-    for name, img in images.items():
-        src = source.generators[source.index_of(name)]
-        if img.chart != target:
-            raise ChartMismatch(f"image of {name} is not on the target chart")
-        if img.is_zero():
-            continue
-        p = img.parity()
-        if p is None or p != src.parity:
-            raise ParityMismatch(
-                f"image of {name} must be parity-homogeneous of parity "
-                f"{src.parity}"
-            )
 
 
 def _require_chart(chart, other: "GradedPoly"):
@@ -564,22 +556,18 @@ class GradedPoly:
 
         Every generator occurring in the polynomial must be mapped; images
         must be parity-homogeneous of the source generator's parity (the zero
-        polynomial is accepted for any generator).  Images checked once by
-        ``checked_images`` for this chart and ``target_chart`` are not
-        checked again, and a checked relabelling (``CheckedImages.relabel``)
-        is applied by renaming indices, with no product.
+        polynomial is accepted for any generator).  ``checked_images`` checks
+        them, once per record; a relabelling (``CheckedImages.relabel``) is
+        applied by renaming indices, any other map by multiplying images.
         """
-        if not _already_checked(images, self.chart, target_chart):
-            _check_images(self.chart, images, target_chart)
-        elif images.relabel is not None:
-            return GradedPoly(target_chart,
-                              _relabelled(self.terms, images.relabel, target_chart.odd_flags))
-        gens = self.chart.generators
+        images = checked_images(self.chart, images, target_chart)
         odd = target_chart.odd_flags
+        if images.relabel is not None:
+            return GradedPoly(target_chart, _relabelled(self.terms, images.relabel, odd))
+        gens = self.chart.generators
         out: dict[Monomial, Coefficient] = {}
         masked = {}  # generator index -> its image, _masked once per call
-        d, terms = _cleared(self.terms)
-        for m, c in terms.items():
+        for m, c in self.terms.items():
             acc = {ONE_MONOMIAL: c}
             for idx, exp in m:
                 right = masked.get(idx)
@@ -593,7 +581,7 @@ class GradedPoly:
                 if not acc:
                     break
             _collect(out, acc.items())
-        return GradedPoly(target_chart, _divided(out, d))
+        return GradedPoly(target_chart, out)
 
     def drop_generators(self, names) -> "GradedPoly":
         """Delete every term containing one of the named generators.

@@ -116,7 +116,6 @@ class DerivedBracketEngine:
         self._args: list = []  # registered arguments, held so that ids stay unique
         self._position: dict[int, int] = {}
         self._prepared: list = []
-        self._koszul: list = []  # per position: None until asked for
         self._partial: dict[tuple, object] = {(): self.generator()}
         self._value: dict[tuple, object] = {}
         self._half_square = None
@@ -130,24 +129,6 @@ class DerivedBracketEngine:
         if self._half_square is None:
             self._half_square = self.self_bracket().scaled(Fraction(1, 2))
         return self._half_square
-
-    def koszul_parities(self, key: tuple) -> list[int]:
-        """The Koszul parity of the registered argument at each position of
-        ``key``.
-
-        Each is kept per memo position, computed the first time it is asked
-        for, so a sweep scans each argument's monomials once.  Registering
-        does not compute it, so a mixed-parity argument raises
-        ParityMismatch (from ``parity_of``) only when its parity is asked
-        for: in ``jacobiator``, not in ``derived``.
-        """
-        out = []
-        for pos in key:
-            p = self._koszul[pos]
-            if p is None:
-                p = self._koszul[pos] = (self.parity_of(self._args[pos]) + self.koszul_shift) & 1
-            out.append(p)
-        return out
 
     def derived(self, args, generator=None):
         """The nested bracket of ``args``: from the memo, or afresh with ``generator``."""
@@ -169,7 +150,6 @@ class DerivedBracketEngine:
                 pos = self._position[id(a)] = len(self._args)
                 self._args.append(a)
                 self._prepared.append(prepared)
-                self._koszul.append(None)
             out.append(pos)
         return tuple(out)
 
@@ -378,10 +358,14 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
 
     Returns the value both routes agree on.  Raises JacobiatorMismatch when
     the unshuffle sum disagrees with the derived bracket of the squared
-    generator, which would signal a sign-convention bug.  The unshuffle sum
-    reads and extends the engine's memo.  Consecutive arguments at one memo
-    position (one object) form a run, and a subset that takes k of a run's
-    m copies has the brackets of the canonical one that takes the first k.
+    generator, which would signal a sign-convention bug.  An argument's
+    Koszul parity is ``engine.parity_of`` plus the engine's shift; a
+    polynomial keeps its parity and a field holds it, so a sweep scans each
+    argument once, and a mixed-parity argument raises ParityMismatch here,
+    not in ``derived``.  The unshuffle sum reads and extends the engine's
+    memo.  Consecutive arguments at one memo position (one object) form a
+    run, and a subset that takes k of a run's m copies has the brackets of
+    the canonical one that takes the first k.
     Only canonical subsets are walked, each weighted by the exact signed
     count of its class (``unshuffle_weight``): its Koszul sign times, per
     run, C(m, k) when the run is Koszul-even and the Gaussian binomial
@@ -399,7 +383,7 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     """
     n = len(args)
     pos = engine.positions(args)
-    parities = engine.koszul_parities(pos)
+    parities = [(engine.parity_of(a) + engine.koszul_shift) & 1 for a in args]
     starts = [i for i in range(n) if i == 0 or pos[i] != pos[i - 1]]
     lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
     run_of = [r for r, m in enumerate(lengths) for _ in range(m)]

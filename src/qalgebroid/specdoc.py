@@ -75,9 +75,9 @@ def _parse_entry(entry, where: str) -> tuple[str, int]:
     name = entry["name"]
     parity = entry["parity"]
     if not isinstance(name, str) or not name:
-        raise SpecError(f"{where}: bad generator name {name!r}")
+        raise SpecError(f"{where}: bad generator name {refused(name)}")
     if not isinstance(parity, str) or parity not in _PARITY:
-        raise SpecError(f"{where}: parity must be 'even' or 'odd', got {parity!r}")
+        raise SpecError(f"{where}: parity must be 'even' or 'odd', got {refused(parity)}")
     return name, _PARITY[parity]
 
 
@@ -104,14 +104,21 @@ def refused(raw, exc: Exception | None = None) -> str:
 
     A value whose text is longer than ``_SHOWN`` characters is shown by the
     repr of its first ``_SHOWN`` and its length, so a 4301-digit coefficient
-    does not fill the line; a shorter one by its repr.  The reason is the
-    exception's text up to its first colon or semicolon.
+    does not fill the line; a shorter one by its repr.  A value that has no
+    text (an int past the interpreter's digit limit) is shown by its type,
+    and an int by its bit length as well.  The reason is the exception's
+    text up to its first colon or semicolon.
     """
-    text = str(raw)
-    if len(text) > _SHOWN:
-        shown = f"{text[:_SHOWN]!r}... ({len(text)} characters)"
+    try:
+        text = str(raw)
+    except ValueError:  # an int past the interpreter's digit limit, or a value holding one
+        bits = f" of {raw.bit_length()} bits" if isinstance(raw, int) else ""
+        shown = f"<{type(raw).__name__}{bits}>"
     else:
-        shown = repr(raw)
+        if len(text) > _SHOWN:
+            shown = f"{text[:_SHOWN]!r}... ({len(text)} characters)"
+        else:
+            shown = repr(raw)
     if exc is None:
         return shown
     return f"{shown}: {_REASON_END.split(str(exc), 1)[0]}"
@@ -174,7 +181,7 @@ def parse_spec(document) -> AlgebroidSpec:
     seen = set()
     for n, _ in base + fibre:
         if n in seen:
-            raise SpecError(f"duplicate generator name {n!r}")
+            raise SpecError(f"duplicate generator name {refused(n)}")
         seen.add(n)
     base_parity = dict(base)
     fibre_parity = dict(fibre)
@@ -190,7 +197,7 @@ def parse_spec(document) -> AlgebroidSpec:
         if not isinstance(target, str) or (
             target not in base_parity and target not in fibre_parity
         ):
-            raise SpecError(f"{where}: unknown target {target!r}")
+            raise SpecError(f"{where}: unknown target {refused(target)}")
         coeff = parse_rational(t.get("coefficient", "0"), f"{where} coefficient")
         if coeff == 0:
             raise SpecError(f"{where}: zero coefficients are not stored")
@@ -199,7 +206,7 @@ def parse_spec(document) -> AlgebroidSpec:
         last = -1
         for m in mono:
             if not isinstance(m, str) or m not in fibre_order:
-                raise SpecError(f"{where}: unknown fibre symbol {m!r} in monomial")
+                raise SpecError(f"{where}: unknown fibre symbol {refused(m)} in monomial")
             pos = fibre_order[m]
             xi_parity = (fibre_parity[m] + 1) & 1
             if pos < last or (pos == last and xi_parity == ODD):
@@ -216,7 +223,7 @@ def parse_spec(document) -> AlgebroidSpec:
                 raise SpecError(f"{where}: base_monomial entries are [name, exponent]")
             bname, exp = pair
             if not isinstance(bname, str) or bname not in base_order:
-                raise SpecError(f"{where}: unknown base symbol {bname!r}")
+                raise SpecError(f"{where}: unknown base symbol {refused(bname)}")
             if type(exp) is not int or exp < 1:  # bool is an int subclass
                 raise SpecError(f"{where}: base exponent must be a positive integer")
             if base_parity[bname] == ODD and exp > 1:
@@ -235,7 +242,7 @@ def parse_spec(document) -> AlgebroidSpec:
         if parity_sum != (target_parity + 1) & 1:
             raise SpecError(
                 f"{where}: term parity {_PARITY_NAME[parity_sum]} does not make "
-                f"the field odd on target {target!r}"
+                f"the field odd on target {refused(target)}"
             )
         terms.append(QTerm(target, coeff, mono, tuple(bmono)))
     return AlgebroidSpec(name, base, fibre, tuple(terms))

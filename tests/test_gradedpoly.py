@@ -390,9 +390,9 @@ class TestSubstituteProperties:
     @PROPERTY
     @given(st.data())
     def test_fractional_source_and_images_match_reference(self, data):
-        # substitute clears the source's denominators and divides once; the
-        # images keep theirs.  Every example here has a nonzero result, so the
-        # division is exercised on each one
+        # substitute multiplies the source's Fraction coefficients with the
+        # images' ones as they are, and may leave a whole-valued Fraction in
+        # its term map.  Every example here has a nonzero result
         target = data.draw(st.sampled_from([PIE, PIE_PHASE]))
         images = data.draw(images_for(PIE, target, FRACTIONS))
         f = data.draw(polys(PIE, min_terms=1, coeffs=FRACTIONS))
@@ -712,6 +712,23 @@ class TestRelabelling:
 
         monkeypatch.setattr("qalgebroid.gradedpoly._product_into", no_product)
         assert exchange.pullback(f) == expected
+
+    def test_plain_dict_relabelling_makes_no_product(self, monkeypatch):
+        # a relabelling given as a plain dict, not as a checked record, is
+        # renamed too
+        b = BundlePresentation((0, 1), (0, 1, 1))
+        exchange = even_dual_exchange(b)
+        images = dict(exchange.images)
+        assert type(images) is dict
+        f = random_poly(Random(5), exchange.domain, 4, 8)
+        expected = reference_substitute(f, images, exchange.codomain)
+        assert not expected.is_zero()
+
+        def no_product(*args, **kwargs):
+            raise AssertionError("a relabelling substitution made a product")
+
+        monkeypatch.setattr("qalgebroid.gradedpoly._product_into", no_product)
+        assert f.substitute(images, exchange.codomain) == expected
 
     def test_exchanges_and_monomial_changes_are_relabellings(self):
         b = BundlePresentation((0, 1), (0, 1, 1))

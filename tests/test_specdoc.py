@@ -9,6 +9,7 @@ that it replaced, and both must give the same components, in the same order,
 with the same term maps and coefficient types.
 """
 
+import json
 import re
 import sys
 from fractions import Fraction
@@ -118,6 +119,46 @@ class TestParseRational:
         assert outcome(parse_rational, "9" * 40)[0] == "value"
         assert outcome(parse_rational, "x" * 40) == (
             "error", f"c: bad rational {'x' * 40!r}: Invalid literal for Fraction")
+
+    def test_an_int_past_the_digit_limit_is_refused_short(self):
+        # str() of such an int raises, so it is shown by its bit length
+        kind, message = outcome(parse_rational, 10 ** 5000)
+        assert kind == "error" and len(message) < 200, message
+        assert "<int of 16610 bits>" in message
+        assert_parses_as_before(10 ** 5000)
+
+
+LONG = "z" * 5000
+
+
+def _so3_with(change):
+    doc = json.loads(render_spec(builtin_spec("so3")))
+    change(doc)
+    return doc
+
+
+# each puts one long value where parse_spec refuses it and echoes it
+LONG_REFUSALS = {
+    "target": lambda doc: doc["q_terms"][0].update(target=LONG),
+    "fibre symbol": lambda doc: doc["q_terms"][0]["monomial"].__setitem__(0, LONG),
+    "base symbol": lambda doc: doc["q_terms"][0].update(base_monomial=[[LONG, 1]]),
+    "generator name": lambda doc: doc["fibre"][0].update(name=[LONG]),
+    "parity string": lambda doc: doc["fibre"][0].update(parity=LONG),
+    "duplicate name": lambda doc: doc.update(fibre=[{"name": LONG, "parity": "even"}] * 2),
+    "target of the wrong parity": lambda doc: (
+        doc["fibre"][0].update(name=LONG),
+        doc.update(q_terms=[{"target": LONG, "coefficient": "1", "monomial": ["s2"]}])),
+}
+
+
+class TestParseSpecRefusals:
+    @pytest.mark.parametrize("kind", sorted(LONG_REFUSALS))
+    def test_long_values_are_echoed_short(self, kind):
+        with pytest.raises(SpecError) as refusal:
+            parse_spec(_so3_with(LONG_REFUSALS[kind]))
+        message = str(refusal.value)
+        assert len(message) < 200, message
+        assert re.search(r"\.\.\. \(\d+ characters\)", message), message
 
 
 def reference_assemble(spec: AlgebroidSpec) -> VectorField:
