@@ -51,7 +51,14 @@ from .homotopy import (
     schouten_bracket_table,
     weight_one_restriction_check,
 )
-from .specdoc import SpecError, assemble_field, parse_rational, parse_spec, render_spec
+from .specdoc import (
+    SpecError,
+    assemble_field,
+    parse_rational,
+    parse_spec,
+    refused,
+    render_spec,
+)
 
 
 @dataclass
@@ -106,7 +113,7 @@ def _read_text(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise SpecError(f"cannot read {path}: {exc}") from None
+        raise SpecError(f"cannot read {refused(path, exc)}") from None
 
 
 def load_spec(source: str):
@@ -114,18 +121,18 @@ def load_spec(source: str):
 
     The file is read once, with no check beforehand: a path naming nothing
     is neither a builtin nor a file, any other failure to open or decode it
-    is "cannot read"."""
+    is "cannot read".  The source is shown through ``refused``, so a long
+    one does not fill the error line."""
     if source in FIXTURES:
         return builtin_spec(source)
-    path = Path(source)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = Path(source).read_text(encoding="utf-8")
     except (FileNotFoundError, NotADirectoryError):
         raise SpecError(
-            f"{source!r} is neither a builtin ({', '.join(FIXTURES)}) nor a file"
+            f"{refused(source)} is neither a builtin ({', '.join(FIXTURES)}) nor a file"
         ) from None
     except (OSError, UnicodeDecodeError) as exc:
-        raise SpecError(f"cannot read {path}: {exc}") from None
+        raise SpecError(f"cannot read {refused(source, exc)}") from None
     return parse_spec(text)
 
 

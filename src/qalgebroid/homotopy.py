@@ -31,23 +31,28 @@ engine (one command): a sweep (the Jacobiators of every basis tuple, a
 bracket table, the restriction statement) shares its brackets through it.
 Arguments are registered by identity and named by their positions; the
 memo keeps each unprojected partial bracket ``[...[D, a1], ..., ak]`` under
-its position tuple, so a bracket costs one ambient bracket past its longest
-known prefix.  ``engine.derived(args)`` reads and extends the memo;
+its position tuple, made on demand one ambient bracket past its longest
+known prefix.  A value needs only the partial at its key's prefix: a phase
+engine applies that partial's anchor field to the last argument, with no
+lift, ambient bracket or projection (``PhaseEngine``); the field engine
+brackets and projects.  ``engine.derived(args)`` reads and extends the memo;
 ``engine.derived(args, generator=g)`` computes the nested definition with
 the generator g afresh and never touches it.  The squared-generator route of
 the Jacobiator takes the second form, so the two routes share no computed
 bracket.
 
 The memo route uses bilinearity, [0, a] = 0: the walk stops at the first
-partial that vanishes, and no longer partial is stored.  Each bracket with
+partial that vanishes, and no longer partial is stored.  An argument is
+lifted when it first enters an ambient bracket.  Each bracket with
 an argument of the abelian subalgebra lowers the conjugate degree of a phase
 partial (the argument carries no conjugates) or the polynomial degree of a
 field partial (the argument is constant) by one, so a stored key is at most
 one longer than that degree of the generator.  The bound is on the depth of
 the memo, not on its number of distinct keys.  The unshuffle sum of the
 Jacobiator walks its subsets depth first in index order and extends a
-subset only while its partial is stored and nonzero (``extends``): every
-subset that extends a vanished partial is zero, so it is never asked for.
+subset that has children only while its partial is nonzero (``extends``,
+which makes that partial): every subset that extends a vanished partial is
+zero, so it is never asked for.
 It skips a subset whose inner bracket vanishes and an outer term that
 vanishes, by the same rule.  Consecutive arguments at one memo position
 (one object) form a run, and the subsets that take as many copies of each
@@ -83,12 +88,15 @@ from .charts import (
     restrict_to_zero_section,
 )
 from .construction import FLAVOURS, HigherStructure, ambient_bracket
-from .fields import VectorField, commutator
+from .fields import VectorField, _pair_signs, commutator
 from .gradedpoly import (
     ChartMismatch,
     GradedAlgebraError,
     GradedPoly,
     ParityMismatch,
+    _derivative,
+    _masked,
+    _product_into,
 )
 
 
@@ -106,8 +114,9 @@ class DerivedBracketEngine:
     An engine supplies ``flavor``, ``bracket`` (ambient), ``project`` (onto
     V), ``parity_of``, ``generator``, ``self_bracket`` (of the generator)
     and ``sum`` (of values, the zero value when there are none), overrides
-    ``prepare`` when the inclusion of V is not the identity, and calls
-    ``__init__`` once its generator is available.
+    ``check`` when V does not take every argument, ``prepare`` when the
+    inclusion of V is not the identity and ``last`` when it has a cheaper
+    last step, and calls ``__init__`` once its generator is available.
     """
 
     koszul_shift = 0
@@ -115,10 +124,13 @@ class DerivedBracketEngine:
     def __init__(self):
         self._args: list = []  # registered arguments, held so that ids stay unique
         self._position: dict[int, int] = {}
-        self._prepared: list = []
+        self._prepared: list = []  # None until the argument enters a bracket
         self._partial: dict[tuple, object] = {(): self.generator()}
         self._value: dict[tuple, object] = {}
         self._half_square = None
+
+    def check(self, arg):
+        """Refuse an argument outside the abelian subalgebra; V takes every one."""
 
     def prepare(self, arg):
         """Include an argument of the abelian subalgebra in the ambient algebra."""
@@ -141,53 +153,88 @@ class DerivedBracketEngine:
 
     def positions(self, args) -> tuple[int, ...]:
         """Memo positions of ``args``; an argument met for the first time
-        (by identity) is prepared and registered."""
+        (by identity) is checked and registered.  It is prepared when it
+        first enters an ambient bracket."""
         out = []
         for a in args:
             pos = self._position.get(id(a))
             if pos is None:
-                prepared = self.prepare(a)
+                self.check(a)
                 pos = self._position[id(a)] = len(self._args)
                 self._args.append(a)
-                self._prepared.append(prepared)
+                self._prepared.append(None)
             out.append(pos)
         return tuple(out)
 
-    def value(self, key: tuple):
-        """The derived bracket of the registered arguments at ``key``.
+    def partial(self, key: tuple):
+        """The unprojected partial bracket of the registered arguments at ``key``.
 
         The walk goes down the prefixes of ``key`` from the generator,
         reading stored partials and storing the ones it makes, and stops at
         the first partial that vanishes: every longer partial is zero by
-        bilinearity, so none is stored, and the value is that zero projected.
-        The stored keys are therefore closed under prefixes, and none extends
-        a key whose partial vanishes.
+        bilinearity, so none is stored, and that zero is returned.  The
+        stored keys are therefore closed under prefixes, and none extends a
+        key whose partial vanishes.
         """
+        cur = self._partial.get(key)
+        if cur is not None:
+            return cur
+        cur = self._partial[()]
+        for k in range(len(key)):
+            if cur.is_zero():
+                break
+            prefix = key[:k + 1]
+            known = self._partial.get(prefix)
+            if known is None:
+                pos = key[k]
+                prepared = self._prepared[pos]
+                if prepared is None:
+                    prepared = self._prepared[pos] = self.prepare(self._args[pos])
+                known = self._partial[prefix] = self.bracket(cur, prepared)
+            cur = known
+        return cur
+
+    def value(self, key: tuple):
+        """The derived bracket of the registered arguments at ``key``: the
+        projected generator at (), ``last(key)`` past it; kept."""
         v = self._value.get(key)
         if v is None:
-            cur = self._partial[()]
-            for k in range(len(key)):
-                if cur.is_zero():
-                    break
-                prefix = key[:k + 1]
-                known = self._partial.get(prefix)
-                if known is None:
-                    known = self._partial[prefix] = self.bracket(cur, self._prepared[key[k]])
-                cur = known
-            v = self._value[key] = self.project(cur)
+            v = self._value[key] = self.last(key) if key else self.project(self._partial[()])
         return v
 
+    def last(self, key: tuple):
+        """The value at a nonempty ``key``: its partial, projected."""
+        return self.project(self.partial(key))
+
     def extends(self, key: tuple) -> bool:
-        """Whether, after ``value(key)``, a key extending ``key`` can have a
-        nonzero value: only when the partial at ``key`` is stored and nonzero.
-        A vanished partial is stored as zero, or is absent because the walk
-        stopped at a vanishing prefix; every extension of it is zero."""
-        partial = self._partial.get(key)
-        return partial is not None and not partial.is_zero()
+        """Whether a key extending ``key`` can have a nonzero value: only
+        when the partial at ``key`` is nonzero.  Makes that partial, one
+        bracket past its parent's, unless a prefix of it has vanished; every
+        extension of a vanished partial is zero."""
+        return not self.partial(key).is_zero()
 
 
 class PhaseEngine(DerivedBracketEngine):
-    """Engine over a phase-space function algebra, in the flavour of its structure."""
+    """Engine over a phase-space function algebra, in the flavour of its structure.
+
+    The last argument of every value enters through the anchor field of the
+    partial before it, not through an ambient bracket.  A parent-chart
+    function a carries no conjugates, so d_{z*} a = 0, and the canonical
+    bracket (module ``fields``) leaves [F, a] = sum_z s d_{z*}F_p d_z a over
+    the parity parts F_p of F, with s = ``fields._pair_signs``(|z|, |F_p|,
+    c)[0] and c the parity of the ambient bracket (the Koszul shift).  The
+    projection sets the conjugates to zero: it is an algebra map that fixes
+    parent functions, so project [F, a] = sum_z s project(d_{z*}F_p) d_z a.
+    The conjugates are the chart's suffix, so project(d_{z*}F) keeps exactly
+    the terms of F whose last factor is (z*, 1) and whose other factors all
+    lie below the conjugates.  One pass over F gives the field X_F
+    (``anchor_field``): per parent index, the signed term map of that
+    coefficient.  For fixed a1, ..., a(n-1), a -> X_F(a) is the higher
+    anchor of the derived brackets: the last slot is a derivation.  The
+    value at (..., k) is X_F, with F the partial at the key's prefix,
+    applied to the unlifted argument at k (``apply_field``); X_F is kept per
+    prefix, since siblings share it.
+    """
 
     def __init__(self, structure: HigherStructure):
         if structure.flavor not in FLAVOURS:
@@ -199,6 +246,7 @@ class PhaseEngine(DerivedBracketEngine):
         self.flavor = self.flavour.name
         self.koszul_shift = self.flavour.koszul_shift
         self._bracket = ambient_bracket(self.flavor)
+        self._field: dict[tuple, dict] = {}  # anchor field per prefix key
         super().__init__()
 
     @cached_property
@@ -212,11 +260,54 @@ class PhaseEngine(DerivedBracketEngine):
     def project(self, f: GradedPoly) -> GradedPoly:
         return restrict_to_zero_section(f)
 
-    def prepare(self, arg: GradedPoly) -> GradedPoly:
+    def check(self, arg: GradedPoly):
         if arg.chart != self.parent:
             raise ChartMismatch(f"arguments live on the parent chart "
                                 f"{self.parent.space}, not on {arg.chart.space}")
+
+    def prepare(self, arg: GradedPoly) -> GradedPoly:
+        self.check(arg)
         return lift_to_phase(arg, self.chart)
+
+    def last(self, key: tuple) -> GradedPoly:
+        prefix = key[:-1]
+        field = self._field.get(prefix)
+        if field is None:
+            field = self._field[prefix] = self.anchor_field(self.partial(prefix))
+        return self.apply_field(field, self._args[key[-1]])
+
+    def anchor_field(self, f: GradedPoly) -> dict[int, dict]:
+        """X_F of a phase-chart function F: parent index i -> the term map of
+        s project(d_{z_i*} F), in one pass over F's terms."""
+        n = len(self.parent.generators)
+        odd, gens, c = self.chart.odd_flags, self.chart.generators, self.koszul_shift
+        field: dict[int, dict] = {}
+        for m, coeff in f.terms.items():
+            if not m:
+                continue
+            z, exp = m[-1]
+            if z < n or exp != 1 or (len(m) > 1 and m[-2][0] >= n):
+                continue
+            rest = m[:-1]
+            p = 0  # parity of the other factors
+            for g, _ in rest:
+                p ^= odd[g]
+            i = z - n
+            s = _pair_signs(gens[i].parity, p ^ odd[z], c)[0]
+            if odd[z] and p:  # the left derivative moves z* past the odd factors
+                s = -s
+            field.setdefault(i, {})[rest] = coeff if s == 1 else -coeff
+        return field
+
+    def apply_field(self, field: dict[int, dict], a: GradedPoly) -> GradedPoly:
+        """X(a) = sum_i X^i d_i a on the parent chart, over the generators of a."""
+        odd = self.parent.odd_flags
+        support = a.support()
+        out: dict = {}
+        for i, comp in field.items():
+            if i in support:
+                _product_into(out, comp, _masked(_derivative(a.terms, i, odd), odd), odd)
+        return GradedPoly(self.parent, out)
 
     def parity_of(self, arg: GradedPoly) -> int:
         p = arg.parity()
@@ -364,29 +455,30 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     argument once, and a mixed-parity argument raises ParityMismatch here,
     not in ``derived``.  The unshuffle sum reads and extends the engine's
     memo.  Consecutive arguments at one memo position (one object) form a
-    run, and a subset that takes k of a run's m copies has the brackets of
-    the canonical one that takes the first k.
+    run, whose parity is asked once, and a subset that takes k of a run's m
+    copies has the brackets of the canonical one that takes the first k.
     Only canonical subsets are walked, each weighted by the exact signed
     count of its class (``unshuffle_weight``): its Koszul sign times, per
     run, C(m, k) when the run is Koszul-even and the Gaussian binomial
     [m, k] at q = -1 when it is odd.  They are walked depth first in index
     order, from an explicit stack that carries each subset with its memo
     key (a child's key is its parent's key plus one position), and a subset
-    is extended only when ``engine.extends`` finds its partial stored and
-    nonzero: the inner bracket of every extension of a vanished partial is
-    zero.  A subset whose inner bracket or weight vanishes is dropped; every
-    other inner value is registered as one more argument and fed first to
-    the outer bracket.  Outer terms that vanish are skipped, the others
+    with children is extended only when ``engine.extends`` finds its
+    partial nonzero: the inner bracket of every extension of a vanished
+    partial is zero.  A subset whose inner bracket or weight vanishes is
+    dropped; every other inner value is registered as one more argument and
+    fed first to the outer bracket.  Outer terms that vanish are skipped, the others
     weighted and summed once (the engine's zero when none survives).  The
     squared-generator route computes the nested definition afresh, with no
-    zero rule, and never touches the memo.
+    zero rule, and never touches the memo, a partial or an anchor field.
     """
     n = len(args)
     pos = engine.positions(args)
-    parities = [(engine.parity_of(a) + engine.koszul_shift) & 1 for a in args]
     starts = [i for i in range(n) if i == 0 or pos[i] != pos[i - 1]]
     lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
     run_of = [r for r, m in enumerate(lengths) for _ in range(m)]
+    run_parities = [(engine.parity_of(args[i]) + engine.koszul_shift) & 1 for i in starts]
+    parities = [run_parities[r] for r in run_of]
     live, stack = [], [((), ())]
     while stack:
         subset, key = stack.pop()
@@ -398,8 +490,8 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
             weight, rest = unshuffle_weight(lengths, counts, parities)
             if weight:
                 live.append((weight, rest, v))
-        if engine.extends(key):
-            start = subset[-1] + 1 if subset else 0
+        start = subset[-1] + 1 if subset else 0
+        if start < n and engine.extends(key):
             stack.extend((subset + (i,), key + (pos[i],))
                          for i in reversed(range(start, n))
                          if i == start or pos[i] != pos[i - 1])

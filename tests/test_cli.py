@@ -210,11 +210,13 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         assert sum(counted) == squares
 
-    @pytest.mark.parametrize("arity, brackets", [(2, 137), (3, 126)])
+    @pytest.mark.parametrize("arity, brackets", [(2, 50), (3, 75)])
     def test_leibniz_uses_one_engine_per_structure(self, runner, monkeypatch, arity, brackets):
         # the three brackets of a trial share their first arity - 1 arguments,
-        # so one engine per structure computes that prefix once; walks that
-        # did not stop at a vanishing partial took 200 and 250 brackets.  An
+        # so one engine per structure computes that prefix once, and each last
+        # argument enters through the prefix's anchor field, with no bracket;
+        # walks that did not stop at a vanishing partial took 200 and 250
+        # brackets, and a bracket per last argument 137 and 126.  An
         # odd argument asked for on the all-even E* chart draws nothing, so
         # the inputs drawn after it, and these counts, follow that rule
         counts = {"engines": 0, "brackets": 0}
@@ -362,6 +364,15 @@ class TestInputContract:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert len(lines[0]) < 200 and f"({len(OVERSIZED[key])} characters)" in lines[0]
+
+    def test_long_source_error_line_is_short(self, runner):
+        # a 5000-character name the system refuses is shown once, cut to its
+        # first 40 characters and its length
+        result = runner.invoke(main, ["check-q", "p" * 5000])
+        assert result.exit_code == 2, result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read ")
+        assert len(result.stderr.encode()) < 300 and "(5000 characters)" in lines[0]
 
     @pytest.mark.parametrize("flavor", ["schouten", "poisson"])
     def test_deep_arity_brackets_exit_0(self, runner, tmp_path, monkeypatch, flavor):

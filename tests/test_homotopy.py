@@ -6,8 +6,11 @@ from itertools import combinations, combinations_with_replacement, product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qalgebroid.builtins import (
+    builtin_spec,
     derham,
     graded_3_lie,
     higher_poisson_on_algebroid,
@@ -23,6 +26,7 @@ from qalgebroid.charts import (
     chart_pi_e,
     chart_pi_e_star,
     lift_to_phase,
+    restrict_to_zero_section,
 )
 from qalgebroid.construction import (
     build_poisson,
@@ -32,11 +36,13 @@ from qalgebroid.construction import (
 )
 from qalgebroid.fields import VectorField, commutator
 from qalgebroid.gradedpoly import (
+    EVEN,
     ODD,
     ChartMismatch,
     GradedAlgebraError,
     GradedPoly,
     ParityMismatch,
+    coefficient,
 )
 from qalgebroid.homotopy import (
     FieldEngine,
@@ -64,6 +70,10 @@ from qalgebroid.randgen import (
 from qalgebroid.specdoc import assemble_field, render_spec, spec_from_field
 
 from closed_forms import closed_form, structure_constant
+
+# property tests run a fixed example sequence, so the suite stays deterministic
+PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+MIXED = BundlePresentation((0, 1), (0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -675,6 +685,25 @@ class TestKoszulParityMemo:
             assert jacobiator(eng, [basis[i] for i in tup]).is_zero()
         assert sum(any(a is b for b in basis) for a in scanned) == 3
 
+    def test_parities_are_asked_at_run_starts(self, monkeypatch):
+        # every engine of an arity-6 so3 sweep asks once per run of equal
+        # arguments: 63 runs in its 28 tuples, where one ask per argument
+        # took 168
+        import qalgebroid.homotopy as homotopy
+        from click.testing import CliRunner
+        from qalgebroid.cli import main
+
+        asked = []
+        for cls in (homotopy.PhaseEngine, homotopy.FieldEngine):
+            def counting(self, a, _parity_of=cls.parity_of):
+                asked.append(a)
+                return _parity_of(self, a)
+            monkeypatch.setattr(cls, "parity_of", counting)
+        result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", "6", "--json"])
+        assert result.exit_code == 0
+        runs = sum(len(set(tup)) for tup in combinations_with_replacement(range(3), 6))
+        assert len(asked) == 3 * runs == 189
+
     def test_mixed_parity_raises_in_jacobiator_only(self, so3_pair):
         _, s, _ = so3_pair
         eng = PhaseEngine(s)
@@ -788,6 +817,61 @@ class TestZeroRule:
         assert result.exit_code == 0
         assert len(routes) == 3
         assert sum(route.brackets for route in routes) == brackets
+
+
+class TestAnchorField:
+    """The last argument of a phase value enters through the anchor field of
+    the partial before it; the ambient bracket then the projection is the
+    oracle."""
+
+    @staticmethod
+    def drawn_partial(rng, chart):
+        """Terms of conjugate degree 0, 1 or 2 over parent factors, base
+        coordinates included, of either parity, with rational coefficients;
+        no terms gives zero."""
+        n = len(chart.parent.generators)
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            exponents = {}
+            for i in [rng.randrange(n) for _ in range(rng.randint(0, 3))] + [
+                    rng.randrange(n, 2 * n) for _ in range(rng.choice([0, 1, 1, 2]))]:
+                exponents[i] = exponents.get(i, 0) + 1
+            mono = chart.normal_monomial(exponents)
+            if mono is not None:
+                terms[mono] = coefficient(rng.choice(COEFF_POOL))
+        return GradedPoly(chart, terms)
+
+    @PROPERTY
+    @given(st.sampled_from([build_schouten_unchecked, build_poisson_unchecked]),
+           st.integers(0, 2 ** 32))
+    def test_anchor_field_value_is_the_projected_bracket(self, build, seed):
+        # a seeded Random draws its sizes uniformly, where hypothesis's own
+        # draws lean to empty ones
+        rng = Random(seed)
+        eng = PhaseEngine(build(random_field(rng, chart_pi_e(MIXED), ODD)))
+        f = self.drawn_partial(rng, eng.chart)
+        parities = rng.choice([(), (EVEN,), (ODD,), (EVEN, ODD), (EVEN, ODD)])
+        a = GradedPoly.sum(eng.parent, (random_poly(rng, eng.parent, 3, 5, p) for p in parities))
+        expected = restrict_to_zero_section(eng.bracket(f, lift_to_phase(a, eng.chart)))
+        assert eng.apply_field(eng.anchor_field(f), a) == expected
+
+    @pytest.mark.parametrize("name", ["so3", "lie-3-algebroid-demo"])
+    def test_every_value_of_an_arity_four_sweep_is_the_nested_definition(self, name):
+        q = assemble_field(builtin_spec(name))
+        engines = [PhaseEngine(build_schouten(q)), PhaseEngine(build_poisson(q))]
+        if q.chart.n_base == 0:
+            engines.append(FieldEngine(q))
+        checked = nonzero = 0
+        for eng in engines:
+            basis = eng.basis
+            for tup in combinations_with_replacement(range(len(basis)), 4):
+                jacobiator(eng, [basis[i] for i in tup])
+            gen = eng.generator()
+            for key, value in eng._value.items():
+                assert value == eng.derived([eng._args[i] for i in key], generator=gen), key
+                checked += 1
+                nonzero += not value.is_zero()
+        assert checked > 60 and nonzero
 
 
 class SquaredRouteCounter:
