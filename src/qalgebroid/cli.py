@@ -349,7 +349,7 @@ def leibniz(report, spec, arity, trials, seed):
 
 @report_command(
     "naturality",
-    click.option("--matrix", "matrix_path", type=click.Path(exists=True), required=True,
+    click.option("--matrix", "matrix_path", type=click.Path(), required=True,
                  help="JSON file: square matrix of rationals, rows = old fibre index"),
     # the checks draw nothing; --seed is still accepted so that existing
     # command lines keep working, and has no effect

@@ -41,18 +41,32 @@ the generator g afresh and never touches it.  The squared-generator route of
 the Jacobiator takes the second form, so the two routes share no computed
 bracket.
 
-The memo route uses bilinearity, [0, a] = 0: the walk stops at the first
-partial that vanishes, and no longer partial is stored.  An argument is
-lifted when it first enters an ambient bracket.  Each bracket with
-an argument of the abelian subalgebra lowers the conjugate degree of a phase
-partial (the argument carries no conjugates) or the polynomial degree of a
-field partial (the argument is constant) by one, so a stored key is at most
-one longer than that degree of the generator.  The bound is on the depth of
-the memo, not on its number of distinct keys.  The unshuffle sum of the
+A bracket with an argument of V lowers the degree of every term by exactly
+one (Voronov's higher derived brackets: a term of degree k feeds the k-ary
+bracket only).  For a phase engine the degree of a term is the sum of its
+exponents of conjugate generators: a parent-chart argument a has none, so
+[F, a] = sum_z s d_{z*}F d_z a (``PhaseEngine``) and each term loses one
+conjugate factor.  For the field engine it is the polynomial degree: a
+constant field c d_i has no component to differentiate, so [X, c d_i]
+differentiates each component of X once.  The projection keeps the degree-0
+part.  So the value at a key of length k comes only from the generator's
+terms of degree exactly k, and the partial at length k only from its terms
+of degree at least k.  Each engine reads the set of its generator's degrees
+(``degrees``) once: ``value`` returns the engine's zero for a key whose
+length is not in it, with no partial, anchor field or bracket, and
+``extends`` is False, with no partial made, for a key that no degree
+exceeds.  The precondition is that arguments lie in V, which ``check``
+enforces at registration.  A stored partial is therefore at most as long as
+the largest degree; the bound is on the depth of the memo, not on its number
+of distinct keys.
+
+The memo route also uses bilinearity, [0, a] = 0: the walk stops at the
+first partial that vanishes, and no longer partial is stored.  An argument
+is lifted when it first enters an ambient bracket.  The unshuffle sum of the
 Jacobiator walks its subsets depth first in index order and extends a
-subset that has children only while its partial is nonzero (``extends``,
-which makes that partial): every subset that extends a vanished partial is
-zero, so it is never asked for.
+subset that has children only while ``extends`` allows it: every subset
+that extends a vanished partial, or is longer than every degree, is zero,
+so it is never asked for.
 It skips a subset whose inner bracket vanishes and an outer term that
 vanishes, by the same rule.  Consecutive arguments at one memo position
 (one object) form a run, and the subsets that take as many copies of each
@@ -65,12 +79,14 @@ Koszul-even and the Gaussian binomial [m, k] at q = -1 when it is odd
 a count of exchange signs; it does not use graded symmetry, and a tuple
 without repeats walks every subset at weight its Koszul sign.
 
-``derived(args, generator=g)`` applies no zero rule: it is the literal
-nested definition, the oracle the memo route is tested against.  Its
-ambient brackets still return at once on a zero operand
-(``fields.commutator``, the canonical brackets), which is bilinearity
-inside one bracket: the route still makes one bracket per argument, even
-when the squared generator of a homological input is zero.
+``derived(args, generator=g)`` is the literal nested definition, the oracle
+the memo route is tested against.  It checks every argument first, so that
+a refused argument raises whatever the generator, then brackets while the
+partial is nonzero and projects: stopping at a vanished partial is the
+bilinearity [0, a] = 0 that the ambient brackets (``fields.commutator``,
+the canonical brackets) already apply on entry.  It reads no memo, partial,
+anchor field or degree set, so the squared generator of a homological
+input, which is zero, costs no bracket.
 """
 
 from __future__ import annotations
@@ -112,11 +128,13 @@ class DerivedBracketEngine:
     """Nested-bracket evaluation (a1, ..., an) = project [...[D, a1], ..., an].
 
     An engine supplies ``flavor``, ``bracket`` (ambient), ``project`` (onto
-    V), ``parity_of``, ``generator``, ``self_bracket`` (of the generator)
-    and ``sum`` (of values, the zero value when there are none), overrides
-    ``check`` when V does not take every argument, ``prepare`` when the
-    inclusion of V is not the identity and ``last`` when it has a cheaper
-    last step, and calls ``__init__`` once its generator is available.
+    V), ``parity_of``, ``generator``, ``term_degrees`` (of the generator),
+    ``zero`` (the value at a key no degree feeds), ``self_bracket`` (of the
+    generator) and ``sum`` (of values, the zero value when there are none),
+    overrides ``check`` when V does not take every argument, ``prepare``
+    when the inclusion of V is not the identity and ``last`` when it has a
+    cheaper last step, and calls ``__init__`` once its generator is
+    available.
     """
 
     koszul_shift = 0
@@ -128,6 +146,8 @@ class DerivedBracketEngine:
         self._partial: dict[tuple, object] = {(): self.generator()}
         self._value: dict[tuple, object] = {}
         self._half_square = None
+        self.degrees = frozenset(self.term_degrees())
+        self._deepest = max(self.degrees, default=-1)
 
     def check(self, arg):
         """Refuse an argument outside the abelian subalgebra; V takes every one."""
@@ -143,11 +163,18 @@ class DerivedBracketEngine:
         return self._half_square
 
     def derived(self, args, generator=None):
-        """The nested bracket of ``args``: from the memo, or afresh with ``generator``."""
+        """The nested bracket of ``args``: from the memo, or afresh with
+        ``generator``.  The second form checks every argument, then brackets
+        while the partial is nonzero ([0, a] = 0) and projects; it reads no
+        memo, partial, anchor field or degree set."""
         if generator is None:
             return self.value(self.positions(args))
+        for a in args:
+            self.check(a)
         cur = generator
         for a in args:
+            if cur.is_zero():
+                break
             cur = self.bracket(cur, self.prepare(a))
         return self.project(cur)
 
@@ -196,7 +223,11 @@ class DerivedBracketEngine:
 
     def value(self, key: tuple):
         """The derived bracket of the registered arguments at ``key``: the
-        projected generator at (), ``last(key)`` past it; kept."""
+        engine's ``zero`` at once when no term of the generator has degree
+        ``len(key)``; otherwise the projected generator at (), ``last(key)``
+        past it, kept."""
+        if len(key) not in self.degrees:
+            return self.zero(key)
         v = self._value.get(key)
         if v is None:
             v = self._value[key] = self.last(key) if key else self.project(self._partial[()])
@@ -208,10 +239,11 @@ class DerivedBracketEngine:
 
     def extends(self, key: tuple) -> bool:
         """Whether a key extending ``key`` can have a nonzero value: only
-        when the partial at ``key`` is nonzero.  Makes that partial, one
-        bracket past its parent's, unless a prefix of it has vanished; every
-        extension of a vanished partial is zero."""
-        return not self.partial(key).is_zero()
+        when some degree of the generator exceeds ``len(key)`` and the
+        partial at ``key`` is nonzero.  Makes that partial, one bracket past
+        its parent's, only when a degree exceeds ``len(key)`` and no prefix
+        of it has vanished; every extension of a vanished partial is zero."""
+        return len(key) < self._deepest and not self.partial(key).is_zero()
 
 
 class PhaseEngine(DerivedBracketEngine):
@@ -266,7 +298,6 @@ class PhaseEngine(DerivedBracketEngine):
                                 f"{self.parent.space}, not on {arg.chart.space}")
 
     def prepare(self, arg: GradedPoly) -> GradedPoly:
-        self.check(arg)
         return lift_to_phase(arg, self.chart)
 
     def last(self, key: tuple) -> GradedPoly:
@@ -318,6 +349,14 @@ class PhaseEngine(DerivedBracketEngine):
     def generator(self):
         return self.structure.value
 
+    def term_degrees(self):
+        """The conjugate degree of each term of the generator."""
+        n = len(self.parent.generators)
+        return {sum(e for i, e in m if i >= n) for m in self.structure.value.terms}
+
+    def zero(self, key: tuple) -> GradedPoly:
+        return GradedPoly(self.parent)
+
     def self_bracket(self):
         return self.structure.self_bracket
 
@@ -328,8 +367,8 @@ class PhaseEngine(DerivedBracketEngine):
 class FieldEngine(DerivedBracketEngine):
     """Engine over vector fields on a point-base chart.
 
-    Arguments and values are constant fields; the projector evaluates every
-    component at the origin.
+    Arguments and values are constant fields (``check`` refuses any other);
+    the projector evaluates every component at the origin.
     """
 
     flavor = "field"
@@ -352,6 +391,13 @@ class FieldEngine(DerivedBracketEngine):
     def bracket(self, f, g):
         return commutator(f, g)
 
+    def check(self, arg: VectorField):
+        if arg.chart != self.chart:
+            raise ChartMismatch(f"arguments live on {self.chart.space}, "
+                                f"not on {arg.chart.space}")
+        if any(m for comp in arg.components.values() for m in comp.terms):
+            raise GradedAlgebraError("arguments must be constant fields")
+
     def project(self, x: VectorField) -> VectorField:
         comps = {}
         for n, comp in x.components.items():
@@ -365,6 +411,16 @@ class FieldEngine(DerivedBracketEngine):
 
     def generator(self):
         return self.q
+
+    def term_degrees(self):
+        """The polynomial degree of each term of each component of Q."""
+        return {sum(e for _, e in m)
+                for comp in self.q.components.values() for m in comp.terms}
+
+    def zero(self, key: tuple) -> VectorField:
+        """The zero field of the parity of Q plus the arguments at ``key``."""
+        parity = self.q.parity + sum(self._args[i].parity for i in key)
+        return VectorField(self.chart, {}, parity & 1)
 
     def self_bracket(self):
         return self.q.square()
@@ -463,14 +519,16 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     [m, k] at q = -1 when it is odd.  They are walked depth first in index
     order, from an explicit stack that carries each subset with its memo
     key (a child's key is its parent's key plus one position), and a subset
-    with children is extended only when ``engine.extends`` finds its
-    partial nonzero: the inner bracket of every extension of a vanished
-    partial is zero.  A subset whose inner bracket or weight vanishes is
-    dropped; every other inner value is registered as one more argument and
-    fed first to the outer bracket.  Outer terms that vanish are skipped, the others
-    weighted and summed once (the engine's zero when none survives).  The
-    squared-generator route computes the nested definition afresh, with no
-    zero rule, and never touches the memo, a partial or an anchor field.
+    with children is extended only when ``engine.extends`` allows it: the
+    inner bracket of every extension of a vanished partial, or of one longer
+    than every degree of the generator, is zero.  A subset whose inner
+    bracket or weight vanishes is dropped; every other inner value is
+    registered as one more argument and fed first to the outer bracket.
+    Outer terms that vanish are skipped, the others weighted and summed once
+    (the engine's zero when none survives).  The squared-generator route
+    computes the nested definition afresh, stopping only at a vanished
+    partial, and never touches the memo, a partial, an anchor field or the
+    degree set.
     """
     n = len(args)
     pos = engine.positions(args)

@@ -210,13 +210,15 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         assert sum(counted) == squares
 
-    @pytest.mark.parametrize("arity, brackets", [(2, 50), (3, 75)])
+    @pytest.mark.parametrize("arity, brackets", [(2, 50), (3, 0)])
     def test_leibniz_uses_one_engine_per_structure(self, runner, monkeypatch, arity, brackets):
         # the three brackets of a trial share their first arity - 1 arguments,
         # so one engine per structure computes that prefix once, and each last
         # argument enters through the prefix's anchor field, with no bracket;
         # walks that did not stop at a vanishing partial took 200 and 250
-        # brackets, and a bracket per last argument 137 and 126.  An
+        # brackets, a bracket per last argument 137 and 126, and walks that
+        # ignored the generator's degrees 50 and 75: S and P of so3 have
+        # conjugate degree 2, so every ternary bracket is zero at once.  An
         # odd argument asked for on the all-even E* chart draws nothing, so
         # the inputs drawn after it, and these counts, follow that rule
         counts = {"engines": 0, "brackets": 0}
@@ -369,6 +371,17 @@ class TestInputContract:
         # a 5000-character name the system refuses is shown once, cut to its
         # first 40 characters and its length
         result = runner.invoke(main, ["check-q", "p" * 5000])
+        assert result.exit_code == 2, result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read ")
+        assert len(result.stderr.encode()) < 300 and "(5000 characters)" in lines[0]
+
+    @pytest.mark.parametrize("source", ["so3", "so3-broken"])
+    def test_long_matrix_path_error_line_is_short(self, runner, source):
+        # the matrix path is read once, by the command, and refused like a
+        # source, before any check runs: a non-homological source still
+        # exits 2, and click does not echo the name in a usage error
+        result = runner.invoke(main, ["naturality", source, "--matrix", "m" * 5000])
         assert result.exit_code == 2, result.output
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot read ")

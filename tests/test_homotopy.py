@@ -562,20 +562,34 @@ class TestEngineMemo:
         # an equal argument that is another object takes a new position
         assert eng.positions([eng.parent.gen("eta2")]) == (3,)
 
-    def test_squared_route_makes_three_brackets_per_ternary_tuple(self):
-        for q in random_odd_fields(seed=13, count=2):
+    def test_squared_route_stops_at_its_first_vanished_partial(self):
+        # the route brackets while its partial is nonzero: none when the
+        # squared generator is zero (a homological input), one to three per
+        # ternary tuple otherwise; 84 brackets in all, where one per argument
+        # took 738
+        made, total = set(), 0
+        for q in random_odd_fields(seed=13, count=4):
             for eng, basis in engines_and_bases(q):
                 route = SquaredRouteCounter(eng)
-                tuples = list(combinations_with_replacement(range(len(basis)), 3))
-                for tup in tuples:
+                zero = eng.squared_generator().is_zero()
+                for tup in combinations_with_replacement(range(len(basis)), 3):
+                    before = route.brackets
                     jacobiator(eng, [basis[i] for i in tup])
-                assert route.brackets == 3 * len(tuples)
+                    count = route.brackets - before
+                    assert count == 0 if zero else 1 <= count <= 3, (eng.flavor, tup)
+                    made.add(count)
+                total += route.brackets
+        assert made == {0, 1, 2, 3} and total == 84
 
     def test_so3_arity_six_sweep_bracket_count(self, monkeypatch):
         # the nested definition per subset and tuple took 38136 brackets, a
         # memo without the zero rule 3525; asking the memo for all 2^6
         # subsets of every tuple took 6006 values; walking every subset
-        # pruned by prefix took 615 brackets and 3150 values
+        # pruned by prefix took 615 brackets and 3150 values, and walking
+        # until a partial vanished 597 brackets and 717 values.  Every
+        # generator of so3 has degrees {2}: no walk goes past length 2, the
+        # phase engines make the partials of length 1 only (3 each) and the
+        # field engine those of length 1 and 2 (3 and 6)
         import qalgebroid.homotopy as homotopy
         from click.testing import CliRunner
         from qalgebroid.cli import main
@@ -591,8 +605,8 @@ class TestEngineMemo:
                             lambda self, key: values.append(key) or value(self, key))
         result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", "6", "--json"])
         assert result.exit_code == 0
-        assert len(calls) == 597
-        assert len(values) == 717
+        assert len(calls) == 15
+        assert len(values) == 597
 
 
 def run_layouts(n: int):
@@ -771,17 +785,20 @@ class TestZeroRule:
         assert stopped and deepest >= 3  # walks did stop early, and partials nest
 
     def test_extends_reads_the_stored_partial(self, so3_pair):
-        # S = pi1 pi2 eta3 - pi1 pi3 eta2 + pi2 pi3 eta1: [S, eta1] is nonzero
-        # but projects to zero, [[S, eta1], eta1] vanishes, and the walk to
-        # (eta1, eta1, eta2) stops there
+        # S = pi1 pi2 eta3 - pi1 pi3 eta2 + pi2 pi3 eta1 has conjugate degree
+        # 2 in every term: [S, eta1] is nonzero and extends, the value at
+        # (eta1, eta1) comes from its anchor field, and nothing past length
+        # 2 is asked for, so [[S, eta1], eta1] is never made
         _, s, _ = so3_pair
         eng = PhaseEngine(s)
+        assert eng.degrees == {2}
         assert eng.positions(eng.basis) == (0, 1, 2)
         for key in [(0,), (0, 0), (0, 0, 1)]:
             assert eng.value(key).is_zero()
+        assert set(eng._partial) == {(), (0,)}
         assert eng.extends(()) and eng.extends((0,))
-        assert eng._partial[(0, 0)].is_zero() and not eng.extends((0, 0))
-        assert (0, 0, 1) not in eng._partial and not eng.extends((0, 0, 1))
+        assert not eng.extends((0, 0)) and not eng.extends((0, 0, 1))
+        assert set(eng._partial) == {(), (0,)}
 
     def test_pruned_unshuffle_sum_equals_the_reference(self):
         # on a homological input both sides are zero whatever is pruned, so
@@ -799,10 +816,12 @@ class TestZeroRule:
                 flavors.add(eng.flavor)
         assert flavors == {"schouten", "poisson", "field"} and based and nonzero
 
-    @pytest.mark.parametrize("arity, brackets", [(6, 504), (8, 1080)])
-    def test_squared_route_counts_on_so3(self, monkeypatch, arity, brackets):
-        # the squared-generator route keeps computing every bracket: 3 engines,
-        # C(arity + 2, arity) tuples, arity brackets each
+    @pytest.mark.parametrize("arity, brackets", [(6, 192), (8, 300)])
+    def test_squared_route_counts_on_so3_broken(self, monkeypatch, arity, brackets):
+        # the squared-generator route brackets without the memo until its
+        # partial vanishes; the squared generators of so3-broken are nonzero,
+        # so it brackets on every tuple of the 3 engines.  One bracket per
+        # argument took arity * C(arity + 2, arity) per engine, 504 and 1080
         import qalgebroid.homotopy as homotopy
         from click.testing import CliRunner
         from qalgebroid.cli import main
@@ -813,10 +832,11 @@ class TestZeroRule:
                 _init(self, *args)
                 routes.append(SquaredRouteCounter(self))
             monkeypatch.setattr(cls, "__init__", counted_init)
-        result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", str(arity), "--json"])
-        assert result.exit_code == 0
+        result = CliRunner().invoke(main, ["jacobiator", "so3-broken", "--arity", str(arity),
+                                           "--json"])
+        assert result.exit_code == 1
         assert len(routes) == 3
-        assert sum(route.brackets for route in routes) == brackets
+        assert [route.brackets for route in routes] == [brackets // 3] * 3
 
 
 class TestAnchorField:
@@ -857,6 +877,8 @@ class TestAnchorField:
 
     @pytest.mark.parametrize("name", ["so3", "lie-3-algebroid-demo"])
     def test_every_value_of_an_arity_four_sweep_is_the_nested_definition(self, name):
+        # every value the sweep kept, inner values as arguments among them,
+        # and then every key of basis positions up to length 4, in every order
         q = assemble_field(builtin_spec(name))
         engines = [PhaseEngine(build_schouten(q)), PhaseEngine(build_poisson(q))]
         if q.chart.n_base == 0:
@@ -867,11 +889,87 @@ class TestAnchorField:
             for tup in combinations_with_replacement(range(len(basis)), 4):
                 jacobiator(eng, [basis[i] for i in tup])
             gen = eng.generator()
-            for key, value in eng._value.items():
+            kept = list(eng._value.items())
+            positions = eng.positions(basis)
+            swept = [(key, eng.value(key)) for r in range(5)
+                     for key in product(positions, repeat=r)]
+            for key, value in kept + swept:
                 assert value == eng.derived([eng._args[i] for i in key], generator=gen), key
                 checked += 1
                 nonzero += not value.is_zero()
         assert checked > 60 and nonzero
+
+
+class TestDegreeRule:
+    """An engine asks for nothing at a key whose length is not a degree of
+    its generator; the nested definition, which reads no degree set, is the
+    oracle."""
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(0, 1), st.booleans())
+    def test_memo_values_and_skipped_keys_are_the_nested_definition(self, seed, base,
+                                                                     homological):
+        # fields drawn with or without base coordinates, homological or not,
+        # with rational coefficients, on every engine; every basis tuple up
+        # to two past the largest degree
+        rng = Random(seed)
+        q = random_homological_field(rng, max_base=2 * base, max_rank=4, max_degree=3)
+        if not homological:
+            q = random_field(rng, q.chart, ODD, max_degree=3)
+        for eng, basis in engines_and_bases(q):
+            gen = eng.generator()
+            for r in range(max(eng.degrees, default=0) + 3):
+                for tup in combinations_with_replacement(range(len(basis)), r):
+                    args = [basis[i] for i in tup]
+                    nested = eng.derived(args, generator=gen)
+                    assert eng.derived(args) == nested, (eng.flavor, tup)
+                    if r not in eng.degrees:
+                        assert nested.is_zero(), (eng.flavor, tup)
+
+    def test_degrees_of_the_builtins(self):
+        # most builtins feed the binary bracket only, graded-3-lie the
+        # ternary one; lie-3-algebroid-demo has a curvature and every bracket
+        # up to the ternary one
+        for name, degrees in (("so3", {2}), ("so3-broken", {2}), ("derham", {2}),
+                              ("lie-algebroid-demo", {2}),
+                              ("higher-poisson-on-algebroid", {2}),
+                              ("graded-3-lie", {3}), ("lie-3-algebroid-demo", {0, 1, 2, 3})):
+            q = assemble_field(builtin_spec(name))
+            engines = [PhaseEngine(build_schouten_unchecked(q)),
+                       PhaseEngine(build_poisson_unchecked(q))]
+            if q.chart.n_base == 0:
+                engines.append(FieldEngine(q))
+            assert [eng.degrees for eng in engines] == [degrees] * len(engines), name
+
+    def test_field_engine_refuses_arguments_outside_v(self, so3_pair):
+        q = so3_pair[0]
+        fe = FieldEngine(q)
+        for arg in fe.basis + [fe.derived(fe.basis[:2])]:
+            fe.derived([arg])
+            fe.derived([arg], generator=fe.generator())
+        chart = q.chart
+        moving = VectorField(chart, {"xi1": chart.gen("xi2")})
+        for generator in (None, fe.generator(), VectorField(chart, {})):
+            with pytest.raises(GradedAlgebraError, match="constant fields"):
+                FieldEngine(q).derived([fe.basis[0], moving], generator=generator)
+        other = FieldEngine(assemble_field(mixed_linfinity_algebra()))
+        with pytest.raises(ChartMismatch):
+            fe.derived(other.basis[:1])
+
+    def test_a_refused_argument_after_a_zero_generator_still_raises(self, so3_pair):
+        # the squared route stops at a zero partial, but checks every argument
+        # before its first bracket
+        q, s, _ = so3_pair
+        eng = PhaseEngine(s)
+        zero = eng.squared_generator()
+        assert zero.is_zero()
+        lifted = lift_to_phase(eng.basis[1], eng.chart)
+        with pytest.raises(ChartMismatch, match="parent chart"):
+            eng.derived([eng.basis[0], lifted], generator=zero)
+        fe = FieldEngine(q)
+        other = FieldEngine(assemble_field(mixed_linfinity_algebra()))
+        with pytest.raises(ChartMismatch):
+            fe.derived([fe.basis[0], other.basis[0]], generator=fe.squared_generator())
 
 
 class SquaredRouteCounter:
@@ -1217,7 +1315,9 @@ class TestStatement:
 
     def test_so3_field_brackets_share_one_memo(self, so3_pair, monkeypatch):
         # a fresh field memo per table and arity took 170 brackets, one memo
-        # without the zero rule 60
+        # without the zero rule 60, one that walked until a partial vanished
+        # 24; Q has degrees {2}, so only partials of length 1 and 2 are
+        # made: 3 and 9, the swapped keys of the skew check among them
         import qalgebroid.homotopy as homotopy
 
         calls = []
@@ -1229,7 +1329,7 @@ class TestStatement:
         monkeypatch.setattr(homotopy.FieldEngine, "bracket", counting)
         q, s, p = so3_pair
         assert weight_one_restriction_check(q, s, p, 4).ok
-        assert len(calls) == 24
+        assert len(calls) == 12
 
     def test_curved_mixed_algebra(self, mixed_pair):
         q, s, p = mixed_pair
