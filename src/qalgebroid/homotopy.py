@@ -53,31 +53,30 @@ part.  So the value at a key of length k comes only from the generator's
 terms of degree exactly k, and the partial at length k only from its terms
 of degree at least k.  Each engine reads the set of its generator's degrees
 (``degrees``) once: ``value`` returns the engine's zero for a key whose
-length is not in it, with no partial, anchor field or bracket, and
-``extends`` is False, with no partial made, for a key that no degree
-exceeds.  The precondition is that arguments lie in V, which ``check``
-enforces at registration.  A stored partial is therefore at most as long as
-the largest degree; the bound is on the depth of the memo, not on its number
-of distinct keys.
+length is not in it, with no partial, anchor field or bracket.  The
+precondition is that arguments lie in V, which ``check`` enforces at
+registration.  A stored partial is therefore at most as long as the largest
+degree; the bound is on the depth of the memo, not on its number of
+distinct keys.
 
-The memo route also uses bilinearity, [0, a] = 0: the walk stops at the
-first partial that vanishes, and no longer partial is stored.  An argument
-is lifted when it first enters an ambient bracket.  The unshuffle sum of the
-Jacobiator walks its subsets depth first in index order and extends a
-subset that has children only while ``extends`` allows it: every subset
-that extends a vanished partial, or is longer than every degree, is zero,
-so it is never asked for.
-It skips a subset whose inner bracket vanishes and an outer term that
-vanishes, by the same rule.  Consecutive arguments at one memo position
+The memo route also uses bilinearity, [0, a] = 0: the walk down a key's
+prefixes stops at the first partial that vanishes, and no longer partial is
+stored.  An argument is lifted when it first enters an ambient bracket.  In
+the unshuffle sum of the n-th Jacobiator, a subset of k arguments has an
+inner key of length k and an outer key of length n + 1 - k, so it
+contributes only when both lengths are in ``degrees``; the sum visits the
+subsets of those sizes alone.  Consecutive arguments at one memo position
 (one object) form a run, and the subsets that take as many copies of each
-run share their inner and outer keys.  So the sum walks one canonical
-subset per class, the one that takes the first copies of each run, and
-weights it by the exact signed count of the class: its Koszul sign times,
-for each run of m copies of which k are taken, C(m, k) when the run is
-Koszul-even and the Gaussian binomial [m, k] at q = -1 when it is odd
-(0 when m is even and k odd, C(m // 2, k // 2) otherwise).  The identity is
-a count of exchange signs; it does not use graded symmetry, and a tuple
-without repeats walks every subset at weight its Koszul sign.
+run share their inner and outer keys.  So the sum visits one canonical
+subset per tuple of counts per run, the one that takes the first copies of
+each run, and weights it by the exact signed count of its class: its Koszul
+sign times, for each run of m copies of which c are taken, C(m, c) when the
+run is Koszul-even and the Gaussian binomial [m, c] at q = -1 when it is
+odd (0 when m is even and c odd, C(m // 2, c // 2) otherwise).  The
+identity is a count of exchange signs; it does not use graded symmetry, and
+a tuple without repeats visits every subset of an admissible size at weight
+its Koszul sign.  A class whose inner value vanishes, and an outer term
+that vanishes, are skipped by the same bilinearity.
 
 ``derived(args, generator=g)`` is the literal nested definition, the oracle
 the memo route is tested against.  It checks every argument first, so that
@@ -129,7 +128,8 @@ class DerivedBracketEngine:
 
     An engine supplies ``flavor``, ``bracket`` (ambient), ``project`` (onto
     V), ``parity_of``, ``generator``, ``term_degrees`` (of the generator),
-    ``zero`` (the value at a key no degree feeds), ``self_bracket`` (of the
+    ``zero`` (the value at a key no degree feeds; a key feeds a value only
+    when its length is one of those degrees), ``self_bracket`` (of the
     generator) and ``sum`` (of values, the zero value when there are none),
     overrides ``check`` when V does not take every argument, ``prepare``
     when the inclusion of V is not the identity and ``last`` when it has a
@@ -147,7 +147,6 @@ class DerivedBracketEngine:
         self._value: dict[tuple, object] = {}
         self._half_square = None
         self.degrees = frozenset(self.term_degrees())
-        self._deepest = max(self.degrees, default=-1)
 
     def check(self, arg):
         """Refuse an argument outside the abelian subalgebra; V takes every one."""
@@ -236,14 +235,6 @@ class DerivedBracketEngine:
     def last(self, key: tuple):
         """The value at a nonempty ``key``: its partial, projected."""
         return self.project(self.partial(key))
-
-    def extends(self, key: tuple) -> bool:
-        """Whether a key extending ``key`` can have a nonzero value: only
-        when some degree of the generator exceeds ``len(key)`` and the
-        partial at ``key`` is nonzero.  Makes that partial, one bracket past
-        its parent's, only when a degree exceeds ``len(key)`` and no prefix
-        of it has vanished; every extension of a vanished partial is zero."""
-        return len(key) < self._deepest and not self.partial(key).is_zero()
 
 
 class PhaseEngine(DerivedBracketEngine):
@@ -474,22 +465,34 @@ def run_weight(m: int, k: int, parity: int) -> int:
     return comb(m // 2, k // 2)
 
 
+def run_counts(lengths, k):
+    """Every way to take k arguments from runs of ``lengths`` equal ones: the
+    tuples of per-run counts, each at most its run's length, that sum to k."""
+    if not lengths:
+        if k == 0:
+            yield ()
+        return
+    m, later = lengths[0], lengths[1:]
+    for c in range(max(0, k - sum(later)), min(m, k) + 1):
+        for tail in run_counts(later, k - c):
+            yield (c, *tail)
+
+
 def unshuffle_weight(lengths, counts, parities) -> tuple[int, list[int]]:
     """The signed count of a canonical subset, and its complement.
 
     The arguments fall into runs of ``lengths[r]`` consecutive equal ones,
-    with Koszul ``parities`` per argument, and the canonical subset takes
-    the first ``counts[r]`` copies of run r.  Every subset that takes as
-    many copies of each run has the same inner and outer bracket.  The sum
-    of their Koszul signs, for moving the chosen arguments ahead of the
-    others, is the canonical subset's sign times the ``run_weight`` of each
-    run; that sign is -1 to the number of pairs of a chosen Koszul-odd copy
-    and an odd argument left out of an earlier run.  Returns that sum and
-    the complement of the canonical subset, in index order.
+    of Koszul parity ``parities[r]``, and the canonical subset takes the
+    first ``counts[r]`` copies of run r.  Every subset that takes as many
+    copies of each run has the same inner and outer bracket.  The sum of
+    their Koszul signs, for moving the chosen arguments ahead of the others,
+    is the canonical subset's sign times the ``run_weight`` of each run;
+    that sign is -1 to the number of pairs of a chosen Koszul-odd copy and
+    an odd argument left out of an earlier run.  Returns that sum and the
+    complement of the canonical subset, in index order.
     """
     rest, weight, start, odd_left = [], 1, 0, 0
-    for r, m in enumerate(lengths):
-        k, p = counts[r], parities[start]
+    for m, k, p in zip(lengths, counts, parities):
         rest.extend(range(start + k, start + m))
         weight *= run_weight(m, k, p)
         if p:
@@ -510,55 +513,38 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     polynomial keeps its parity and a field holds it, so a sweep scans each
     argument once, and a mixed-parity argument raises ParityMismatch here,
     not in ``derived``.  The unshuffle sum reads and extends the engine's
-    memo.  Consecutive arguments at one memo position (one object) form a
-    run, whose parity is asked once, and a subset that takes k of a run's m
-    copies has the brackets of the canonical one that takes the first k.
-    Only canonical subsets are walked, each weighted by the exact signed
-    count of its class (``unshuffle_weight``): its Koszul sign times, per
-    run, C(m, k) when the run is Koszul-even and the Gaussian binomial
-    [m, k] at q = -1 when it is odd.  They are walked depth first in index
-    order, from an explicit stack that carries each subset with its memo
-    key (a child's key is its parent's key plus one position), and a subset
-    with children is extended only when ``engine.extends`` allows it: the
-    inner bracket of every extension of a vanished partial, or of one longer
-    than every degree of the generator, is zero.  A subset whose inner
-    bracket or weight vanishes is dropped; every other inner value is
-    registered as one more argument and fed first to the outer bracket.
-    Outer terms that vanish are skipped, the others weighted and summed once
-    (the engine's zero when none survives).  The squared-generator route
-    computes the nested definition afresh, stopping only at a vanished
-    partial, and never touches the memo, a partial, an anchor field or the
-    degree set.
+    memo.  It visits one canonical subset per tuple of counts per run of
+    equal arguments, weighted by ``unshuffle_weight``; a run's parity is
+    asked once.  A subset of size k has an inner key of length k and an
+    outer key of length n + 1 - k, so only the sizes k with both lengths in
+    ``engine.degrees`` are visited, in ascending order.  A class whose
+    weight or inner value vanishes is skipped; every other inner value is
+    registered as one more argument and fed first to the outer bracket, and
+    the nonzero outer terms are weighted and summed once (the engine's zero
+    when none survives).  The squared-generator route computes the nested
+    definition afresh, stopping only at a vanished partial, and never
+    touches the memo, a partial, an anchor field or the degree set.
     """
     n = len(args)
     pos = engine.positions(args)
     starts = [i for i in range(n) if i == 0 or pos[i] != pos[i - 1]]
     lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
-    run_of = [r for r, m in enumerate(lengths) for _ in range(m)]
-    run_parities = [(engine.parity_of(args[i]) + engine.koszul_shift) & 1 for i in starts]
-    parities = [run_parities[r] for r in run_of]
-    live, stack = [], [((), ())]
-    while stack:
-        subset, key = stack.pop()
-        v = engine.value(key)
-        if not v.is_zero():
-            counts = [0] * len(lengths)
-            for i in subset:
-                counts[run_of[i]] += 1
-            weight, rest = unshuffle_weight(lengths, counts, parities)
-            if weight:
-                live.append((weight, rest, v))
-        start = subset[-1] + 1 if subset else 0
-        if start < n and engine.extends(key):
-            stack.extend((subset + (i,), key + (pos[i],))
-                         for i in reversed(range(start, n))
-                         if i == start or pos[i] != pos[i - 1])
-    inners = engine.positions([v for _, _, v in live])
+    parities = [(engine.parity_of(args[i]) + engine.koszul_shift) & 1 for i in starts]
     terms = []
-    for (weight, rest, _), inner in zip(live, inners):
-        term = engine.value((inner, *(pos[i] for i in rest)))
-        if not term.is_zero():
-            terms.append(term.scaled(weight))
+    for k in sorted(engine.degrees):
+        if n + 1 - k not in engine.degrees:
+            continue
+        for counts in run_counts(lengths, k):
+            weight, rest = unshuffle_weight(lengths, counts, parities)
+            if not weight:
+                continue
+            inner = engine.value(tuple(pos[a] for a, c in zip(starts, counts)
+                                       for _ in range(c)))
+            if inner.is_zero():
+                continue
+            term = engine.value(engine.positions([inner]) + tuple(pos[i] for i in rest))
+            if not term.is_zero():
+                terms.append(term.scaled(weight))
     total = engine.sum(terms)
     via_square = engine.derived(args, generator=engine.squared_generator())
     if total != via_square:

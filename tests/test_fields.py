@@ -148,19 +148,22 @@ class TestDerivationAction:
         f = c.gen("x1") * c.gen("x2")
         assert q(f) == c.gen("xi1") * c.gen("x2") + c.gen("x1") * c.gen("xi2")
 
-    def test_so3_field_sweep_takes_no_zero_derivative(self, monkeypatch):
+    @pytest.mark.parametrize("arity, derivatives", [(3, 21), (6, 6)])
+    def test_so3_field_sweep_takes_no_zero_derivative(self, monkeypatch, arity, derivatives):
         # the action differentiates only along generators in the support: an
         # arity-6 field-engine Jacobiator sweep on so3 took 4221 left
         # derivatives, 4188 of them zero, when it differentiated along every
-        # component, and 27 when its walks went on until a partial vanished;
-        # Q has degree 2, so no walk goes past length 2
+        # component, and 27 when its walks went on until a partial vanished.
+        # Q has degree 2, so the unshuffle sum visits subsets of size 2 at
+        # arity 3 only: at arity 6 only the self-commutator of Q
+        # differentiates, and arity 3 keeps the action inside a walk
         q = assemble_field(so3())
         eng = FieldEngine(q)
         basis = eng.basis
         counter = KernelCounter(monkeypatch)
-        for tup in combinations_with_replacement(range(3), 6):
+        for tup in combinations_with_replacement(range(3), arity):
             jacobiator(eng, [basis[i] for i in tup])
-        assert (counter.derivatives, counter.zero_derivatives) == (15, 0)
+        assert (counter.derivatives, counter.zero_derivatives) == (derivatives, 0)
 
 
 class TestCommutator:

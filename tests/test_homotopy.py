@@ -581,20 +581,22 @@ class TestEngineMemo:
                 total += route.brackets
         assert made == {0, 1, 2, 3} and total == 84
 
-    def test_so3_arity_six_sweep_bracket_count(self, monkeypatch):
-        # the nested definition per subset and tuple took 38136 brackets, a
-        # memo without the zero rule 3525; asking the memo for all 2^6
-        # subsets of every tuple took 6006 values; walking every subset
-        # pruned by prefix took 615 brackets and 3150 values, and walking
-        # until a partial vanished 597 brackets and 717 values.  Every
-        # generator of so3 has degrees {2}: no walk goes past length 2, the
-        # phase engines make the partials of length 1 only (3 each) and the
-        # field engine those of length 1 and 2 (3 and 6)
+    @pytest.mark.parametrize("arity, brackets, values", [(3, 27, 45), (6, 0, 0)])
+    def test_so3_sweep_bracket_count(self, monkeypatch, arity, brackets, values):
+        # at arity 6 the nested definition per subset and tuple took 38136
+        # brackets, a memo without the zero rule 3525; asking the memo for
+        # all 2^6 subsets of every tuple took 6006 values; walking every
+        # subset pruned by prefix took 615 brackets and 3150 values, walking
+        # until a partial vanished 597 brackets and 717 values, and stopping
+        # at length 2 15 brackets and 597 values.  Every generator of so3 has
+        # degrees {2}: a subset of size k contributes only when k and
+        # arity + 1 - k are both 2, so the sum visits subsets at arity 3
+        # only, and none at arity 6
         import qalgebroid.homotopy as homotopy
         from click.testing import CliRunner
         from qalgebroid.cli import main
 
-        calls, values = [], []
+        calls, values_asked = [], []
         for cls in (homotopy.PhaseEngine, homotopy.FieldEngine):
             def counting(self, f, g, _bracket=cls.bracket):
                 calls.append(1)
@@ -602,11 +604,12 @@ class TestEngineMemo:
             monkeypatch.setattr(cls, "bracket", counting)
         value = homotopy.DerivedBracketEngine.value
         monkeypatch.setattr(homotopy.DerivedBracketEngine, "value",
-                            lambda self, key: values.append(key) or value(self, key))
-        result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", "6", "--json"])
+                            lambda self, key: values_asked.append(key) or value(self, key))
+        result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", str(arity),
+                                           "--json"])
         assert result.exit_code == 0
-        assert len(calls) == 15
-        assert len(values) == 597
+        assert len(calls) == brackets
+        assert len(values_asked) == values
 
 
 def run_layouts(n: int):
@@ -646,7 +649,7 @@ class TestRepeatedArguments:
                             brute[counts] = (brute.get(counts, 0)
                                              + koszul_sign(list(subset) + rest, parities))
                     for counts in product(*(range(m + 1) for m in lengths)):
-                        weight, rest = unshuffle_weight(lengths, counts, parities)
+                        weight, rest = unshuffle_weight(lengths, counts, pattern)
                         assert weight == brute[counts], (lengths, pattern, counts)
                         # the canonical subset takes the first copies of each run
                         assert rest == [i for i in range(n)
@@ -784,20 +787,17 @@ class TestZeroRule:
         assert flavors == {"schouten", "poisson", "field"} and based
         assert stopped and deepest >= 3  # walks did stop early, and partials nest
 
-    def test_extends_reads_the_stored_partial(self, so3_pair):
+    def test_values_read_the_stored_partial(self, so3_pair):
         # S = pi1 pi2 eta3 - pi1 pi3 eta2 + pi2 pi3 eta1 has conjugate degree
-        # 2 in every term: [S, eta1] is nonzero and extends, the value at
-        # (eta1, eta1) comes from its anchor field, and nothing past length
-        # 2 is asked for, so [[S, eta1], eta1] is never made
+        # 2 in every term: the value at (eta1, eta1) comes from the anchor
+        # field of [S, eta1], and the values at lengths 1 and 3 are zero at
+        # once, so [[S, eta1], eta1] is never made
         _, s, _ = so3_pair
         eng = PhaseEngine(s)
         assert eng.degrees == {2}
         assert eng.positions(eng.basis) == (0, 1, 2)
         for key in [(0,), (0, 0), (0, 0, 1)]:
             assert eng.value(key).is_zero()
-        assert set(eng._partial) == {(), (0,)}
-        assert eng.extends(()) and eng.extends((0,))
-        assert not eng.extends((0, 0)) and not eng.extends((0, 0, 1))
         assert set(eng._partial) == {(), (0,)}
 
     def test_pruned_unshuffle_sum_equals_the_reference(self):
@@ -837,6 +837,41 @@ class TestZeroRule:
         assert result.exit_code == 1
         assert len(routes) == 3
         assert [route.brackets for route in routes] == [brackets // 3] * 3
+
+
+class TestDegreeSplit:
+    """Half the self-bracket of a generator with term degrees D has its terms
+    in degrees A(D) = {i + j - 1 : i, j in D}: the ambient bracket of a term
+    of degree i with one of degree j loses one degree.  So its derived
+    brackets vanish at every arity outside A(D), which is why the unshuffle
+    sum needs only the sizes k with k and n + 1 - k in D.  The
+    squared-generator route reads no degree set, so the check does not
+    share the sum's assumption."""
+
+    def test_squared_route_vanishes_outside_the_split_arities(self):
+        # random odd fields of degree up to 4, half of them with a base
+        # coordinate; a zero squared generator passes at once, so only the
+        # tuples of a nonzero one are counted
+        rng = Random(31)
+        flavors, based, outside, inside = set(), 0, 0, 0
+        for k in range(16):
+            chart = chart_pi_e(random_presentation(rng, max_base=k % 2, max_rank=4))
+            q = random_field(rng, chart, ODD, max_degree=4, fill=1.0)
+            based += chart.n_base > 0
+            for eng, basis in engines_and_bases(q):
+                split = {i + j - 1 for i in eng.degrees for j in eng.degrees}
+                square = eng.squared_generator()
+                for r in range(6):
+                    for tup in combinations_with_replacement(range(len(basis)), r):
+                        value = eng.derived([basis[i] for i in tup], generator=square)
+                        if r in split:
+                            inside += not value.is_zero()
+                        else:
+                            assert value.is_zero(), (eng.flavor, sorted(eng.degrees), tup)
+                            outside += not square.is_zero()
+                flavors.add(eng.flavor)
+        assert flavors == {"schouten", "poisson", "field"} and based
+        assert outside == 577 and inside == 263
 
 
 class TestAnchorField:
