@@ -20,7 +20,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from pathlib import Path
 from random import Random
 
@@ -45,7 +44,7 @@ from .homotopy import (
     FieldEngine,
     PhaseEngine,
     higher_bracket,
-    jacobiator,
+    jacobiator_sweep,
     leibniz_check,
     poisson_bracket_table,
     schouten_bracket_table,
@@ -306,17 +305,12 @@ def jacobiator_cmd(report, spec, arity):
     all_zero = True
     for eng in engines:
         render = repr if eng.flavor == "field" else lambda v: v.render()
-        basis = eng.basis
-        worst = None
-        for tup in combinations_with_replacement(range(len(basis)), arity):
-            value = jacobiator(eng, [basis[i] for i in tup])
-            if not value.is_zero():
-                all_zero = False
-                worst = (tup, render(value))
+        last = jacobiator_sweep(eng, arity)
+        all_zero = all_zero and last is None
         report.add(
             f"{eng.flavor}: unshuffle sum equals squared-generator route", True,
             detail=f"arity {arity}",
-            witness="" if worst is None else f"nonzero at {worst[0]}: {worst[1]}",
+            witness="" if last is None else f"nonzero at {last[0]}: {render(last[1])}",
         )
     if homological:
         report.add("all Jacobiators vanish", all_zero)

@@ -22,9 +22,10 @@ The phase flavours' Koszul shifts and sign rules come from ``construction.FLAVOU
 For every engine, the n-th Jacobiator computed as an unshuffle sum over the
 derived brackets (inner bracket fed as the first outer argument, plain
 Koszul exchange signs in the engine's parities) equals the n-th derived
-bracket of half the self-bracket of the generator.  The equality is asserted
-each time; it holds whether or not the generator squares to zero, which is
-exactly what makes non-homological negative controls meaningful.
+bracket of half the self-bracket of the generator.  ``jacobiator`` asserts
+the equality each time; it holds whether or not the generator squares to
+zero, which is exactly what makes non-homological negative controls
+meaningful.
 
 Every engine owns a memo of its nested brackets, which lives as long as the
 engine (one command): a sweep (the Jacobiators of every basis tuple, a
@@ -77,6 +78,15 @@ identity is a count of exchange signs; it does not use graded symmetry, and
 a tuple without repeats visits every subset of an admissible size at weight
 its Koszul sign.  A class whose inner value vanishes, and an outer term
 that vanishes, are skipped by the same bilinearity.
+
+A sweep of every basis tuple at arity n (``jacobiator_sweep``) visits none
+when the engine has no admissible inner size at n (``admissible_sizes``)
+and its squared generator is zero: the unshuffle sum is then empty by the
+degree rule and the squared route brackets zero, so both routes are zero on
+every tuple.  The squared side is decided by its own generator, not by a
+degree set, so the routes stay independent, and a nonzero squared generator
+is walked tuple by tuple.  The restriction statement likewise compares no
+arity outside the degree sets of all three of its engines.
 
 ``derived(args, generator=g)`` is the literal nested definition, the oracle
 the memo route is tested against.  It checks every argument first, so that
@@ -154,6 +164,12 @@ class DerivedBracketEngine:
     def prepare(self, arg):
         """Include an argument of the abelian subalgebra in the ambient algebra."""
         return arg
+
+    def admissible_sizes(self, n: int) -> list[int]:
+        """The inner sizes k, ascending, at which the n-th unshuffle sum can
+        be nonzero: an inner key of length k and an outer key of length
+        n + 1 - k, both in ``degrees``."""
+        return [k for k in sorted(self.degrees) if n + 1 - k in self.degrees]
 
     def squared_generator(self):
         """Half the self-bracket of the generator, made on first use and kept."""
@@ -517,13 +533,14 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     equal arguments, weighted by ``unshuffle_weight``; a run's parity is
     asked once.  A subset of size k has an inner key of length k and an
     outer key of length n + 1 - k, so only the sizes k with both lengths in
-    ``engine.degrees`` are visited, in ascending order.  A class whose
-    weight or inner value vanishes is skipped; every other inner value is
-    registered as one more argument and fed first to the outer bracket, and
-    the nonzero outer terms are weighted and summed once (the engine's zero
-    when none survives).  The squared-generator route computes the nested
-    definition afresh, stopping only at a vanished partial, and never
-    touches the memo, a partial, an anchor field or the degree set.
+    ``engine.degrees`` (``engine.admissible_sizes``) are visited, in
+    ascending order.  A class whose weight or inner value vanishes is
+    skipped; every other inner value is registered as one more argument and
+    fed first to the outer bracket, and the nonzero outer terms are weighted
+    and summed once (the engine's zero when none survives).  The
+    squared-generator route computes the nested definition afresh, stopping
+    only at a vanished partial, and never touches the memo, a partial, an
+    anchor field or the degree set.
     """
     n = len(args)
     pos = engine.positions(args)
@@ -531,9 +548,7 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
     parities = [(engine.parity_of(args[i]) + engine.koszul_shift) & 1 for i in starts]
     terms = []
-    for k in sorted(engine.degrees):
-        if n + 1 - k not in engine.degrees:
-            continue
+    for k in engine.admissible_sizes(n):
         for counts in run_counts(lengths, k):
             weight, rest = unshuffle_weight(lengths, counts, parities)
             if not weight:
@@ -553,6 +568,28 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
             f"for arity {n}"
         )
     return total
+
+
+def jacobiator_sweep(engine: DerivedBracketEngine, arity: int):
+    """The Jacobiators of every sorted tuple of ``engine.basis`` at ``arity``:
+    the last nonzero one as (index tuple, value), or None when all vanish.
+
+    No tuple is visited when the engine has no admissible inner size at
+    ``arity`` and its squared generator is zero: the unshuffle sum is then
+    empty by the degree rule, and the squared route brackets zero
+    ([0, a] = 0).  The squared side is decided by its own generator and
+    reads no degree set.  Otherwise every tuple goes through ``jacobiator``,
+    which raises JacobiatorMismatch when the two routes differ.
+    """
+    if not engine.admissible_sizes(arity) and engine.squared_generator().is_zero():
+        return None
+    basis = engine.basis
+    last = None
+    for tup in combinations_with_replacement(range(len(basis)), arity):
+        value = jacobiator(engine, [basis[i] for i in tup])
+        if not value.is_zero():
+            last = (tup, value)
+    return last
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +825,11 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     For every tuple of weight-one coordinates eta (resp. e) up to the arity
     bound, the derived bracket with S (resp. the sign-corrected one with P)
     must match the symmetric (resp. skew) bracket table of Q transported
-    through s_b -> eta_b (resp. T_b -> e_b).  Both tables, at every arity,
-    read the memo of one field engine; each phase side has its own engine.
+    through s_b -> eta_b (resp. T_b -> e_b).  Both tables, at every arity
+    compared, read the memo of one field engine; each phase side has its
+    own engine.  An arity in none of the three engines' degree sets passes
+    with no table and no comparison: by the degree rule every bracket on
+    both sides of it is zero.
     """
     if q.chart.n_base != 0:
         raise ChartMismatch("the restriction statement is for a point base")
@@ -797,9 +837,13 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     field = FieldEngine(q)
     sides = ((PhaseEngine(s), symmetric_field_table),
              (PhaseEngine(p), skew_bracket_table))
+    engines = (field, *(eng for eng, _ in sides))
     per_arity: dict[int, bool] = {}
     details: list[str] = []
     for r in range(0, max_arity + 1):
+        if not any(r in eng.degrees for eng in engines):
+            per_arity[r] = True  # every bracket on either side is zero
+            continue
         ok = True
         tables = [table_of(field, r) for _, table_of in sides]
         for tup in combinations_with_replacement(range(n), r):

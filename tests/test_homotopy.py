@@ -1,8 +1,10 @@
 """Derived brackets, Jacobiators, Leibniz rules, tables, anchors, statement."""
 
+import json
 import re
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 from random import Random
 
 import pytest
@@ -50,6 +52,7 @@ from qalgebroid.homotopy import (
     higher_anchor,
     higher_bracket,
     jacobiator,
+    jacobiator_sweep,
     leibniz_check,
     poisson_bracket_table,
     schouten_bracket_table,
@@ -703,9 +706,11 @@ class TestKoszulParityMemo:
         assert sum(any(a is b for b in basis) for a in scanned) == 3
 
     def test_parities_are_asked_at_run_starts(self, monkeypatch):
-        # every engine of an arity-6 so3 sweep asks once per run of equal
-        # arguments: 63 runs in its 28 tuples, where one ask per argument
-        # took 168
+        # every engine of an arity-6 so3-broken sweep asks once per run of
+        # equal arguments: 63 runs in its 28 tuples, where one ask per
+        # argument took 168.  Its squared generators are nonzero, so every
+        # tuple is walked; so3's sweep at arity 6 visits none
+        # (TestJacobiatorSweep)
         import qalgebroid.homotopy as homotopy
         from click.testing import CliRunner
         from qalgebroid.cli import main
@@ -716,8 +721,9 @@ class TestKoszulParityMemo:
                 asked.append(a)
                 return _parity_of(self, a)
             monkeypatch.setattr(cls, "parity_of", counting)
-        result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", "6", "--json"])
-        assert result.exit_code == 0
+        result = CliRunner().invoke(main, ["jacobiator", "so3-broken", "--arity", "6",
+                                           "--json"])
+        assert result.exit_code == 1
         runs = sum(len(set(tup)) for tup in combinations_with_replacement(range(3), 6))
         assert len(asked) == 3 * runs == 189
 
@@ -872,6 +878,135 @@ class TestDegreeSplit:
                 flavors.add(eng.flavor)
         assert flavors == {"schouten", "poisson", "field"} and based
         assert outside == 577 and inside == 263
+
+
+class TestJacobiatorSweep:
+    """A sweep visits no tuple where both routes are zero by rule: no
+    admissible inner size and a zero squared generator.  The oracle is
+    ``jacobiator`` on every tuple, on a fresh engine."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Count the ``jacobiator`` calls a sweep makes."""
+        import qalgebroid.homotopy as homotopy
+
+        calls = []
+        monkeypatch.setattr(homotopy, "jacobiator",
+                            lambda eng, args, _j=homotopy.jacobiator:
+                            calls.append(args) or _j(eng, args))
+        return calls
+
+    def test_a_skipped_arity_is_zero_on_every_tuple(self, monkeypatch):
+        # homological draws, half of them with base coordinates; the oracle
+        # also takes the base coordinates, which the sweep's basis leaves out
+        calls = self.counting(monkeypatch)
+        rng = Random(41)
+        flavors, based, skipped, walked, zeros = set(), 0, 0, 0, 0
+        for k in range(10):
+            q = random_homological_field(rng, max_base=k % 2, max_rank=4, max_degree=3)
+            based += q.chart.n_base > 0
+            for (eng, _), (fresh, basis) in zip(engines_and_bases(q), engines_and_bases(q)):
+                for r in range(7):
+                    calls.clear()
+                    last = jacobiator_sweep(eng, r)
+                    if calls:
+                        tuples = list(combinations_with_replacement(range(len(eng.basis)), r))
+                        assert len(calls) == len(tuples), (eng.flavor, r)
+                        walked += 1
+                        expected = None
+                        for tup in tuples:
+                            value = jacobiator(fresh, [fresh.basis[i] for i in tup])
+                            if not value.is_zero():
+                                expected = (tup, value)
+                        assert last == expected, (eng.flavor, r)
+                        continue
+                    assert last is None
+                    skipped += 1
+                    for tup in combinations_with_replacement(range(len(basis)), r):
+                        assert jacobiator(fresh, [basis[i] for i in tup]).is_zero(), (
+                            eng.flavor, sorted(eng.degrees), tup)
+                        zeros += 1
+                flavors.add(eng.flavor)
+        assert flavors == {"schouten", "poisson", "field"} and based
+        assert (skipped, walked, zeros) == (152, 44, 2559)
+
+    def test_a_nonzero_squared_generator_is_walked(self, monkeypatch):
+        # random odd fields are in general not homological: at an arity with
+        # no admissible size the sweep still walks every tuple, so that the
+        # squared route, which reads no degree set, is compared on each
+        calls = self.counting(monkeypatch)
+        walked = 0
+        for q in random_odd_fields(seed=43, count=6):
+            for eng, _ in engines_and_bases(q):
+                if eng.squared_generator().is_zero():
+                    continue
+                for r in range(5):
+                    if eng.admissible_sizes(r):
+                        continue
+                    calls.clear()
+                    jacobiator_sweep(eng, r)
+                    assert len(calls) == comb(len(eng.basis) + r - 1, r), (eng.flavor, r)
+                    walked += len(calls)
+        assert walked == 63
+
+    @pytest.mark.parametrize("source, arity, code, calls, asked, squared", [
+        ("so3", 3, 0, 3 * 10, 3 * 18, 3 * 10),
+        ("so3", 6, 0, 0, 0, 0),
+        ("so3-broken", 4, 1, 3 * 15, 3 * 30, 3 * 15),
+    ])
+    def test_sweep_counts(self, monkeypatch, source, arity, code, calls, asked, squared):
+        # so3 has degrees {2} and a zero squared generator: arity 3 has the
+        # admissible size 2, so its 10 tuples are walked (18 runs of equal
+        # arguments); arity 6 has none, so no tuple is visited and no parity
+        # is asked.  so3-broken has the same degrees and a nonzero squared generator, so
+        # each engine walks its 15 tuples at arity 4 (30 runs of equal
+        # arguments), and each tuple makes one squared-route ``derived`` call
+        import qalgebroid.homotopy as homotopy
+        from click.testing import CliRunner
+        from qalgebroid.cli import main
+
+        jacobiators = self.counting(monkeypatch)
+        parities, routes = [], []
+        for cls in (homotopy.PhaseEngine, homotopy.FieldEngine):
+            def counting(self, a, _parity_of=cls.parity_of):
+                parities.append(a)
+                return _parity_of(self, a)
+            monkeypatch.setattr(cls, "parity_of", counting)
+
+        def derived(self, args, generator=None, _derived=homotopy.DerivedBracketEngine.derived):
+            if generator is not None:
+                routes.append(args)
+            return _derived(self, args, generator)
+        monkeypatch.setattr(homotopy.DerivedBracketEngine, "derived", derived)
+        result = CliRunner().invoke(main, ["jacobiator", source, "--arity", str(arity),
+                                           "--json"])
+        assert result.exit_code == code
+        assert (len(jacobiators), len(parities), len(routes)) == (calls, asked, squared)
+
+    @pytest.mark.parametrize("source, max_arity, fed", [("so3", 6, 2), ("graded-3-lie", 8, 3)])
+    def test_statement_builds_tables_where_a_degree_feeds_them(self, monkeypatch, source,
+                                                                max_arity, fed):
+        # the three engines of so3 all have degrees {2}, those of
+        # graded-3-lie {3}: every other arity passes with no table and no
+        # comparison, and the report is the one that compares at every arity
+        import qalgebroid.homotopy as homotopy
+        from click.testing import CliRunner
+        from qalgebroid.cli import main
+
+        built = []
+        for name in ("symmetric_field_table", "skew_bracket_table"):
+            monkeypatch.setattr(homotopy, name,
+                                lambda eng, arity, _t=getattr(homotopy, name):
+                                built.append(arity) or _t(eng, arity))
+        result = CliRunner().invoke(main, ["statement-check", source, "--max-arity",
+                                           str(max_arity), "--json"])
+        assert result.exit_code == 0
+        assert set(built) == {fed}
+        checks = [{"name": f"arity {r} restriction matches the input brackets", "ok": True}
+                  for r in range(max_arity + 1)]
+        assert result.output == json.dumps(
+            {"checks": checks, "command": "statement-check", "source": source,
+             "status": "pass"}, indent=2, sort_keys=True) + "\n"
 
 
 class TestAnchorField:
