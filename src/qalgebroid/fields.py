@@ -140,7 +140,11 @@ class VectorField:
         generators that occur in f."""
         if f.chart != self.chart:
             raise ChartMismatch("field and function live on different charts")
-        return GradedPoly(self.chart, _apply_into({}, self, f))
+        return GradedPoly(self.chart, apply_into({}, self.indexed(), f))
+
+    def indexed(self) -> list[tuple[int, dict]]:
+        """The components as (generator index, term map) pairs."""
+        return [(self.chart.index_of(n), c.terms) for n, c in self.components.items()]
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.chart != other.chart:
@@ -179,15 +183,15 @@ class VectorField:
         return f"<VectorField {' + '.join(parts)}>"
 
 
-def _apply_into(out: dict, x: VectorField, f: GradedPoly, scale: int = 1) -> dict:
-    """Add ``scale`` times X(f) into the term map ``out``: one product per
+def apply_into(out: dict, components, f: GradedPoly, scale: int = 1) -> dict:
+    """Add ``scale`` times X(f) = sum_i X^i d_i f into the term map ``out``, for
+    X given as (generator index, term map) pairs on f's chart: one product per
     component along a generator that occurs in f (``f.support()``)."""
     support = f.support()
-    odd, index_of = x.chart.odd_flags, x.chart.index_of
-    for name, comp in x.components.items():
-        idx = index_of(name)
-        if idx in support:
-            _product_into(out, comp.terms, _masked(_derivative(f.terms, idx, odd), odd), odd, scale)
+    odd = f.chart.odd_flags
+    for i, comp in components:
+        if i in support:
+            _product_into(out, comp, _masked(_derivative(f.terms, i, odd), odd), odd, scale)
     return out
 
 
@@ -209,17 +213,19 @@ def commutator(x: VectorField, y: VectorField) -> VectorField:
             d = lcm(*(_denominator(comp.terms) for comp in x.components.values()))
             cleared = VectorField(chart, {z: GradedPoly(chart, _cleared(comp.terms, d)[1])
                                           for z, comp in x.components.items()}, ODD)
+            pairs = cleared.indexed()
             for z, comp in cleared.components.items():
-                acc = _apply_into({}, cleared, comp, 2)
+                acc = apply_into({}, pairs, comp, 2)
                 if acc:
                     comps[z] = GradedPoly(chart, _divided(acc, d * d))
         return VectorField(chart, comps, EVEN)
     sign = 1 if (x.parity & y.parity) else -1  # of Y(X^z): -(-1)^(XY)
     xc, yc = x.components, y.components
+    xs, ys = x.indexed(), y.indexed()
     for z in sorted(xc.keys() | yc.keys(), key=chart.index_of):
-        acc = _apply_into({}, x, yc[z]) if z in yc else {}
+        acc = apply_into({}, xs, yc[z]) if z in yc else {}
         if z in xc:
-            _apply_into(acc, y, xc[z], sign)
+            apply_into(acc, ys, xc[z], sign)
         if acc:
             comps[z] = GradedPoly(chart, acc)
     return VectorField(chart, comps, (x.parity + y.parity) & 1)

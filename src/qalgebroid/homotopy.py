@@ -2,7 +2,8 @@
 
 A derived-bracket engine packages an ambient Lie bracket, a generator D, a
 projector ``project`` onto an abelian subalgebra V and the inclusion
-``prepare`` of V; the brackets on V are project [...[D, a1], ..., an].
+``prepare`` of V; the brackets on V are project [...[D, a1], ..., an]
+(Voronov, *Higher derived brackets and homotopy algebras*, JPAA 202, 2005).
 Three instances are used:
 
 * flavor "schouten": functions on T*(PiE*) under the even canonical bracket,
@@ -18,8 +19,10 @@ Three instances are used:
   of components at the origin, inclusion = identity.
 
 The phase flavours' Koszul shifts and sign rules come from ``construction.FLAVOURS``.
+The rules below hold for every engine; the other docstrings of this module
+refer to them by name.
 
-For every engine, the n-th Jacobiator computed as an unshuffle sum over the
+Two routes.  The n-th Jacobiator computed as an unshuffle sum over the
 derived brackets (inner bracket fed as the first outer argument, plain
 Koszul exchange signs in the engine's parities) equals the n-th derived
 bracket of half the self-bracket of the generator.  ``jacobiator`` asserts
@@ -27,75 +30,79 @@ the equality each time; it holds whether or not the generator squares to
 zero, which is exactly what makes non-homological negative controls
 meaningful.
 
-Every engine owns a memo of its nested brackets, which lives as long as the
-engine (one command): a sweep (the Jacobiators of every basis tuple, a
-bracket table, the restriction statement) shares its brackets through it.
-Arguments are registered by identity and named by their positions; the
+The memo.  Every engine owns a memo of its nested brackets, which lives as
+long as the engine (one command): a sweep (the Jacobiators of every basis
+tuple, a bracket table, the restriction statement) shares its brackets
+through it.  Arguments are registered by identity, checked at registration
+(the precondition is that they lie in V) and named by their positions; the
 memo keeps each unprojected partial bracket ``[...[D, a1], ..., ak]`` under
 its position tuple, made on demand one ambient bracket past its longest
-known prefix.  A value needs only the partial at its key's prefix: a phase
-engine applies that partial's anchor field to the last argument, with no
-lift, ambient bracket or projection (``PhaseEngine``); the field engine
-brackets and projects.  ``engine.derived(args)`` reads and extends the memo;
-``engine.derived(args, generator=g)`` computes the nested definition with
-the generator g afresh and never touches it.  The squared-generator route of
-the Jacobiator takes the second form, so the two routes share no computed
-bracket.
+known prefix, and each value under its key.  An argument is prepared when
+it first enters an ambient bracket.  A value needs only the partial at its
+key's prefix: a phase engine applies that partial's anchor field to the
+last argument, with no lift, ambient bracket or projection
+(``PhaseEngine``); the field engine brackets and projects.
 
-A bracket with an argument of V lowers the degree of every term by exactly
-one (Voronov's higher derived brackets: a term of degree k feeds the k-ary
-bracket only).  For a phase engine the degree of a term is the sum of its
-exponents of conjugate generators: a parent-chart argument a has none, so
+The zero rule.  Brackets are bilinear, [0, a] = 0: the walk down a key's
+prefixes stops at the first partial that vanishes and stores no longer
+one, so the stored keys are closed under prefixes and none extends a key
+whose partial vanishes.  The ambient brackets (``fields.commutator``, the
+canonical brackets) apply the same rule on entry.
+
+The degree rule.  A bracket with an argument of V lowers the degree of
+every term by exactly one (a term of degree k feeds the k-ary bracket
+only).  For a phase engine the degree of a term is the sum of its exponents
+of conjugate generators: a parent-chart argument a has none, so
 [F, a] = sum_z s d_{z*}F d_z a (``PhaseEngine``) and each term loses one
 conjugate factor.  For the field engine it is the polynomial degree: a
 constant field c d_i has no component to differentiate, so [X, c d_i]
 differentiates each component of X once.  The projection keeps the degree-0
 part.  So the value at a key of length k comes only from the generator's
 terms of degree exactly k, and the partial at length k only from its terms
-of degree at least k.  Each engine reads the set of its generator's degrees
-(``degrees``) once: ``value`` returns the engine's zero for a key whose
-length is not in it, with no partial, anchor field or bracket.  The
-precondition is that arguments lie in V, which ``check`` enforces at
-registration.  A stored partial is therefore at most as long as the largest
-degree; the bound is on the depth of the memo, not on its number of
-distinct keys.
-
-The memo route also uses bilinearity, [0, a] = 0: the walk down a key's
-prefixes stops at the first partial that vanishes, and no longer partial is
-stored.  An argument is lifted when it first enters an ambient bracket.  In
+of degree at least k.  Each engine is given the set of its generator's
+degrees (``degrees``) once: ``value`` answers a key whose length is not in
+it with the engine's ``zero``, with no partial, anchor field or bracket.  A
+stored partial is therefore at most as long as the largest degree; the
+bound is on the depth of the memo, not on its number of distinct keys.  In
 the unshuffle sum of the n-th Jacobiator, a subset of k arguments has an
 inner key of length k and an outer key of length n + 1 - k, so it
-contributes only when both lengths are in ``degrees``; the sum visits the
-subsets of those sizes alone.  Consecutive arguments at one memo position
-(one object) form a run, and the subsets that take as many copies of each
-run share their inner and outer keys.  So the sum visits one canonical
-subset per tuple of counts per run, the one that takes the first copies of
-each run, and weights it by the exact signed count of its class: its Koszul
-sign times, for each run of m copies of which c are taken, C(m, c) when the
-run is Koszul-even and the Gaussian binomial [m, c] at q = -1 when it is
-odd (0 when m is even and c odd, C(m // 2, c // 2) otherwise).  The
-identity is a count of exchange signs; it does not use graded symmetry, and
-a tuple without repeats visits every subset of an admissible size at weight
-its Koszul sign.  A class whose inner value vanishes, and an outer term
-that vanishes, are skipped by the same bilinearity.
+contributes only when both lengths are in ``degrees``: these are the
+admissible sizes (``admissible_sizes``), and the sum visits the subsets of
+those sizes alone, in ascending order.
 
-A sweep of every basis tuple at arity n (``jacobiator_sweep``) visits none
-when the engine has no admissible inner size at n (``admissible_sizes``)
-and its squared generator is zero: the unshuffle sum is then empty by the
-degree rule and the squared route brackets zero, so both routes are zero on
-every tuple.  The squared side is decided by its own generator, not by a
-degree set, so the routes stay independent, and a nonzero squared generator
-is walked tuple by tuple.  The restriction statement likewise compares no
-arity outside the degree sets of all three of its engines.
+The run weights.  Consecutive arguments at one memo position (one object)
+form a run, and the subsets that take as many copies of each run share
+their inner and outer keys.  So the sum visits one canonical subset per
+tuple of counts per run, the one that takes the first copies of each run,
+and weights it by the exact signed count of its class (``unshuffle_weight``):
+its Koszul sign times, for each run of m copies of which c are taken, the
+run weight.  Moving the chosen copies ahead of the others costs one
+exchange of two copies per inverted pair, so the run weight is the Gaussian
+binomial [m, c] at q = (-1)^parity: C(m, c) when the run is Koszul-even
+and, when it is odd, 0 for m even and c odd, C(m // 2, c // 2) otherwise
+(``run_weight``).  The identity is a count of exchange signs; it does not
+use graded symmetry, and a tuple without repeats visits every subset of an
+admissible size at weight its Koszul sign.  A run's parity is asked once.
+A class whose weight or inner value vanishes, and an outer term that
+vanishes, are skipped by the zero rule.
 
-``derived(args, generator=g)`` is the literal nested definition, the oracle
-the memo route is tested against.  It checks every argument first, so that
-a refused argument raises whatever the generator, then brackets while the
-partial is nonzero and projects: stopping at a vanished partial is the
-bilinearity [0, a] = 0 that the ambient brackets (``fields.commutator``,
-the canonical brackets) already apply on entry.  It reads no memo, partial,
-anchor field or degree set, so the squared generator of a homological
-input, which is zero, costs no bracket.
+The sweep skip.  A sweep of every basis tuple at arity n
+(``jacobiator_sweep``) visits none when the engine has no admissible size
+at n and its squared generator is zero: the unshuffle sum is then empty by
+the degree rule and the squared route brackets zero, so both routes are
+zero on every tuple.  A nonzero squared generator is walked tuple by tuple.
+The restriction statement likewise compares no arity outside the degree
+sets of all three of its engines: every bracket on both sides of it is zero.
+
+The independent squared route.  ``derived(args, generator=g)`` is the
+literal nested definition, the oracle the memo route is tested against,
+and the squared-generator route of the Jacobiator.  It checks every
+argument first, so that a refused argument raises whatever the generator,
+then brackets while the partial is nonzero (the zero rule) and projects.
+It reads no memo, partial, anchor field or degree set, so the two routes
+share no computed bracket, the sweep skip decides the squared side by its
+own generator, and the squared generator of a homological input, which is
+zero, costs no bracket.
 """
 
 from __future__ import annotations
@@ -113,16 +120,8 @@ from .charts import (
     restrict_to_zero_section,
 )
 from .construction import FLAVOURS, HigherStructure, ambient_bracket
-from .fields import VectorField, _pair_signs, commutator
-from .gradedpoly import (
-    ChartMismatch,
-    GradedAlgebraError,
-    GradedPoly,
-    ParityMismatch,
-    _derivative,
-    _masked,
-    _product_into,
-)
+from .fields import VectorField, _pair_signs, apply_into, commutator
+from .gradedpoly import ChartMismatch, GradedAlgebraError, GradedPoly, ParityMismatch
 
 
 class JacobiatorMismatch(GradedAlgebraError):
@@ -136,27 +135,31 @@ class JacobiatorMismatch(GradedAlgebraError):
 class DerivedBracketEngine:
     """Nested-bracket evaluation (a1, ..., an) = project [...[D, a1], ..., an].
 
-    An engine supplies ``flavor``, ``bracket`` (ambient), ``project`` (onto
-    V), ``parity_of``, ``generator``, ``term_degrees`` (of the generator),
-    ``zero`` (the value at a key no degree feeds; a key feeds a value only
-    when its length is one of those degrees), ``self_bracket`` (of the
-    generator) and ``sum`` (of values, the zero value when there are none),
-    overrides ``check`` when V does not take every argument, ``prepare``
-    when the inclusion of V is not the identity and ``last`` when it has a
-    cheaper last step, and calls ``__init__`` once its generator is
-    available.
+    Made from the generator D, the set of its term degrees and a callable
+    that gives its self-bracket, called on first use.  A subclass supplies
+    ``flavor``, ``basis``, ``bracket`` (ambient), ``project`` (onto V),
+    ``parity_of``, ``zero`` (the value at a key no degree feeds) and ``sum``
+    (of values, the zero value when there are none), and overrides ``check``
+    when V does not take every argument, ``prepare`` when the inclusion of V
+    is not the identity and ``last`` when it has a cheaper last step.  The
+    memo, zero and degree rules are those of the module docstring.
     """
 
     koszul_shift = 0
 
-    def __init__(self):
+    def __init__(self, generator, degrees, self_bracket):
         self._args: list = []  # registered arguments, held so that ids stay unique
         self._position: dict[int, int] = {}
         self._prepared: list = []  # None until the argument enters a bracket
-        self._partial: dict[tuple, object] = {(): self.generator()}
+        self._partial: dict[tuple, object] = {(): generator}
         self._value: dict[tuple, object] = {}
+        self._self_bracket = self_bracket
         self._half_square = None
-        self.degrees = frozenset(self.term_degrees())
+        self.degrees = frozenset(degrees)
+
+    def generator(self):
+        """The generator D, the partial at the empty key."""
+        return self._partial[()]
 
     def check(self, arg):
         """Refuse an argument outside the abelian subalgebra; V takes every one."""
@@ -166,22 +169,19 @@ class DerivedBracketEngine:
         return arg
 
     def admissible_sizes(self, n: int) -> list[int]:
-        """The inner sizes k, ascending, at which the n-th unshuffle sum can
-        be nonzero: an inner key of length k and an outer key of length
-        n + 1 - k, both in ``degrees``."""
+        """The admissible inner sizes of the n-th unshuffle sum, ascending
+        (the degree rule)."""
         return [k for k in sorted(self.degrees) if n + 1 - k in self.degrees]
 
     def squared_generator(self):
         """Half the self-bracket of the generator, made on first use and kept."""
         if self._half_square is None:
-            self._half_square = self.self_bracket().scaled(Fraction(1, 2))
+            self._half_square = self._self_bracket().scaled(Fraction(1, 2))
         return self._half_square
 
     def derived(self, args, generator=None):
         """The nested bracket of ``args``: from the memo, or afresh with
-        ``generator``.  The second form checks every argument, then brackets
-        while the partial is nonzero ([0, a] = 0) and projects; it reads no
-        memo, partial, anchor field or degree set."""
+        ``generator`` (the independent squared route)."""
         if generator is None:
             return self.value(self.positions(args))
         for a in args:
@@ -194,9 +194,8 @@ class DerivedBracketEngine:
         return self.project(cur)
 
     def positions(self, args) -> tuple[int, ...]:
-        """Memo positions of ``args``; an argument met for the first time
-        (by identity) is checked and registered.  It is prepared when it
-        first enters an ambient bracket."""
+        """Memo positions of ``args``, registering (and checking) each
+        argument met for the first time."""
         out = []
         for a in args:
             pos = self._position.get(id(a))
@@ -209,15 +208,8 @@ class DerivedBracketEngine:
         return tuple(out)
 
     def partial(self, key: tuple):
-        """The unprojected partial bracket of the registered arguments at ``key``.
-
-        The walk goes down the prefixes of ``key`` from the generator,
-        reading stored partials and storing the ones it makes, and stops at
-        the first partial that vanishes: every longer partial is zero by
-        bilinearity, so none is stored, and that zero is returned.  The
-        stored keys are therefore closed under prefixes, and none extends a
-        key whose partial vanishes.
-        """
+        """The unprojected partial bracket of the registered arguments at
+        ``key``, walked from the generator by the memo and zero rules."""
         cur = self._partial.get(key)
         if cur is not None:
             return cur
@@ -237,10 +229,9 @@ class DerivedBracketEngine:
         return cur
 
     def value(self, key: tuple):
-        """The derived bracket of the registered arguments at ``key``: the
-        engine's ``zero`` at once when no term of the generator has degree
-        ``len(key)``; otherwise the projected generator at (), ``last(key)``
-        past it, kept."""
+        """The derived bracket of the registered arguments at ``key``, kept:
+        ``zero`` when the degree rule rules it out, else the projected
+        generator at () and ``last(key)`` past it."""
         if len(key) not in self.degrees:
             return self.zero(key)
         v = self._value.get(key)
@@ -278,7 +269,6 @@ class PhaseEngine(DerivedBracketEngine):
     def __init__(self, structure: HigherStructure):
         if structure.flavor not in FLAVOURS:
             raise GradedAlgebraError(f"unknown flavor {structure.flavor!r}")
-        self.structure = structure
         self.chart = structure.chart
         self.parent = self.chart.parent_chart()
         self.flavour = FLAVOURS[structure.flavor]
@@ -286,7 +276,9 @@ class PhaseEngine(DerivedBracketEngine):
         self.koszul_shift = self.flavour.koszul_shift
         self._bracket = ambient_bracket(self.flavor)
         self._field: dict[tuple, dict] = {}  # anchor field per prefix key
-        super().__init__()
+        n = len(self.parent.generators)  # the conjugates follow the parent generators
+        degrees = {sum(e for i, e in m if i >= n) for m in structure.value.terms}
+        super().__init__(structure.value, degrees, lambda: structure.self_bracket)
 
     @cached_property
     def basis(self) -> list[GradedPoly]:
@@ -338,14 +330,8 @@ class PhaseEngine(DerivedBracketEngine):
         return field
 
     def apply_field(self, field: dict[int, dict], a: GradedPoly) -> GradedPoly:
-        """X(a) = sum_i X^i d_i a on the parent chart, over the generators of a."""
-        odd = self.parent.odd_flags
-        support = a.support()
-        out: dict = {}
-        for i, comp in field.items():
-            if i in support:
-                _product_into(out, comp, _masked(_derivative(a.terms, i, odd), odd), odd)
-        return GradedPoly(self.parent, out)
+        """X(a) = sum_i X^i d_i a on the parent chart (``fields.apply_into``)."""
+        return GradedPoly(self.parent, apply_into({}, field.items(), a))
 
     def parity_of(self, arg: GradedPoly) -> int:
         p = arg.parity()
@@ -353,19 +339,8 @@ class PhaseEngine(DerivedBracketEngine):
             raise ParityMismatch("arguments must be parity-homogeneous")
         return p
 
-    def generator(self):
-        return self.structure.value
-
-    def term_degrees(self):
-        """The conjugate degree of each term of the generator."""
-        n = len(self.parent.generators)
-        return {sum(e for i, e in m if i >= n) for m in self.structure.value.terms}
-
     def zero(self, key: tuple) -> GradedPoly:
         return GradedPoly(self.parent)
-
-    def self_bracket(self):
-        return self.structure.self_bracket
 
     def sum(self, values):
         return GradedPoly.sum(self.parent, values)
@@ -387,7 +362,8 @@ class FieldEngine(DerivedBracketEngine):
             )
         self.q = q
         self.chart = q.chart
-        super().__init__()
+        degrees = {sum(e for _, e in m) for comp in q.components.values() for m in comp.terms}
+        super().__init__(q, degrees, q.square)
 
     @cached_property
     def basis(self) -> list[VectorField]:
@@ -416,21 +392,10 @@ class FieldEngine(DerivedBracketEngine):
     def parity_of(self, arg: VectorField) -> int:
         return arg.parity
 
-    def generator(self):
-        return self.q
-
-    def term_degrees(self):
-        """The polynomial degree of each term of each component of Q."""
-        return {sum(e for _, e in m)
-                for comp in self.q.components.values() for m in comp.terms}
-
     def zero(self, key: tuple) -> VectorField:
         """The zero field of the parity of Q plus the arguments at ``key``."""
         parity = self.q.parity + sum(self._args[i].parity for i in key)
         return VectorField(self.chart, {}, parity & 1)
-
-    def self_bracket(self):
-        return self.q.square()
 
     def sum(self, values):
         total = VectorField(self.chart, {})
@@ -466,14 +431,8 @@ def higher_bracket(eng: PhaseEngine, args: list[GradedPoly]) -> GradedPoly:
 # ---------------------------------------------------------------------------
 
 def run_weight(m: int, k: int, parity: int) -> int:
-    """The signed count of the ways to take k of a run of m equal arguments.
-
-    Moving the chosen copies ahead of the others costs one exchange of two
-    copies per inverted pair, so the sum of the Koszul signs over the
-    k-subsets of the run is the Gaussian binomial [m, k] at q = (-1)^parity:
-    C(m, k) for a Koszul-even run and, for an odd one, 0 when m is even and
-    k odd, C(m // 2, k // 2) otherwise.
-    """
+    """The signed count of the ways to take k of a run of m equal arguments
+    of Koszul parity ``parity`` (the run weights)."""
     if not parity:
         return comb(m, k)
     if m % 2 == 0 and k % 2:
@@ -495,16 +454,13 @@ def run_counts(lengths, k):
 
 
 def unshuffle_weight(lengths, counts, parities) -> tuple[int, list[int]]:
-    """The signed count of a canonical subset, and its complement.
+    """The signed count of a canonical subset's class, and its complement.
 
     The arguments fall into runs of ``lengths[r]`` consecutive equal ones,
     of Koszul parity ``parities[r]``, and the canonical subset takes the
-    first ``counts[r]`` copies of run r.  Every subset that takes as many
-    copies of each run has the same inner and outer bracket.  The sum of
-    their Koszul signs, for moving the chosen arguments ahead of the others,
-    is the canonical subset's sign times the ``run_weight`` of each run;
-    that sign is -1 to the number of pairs of a chosen Koszul-odd copy and
-    an odd argument left out of an earlier run.  Returns that sum and the
+    first ``counts[r]`` copies of run r (the run weights).  Its own sign is
+    -1 to the number of pairs of a chosen Koszul-odd copy and an odd
+    argument left out of an earlier run.  Returns the class's count and the
     complement of the canonical subset, in index order.
     """
     rest, weight, start, odd_left = [], 1, 0, 0
@@ -520,27 +476,16 @@ def unshuffle_weight(lengths, counts, parities) -> tuple[int, list[int]]:
 
 
 def jacobiator(engine: DerivedBracketEngine, args: list):
-    """The n-th Jacobiator, computed two independent ways.
+    """The n-th Jacobiator, computed by the two routes.
 
-    Returns the value both routes agree on.  Raises JacobiatorMismatch when
-    the unshuffle sum disagrees with the derived bracket of the squared
-    generator, which would signal a sign-convention bug.  An argument's
-    Koszul parity is ``engine.parity_of`` plus the engine's shift; a
-    polynomial keeps its parity and a field holds it, so a sweep scans each
-    argument once, and a mixed-parity argument raises ParityMismatch here,
-    not in ``derived``.  The unshuffle sum reads and extends the engine's
-    memo.  It visits one canonical subset per tuple of counts per run of
-    equal arguments, weighted by ``unshuffle_weight``; a run's parity is
-    asked once.  A subset of size k has an inner key of length k and an
-    outer key of length n + 1 - k, so only the sizes k with both lengths in
-    ``engine.degrees`` (``engine.admissible_sizes``) are visited, in
-    ascending order.  A class whose weight or inner value vanishes is
-    skipped; every other inner value is registered as one more argument and
-    fed first to the outer bracket, and the nonzero outer terms are weighted
-    and summed once (the engine's zero when none survives).  The
-    squared-generator route computes the nested definition afresh, stopping
-    only at a vanished partial, and never touches the memo, a partial, an
-    anchor field or the degree set.
+    Returns the value both agree on, and raises JacobiatorMismatch when they
+    differ, which would signal a sign-convention bug.  An argument's Koszul
+    parity is ``engine.parity_of`` plus the engine's shift, so a
+    mixed-parity argument raises ParityMismatch here.  The unshuffle sum
+    reads and extends the memo, by the degree rule and the run weights; each
+    inner value is registered as one more argument and fed first to the
+    outer bracket, and the outer terms are weighted and summed once
+    (``engine.sum``).  The squared route is the independent one.
     """
     n = len(args)
     pos = engine.positions(args)
@@ -570,23 +515,22 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     return total
 
 
+def _tuples(basis, arity: int):
+    """Every sorted index tuple over ``basis`` at ``arity``, with its arguments."""
+    for tup in combinations_with_replacement(range(len(basis)), arity):
+        yield tup, [basis[i] for i in tup]
+
+
 def jacobiator_sweep(engine: DerivedBracketEngine, arity: int):
     """The Jacobiators of every sorted tuple of ``engine.basis`` at ``arity``:
     the last nonzero one as (index tuple, value), or None when all vanish.
-
-    No tuple is visited when the engine has no admissible inner size at
-    ``arity`` and its squared generator is zero: the unshuffle sum is then
-    empty by the degree rule, and the squared route brackets zero
-    ([0, a] = 0).  The squared side is decided by its own generator and
-    reads no degree set.  Otherwise every tuple goes through ``jacobiator``,
-    which raises JacobiatorMismatch when the two routes differ.
-    """
+    Every visited tuple goes through ``jacobiator``; the sweep skip may
+    visit none."""
     if not engine.admissible_sizes(arity) and engine.squared_generator().is_zero():
         return None
-    basis = engine.basis
     last = None
-    for tup in combinations_with_replacement(range(len(basis)), arity):
-        value = jacobiator(engine, [basis[i] for i in tup])
+    for tup, args in _tuples(engine.basis, arity):
+        value = jacobiator(engine, args)
         if not value.is_zero():
             last = (tup, value)
     return last
@@ -703,9 +647,7 @@ def _table_metadata(chart: Chart, labels, entries, arity: int):
 
 def _phase_table(eng: PhaseEngine, arity: int) -> BracketTable:
     fibre = eng.parent.fibre_names()
-    entries = {}
-    for tup in combinations_with_replacement(range(len(fibre)), arity):
-        entries[tup] = higher_bracket(eng, [eng.basis[i] for i in tup])
+    entries = {tup: higher_bracket(eng, args) for tup, args in _tuples(eng.basis, arity)}
     parity, weight = _table_metadata(eng.parent, fibre, entries, arity)
     return BracketTable(eng.flavor, arity, fibre, entries, parity, weight)
 
@@ -718,34 +660,26 @@ def poisson_bracket_table(p: HigherStructure, arity: int) -> BracketTable:
     return _phase_table(PhaseEngine(p), arity)
 
 
-def _field_entry(eng: FieldEngine, tup: tuple[int, ...]) -> GradedPoly:
+def _field_entry(eng: FieldEngine, args: list[VectorField]) -> GradedPoly:
     """(s_a1, ..., s_ar) written as the fibre-linear polynomial sum c_b xi^b."""
-    value = eng.derived([eng.basis[i] for i in tup])
+    value = eng.derived(args)
     return GradedPoly(eng.chart, {
         ((j, 1),): c for j, c in enumerate(eng.coefficients(value)) if c != 0
     })
 
 
-def fibre_parity_of_index(chart: Chart, i: int) -> int:
-    """The underlying fibre parity a for a PiE-chart generator xi (parity a+1)."""
-    return (chart.generators[i].parity + 1) & 1
-
-
 def _skew_sign(chart: Chart, tup: tuple[int, ...]) -> int:
-    """(-1)^(a1 (r-1) + a2 (r-2) + ... + a_{r-1} + 1), unshifted parities a_i."""
+    """(-1)^(a1 (r-1) + a2 (r-2) + ... + a_{r-1} + 1), with a_i = |xi_i| + 1
+    the underlying fibre parity of the PiE-chart generator xi_i."""
     r = len(tup)
-    e = 1
-    for pos, i in enumerate(tup[:-1], start=1):
-        e += fibre_parity_of_index(chart, i) * (r - pos)
+    e = 1 + sum((chart.generators[i].parity + 1) * (r - pos)
+                for pos, i in enumerate(tup[:-1], start=1))
     return -1 if e & 1 else 1
 
 
 def symmetric_field_table(eng: FieldEngine, arity: int) -> BracketTable:
     """Symmetric brackets (s_a1, ..., s_ar) over a point base, as fields."""
-    entries = {
-        tup: _field_entry(eng, tup)
-        for tup in combinations_with_replacement(range(len(eng.basis)), arity)
-    }
+    entries = {tup: _field_entry(eng, args) for tup, args in _tuples(eng.basis, arity)}
     labels = [g.name for g in eng.chart.generators]
     return BracketTable("field", arity, labels, entries)
 
@@ -766,17 +700,17 @@ def skew_bracket_table(eng: FieldEngine, arity: int) -> BracketTable:
 
 
 def _verify_skew(eng: FieldEngine, table: BracketTable):
-    """Adjacent exchange must flip the sign by -(-1)^(a_i a_j)."""
-    chart = eng.chart
+    """Adjacent exchange must flip the sign by -(-1)^(a_i a_j): by -1 unless
+    both generators are even, of underlying fibre parity 1."""
+    chart, gens = eng.chart, eng.chart.generators
     for tup in table.entries:
         for k in range(len(tup) - 1):
             swapped = list(tup)
             swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
             swapped = tuple(swapped)
-            pi_ = fibre_parity_of_index(chart, tup[k])
-            pj = fibre_parity_of_index(chart, tup[k + 1])
-            sign = -1 if not (pi_ and pj) else 1
-            value = _field_entry(eng, swapped).scaled(_skew_sign(chart, swapped))
+            sign = -1 if gens[tup[k]].parity or gens[tup[k + 1]].parity else 1
+            value = _field_entry(eng, [eng.basis[i] for i in swapped])
+            value = value.scaled(_skew_sign(chart, swapped))
             expected = table.entries[tup].scaled(sign)
             if value != expected:
                 raise GradedAlgebraError(
@@ -825,15 +759,12 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     For every tuple of weight-one coordinates eta (resp. e) up to the arity
     bound, the derived bracket with S (resp. the sign-corrected one with P)
     must match the symmetric (resp. skew) bracket table of Q transported
-    through s_b -> eta_b (resp. T_b -> e_b).  Both tables, at every arity
-    compared, read the memo of one field engine; each phase side has its
-    own engine.  An arity in none of the three engines' degree sets passes
-    with no table and no comparison: by the degree rule every bracket on
-    both sides of it is zero.
+    through s_b -> eta_b (resp. T_b -> e_b).  Both tables read the memo of
+    one field engine; each phase side has its own engine.  An arity the
+    sweep skip rules out passes with no table and no comparison.
     """
     if q.chart.n_base != 0:
         raise ChartMismatch("the restriction statement is for a point base")
-    n = len(q.chart.generators)
     field = FieldEngine(q)
     sides = ((PhaseEngine(s), symmetric_field_table),
              (PhaseEngine(p), skew_bracket_table))
@@ -846,7 +777,7 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
             continue
         ok = True
         tables = [table_of(field, r) for _, table_of in sides]
-        for tup in combinations_with_replacement(range(n), r):
+        for tup, _ in _tuples(field.basis, r):
             for (eng, _), table in zip(sides, tables):
                 lhs = higher_bracket(eng, [eng.basis[i] for i in tup])
                 rhs = _transport_value(table.entries[tup], eng.parent)

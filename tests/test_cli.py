@@ -531,6 +531,36 @@ def test_in_process_runs_release_captured_output():
     assert [r() for r in refs] == [None] * len(refs)
 
 
+def test_in_process_commands_keep_no_algebra_alive(tmp_path):
+    """No command caches an algebra object for a later one: once in-process
+    runs return, none of the polynomials, fields, charts or engines they made
+    is alive."""
+    from qalgebroid.charts import Chart
+    from qalgebroid.gradedpoly import GradedPoly
+    from qalgebroid.homotopy import DerivedBracketEngine
+
+    kinds = (GradedPoly, VectorField, Chart, DerivedBracketEngine)
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, kinds)]  # held: no id is reused
+    known = {id(o) for o in before}
+    matrix = tmp_path / "t.json"
+    matrix.write_text(json.dumps([[0, 1, 0], [1, 0, 0], [0, 0, "1/2"]]))
+    codes = []
+    for args in (["jacobiator", "so3", "--arity", "3"], ["statement-check", "so3"],
+                 ["leibniz", "so3", "--arity", "2"],
+                 ["naturality", "so3", "--matrix", str(matrix)], ["build-poisson", "so3"]):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                main(args, standalone_mode=False)
+            except SystemExit as exc:
+                codes.append(exc.code)
+    assert codes == [0] * 5
+    gc.collect()
+    made = [type(o).__name__ for o in gc.get_objects()
+            if isinstance(o, kinds) and id(o) not in known]
+    assert made == []
+
+
 def test_readme_library_example_runs():
     """The README's Python example runs as written and prints what it shows."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
