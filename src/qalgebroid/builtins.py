@@ -24,6 +24,7 @@ document is re-verified by the test suite.  ``BUILTINS`` lists these six;
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .specdoc import AlgebroidSpec, QTerm
@@ -84,17 +85,9 @@ def so3_broken() -> AlgebroidSpec:
     Pure rescalings of the three standard constants keep the Jacobi identity
     on a rank-3 space, so the control perturbs an off-pattern entry instead.
     """
-    return _spec(
-        "so3-broken",
-        [],
-        [("s1", EVEN_P), ("s2", EVEN_P), ("s3", EVEN_P)],
-        [
-            ("s3", "1", ["s1", "s2"], []),
-            ("s1", "1", ["s2", "s3"], []),
-            ("s2", "-1", ["s1", "s3"], []),
-            ("s3", "1", ["s2", "s3"], []),
-        ],
-    )
+    spec = so3()
+    extra = QTerm("s3", Fraction(1), ("s2", "s3"), ())
+    return replace(spec, name="so3-broken", q_terms=(*spec.q_terms, extra))
 
 
 def lie_3_algebroid_demo() -> AlgebroidSpec:
@@ -129,22 +122,12 @@ def mixed_linfinity_algebra() -> AlgebroidSpec:
     """Point-base version of the Lie 3-algebroid fibre: arities 0 through 3.
 
     Used by the closed-formula cross-checks, which want a pure algebra with
-    both even and odd directions and every bracket arity populated.
+    both even and odd directions and every bracket arity populated.  It is
+    ``lie-3-algebroid-demo`` without its base and the terms of its anchor.
     """
-    return _spec(
-        "mixed-linfinity-algebra",
-        [],
-        [("f1", EVEN_P), ("f2", ODD_P), ("f3", EVEN_P)],
-        [
-            ("f2", "1", ["f1"], []),
-            ("f2", "-1", ["f1", "f2", "f2"], []),
-            ("f3", "1", [], []),
-            ("f3", "2", ["f2"], []),
-            ("f3", "1", ["f2", "f2"], []),
-            ("f3", "2", ["f1", "f3"], []),
-            ("f3", "-2", ["f1", "f2", "f3"], []),
-        ],
-    )
+    spec = lie_3_algebroid_demo()
+    return replace(spec, name="mixed-linfinity-algebra", base=(),
+                   q_terms=tuple(t for t in spec.q_terms if t.target != "x"))
 
 
 def higher_poisson_on_algebroid() -> AlgebroidSpec:

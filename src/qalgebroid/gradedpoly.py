@@ -43,21 +43,17 @@ and every bracket in ``fields`` accumulates all its products, each with its
 exact sign, into one map.  ``_masked`` prepares the right factor once, so a
 factor used many times (an image in ``substitute``, a derivative met by both
 parity parts of a canonical bracket's first argument) is masked once.
-``GradedPoly.sum`` fills one term map for all summands instead of copying a
-growing one per summand, and ``+`` is its two-summand case.  One fold of
-``+`` remains, ``homotopy.FieldEngine.sum`` over constant fields;
-``specdoc.assemble_field`` collects each component of a document in one term
-map and adds it to zero once.
+``GradedPoly.sum`` fills one term map for all summands, and ``+`` is its
+two-summand case.
 
-``substitute`` has one entry: its images go through ``checked_images``,
-which gives a record checked for the same two charts back as it is and
-checks anything else.  A substitution whose images are a relabelling, each
-generator sent to a nonzero multiple k of a distinct generator of its
-parity, makes no product, whether its images come as a record or as a plain
-dict: ``checked_images`` records the (target index, k) of each source index,
-and ``substitute`` renames each monomial's indices, multiplies its
-coefficient by the k^exp, sorts the factors and takes the sign of the odd
-pairs the sort inverts.  ``render`` ranks the chart's generators for
+``substitute``'s images go through ``checked_images``, which gives a record
+checked for the same two charts back as it is and checks anything else.  A
+substitution whose images are a relabelling, each generator sent to a
+nonzero multiple k of a distinct generator of its parity, makes no product,
+whether its images come as a record or as a plain dict: ``checked_images``
+records the (target index, k) of each source index, and ``substitute``
+renames each monomial's indices, multiplies its coefficient by the k^exp,
+sorts the factors and takes the sign of the odd pairs the sort inverts.  ``render`` ranks the chart's generators for
 display once per call and sorts terms on those ranks.
 
 Products work on bitmasks (the bitmap representation of Grassmann monomials,

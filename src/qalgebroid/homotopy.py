@@ -110,7 +110,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 from .charts import (
@@ -119,7 +119,7 @@ from .charts import (
     lift_to_phase,
     restrict_to_zero_section,
 )
-from .construction import FLAVOURS, HigherStructure, ambient_bracket
+from .construction import FLAVOURS, HigherStructure, ambient_bracket, poisson_sign_exponent
 from .fields import VectorField, _pair_signs, apply_into, commutator
 from .gradedpoly import ChartMismatch, GradedAlgebraError, GradedPoly, ParityMismatch
 
@@ -138,9 +138,9 @@ class DerivedBracketEngine:
     Made from the generator D, the set of its term degrees and a callable
     that gives its self-bracket, called on first use.  A subclass supplies
     ``flavor``, ``basis``, ``bracket`` (ambient), ``project`` (onto V),
-    ``parity_of``, ``zero`` (the value at a key no degree feeds) and ``sum``
-    (of values, the zero value when there are none), and overrides ``check``
-    when V does not take every argument, ``prepare`` when the inclusion of V
+    ``check`` (refuse an argument outside V), ``parity_of``, ``zero`` (the
+    value at a key no degree feeds) and ``sum`` (of values, the zero value
+    when there are none), and overrides ``prepare`` when the inclusion of V
     is not the identity and ``last`` when it has a cheaper last step.  The
     memo, zero and degree rules are those of the module docstring.
     """
@@ -160,9 +160,6 @@ class DerivedBracketEngine:
     def generator(self):
         """The generator D, the partial at the empty key."""
         return self._partial[()]
-
-    def check(self, arg):
-        """Refuse an argument outside the abelian subalgebra; V takes every one."""
 
     def prepare(self, arg):
         """Include an argument of the abelian subalgebra in the ambient algebra."""
@@ -440,19 +437,6 @@ def run_weight(m: int, k: int, parity: int) -> int:
     return comb(m // 2, k // 2)
 
 
-def run_counts(lengths, k):
-    """Every way to take k arguments from runs of ``lengths`` equal ones: the
-    tuples of per-run counts, each at most its run's length, that sum to k."""
-    if not lengths:
-        if k == 0:
-            yield ()
-        return
-    m, later = lengths[0], lengths[1:]
-    for c in range(max(0, k - sum(later)), min(m, k) + 1):
-        for tail in run_counts(later, k - c):
-            yield (c, *tail)
-
-
 def unshuffle_weight(lengths, counts, parities) -> tuple[int, list[int]]:
     """The signed count of a canonical subset's class, and its complement.
 
@@ -492,9 +476,13 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     starts = [i for i in range(n) if i == 0 or pos[i] != pos[i - 1]]
     lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
     parities = [(engine.parity_of(args[i]) + engine.koszul_shift) & 1 for i in starts]
+    sizes = engine.admissible_sizes(n)
+    by_size: dict[int, list] = {}  # per-run count tuples by sum, none when no size is admissible
+    for counts in product(*(range(m + 1) for m in lengths)) if sizes else ():
+        by_size.setdefault(sum(counts), []).append(counts)
     terms = []
-    for k in engine.admissible_sizes(n):
-        for counts in run_counts(lengths, k):
+    for k in sizes:
+        for counts in by_size.get(k, ()):
             weight, rest = unshuffle_weight(lengths, counts, parities)
             if not weight:
                 continue
@@ -542,9 +530,6 @@ def jacobiator_sweep(engine: DerivedBracketEngine, arity: int):
 
 @dataclass
 class LeibnizReport:
-    flavor: str
-    arity: int
-    trials: int
     failures: list[str]
 
     @property
@@ -592,7 +577,7 @@ def leibniz_check(bracket, chart: Chart, flavor: str, arity: int,
                 f"a_r = {ar.render()}, a_r+1 = {ar1.render()}, "
                 f"difference = {(lhs - rhs).render()}"
             )
-    return LeibnizReport(flavor, arity, trials, failures)
+    return LeibnizReport(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +655,11 @@ def _field_entry(eng: FieldEngine, args: list[VectorField]) -> GradedPoly:
 
 def _skew_sign(chart: Chart, tup: tuple[int, ...]) -> int:
     """(-1)^(a1 (r-1) + a2 (r-2) + ... + a_{r-1} + 1), with a_i = |xi_i| + 1
-    the underlying fibre parity of the PiE-chart generator xi_i."""
-    r = len(tup)
-    e = 1 + sum((chart.generators[i].parity + 1) * (r - pos)
-                for pos, i in enumerate(tup[:-1], start=1))
+    the underlying fibre parity of the PiE-chart generator xi_i: the
+    exponent of ``poisson_sign_exponent`` on the a_i, plus r + 1, since the
+    skew brackets of P and of the fields are both the décalage of symmetric
+    ones."""
+    e = poisson_sign_exponent([chart.generators[i].parity ^ 1 for i in tup]) + len(tup) + 1
     return -1 if e & 1 else 1
 
 

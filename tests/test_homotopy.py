@@ -60,6 +60,7 @@ from qalgebroid.homotopy import (
     symmetric_field_table,
     unshuffle_weight,
     weight_one_restriction_check,
+    _skew_sign,
     _transport_value,
 )
 from qalgebroid.randgen import (
@@ -1354,6 +1355,30 @@ class TestTables:
                     expected = expected + chart.gen(g.name).scaled(c)
             expected = expected.scaled(-1 if a == 0 else 1)  # -(-1)^a
             assert value == expected
+
+    def test_skew_sign_is_its_docstring_exponent(self):
+        # (-1)^(1 + a1 (r-1) + ... + a_{r-1}), a_i = |xi_i| + 1, on every
+        # parity pattern of r = 0..8 arguments: one even and one odd generator
+        chart = chart_pi_e(BundlePresentation((), (EVEN, ODD)))
+        patterns = 0
+        for r in range(9):
+            for tup in product(range(2), repeat=r):
+                a = [(chart.generators[i].parity + 1) & 1 for i in tup]
+                e = 1 + sum(a[i - 1] * (r - i) for i in range(1, r))
+                assert _skew_sign(chart, tup) == (-1) ** e, tup
+                patterns += 1
+        assert patterns == 511
+
+    @pytest.mark.parametrize("factory", [mixed_linfinity_algebra, graded_3_lie])
+    def test_skew_table_refuses_a_wrong_sign(self, monkeypatch, factory):
+        # without the parity-shift sign the entries are the symmetric ones,
+        # which adjacent exchanges of the skew arguments refuse
+        import qalgebroid.homotopy as homotopy
+
+        q = assemble_field(factory())
+        monkeypatch.setattr(homotopy, "_skew_sign", lambda chart, tup: 1)
+        with pytest.raises(GradedAlgebraError, match="fails antisymmetry"):
+            skew_bracket_table(FieldEngine(q), 3)
 
     def test_skew_repeated_even_argument_vanishes(self, so3_pair):
         q, _, _ = so3_pair

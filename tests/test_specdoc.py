@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qalgebroid.builtins import FIXTURES, builtin_spec
+from qalgebroid.builtins import FIXTURES, builtin_spec, mixed_linfinity_algebra
 from qalgebroid.charts import chart_pi_e
 from qalgebroid.fields import VectorField
 from qalgebroid.gradedpoly import EVEN, ODD, GradedAlgebraError, GradedPoly
@@ -203,9 +203,11 @@ def document_of(q: VectorField, name: str) -> AlgebroidSpec:
 
 
 class TestAssembleField:
-    @pytest.mark.parametrize("name", list(FIXTURES))
+    DOCUMENTS = {**FIXTURES, "mixed-linfinity-algebra": mixed_linfinity_algebra}
+
+    @pytest.mark.parametrize("name", list(DOCUMENTS))
     def test_builtins(self, name):
-        spec = builtin_spec(name)
+        spec = self.DOCUMENTS[name]()
         assert_assembles_as_before(spec)
         assert_assembles_as_before(parse_spec(render_spec(spec)))
 
