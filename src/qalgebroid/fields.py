@@ -28,17 +28,21 @@ which is 2 for odd S under {,}, -2(-1)^a for even P under [[,]], and 0 (the
 pair is skipped) for an even f under {,} or an odd f under [[,]].  Mixed
 parity f, or a distinct g, takes the general formula.
 
-The self-brackets multiply integers.  A self-bracket is quadratic in its one
-argument, so with d the lcm of the denominators of X (of all components at
-once) or of f, [dX, dX] = d^2 [X, X] and (df, df) = d^2 (f, f): each is
-computed on the integer multiple (``gradedpoly._cleared``) and divided by
-d^2 once (``gradedpoly._divided``).  That is an equality over the rationals,
-so the result is the same polynomial.  On homological input the self-bracket
-is empty, and nothing is divided.
+The self-brackets multiply integers on packed keys.  A self-bracket is
+quadratic in its one argument, so with d the lcm of the denominators of X
+(of all components at once) or of f, [dX, dX] = d^2 [X, X] and
+(df, df) = d^2 (f, f).  Each is computed on the integer multiple, in the
+packed form of ``gradedpoly`` (key, width rule and decoding are stated
+there), with one width for the call; the surviving keys are decoded and
+divided by d^2 once.  That is an equality over the rationals, so the result
+is the same polynomial; on homological input nothing survives.  [X, X]
+packs each component X^i once and takes the packed derivatives of X^z;
+(f, f) takes its two derivatives with ``GradedPoly.left_derivative`` and
+packs them.
 
-Each bracket is a sum of products of a polynomial with a derivative, and
-fills one term map through ``gradedpoly._product_into`` with its exact sign
-(or 2, or k) as the scale: no summand becomes a polynomial of its own.
+Every other bracket is a sum of products of a polynomial with a derivative,
+and fills one term map through ``gradedpoly._product_into`` with its exact
+sign as the scale: no summand becomes a polynomial of its own.
 """
 
 from __future__ import annotations
@@ -66,7 +70,12 @@ from .gradedpoly import (
     _derivative,
     _divided,
     _masked,
+    _packed,
+    _packed_derivative,
+    _packed_product_into,
     _product_into,
+    _unpacked,
+    _width,
     coefficient,
 )
 
@@ -211,13 +220,17 @@ def commutator(x: VectorField, y: VectorField) -> VectorField:
     if x is y:
         if x.parity == ODD:
             d = lcm(*(_denominator(comp.terms) for comp in x.components.values()))
-            cleared = VectorField(chart, {z: GradedPoly(chart, _cleared(comp.terms, d)[1])
-                                          for z, comp in x.components.items()}, ODD)
-            pairs = cleared.indexed()
-            for z, comp in cleared.components.items():
-                acc = apply_into({}, pairs, comp, 2)
+            odd = chart.odd_flags
+            width = _width(comp.terms for comp in x.components.values())
+            packed = {chart.index_of(z): _packed(_cleared(comp.terms, d)[1], odd, width)
+                      for z, comp in x.components.items()}
+            for z, comp in x.components.items():
+                xz, support, acc = packed[chart.index_of(z)], comp.support(), {}
+                for i, xi in packed.items():
+                    if i in support:
+                        _packed_product_into(acc, xi, _packed_derivative(xz, i, odd, width), 2)
                 if acc:
-                    comps[z] = GradedPoly(chart, _divided(acc, d * d))
+                    comps[z] = GradedPoly(chart, _divided(_unpacked(acc, width), d * d))
         return VectorField(chart, comps, EVEN)
     sign = 1 if (x.parity & y.parity) else -1  # of Y(X^z): -(-1)^(XY)
     xc, yc = x.components, y.components
@@ -302,11 +315,12 @@ def _pair_signs(a: int, p: int, c: int) -> tuple[int, int]:
 
 def _self_canonical(f: GradedPoly, p: int, phase: Chart, c: int) -> GradedPoly:
     """(f, f) for f of parity p: k d_{z'}f d_z f per pair, k as in the module
-    docstring, on d f with integer coefficients, divided by d^2 once."""
+    docstring, on packed terms of d f with integer coefficients, decoded and
+    divided by d^2 once."""
     d, terms = _cleared(f.terms)
     f = GradedPoly(phase, terms)
     sf = f.support()
-    odd, gens = phase.odd_flags, phase.generators
+    odd, gens, width = phase.odd_flags, phase.generators, _width((terms,))
     out: dict = {}
     for zi, ci in phase.conjugate_pairs():
         if zi not in sf or ci not in sf:
@@ -316,9 +330,10 @@ def _self_canonical(f: GradedPoly, p: int, phase: Chart, c: int) -> GradedPoly:
         k = s1 + s2 if ((p + a) * (p + a + c)) & 1 else s1 - s2
         if k:
             d_z = f.left_derivative(gens[zi].name)
-            _product_into(out, f.left_derivative(gens[ci].name).terms,
-                          _masked(d_z.terms, odd), odd, k)
-    return GradedPoly(phase, _divided(out, d * d))
+            d_c = f.left_derivative(gens[ci].name)
+            _packed_product_into(out, _packed(d_c.terms, odd, width),
+                                 _packed(d_z.terms, odd, width), k)
+    return GradedPoly(phase, _divided(_unpacked(out, width), d * d))
 
 
 def canonical_poisson(f: GradedPoly, g: GradedPoly, phase: Chart | None = None) -> GradedPoly:

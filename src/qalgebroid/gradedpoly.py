@@ -13,14 +13,24 @@ Conventions used throughout the package:
   ``fractions.Fraction`` otherwise (``coefficient`` normalises a value).  A
   term map may mix the two; 3 and Fraction(3) compare and hash equal and print
   alike.  Nothing is ever rounded, which is what makes identity checks
-  meaningful.  Integers are multiplied in exactly two places, the two
-  self-brackets in ``fields``: each clears its argument's denominators with
-  ``_cleared`` (d times the map, d the lcm of its denominators), works on
-  the integer map and divides the result once by d^2 with ``_divided``.  A
-  self-bracket is quadratic in its argument, so this is an exact rewriting
-  over the rationals, not an approximation.  The other products, those of
-  ``substitute`` included, keep their ``Fraction``s, because one gcd per
-  product would give back what the integers save.
+  meaningful.
+* The two self-brackets in ``fields`` are the only products on integers and
+  on packed keys.  Each clears its argument's denominators with ``_cleared``
+  (d times the map, d the lcm of its denominators) and divides its result
+  once by d^2 with ``_divided``: a self-bracket is quadratic in its
+  argument, so this is an exact rewriting over the rationals.  In between it
+  multiplies packed terms (Monagan and Pearce, *Polynomial division using
+  dynamic arrays, heaps, and packed exponent vectors*, CASC 2007):
+  ``_packed`` turns each term into (key, coefficient, odd mask, sign mask)
+  with key = sum of e_g << (W g).  The width W is set once per call by
+  ``_width``, the bit length of twice the operand's largest exponent, so the
+  sum of two exponents always fits in one field and a product's key is the
+  sum of two keys.  ``_packed_product_into`` adds the products into an
+  int-keyed map, and ``_unpacked`` decodes each surviving key once into its
+  normal-form monomial; on homological input nothing survives.  Every other
+  product, ``substitute``'s included, keeps ``Fraction``s and tuple
+  monomials: one gcd per product would give back what the integers save,
+  and packing the small operands of the other brackets measured slower.
 * Derivatives act from the left: d/dz moves z to the front of a monomial,
   picking up one minus sign per odd generator jumped over, then strikes it.
 * The zero polynomial reports parity 0 and weight (0, 0) by convention.
@@ -35,14 +45,15 @@ None.  The canonical brackets, ``parity_parts``, ``VectorField`` and the
 derived-bracket engines ask the same small operands again and again.
 
 The rule "add a coefficient, delete the monomial when it cancels" lives in
-``_collect``, and ``_product_into`` repeats its lines inline in the pair
-loop, the hottest loop of the package, where a call per pair would cost more
-than the work.  ``_product_into`` is the one product: it adds a scaled
-product into a term map the caller owns, so ``*`` starts from an empty map
-and every bracket in ``fields`` accumulates all its products, each with its
-exact sign, into one map.  ``_masked`` prepares the right factor once, so a
-factor used many times (an image in ``substitute``, a derivative met by both
-parity parts of a canonical bracket's first argument) is masked once.
+``_collect``, and the two products repeat its lines inline in their pair
+loops, the hottest loops of the package, where a call per pair would cost
+more than the work.  ``_product_into`` is the product on term maps: it
+adds a scaled product into a term map the caller owns, so ``*`` starts from
+an empty map and every other bracket in ``fields`` accumulates all its
+products, each with its exact sign, into one map.  ``_masked`` prepares the
+right factor once, so a factor used many times (an image in ``substitute``,
+a derivative met by both parity parts of a canonical bracket's first
+argument) is masked once.
 ``GradedPoly.sum`` fills one term map for all summands, and ``+`` is its
 two-summand case.
 
@@ -250,6 +261,101 @@ def _product_into(out: dict[Monomial, Coefficient], t1: dict[Monomial, Coefficie
                     out[m] = acc
                 else:
                     del out[m]
+    return out
+
+
+def _width(maps) -> int:
+    """The field width W of the packed form of the term maps ``maps``: the
+    bit length of twice their largest exponent, so that the sum of two
+    exponents always fits in one field."""
+    return (2 * max((e for terms in maps for m in terms for _, e in m), default=1)).bit_length()
+
+
+def _packed(terms: dict[Monomial, int], odd: tuple[bool, ...], width: int):
+    """The (key, coefficient, odd mask, sign mask) of each term, in order:
+    the key is the sum of ``exp << (width * g)`` over the factors, and the
+    masks are those of ``_product_into``'s left monomials."""
+    packed = []
+    for m, c in terms.items():
+        key = o = s = 0
+        for g, e in m:
+            key += e << (width * g)
+            if odd[g]:
+                bit = 1 << g
+                o |= bit
+                s ^= bit - 1
+        packed.append((key, c, o, s))
+    return packed
+
+
+def _packed_derivative(packed, idx: int, odd: tuple[bool, ...], width: int):
+    """The packed form of the left derivative by generator ``idx`` of the
+    ``_packed`` term list ``packed``, with ``_derivative``'s signs and
+    factors: the key loses one ``idx`` and an odd ``idx`` leaves both masks."""
+    shift = width * idx
+    one = 1 << shift
+    out = []
+    if odd[idx]:
+        bit = 1 << idx
+        below = bit - 1
+        for key, c, o, s in packed:
+            if o & bit:
+                out.append((key - one, -c if (o & below).bit_count() & 1 else c,
+                            o ^ bit, s ^ below))
+    else:
+        field = (1 << width) - 1
+        for key, c, o, s in packed:
+            e = (key >> shift) & field
+            if e:
+                out.append((key - one, c * e if e > 1 else c, o, s))
+    return out
+
+
+def _packed_product_into(out: dict[int, int], left, right, scale: int = 1
+                         ) -> dict[int, int]:
+    """Add ``scale`` times the product of two ``_packed`` term lists of one
+    width into the key-indexed map ``out`` in place; returns ``out``.
+
+    A pair whose odd masks meet vanishes; otherwise the product's key is the
+    sum of the two keys and its sign that of ``_product_into``.  Coefficients
+    are added with ``_collect``'s rule, inline as in ``_product_into``.
+    """
+    get = out.get
+    for k1, c1, o1, s1 in left:
+        if scale != 1:
+            c1 = scale * c1
+        for k2, c2, o2, _ in right:
+            if o1 & o2:
+                continue
+            k = k1 + k2
+            c = -c1 * c2 if (s1 & o2).bit_count() & 1 else c1 * c2
+            acc = get(k)
+            if acc is None:
+                out[k] = c
+            else:
+                acc += c
+                if acc:
+                    out[k] = acc
+                else:
+                    del out[k]
+    return out
+
+
+def _unpacked(terms: dict[int, int], width: int) -> dict[Monomial, int]:
+    """The term map of a key-indexed map of width ``width``, each key decoded
+    into its normal-form monomial once."""
+    field = (1 << width) - 1
+    out = {}
+    for key, c in terms.items():
+        m = []
+        g = 0
+        while key:
+            e = key & field
+            if e:
+                m.append((g, e))
+            key >>= width
+            g += 1
+        out[tuple(m)] = c
     return out
 
 

@@ -1,6 +1,7 @@
 """Vector fields, commutators, canonical brackets and principal symbols."""
 
 import sys
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
 
@@ -68,26 +69,30 @@ def copy_of(x):
 class KernelCounter:
     """Counts the kernel's products and left derivatives while installed.
 
-    A product is a call of ``_product_into`` and a derivative a call of
-    ``_derivative``, wherever a package module binds them; the products of
+    A product is a call of ``_product_into`` or ``_packed_product_into`` and
+    a derivative a call of ``_derivative`` or ``_packed_derivative``,
+    wherever a package module binds them; the products of
     ``GradedPoly.substitute`` are not counted.
     """
 
     def __init__(self, monkeypatch):
         self.products = self.derivatives = self.zero_derivatives = 0
-        product, derivative = gradedpoly._product_into, gradedpoly._derivative
         substitute = GradedPoly.substitute
         inside_substitute = []
 
-        def counting_product(*args):
-            self.products += not inside_substitute
-            return product(*args)
+        def counting_product(product):
+            def counting(*args):
+                self.products += not inside_substitute
+                return product(*args)
+            return counting
 
-        def counting_derivative(*args):
-            out = derivative(*args)
-            self.derivatives += 1
-            self.zero_derivatives += not out
-            return out
+        def counting_derivative(derivative):
+            def counting(*args):
+                out = derivative(*args)
+                self.derivatives += 1
+                self.zero_derivatives += not out
+                return out
+            return counting
 
         def uncounted_substitute(poly, *args):
             inside_substitute.append(True)
@@ -98,8 +103,11 @@ class KernelCounter:
 
         package = [m for name, m in sys.modules.items()
                    if name == "qalgebroid" or name.startswith("qalgebroid.")]
-        for original, counting in ((product, counting_product),
-                                   (derivative, counting_derivative)):
+        for original, counter in ((gradedpoly._product_into, counting_product),
+                                  (gradedpoly._packed_product_into, counting_product),
+                                  (gradedpoly._derivative, counting_derivative),
+                                  (gradedpoly._packed_derivative, counting_derivative)):
+            counting = counter(original)
             for module in package:
                 for key, value in list(vars(module).items()):
                     if value is original:
@@ -236,6 +244,100 @@ class TestSelfCommutator:
         counter = KernelCounter(monkeypatch)
         commutator(q, q)
         assert (counter.products, counter.derivatives) == (6, 6)
+
+
+def poly_of(chart, *terms):
+    """The sum of c * prod(name ** exp) over ``(c, {name: exp})`` terms."""
+    return GradedPoly.sum(chart, (chart.monomial(e, c) for c, e in terms))
+
+
+def top_exponent(poly):
+    return max(e for m in poly.terms for _, e in m)
+
+
+# exponents past 2^16: the self-brackets add two exponents in one packed field
+# of W bits, W the bit length of twice the largest, so x1^N x1^(N-1) needs 18
+N, M = 2 ** 16 + 3, 40_000
+# WIDE's charts have 40 generators (x1..x20, xi1..xi20, half of each odd), and
+# so do the phases over HALF's 20
+WIDE = BundlePresentation((0, 1) * 10, (0, 1) * 10)
+HALF = BundlePresentation((0, 1) * 5, (0, 1) * 5)
+
+
+class TestPackedSelfBrackets:
+    """The self-brackets' packed product at its width and past 64-bit keys,
+    against the general formula on a distinct copy and the dense sum."""
+
+    def test_commutator_at_the_width(self, pie):
+        x = VectorField(pie, {
+            "x1": poly_of(pie, (Fraction(1, 3), {"x1": N, "xi1": 1}), (2, {"x1": M, "x2": 1})),
+            "xi1": poly_of(pie, (-5, {"x1": M})),
+            "xi2": poly_of(pie, (-1, {"x1": N, "x2": 1}),
+                           (Fraction(5, 7), {"x1": M, "xi1": 1, "xi2": 3})),
+        }, ODD)
+        own = commutator(x, x)
+        assert own == commutator(x, copy_of(x))
+        assert top_exponent(own.component("xi2")) >= 2 ** 17
+
+    @pytest.mark.parametrize("phase, bracket, c, f", [
+        (EVEN_PHASES[0], canonical_poisson, EVEN,
+         ((Fraction(1, 2), {"x1": N, "p1": 1, "pi1": 1}), (3, {"x1": N, "p2": 1}),
+          (Fraction(-2, 5), {"x1": M, "p1": 2, "x2": 1}))),
+        (ODD_PHASES[0], canonical_schouten, ODD,
+         ((Fraction(1, 2), {"x1": N, "xstar1": 1, "x2": 1}), (3, {"x1": N, "xstar2": 1}),
+          (Fraction(-2, 5), {"x1": M, "xistar1": 2}))),
+    ], ids=["poisson", "schouten"])
+    def test_canonical_at_the_width(self, phase, bracket, c, f):
+        f = poly_of(phase, *f)
+        own = bracket(f, f, phase)
+        assert own == bracket(f, copy_of(f), phase) == dense_canonical(f, f, phase, c)
+        assert top_exponent(own) >= 2 ** 17
+
+    @staticmethod
+    def past_64_bits(polys):
+        """The largest packed key of the term maps of ``polys`` has over 64 bits."""
+        maps = [p.terms for p in polys]
+        odd, width = polys[0].chart.odd_flags, gradedpoly._width(maps)
+        return max(key.bit_length() for t in maps
+                   for key, *_ in gradedpoly._packed(t, odd, width)) > 64
+
+    def test_commutator_past_64_bits(self):
+        chart = chart_pi_e(WIDE)
+        rng = Random(5)
+        base = chart.monomial({"x1": 2, "x3": 3})  # even, so parities are kept
+        for _ in range(4):
+            x = random_field(rng, chart, ODD, 3, fill=0.3)
+            x = VectorField(chart, {z: GradedPoly(chart, {
+                m: Fraction(rng.choice((1, -2, 5)), rng.choice((1, 3, 4)))
+                for m in (base * comp).terms}) for z, comp in x.components.items()}, ODD)
+            own = commutator(x, x)
+            assert self.past_64_bits(list(x.components.values()))
+            assert not own.is_zero()
+            assert own == commutator(x, copy_of(x))
+
+    @pytest.mark.parametrize("bracket, c, parity, momentum", [
+        (canonical_poisson, EVEN, ODD, {"p1": 1}),
+        (canonical_schouten, ODD, EVEN, {"xstar1": 1, "x2": 1}),
+    ], ids=["poisson", "schouten"])
+    def test_canonical_past_64_bits(self, bracket, c, parity, momentum):
+        # f = x1^2 x3^3 t^2 (g + m h), t the last even generator, so every
+        # key passes 64 bits, and m even and holding the conjugate of x1, so
+        # the pair (x1, its conjugate) meets in (f, f)
+        cotangent = chart_even_cotangent if c == EVEN else chart_odd_cotangent
+        phase = cotangent(chart_pi_e(HALF))
+        assert len(phase.generators) == 40
+        top = next(g.name for g in reversed(phase.generators) if g.parity == EVEN)
+        rng = Random(7)
+        base = phase.monomial({"x1": 2, "x3": 3, top: 2})
+        m = phase.monomial(momentum)
+        for _ in range(4):
+            g, h = (random_poly(rng, phase, 3, 4, parity) for _ in range(2))
+            f = GradedPoly(phase, {mono: Fraction(rng.choice((1, -2, 5)), rng.choice((1, 3, 4)))
+                                   for mono in (base * (g + m * h)).terms})
+            own = bracket(f, f, phase)
+            assert self.past_64_bits([f])
+            assert not own.is_zero()
+            assert own == bracket(f, copy_of(f), phase) == dense_canonical(f, f, phase, c)
 
 
 class TestHomological:

@@ -28,7 +28,12 @@ from qalgebroid.gradedpoly import (
     _cleared,
     _divided,
     _masked,
+    _packed,
+    _packed_derivative,
+    _packed_product_into,
     _product_into,
+    _unpacked,
+    _width,
     checked_images,
 )
 from qalgebroid.randgen import random_homogeneous_poly, random_poly
@@ -518,6 +523,45 @@ class TestProductInto:
             for name, comp in x.components.items()
         ))
         assert x(f).terms == expected
+
+
+class TestPackedProduct:
+    """The self-brackets' packed kernel, decoded, against the references above."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_product_and_derivative_match_the_references(self, data):
+        chart = data.draw(any_chart())
+        odd = chart.odd_flags
+        f = data.draw(odd_heavy_polys(chart, min_terms=1))
+        g = data.draw(odd_heavy_polys(chart, max_terms=6, min_terms=1))
+        idx = data.draw(st.integers(0, len(chart.generators) - 1))
+        scale = data.draw(st.sampled_from([1, -1, 2]))
+        width = _width((f.terms, g.terms))
+        pf, pg = _packed(f.terms, odd, width), _packed(g.terms, odd, width)
+        assert _unpacked(dict((k, c) for k, c, _, _ in pg), width) == g.terms
+        derivative = _packed_derivative(pg, idx, odd, width)
+        assert _unpacked(dict((k, c) for k, c, _, _ in derivative), width) == \
+            reference_left_derivative(g, idx)
+        assert derivative == _packed(reference_left_derivative(g, idx), odd, width)
+        assert _unpacked(_packed_product_into({}, pf, pg, scale), width) == \
+            add_term_maps((scale, reference_product(f, g)))
+
+    def test_width_holds_the_sum_of_two_exponents(self, pie):
+        for top in (1, 2, 3, 4, 7, 8, 2 ** 16 + 3):
+            width = _width(({((0, top),): 1},))
+            assert 2 * top < 2 ** width <= 4 * top
+            packed = _packed({((0, top), (3, 1)): 1}, pie.odd_flags, width)
+            assert _unpacked(_packed_product_into({}, packed, packed), width) == \
+                {((0, 2 * top), (3, 2)): 1}
+
+    def test_cancellation_deletes_keys(self, pie):
+        f, g = pie.gen("x1") + pie.gen("xi1"), pie.gen("x2") - pie.gen("xi2")
+        odd = pie.odd_flags
+        width = _width((f.terms, g.terms))
+        pf, pg = _packed(f.terms, odd, width), _packed(g.terms, odd, width)
+        out = _packed_product_into({}, pf, pg)
+        assert _packed_product_into(out, pf, pg, -1) == {}
 
 
 class TestClearedAndDivided:
