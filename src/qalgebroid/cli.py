@@ -9,21 +9,21 @@ Jacobiator routes disagree, a self-bracket of a homological field is nonzero)
 or an exception escaped that is not a verdict on the input.
 With --json the report is emitted as one deterministic JSON object (no
 timing field, so byte-identical reruns); human-readable output appends the
-elapsed time.  Every echo names its stream: without ``file=`` click caches
-each stream it resolves, pinning the buffers of redirected in-process runs.
+elapsed time.  A usage error (no command, an unknown one or a missing or
+malformed option) is bad input too: one ``error:`` line, exit 2.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from random import Random
-
-import click
 
 from .builtins import FIXTURES, builtin_spec
 from .charts import all_charts, describe_chart
@@ -90,21 +90,21 @@ class Report:
             }
             if self.extra:
                 doc["extra"] = self.extra
-            click.echo(json.dumps(doc, indent=2, sort_keys=True), file=sys.stdout)
+            print(json.dumps(doc, indent=2, sort_keys=True))
         else:
             for c in self.checks:
                 mark = "PASS" if c["ok"] else "FAIL"
                 line = f"[{mark}] {c['name']}"
                 if c.get("detail"):
                     line += f": {c['detail']}"
-                click.echo(line, file=sys.stdout)
+                print(line)
                 if c.get("witness"):
-                    click.echo(f"       witness: {c['witness']}", file=sys.stdout)
+                    print(f"       witness: {c['witness']}")
             for k, v in self.extra.items():
-                click.echo(f"{k}: {v}", file=sys.stdout)
+                print(f"{k}: {v}")
             status = "pass" if self.ok else "fail"
             elapsed = (time.perf_counter() - started) * 1000.0
-            click.echo(f"status: {status}  ({elapsed:.1f} ms)", file=sys.stdout)
+            print(f"status: {status}  ({elapsed:.1f} ms)")
         return 0 if self.ok else 1
 
 
@@ -148,22 +148,70 @@ def _load_matrix(path: str) -> list[list[Fraction]]:
 
 
 def _fail(message: str, code: int = 2):
-    click.echo(f"error: {message}", file=sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-arity_option = click.option("--arity", type=int, required=True)
+# an argument argparse shows in an error, by its repr, when it is longer than
+# the 40 characters ``refused`` shows
+_LONG_QUOTED = re.compile(r"'(?:[^'\\]|\\.){41,}'|\"(?:[^\"\\]|\\.){41,}\"")
 
 
-@click.group()
-def main():
-    """Exact checks for homological fields and their bracket structures."""
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: one ``error:`` line on stderr, exit 2.
+
+    argparse shows a refused argument by its repr; a long one is cut the way
+    ``specdoc.refused`` cuts a document value."""
+
+    def error(self, message):
+        _fail(_LONG_QUOTED.sub(lambda m: refused(m[0][1:-1]), message))
+
+
+class _Ignored(argparse.Action):
+    """Reads an option's value and keeps nothing of it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        pass
+
+
+_PARSER = _Parser(prog="qalgebroid", allow_abbrev=False,
+                  description="Exact checks for homological fields and their bracket structures.")
+_COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
+
+
+def main(args=None, standalone_mode=True):
+    """Run one command line (``sys.argv[1:]`` when ``args`` is None) and exit.
+
+    Every path ends in ``SystemExit`` with the exit code, so
+    ``standalone_mode`` has no effect; it is accepted because in-process
+    callers (``perfbench/worker.py``) pass ``standalone_mode=False``."""
+    parsed, extra = _PARSER.parse_known_args(args)
+    if extra:
+        _PARSER.error(f"unrecognized arguments: {refused(' '.join(extra))}")
+    options = vars(parsed)
+    options.pop("run")(**options)
+
+
+def _subcommand(name: str, run, doc: str):
+    """Add the command ``name``, which calls ``run`` with its parsed options."""
+    sub = _COMMANDS.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+    sub.set_defaults(run=run)
+    return sub
+
+
+def option(*flags, **settings):
+    """An option of a report command: ``add_argument``'s arguments."""
+    return flags, settings
+
+
+arity_option = option("--arity", type=int, required=True)
 
 
 def report_command(name: str, *options):
     """Register ``body(report, spec, **options)`` as the command ``name``.
 
-    The runner loads SOURCE, hands the body a fresh report and the parsed
+    The command takes SOURCE, ``--json`` and then ``options``.  The runner
+    loads SOURCE, hands the body a fresh report and the parsed
     spec (bodies that check the field assemble it, so ``describe`` builds
     none), then emits the report and exits with its verdict.  A SpecError
     exits 2; a NotHomological raised by the body becomes a failed
@@ -188,11 +236,12 @@ def report_command(name: str, *options):
                 _fail(f"internal: {type(exc).__name__}: {exc}", 3)
             sys.exit(report.emit(started))
 
-        run.__doc__ = body.__doc__
-        json_option = click.option("--json", "as_json", is_flag=True, help="structured output")
-        for decorate in (json_option, *reversed(options), click.argument("source")):
-            run = decorate(run)
-        return main.command(name)(run)
+        sub = _subcommand(name, run, body.__doc__)
+        sub.add_argument("source", metavar="SOURCE", help="a builtin name or a JSON document path")
+        sub.add_argument("--json", dest="as_json", action="store_true", help="structured output")
+        for flags, settings in options:
+            sub.add_argument(*flags, **settings)
+        return body
     return register
 
 
@@ -211,8 +260,8 @@ def describe(report, spec):
         }
     else:
         for chart in charts.values():
-            click.echo(describe_chart(chart), file=sys.stdout)
-            click.echo("", file=sys.stdout)
+            print(describe_chart(chart))
+            print()
 
 
 @report_command("check-q")
@@ -263,7 +312,7 @@ def build_poisson_cmd(report, spec):
 
 @report_command(
     "brackets",
-    click.option("--flavor", type=click.Choice(["schouten", "poisson"]), required=True),
+    option("--flavor", choices=["schouten", "poisson"], required=True),
     arity_option,
 )
 def brackets(report, spec, flavor, arity):
@@ -319,9 +368,9 @@ def jacobiator_cmd(report, spec, arity):
 
 @report_command(
     "leibniz",
-    click.option("--arity", type=int, default=2, show_default=True),
-    click.option("--trials", type=int, default=25, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
+    option("--arity", type=int, default=2, help="default: %(default)s"),
+    option("--trials", type=int, default=25, help="default: %(default)s"),
+    option("--seed", type=int, default=0, help="default: %(default)s"),
 )
 def leibniz(report, spec, arity, trials, seed):
     """Multiderivation identity on random homogeneous inputs."""
@@ -343,11 +392,12 @@ def leibniz(report, spec, arity, trials, seed):
 
 @report_command(
     "naturality",
-    click.option("--matrix", "matrix_path", type=click.Path(), required=True,
-                 help="JSON file: square matrix of rationals, rows = old fibre index"),
+    option("--matrix", dest="matrix_path", metavar="PATH", required=True,
+           help="JSON file: square matrix of rationals, rows = old fibre index"),
     # the checks draw nothing; --seed is still accepted so that existing
     # command lines keep working, and has no effect
-    click.option("--seed", type=int, hidden=True, expose_value=False),
+    option("--seed", type=int, action=_Ignored, default=argparse.SUPPRESS,
+           help=argparse.SUPPRESS),
 )
 def naturality(report, spec, matrix_path):
     """Rebuild after a constant fibre change and compare with the lift."""
@@ -361,7 +411,7 @@ def naturality(report, spec, matrix_path):
 
 
 @report_command(
-    "statement-check", click.option("--max-arity", type=int, default=4, show_default=True)
+    "statement-check", option("--max-arity", type=int, default=4, help="default: %(default)s")
 )
 def statement_check(report, spec, max_arity):
     """Restriction of the derived brackets to weight-one functions."""
@@ -379,16 +429,17 @@ def statement_check(report, spec, max_arity):
         report.extra = {"details": result.details}
 
 
-@main.command()
-@click.argument("name")
 def example(name):
     """Emit a builtin spec document."""
     try:
         spec = builtin_spec(name)
     except KeyError as exc:
         _fail(str(exc.args[0]))
-    click.echo(render_spec(spec), file=sys.stdout)
+    print(render_spec(spec))
     sys.exit(0)
+
+
+_subcommand("example", example, example.__doc__).add_argument("name", metavar="NAME")
 
 
 if __name__ == "__main__":

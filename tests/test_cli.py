@@ -3,7 +3,10 @@
 import gc
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -11,7 +14,6 @@ from itertools import cycle
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from qalgebroid import construction
 from qalgebroid.builtins import builtin_names, builtin_spec
@@ -20,10 +22,7 @@ from qalgebroid.fields import VectorField, commutator
 from qalgebroid.homotopy import JacobiatorMismatch, PhaseEngine, jacobiator
 from qalgebroid.specdoc import SpecError, assemble_field, parse_spec, render_spec
 
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from clirun import invoke
 
 
 class TestParsing:
@@ -89,99 +88,99 @@ class TestParsing:
 
 
 class TestCommands:
-    def test_describe(self, runner):
-        result = runner.invoke(main, ["describe", "so3"])
+    def test_describe(self):
+        result = invoke(["describe", "so3"])
         assert result.exit_code == 0
         assert "T*(PiE*)" in result.output
         assert "status: pass" in result.output
 
-    def test_check_q_pass(self, runner):
-        result = runner.invoke(main, ["check-q", "derham"])
+    def test_check_q_pass(self):
+        result = invoke(["check-q", "derham"])
         assert result.exit_code == 0
         assert "[PASS] [Q,Q] = 0" in result.output
 
-    def test_check_q_fail_with_witness(self, runner):
-        result = runner.invoke(main, ["check-q", "so3-broken"])
+    def test_check_q_fail_with_witness(self):
+        result = invoke(["check-q", "so3-broken"])
         assert result.exit_code == 1
         assert "witness" in result.output
 
-    def test_build_schouten_golden(self, runner):
-        result = runner.invoke(main, ["build-schouten", "derham"])
+    def test_build_schouten_golden(self):
+        result = invoke(["build-schouten", "derham"])
         assert result.exit_code == 0
         assert "S: pi1*p1 + pi2*p2" in result.output
 
-    def test_build_poisson_golden(self, runner):
-        result = runner.invoke(main, ["build-poisson", "derham"])
+    def test_build_poisson_golden(self):
+        result = invoke(["build-poisson", "derham"])
         assert result.exit_code == 0
         assert "P: estar1*xstar1 + estar2*xstar2" in result.output
 
-    def test_build_schouten_so3_golden(self, runner):
-        result = runner.invoke(main, ["build-schouten", "so3", "--json"])
+    def test_build_schouten_so3_golden(self):
+        result = invoke(["build-schouten", "so3", "--json"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["extra"]["S"] == "pi1*pi2*eta3 - pi1*pi3*eta2 + pi2*pi3*eta1"
         assert doc["status"] == "pass"
 
-    def test_build_rejects_broken(self, runner):
-        result = runner.invoke(main, ["build-schouten", "so3-broken"])
+    def test_build_rejects_broken(self):
+        result = invoke(["build-schouten", "so3-broken"])
         assert result.exit_code == 1
 
-    def test_brackets_table(self, runner):
-        result = runner.invoke(main, [
+    def test_brackets_table(self):
+        result = invoke([
             "brackets", "so3", "--flavor", "schouten", "--arity", "2",
         ])
         assert result.exit_code == 0
         assert "(eta1,eta2) -> -eta3" in result.output
 
-    def test_brackets_poisson_json(self, runner):
-        result = runner.invoke(main, [
+    def test_brackets_poisson_json(self):
+        result = invoke([
             "brackets", "so3", "--flavor", "poisson", "--arity", "2", "--json",
         ])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["extra"]["table"]["e1,e2"] == "e3"
 
-    def test_jacobiator_pass(self, runner):
-        result = runner.invoke(main, ["jacobiator", "so3", "--arity", "3"])
+    def test_jacobiator_pass(self):
+        result = invoke(["jacobiator", "so3", "--arity", "3"])
         assert result.exit_code == 0
         assert "[PASS]" in result.output
 
-    def test_jacobiator_negative_control(self, runner):
-        result = runner.invoke(main, ["jacobiator", "so3-broken", "--arity", "3"])
+    def test_jacobiator_negative_control(self):
+        result = invoke(["jacobiator", "so3-broken", "--arity", "3"])
         # two-way equality holds, but [Q,Q] = 0 fails: exit code 1
         assert result.exit_code == 1
         assert "nonzero at" in result.output
 
-    def test_leibniz(self, runner):
-        result = runner.invoke(main, [
+    def test_leibniz(self):
+        result = invoke([
             "leibniz", "so3", "--arity", "2", "--trials", "10", "--seed", "4",
         ])
         assert result.exit_code == 0
 
-    def test_naturality(self, runner, tmp_path):
+    def test_naturality(self, tmp_path):
         matrix = tmp_path / "t.json"
         matrix.write_text(json.dumps([[0, 1, 0], [1, 0, 0], [0, 0, "1/2"]]))
-        result = runner.invoke(main, ["naturality", "so3", "--matrix", str(matrix)])
+        result = invoke(["naturality", "so3", "--matrix", str(matrix)])
         assert result.exit_code == 0
 
-    def test_naturality_ignores_seed(self, runner, tmp_path):
+    def test_naturality_ignores_seed(self, tmp_path):
         # --seed is still accepted, hidden, and changes nothing
         matrix = tmp_path / "t.json"
         matrix.write_text(json.dumps([[0, 1, 0], [1, 0, 0], [0, 0, "1/2"]]))
         args = ["naturality", "so3", "--matrix", str(matrix), "--json"]
-        outputs = {runner.invoke(main, args + extra).stdout
+        outputs = {invoke(args + extra).stdout
                    for extra in ([], ["--seed", "0"], ["--seed", "7"])}
         assert len(outputs) == 1 and json.loads(outputs.pop())["status"] == "pass"
-        assert "--seed" not in runner.invoke(main, ["naturality", "--help"]).output
+        assert "--seed" not in invoke(["naturality", "--help"]).output
 
-    def test_naturality_inverts_the_matrix_once(self, runner, tmp_path, monkeypatch):
+    def test_naturality_inverts_the_matrix_once(self, tmp_path, monkeypatch):
         inverted = []
         invert = construction.invert_matrix
         monkeypatch.setattr(construction, "invert_matrix",
                             lambda t: inverted.append(t) or invert(t))
         matrix = tmp_path / "t.json"
         matrix.write_text(json.dumps([[2, 0, 0], [1, 1, 0], [0, "1/3", 1]]))
-        result = runner.invoke(main, ["naturality", "so3", "--matrix", str(matrix), "--json"])
+        result = invoke(["naturality", "so3", "--matrix", str(matrix), "--json"])
         assert result.exit_code == 0, result.output
         assert len(inverted) == 1
 
@@ -193,8 +192,7 @@ class TestCommands:
         # the field and its transform are two fields, each built twice
         (["naturality", "so3", "--matrix", "MATRIX"], 2),
     ])
-    def test_one_self_commutator_per_field(self, runner, tmp_path, monkeypatch,
-                                           args, squares):
+    def test_one_self_commutator_per_field(self, tmp_path, monkeypatch, args, squares):
         # each gate reads the square the field keeps; jacobiator,
         # statement-check and leibniz computed it twice, naturality four times
         from qalgebroid import fields
@@ -206,12 +204,12 @@ class TestCommands:
         matrix = tmp_path / "t.json"
         matrix.write_text(json.dumps([[2, 0, 0], [1, 1, 0], [0, "1/3", 1]]))
         args = [str(matrix) if a == "MATRIX" else a for a in args]
-        result = runner.invoke(main, args + ["--json"])
+        result = invoke(args + ["--json"])
         assert result.exit_code == 0, result.output
         assert sum(counted) == squares
 
     @pytest.mark.parametrize("arity, brackets", [(2, 50), (3, 0)])
-    def test_leibniz_uses_one_engine_per_structure(self, runner, monkeypatch, arity, brackets):
+    def test_leibniz_uses_one_engine_per_structure(self, monkeypatch, arity, brackets):
         # the three brackets of a trial share their first arity - 1 arguments,
         # so one engine per structure computes that prefix once, and each last
         # argument enters through the prefix's anchor field, with no bracket;
@@ -234,54 +232,77 @@ class TestCommands:
 
         monkeypatch.setattr(PhaseEngine, "__init__", counted_init)
         monkeypatch.setattr(PhaseEngine, "bracket", counted_bracket)
-        result = runner.invoke(main, ["leibniz", "so3", "--arity", str(arity), "--json"])
+        result = invoke(["leibniz", "so3", "--arity", str(arity), "--json"])
         assert result.exit_code == 0, result.output
         assert counts == {"engines": 2, "brackets": brackets}
 
-    def test_naturality_singular_matrix(self, runner, tmp_path):
+    def test_naturality_singular_matrix(self, tmp_path):
         matrix = tmp_path / "t.json"
         matrix.write_text(json.dumps([[1, 0, 0], [1, 0, 0], [0, 0, 1]]))
-        result = runner.invoke(main, ["naturality", "so3", "--matrix", str(matrix)])
+        result = invoke(["naturality", "so3", "--matrix", str(matrix)])
         assert result.exit_code == 2
 
-    def test_statement_check(self, runner):
-        result = runner.invoke(main, ["statement-check", "graded-3-lie"])
+    def test_statement_check(self):
+        result = invoke(["statement-check", "graded-3-lie"])
         assert result.exit_code == 0
 
-    def test_statement_check_rejects_base(self, runner):
-        result = runner.invoke(main, ["statement-check", "lie-algebroid-demo"])
+    def test_statement_check_rejects_base(self):
+        result = invoke(["statement-check", "lie-algebroid-demo"])
         assert result.exit_code == 2
 
-    def test_example_round_trip(self, runner):
+    def test_example_round_trip(self):
         for name in builtin_names():
-            result = runner.invoke(main, ["example", name])
+            result = invoke(["example", name])
             assert result.exit_code == 0
             assert parse_spec(result.output) == builtin_spec(name)
 
-    def test_example_unknown(self, runner):
-        result = runner.invoke(main, ["example", "nope"])
+    def test_example_unknown(self):
+        result = invoke(["example", "nope"])
         assert result.exit_code == 2
         assert "so3-broken" in result.output
 
-    def test_example_negative_control(self, runner):
-        result = runner.invoke(main, ["example", "so3-broken"])
+    def test_example_negative_control(self):
+        result = invoke(["example", "so3-broken"])
         assert result.exit_code == 0
         assert parse_spec(result.output) == builtin_spec("so3-broken")
 
-    def test_unknown_source(self, runner):
-        result = runner.invoke(main, ["check-q", "no-such-thing"])
+    def test_unknown_source(self):
+        result = invoke(["check-q", "no-such-thing"])
         assert result.exit_code == 2
         assert "so3-broken" in result.output
 
-    def test_file_input(self, runner, tmp_path):
+    def test_file_input(self, tmp_path):
         doc = tmp_path / "spec.json"
         doc.write_text(render_spec(builtin_spec("so3")))
-        result = runner.invoke(main, ["check-q", str(doc)])
+        result = invoke(["check-q", str(doc)])
         assert result.exit_code == 0
 
-    def test_unknown_flag(self, runner):
-        result = runner.invoke(main, ["check-q", "so3", "--bogus"])
+    def test_unknown_flag(self):
+        result = invoke(["check-q", "so3", "--bogus"])
         assert result.exit_code == 2
+
+    def test_options_before_source(self):
+        usual = invoke(["jacobiator", "so3", "--arity", "3", "--json"])
+        assert usual.exit_code == 0
+        assert invoke(["jacobiator", "--arity", "3", "so3", "--json"]).stdout == usual.stdout
+        assert invoke(["jacobiator", "so3", "--arity=3", "--json"]).stdout == usual.stdout
+
+    @pytest.mark.parametrize("command", [
+        [], ["describe"], ["check-q"], ["build-schouten"], ["build-poisson"], ["brackets"],
+        ["jacobiator"], ["leibniz"], ["naturality"], ["statement-check"], ["example"],
+    ], ids=lambda c: " ".join(c) or "top")
+    def test_help(self, command):
+        result = invoke(command + ["--help"])
+        assert result.exit_code == 0 and result.stdout and result.stderr == ""
+
+    def test_import_loads_no_click(self):
+        # a fresh interpreter, so that no other test has imported it
+        src = str(Path(__file__).parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, qalgebroid.cli; sys.exit('click' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 def _so3_document(**changes) -> str:
@@ -336,7 +357,7 @@ class TestInputContract:
             *[f"coefficient-{v}" for v in OVERSIZED],
             "matrix-null", "matrix-flat", "matrix-nested",
             *[f"matrix-{v}" for v in OVERSIZED], "max-arity-negative"])
-    def test_bad_input_exits_2(self, runner, tmp_path, kind, content):
+    def test_bad_input_exits_2(self, tmp_path, kind, content):
         bad = tmp_path / "input"
         if content is None:
             bad.mkdir()
@@ -350,45 +371,69 @@ class TestInputContract:
             args = ["naturality", "so3", "--matrix", str(bad)]
         else:
             args = ["statement-check", "so3", f"--{kind}", content]
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("args", [
+        [],
+        ["nosuch", "so3"],
+        ["check-q"],
+        ["jacobiator", "so3"],
+        ["jacobiator", "so3", "--arity", "x"],
+        ["jacobiator", "so3", "--arity", "7" * 5000],
+        ["brackets", "so3", "--arity", "2", "--flavor", "f" * 5000],
+        ["check-q", "so3", "--" + "x" * 4998],
+        ["check-q", "so3", "--jso"],
+        ["statement-check", "so3", "--max-arity", "1.5"],
+    ], ids=["no-command", "unknown-command", "no-source", "no-arity", "arity-x",
+            "arity-5000", "flavor-5000", "option-5000", "abbreviated-json",
+            "max-arity-fraction"])
+    def test_usage_error_is_one_short_line(self, args):
+        # the shape, not argparse's wording, which differs between versions
+        result = invoke(args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert len(result.stderr.encode()) < 300
+
     @pytest.mark.parametrize("key", ["4301-digits", "1/4301-digits"])
-    def test_long_coefficient_error_line_is_short(self, runner, tmp_path, key):
+    def test_long_coefficient_error_line_is_short(self, tmp_path, key):
         # the refused value is cut to its first 40 characters and its length
         bad = tmp_path / "input"
         bad.write_text(_so3_coefficient(OVERSIZED[key]))
-        result = runner.invoke(main, ["check-q", str(bad)])
+        result = invoke(["check-q", str(bad)])
         assert result.exit_code == 2, result.output
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert len(lines[0]) < 200 and f"({len(OVERSIZED[key])} characters)" in lines[0]
 
-    def test_long_source_error_line_is_short(self, runner):
+    def test_long_source_error_line_is_short(self):
         # a 5000-character name the system refuses is shown once, cut to its
         # first 40 characters and its length
-        result = runner.invoke(main, ["check-q", "p" * 5000])
+        result = invoke(["check-q", "p" * 5000])
         assert result.exit_code == 2, result.output
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot read ")
         assert len(result.stderr.encode()) < 300 and "(5000 characters)" in lines[0]
 
     @pytest.mark.parametrize("source", ["so3", "so3-broken"])
-    def test_long_matrix_path_error_line_is_short(self, runner, source):
+    def test_long_matrix_path_error_line_is_short(self, source):
         # the matrix path is read once, by the command, and refused like a
         # source, before any check runs: a non-homological source still
-        # exits 2, and click does not echo the name in a usage error
-        result = runner.invoke(main, ["naturality", source, "--matrix", "m" * 5000])
+        # exits 2, and the parser takes the path as text without refusing it
+        result = invoke(["naturality", source, "--matrix", "m" * 5000])
         assert result.exit_code == 2, result.output
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot read ")
         assert len(result.stderr.encode()) < 300 and "(5000 characters)" in lines[0]
 
     @pytest.mark.parametrize("flavor", ["schouten", "poisson"])
-    def test_deep_arity_brackets_exit_0(self, runner, tmp_path, monkeypatch, flavor):
+    def test_deep_arity_brackets_exit_0(self, tmp_path, monkeypatch, flavor):
         # one even fibre symbol and Q = 0: a single all-zero tuple of arity 4800,
         # deeper than the interpreter's recursion limit; the generator is zero,
         # so the walk stops before its first bracket and stores no partial
@@ -400,7 +445,7 @@ class TestInputContract:
         doc.write_text(json.dumps(
             {"name": "r1", "fibre": [{"name": "s1", "parity": "even"}], "q_terms": []}
         ))
-        result = runner.invoke(main, [
+        result = invoke([
             "brackets", str(doc), "--flavor", flavor, "--arity", "4800", "--json",
         ])
         assert result.exit_code == 0, result.exception
@@ -409,11 +454,11 @@ class TestInputContract:
         assert len(table) == 1 and set(table.values()) == {"0"}
         assert brackets == []
 
-    def test_naturality_non_homological_is_a_failed_check(self, runner, tmp_path):
+    def test_naturality_non_homological_is_a_failed_check(self, tmp_path):
         matrix = tmp_path / "t.json"
         matrix.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-        result = runner.invoke(
-            main, ["naturality", "so3-broken", "--matrix", str(matrix), "--json"]
+        result = invoke(
+            ["naturality", "so3-broken", "--matrix", str(matrix), "--json"]
         )
         assert result.exit_code == 1
         doc = json.loads(result.stdout)
@@ -435,9 +480,9 @@ class TestFractionalNegativeControl:
     """A non-homological document with coprime denominators: its nonzero
     [Q, Q] is the one self-bracket that divides by d^2."""
 
-    def test_check_q_witness_is_the_general_commutator(self, runner, tmp_path):
+    def test_check_q_witness_is_the_general_commutator(self, tmp_path):
         doc = _fractional_broken(tmp_path / "broken.json")
-        result = runner.invoke(main, ["check-q", str(doc), "--json"])
+        result = invoke(["check-q", str(doc), "--json"])
         assert result.exit_code == 1, result.output
         checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
         assert not checks["[Q,Q] = 0"]["ok"]
@@ -448,9 +493,9 @@ class TestFractionalNegativeControl:
         assert "/" in repr(general)
 
     @pytest.mark.parametrize("command", ["build-schouten", "build-poisson"])
-    def test_builds_fail_on_homological_input(self, runner, tmp_path, command):
+    def test_builds_fail_on_homological_input(self, tmp_path, command):
         doc = _fractional_broken(tmp_path / "broken.json")
-        result = runner.invoke(main, [command, str(doc), "--json"])
+        result = invoke([command, str(doc), "--json"])
         assert result.exit_code == 1, result.output
         checks = json.loads(result.stdout)["checks"]
         assert [c["name"] for c in checks if not c["ok"]] == ["homological input"]
@@ -468,16 +513,16 @@ class TestInternalErrors:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: internal: ")
 
-    def test_jacobiator_routes_disagree(self, runner, monkeypatch):
+    def test_jacobiator_routes_disagree(self, monkeypatch):
         import qalgebroid.homotopy as homotopy
 
         # Q in place of half of [Q,Q]: the squared-generator route goes wrong
         monkeypatch.setattr(homotopy.FieldEngine, "squared_generator", lambda self: self.q)
-        result = runner.invoke(main, ["jacobiator", "so3", "--arity", "2", "--json"])
+        result = invoke(["jacobiator", "so3", "--arity", "2", "--json"])
         self.assert_internal(result)
         assert "disagrees with the squared-generator route" in result.stderr
 
-    def test_phase_jacobiator_routes_disagree(self, runner, monkeypatch):
+    def test_phase_jacobiator_routes_disagree(self, monkeypatch):
         # S or P in place of half its self-bracket: both phase engines must
         # catch the wrong squared-generator route
         monkeypatch.setattr(PhaseEngine, "squared_generator", lambda self: self.generator())
@@ -486,28 +531,28 @@ class TestInternalErrors:
             eng = PhaseEngine(build(q))
             with pytest.raises(JacobiatorMismatch):
                 jacobiator(eng, eng.basis[:2])
-        result = runner.invoke(main, ["jacobiator", "so3", "--arity", "2", "--json"])
+        result = invoke(["jacobiator", "so3", "--arity", "2", "--json"])
         self.assert_internal(result)
         assert "disagrees with the squared-generator route" in result.stderr
 
-    def test_nonzero_self_bracket_of_a_homological_field(self, runner, monkeypatch):
+    def test_nonzero_self_bracket_of_a_homological_field(self, monkeypatch):
         import qalgebroid.construction as construction
 
         monkeypatch.setattr(construction, "ambient_bracket", lambda flavor: lambda f, g, phase: f)
         for command, square in (("build-schouten", "{S,S}"), ("build-poisson", "[[P,P]]"),
                                 ("statement-check", "{S,S}")):
-            result = runner.invoke(main, [command, "so3"])
+            result = invoke([command, "so3"])
             self.assert_internal(result)
             assert f"{square} != 0 for a homological field" in result.stderr
 
-    def test_exception_outside_the_algebra_errors(self, runner, monkeypatch):
+    def test_exception_outside_the_algebra_errors(self, monkeypatch):
         import qalgebroid.cli as cli
 
         def broken(spec):
             raise KeyError("xi9")
 
         monkeypatch.setattr(cli, "assemble_field", broken)
-        result = runner.invoke(main, ["check-q", "so3", "--json"])
+        result = invoke(["check-q", "so3", "--json"])
         self.assert_internal(result)
         assert result.stderr == "error: internal: KeyError: 'xi9'\n"
 
@@ -572,10 +617,10 @@ def test_readme_library_example_runs():
 
 
 class TestDeterminism:
-    def test_json_output_is_byte_stable(self, runner):
+    def test_json_output_is_byte_stable(self):
         outs = set()
         for _ in range(3):
-            result = runner.invoke(main, [
+            result = invoke([
                 "leibniz", "so3", "--arity", "2", "--trials", "6",
                 "--seed", "11", "--json",
             ])
@@ -583,15 +628,15 @@ class TestDeterminism:
             outs.add(result.output)
         assert len(outs) == 1
 
-    def test_build_json_stable(self, runner):
-        a = runner.invoke(main, ["build-schouten", "lie-3-algebroid-demo", "--json"])
-        b = runner.invoke(main, ["build-schouten", "lie-3-algebroid-demo", "--json"])
+    def test_build_json_stable(self):
+        a = invoke(["build-schouten", "lie-3-algebroid-demo", "--json"])
+        b = invoke(["build-schouten", "lie-3-algebroid-demo", "--json"])
         assert a.output == b.output
 
 
 class TestEveryBuiltinPasses:
     @pytest.mark.parametrize("name", builtin_names())
-    def test_core_commands(self, runner, name):
+    def test_core_commands(self, name):
         for cmd in (
             ["check-q", name],
             ["build-schouten", name],
@@ -601,10 +646,10 @@ class TestEveryBuiltinPasses:
             ["jacobiator", name, "--arity", "4"],
             ["leibniz", name, "--arity", "2", "--trials", "6"],
         ):
-            result = runner.invoke(main, cmd)
+            result = invoke(cmd)
             assert result.exit_code == 0, (cmd, result.output)
 
     @pytest.mark.parametrize("name", ["so3", "graded-3-lie"])
-    def test_statement_on_point_base(self, runner, name):
-        result = runner.invoke(main, ["statement-check", name])
+    def test_statement_on_point_base(self, name):
+        result = invoke(["statement-check", name])
         assert result.exit_code == 0

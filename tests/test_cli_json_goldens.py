@@ -17,10 +17,10 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from qalgebroid.builtins import FIXTURES, builtin_spec
-from qalgebroid.cli import main
+
+from clirun import invoke
 
 GOLDENS = Path(__file__).parent / "data" / "cli_json_goldens.json"
 IDENTITY = "IDENTITY"
@@ -73,7 +73,7 @@ def run_case(args: list[str], tmp: Path) -> tuple[int, str]:
             [[int(i == j) for j in range(rank)] for i in range(rank)]
         ))
         args = [str(matrix) if a == IDENTITY else a for a in args]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     return result.exit_code, result.stdout
 
 

@@ -73,6 +73,7 @@ from qalgebroid.randgen import (
 )
 from qalgebroid.specdoc import assemble_field, render_spec, spec_from_field
 
+from clirun import invoke
 from closed_forms import closed_form, structure_constant
 
 # property tests run a fixed example sequence, so the suite stays deterministic
@@ -583,8 +584,6 @@ class TestEngineMemo:
         # arity + 1 - k are both 2, so the sum visits subsets at arity 3
         # only, and none at arity 6
         import qalgebroid.homotopy as homotopy
-        from click.testing import CliRunner
-        from qalgebroid.cli import main
 
         calls, values_asked = [], []
         for cls in (homotopy.PhaseEngine, homotopy.FieldEngine):
@@ -595,8 +594,7 @@ class TestEngineMemo:
         value = homotopy.DerivedBracketEngine.value
         monkeypatch.setattr(homotopy.DerivedBracketEngine, "value",
                             lambda self, key: values_asked.append(key) or value(self, key))
-        result = CliRunner().invoke(main, ["jacobiator", "so3", "--arity", str(arity),
-                                           "--json"])
+        result = invoke(["jacobiator", "so3", "--arity", str(arity), "--json"])
         assert result.exit_code == 0
         assert len(calls) == brackets
         assert len(values_asked) == values
@@ -699,8 +697,6 @@ class TestKoszulParityMemo:
         # tuple is walked; so3's sweep at arity 6 visits none
         # (TestJacobiatorSweep)
         import qalgebroid.homotopy as homotopy
-        from click.testing import CliRunner
-        from qalgebroid.cli import main
 
         asked = []
         for cls in (homotopy.PhaseEngine, homotopy.FieldEngine):
@@ -708,8 +704,7 @@ class TestKoszulParityMemo:
                 asked.append(a)
                 return _parity_of(self, a)
             monkeypatch.setattr(cls, "parity_of", counting)
-        result = CliRunner().invoke(main, ["jacobiator", "so3-broken", "--arity", "6",
-                                           "--json"])
+        result = invoke(["jacobiator", "so3-broken", "--arity", "6", "--json"])
         assert result.exit_code == 1
         runs = sum(len(set(tup)) for tup in combinations_with_replacement(range(3), 6))
         assert len(asked) == 3 * runs == 189
@@ -820,8 +815,6 @@ class TestZeroRule:
         # so it brackets on every tuple of the 3 engines.  One bracket per
         # argument took arity * C(arity + 2, arity) per engine, 504 and 1080
         import qalgebroid.homotopy as homotopy
-        from click.testing import CliRunner
-        from qalgebroid.cli import main
 
         routes = []
         for cls in (homotopy.PhaseEngine, homotopy.FieldEngine):
@@ -829,8 +822,7 @@ class TestZeroRule:
                 _init(self, *args)
                 routes.append(SquaredRouteCounter(self))
             monkeypatch.setattr(cls, "__init__", counted_init)
-        result = CliRunner().invoke(main, ["jacobiator", "so3-broken", "--arity", str(arity),
-                                           "--json"])
+        result = invoke(["jacobiator", "so3-broken", "--arity", str(arity), "--json"])
         assert result.exit_code == 1
         assert len(routes) == 3
         assert [route.brackets for route in routes] == [brackets // 3] * 3
@@ -953,8 +945,6 @@ class TestJacobiatorSweep:
         # each engine walks its 15 tuples at arity 4 (30 runs of equal
         # arguments), and each tuple makes one squared-route ``derived`` call
         import qalgebroid.homotopy as homotopy
-        from click.testing import CliRunner
-        from qalgebroid.cli import main
 
         jacobiators = self.counting(monkeypatch)
         parities, routes = [], []
@@ -969,8 +959,7 @@ class TestJacobiatorSweep:
                 routes.append(args)
             return _derived(self, args, generator)
         monkeypatch.setattr(homotopy.DerivedBracketEngine, "derived", derived)
-        result = CliRunner().invoke(main, ["jacobiator", source, "--arity", str(arity),
-                                           "--json"])
+        result = invoke(["jacobiator", source, "--arity", str(arity), "--json"])
         assert result.exit_code == code
         assert (len(jacobiators), len(parities), len(routes)) == (calls, asked, squared)
 
@@ -981,16 +970,14 @@ class TestJacobiatorSweep:
         # graded-3-lie {3}: every other arity passes with no table and no
         # comparison, and the report is the one that compares at every arity
         import qalgebroid.homotopy as homotopy
-        from click.testing import CliRunner
-        from qalgebroid.cli import main
 
         built = []
         for name in ("symmetric_field_table", "skew_bracket_table"):
             monkeypatch.setattr(homotopy, name,
                                 lambda eng, arity, _t=getattr(homotopy, name):
                                 built.append(arity) or _t(eng, arity))
-        result = CliRunner().invoke(main, ["statement-check", source, "--max-arity",
-                                           str(max_arity), "--json"])
+        result = invoke(["statement-check", source, "--max-arity", str(max_arity),
+                         "--json"])
         assert result.exit_code == 0
         assert set(built) == {fed}
         checks = [{"name": f"arity {r} restriction matches the input brackets", "ok": True}

@@ -10,11 +10,10 @@ import json
 from random import Random
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qalgebroid.cli import main
+from clirun import invoke
 
 FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -87,7 +86,7 @@ def assert_contract(result):
 def run_document(workdir, command, document):
     path = workdir / "doc.json"
     path.write_text(json.dumps(document))
-    assert_contract(CliRunner().invoke(main, [command, str(path), "--json"]))
+    assert_contract(invoke([command, str(path), "--json"]))
 
 
 @pytest.mark.parametrize("command", ["check-q", "describe"])
@@ -108,7 +107,7 @@ def run_naturality(workdir, matrix):
     path = workdir / "matrix.json"
     path.write_text(json.dumps(matrix))
     args = ["naturality", "derham", "--matrix", str(path), "--json"]
-    assert_contract(CliRunner().invoke(main, args))
+    assert_contract(invoke(args))
 
 
 @FUZZ
