@@ -171,10 +171,6 @@ BUILTINS = {
 FIXTURES = {**BUILTINS, "so3-broken": so3_broken}
 
 
-def builtin_names() -> list[str]:
-    return list(BUILTINS)
-
-
 def builtin_spec(name: str) -> AlgebroidSpec:
     try:
         factory = FIXTURES[name]

@@ -136,11 +136,6 @@ class Chart:
         chart = self.parent or self
         return [g.name for g in chart.generators[chart.n_base:]]
 
-    def conjugate_names(self) -> list[str]:
-        if not self.is_phase:
-            return []
-        return [g.name for g in self.generators[len(self.parent.generators):]]
-
     # -- polynomial constructors -------------------------------------------
 
     def zero(self) -> GradedPoly:

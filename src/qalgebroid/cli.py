@@ -108,31 +108,26 @@ class Report:
         return 0 if self.ok else 1
 
 
-def _read_text(path) -> str:
+def _read_text(path, missing: str | None = None) -> str:
+    """The text of the file at ``path``, read once with no check beforehand.
+
+    A failure to open or decode it is "cannot read", shown through
+    ``refused`` so that a long path does not fill the error line; a path
+    naming nothing is ``missing`` instead, when that is given."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
+        if missing and isinstance(exc, (FileNotFoundError, NotADirectoryError)):
+            raise SpecError(missing) from None
         raise SpecError(f"cannot read {refused(path, exc)}") from None
 
 
 def load_spec(source: str):
-    """Resolve a builtin name or a JSON file path into a parsed spec.
-
-    The file is read once, with no check beforehand: a path naming nothing
-    is neither a builtin nor a file, any other failure to open or decode it
-    is "cannot read".  The source is shown through ``refused``, so a long
-    one does not fill the error line."""
+    """Resolve a builtin name or a JSON file path into a parsed spec."""
     if source in FIXTURES:
         return builtin_spec(source)
-    try:
-        text = Path(source).read_text(encoding="utf-8")
-    except (FileNotFoundError, NotADirectoryError):
-        raise SpecError(
-            f"{refused(source)} is neither a builtin ({', '.join(FIXTURES)}) nor a file"
-        ) from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SpecError(f"cannot read {refused(source, exc)}") from None
-    return parse_spec(text)
+    missing = f"{refused(source)} is neither a builtin ({', '.join(FIXTURES)}) nor a file"
+    return parse_spec(_read_text(source, missing))
 
 
 def _load_matrix(path: str) -> list[list[Fraction]]:
@@ -155,23 +150,21 @@ def _fail(message: str, code: int = 2):
 # an argument argparse shows in an error, by its repr, when it is longer than
 # the 40 characters ``refused`` shows
 _LONG_QUOTED = re.compile(r"'(?:[^'\\]|\\.){41,}'|\"(?:[^\"\\]|\\.){41,}\"")
+# argparse's list of every command after an unknown one, which grows with each command
+_COMMAND_CHOICES = re.compile(r"^(argument COMMAND: .*) \(choose from .*\)$")
 
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is bad input: one ``error:`` line on stderr, exit 2.
 
     argparse shows a refused argument by its repr; a long one is cut the way
-    ``specdoc.refused`` cuts a document value."""
+    ``specdoc.refused`` cuts a document value.  An unknown command points to
+    ``--help`` instead of listing every command, so the line does not grow
+    with their number."""
 
     def error(self, message):
+        message = _COMMAND_CHOICES.sub(r"\1 (see qalgebroid --help)", message)
         _fail(_LONG_QUOTED.sub(lambda m: refused(m[0][1:-1]), message))
-
-
-class _Ignored(argparse.Action):
-    """Reads an option's value and keeps nothing of it."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        pass
 
 
 _PARSER = _Parser(prog="qalgebroid", allow_abbrev=False,
@@ -396,10 +389,9 @@ def leibniz(report, spec, arity, trials, seed):
            help="JSON file: square matrix of rationals, rows = old fibre index"),
     # the checks draw nothing; --seed is still accepted so that existing
     # command lines keep working, and has no effect
-    option("--seed", type=int, action=_Ignored, default=argparse.SUPPRESS,
-           help=argparse.SUPPRESS),
+    option("--seed", type=int, help=argparse.SUPPRESS),
 )
-def naturality(report, spec, matrix_path):
+def naturality(report, spec, matrix_path, seed):
     """Rebuild after a constant fibre change and compare with the lift."""
     q = assemble_field(spec)
     try:

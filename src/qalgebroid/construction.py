@@ -53,7 +53,6 @@ from .charts import (
     chart_odd_cotangent,
     chart_pi_e,
     chart_pi_e_star,
-    restrict_to_zero_section,
 )
 from .fields import (
     VectorField,
@@ -220,16 +219,15 @@ class HigherStructure:
 
     value: GradedPoly
     flavor: str
-    chart: Chart
     self_bracket: GradedPoly
+
+    @property
+    def chart(self) -> Chart:
+        return self.value.chart
 
     @property
     def is_self_commuting(self) -> bool:
         return self.self_bracket.is_zero()
-
-    def restricted(self) -> GradedPoly:
-        """The zero-bracket: the structure restricted to the zero section."""
-        return restrict_to_zero_section(self.value)
 
     def render(self) -> str:
         return self.value.render()
@@ -299,7 +297,7 @@ def _build(q: VectorField, flavor: str, gated: bool) -> HigherStructure:
     exchange = flavour.exchange(q.chart, b, False)
     value = exchange.pullback(flavour.symbol(q, exchange.domain))
     self_bracket = ambient_bracket(flavor)(value, value, exchange.codomain)
-    h = HigherStructure(value, flavor, exchange.codomain, self_bracket)
+    h = HigherStructure(value, flavor, self_bracket)
     if gated and not h.is_self_commuting:
         raise GradedAlgebraError(
             f"internal error: {flavour.square} != 0 for a homological field: "

@@ -707,10 +707,6 @@ class GradedPoly:
             s = self._support = frozenset({g for m in self.terms for g, _ in m})
         return s
 
-    def contains_any(self, names) -> bool:
-        idxs = {self.chart.index_of(n) for n in names}
-        return any(any(g in idxs for g, _ in m) for m in self.terms)
-
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:

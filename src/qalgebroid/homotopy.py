@@ -357,7 +357,6 @@ class FieldEngine(DerivedBracketEngine):
             raise ChartMismatch(
                 "the field engine expects a point-base (pure fibre) chart"
             )
-        self.q = q
         self.chart = q.chart
         degrees = {sum(e for _, e in m) for comp in q.components.values() for m in comp.terms}
         super().__init__(q, degrees, q.square)
@@ -391,7 +390,7 @@ class FieldEngine(DerivedBracketEngine):
 
     def zero(self, key: tuple) -> VectorField:
         """The zero field of the parity of Q plus the arguments at ``key``."""
-        parity = self.q.parity + sum(self._args[i].parity for i in key)
+        parity = self.generator().parity + sum(self._args[i].parity for i in key)
         return VectorField(self.chart, {}, parity & 1)
 
     def sum(self, values):
@@ -399,13 +398,6 @@ class FieldEngine(DerivedBracketEngine):
         for v in values:
             total = total + v
         return total
-
-    def coefficients(self, x: VectorField) -> list[int | Fraction]:
-        """Constant-field coefficients in the basis-field order."""
-        out = []
-        for g in self.chart.generators:
-            out.append(x.component(g.name).constant_term())
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +581,7 @@ class BracketTable:
     """n-ary bracket values on tuples of fibre coordinate functions.
 
     ``parity`` is the common parity shift of the operation (value parity
-    minus argument parities, None when every entry vanishes); ``weight`` is
-    the drop 1 - arity in the natural fibre weight, checked entry by entry.
+    minus argument parities, None when every entry vanishes).
     """
 
     flavor: str
@@ -598,7 +589,6 @@ class BracketTable:
     labels: list[str]
     entries: dict[tuple[int, ...], GradedPoly]
     parity: int | None = None
-    weight: int = 0
 
     def render(self) -> str:
         lines = [f"arity {self.arity} [{self.flavor}]"]
@@ -609,7 +599,8 @@ class BracketTable:
 
 
 def _table_metadata(chart: Chart, labels, entries, arity: int):
-    """Common parity shift and checked fibre-weight drop of a table."""
+    """Common parity shift of a table; each entry must drop the natural
+    fibre weight by arity - 1."""
     shift = None
     for tup, value in entries.items():
         if value.is_zero():
@@ -627,14 +618,14 @@ def _table_metadata(chart: Chart, labels, entries, arity: int):
         args_w1 = sum(chart.generator(labels[i]).weight[0] for i in tup)
         if w is not None and w[0] != args_w1 + (1 - arity):
             raise GradedAlgebraError("table entry violates the weight drop")
-    return shift, 1 - arity
+    return shift
 
 
 def _phase_table(eng: PhaseEngine, arity: int) -> BracketTable:
     fibre = eng.parent.fibre_names()
     entries = {tup: higher_bracket(eng, args) for tup, args in _tuples(eng.basis, arity)}
-    parity, weight = _table_metadata(eng.parent, fibre, entries, arity)
-    return BracketTable(eng.flavor, arity, fibre, entries, parity, weight)
+    parity = _table_metadata(eng.parent, fibre, entries, arity)
+    return BracketTable(eng.flavor, arity, fibre, entries, parity)
 
 
 def schouten_bracket_table(s: HigherStructure, arity: int) -> BracketTable:
@@ -647,9 +638,9 @@ def poisson_bracket_table(p: HigherStructure, arity: int) -> BracketTable:
 
 def _field_entry(eng: FieldEngine, args: list[VectorField]) -> GradedPoly:
     """(s_a1, ..., s_ar) written as the fibre-linear polynomial sum c_b xi^b."""
-    value = eng.derived(args)
     return GradedPoly(eng.chart, {
-        ((j, 1),): c for j, c in enumerate(eng.coefficients(value)) if c != 0
+        ((eng.chart.index_of(name), 1),): comp.constant_term()
+        for name, comp in eng.derived(args).components.items()
     })
 
 
@@ -718,7 +709,7 @@ def higher_anchor(q: VectorField, tup: tuple[int, ...], f: GradedPoly) -> Graded
     chart = q.chart
     if f.chart != chart:
         raise ChartMismatch("the base function must live on the field's chart")
-    if f.contains_any(chart.fibre_names()):
+    if any(i >= chart.n_base for i in f.support()):
         raise GradedAlgebraError("anchor arguments act on base functions only")
     cur = q
     for i in tup:
@@ -749,8 +740,6 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     one field engine; each phase side has its own engine.  An arity the
     sweep skip rules out passes with no table and no comparison.
     """
-    if q.chart.n_base != 0:
-        raise ChartMismatch("the restriction statement is for a point base")
     field = FieldEngine(q)
     sides = ((PhaseEngine(s), symmetric_field_table),
              (PhaseEngine(p), skew_bracket_table))

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 from qalgebroid.builtins import (
-    builtin_names,
+    BUILTINS,
     builtin_spec,
     mixed_linfinity_algebra,
     so3_broken,
@@ -21,6 +21,7 @@ from qalgebroid.charts import (
     chart_even_cotangent,
     chart_odd_cotangent,
     chart_pi_e,
+    restrict_to_zero_section,
 )
 from qalgebroid.construction import (
     FibreChange,
@@ -64,7 +65,7 @@ MIXED = BundlePresentation((0, 1), (0, 1))
 
 
 def _all_builtin_fields():
-    return {name: assemble_field(builtin_spec(name)) for name in builtin_names()}
+    return {name: assemble_field(builtin_spec(name)) for name in BUILTINS}
 
 
 @pytest.fixture(scope="module")
@@ -234,12 +235,12 @@ def test_criterion_7_zero_bracket(builtin_fields):
     for name in strict_names:
         q = builtin_fields[name]
         assert is_strict(q)
-        assert build_schouten(q).restricted().is_zero()
-        assert build_poisson(q).restricted().is_zero()
+        assert restrict_to_zero_section(build_schouten(q).value).is_zero()
+        assert restrict_to_zero_section(build_poisson(q).value).is_zero()
     q = builtin_fields["lie-3-algebroid-demo"]
     assert not is_strict(q)
-    assert not build_schouten(q).restricted().is_zero()
-    assert not build_poisson(q).restricted().is_zero()
+    assert not restrict_to_zero_section(build_schouten(q).value).is_zero()
+    assert not restrict_to_zero_section(build_poisson(q).value).is_zero()
     print("[ACCEPT] criterion 7: PASS - zero-bracket vanishing tracks strictness")
 
 

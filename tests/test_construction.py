@@ -24,6 +24,7 @@ from qalgebroid.charts import (
     chart_odd_cotangent,
     chart_pi_e,
     chart_pi_e_star,
+    restrict_to_zero_section,
 )
 from qalgebroid.construction import (
     FibreChange,
@@ -290,8 +291,8 @@ class TestStrictness:
             s = build_schouten(q)
             p = build_poisson(q)
             assert is_strict(q) is strict
-            assert s.restricted().is_zero() is strict
-            assert p.restricted().is_zero() is strict
+            assert restrict_to_zero_section(s.value).is_zero() is strict
+            assert restrict_to_zero_section(p.value).is_zero() is strict
 
 
 class TestNaturality:

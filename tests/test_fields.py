@@ -18,7 +18,7 @@ from qalgebroid.charts import (
     chart_pi_e_star,
 )
 from qalgebroid import gradedpoly
-from qalgebroid.builtins import builtin_names, builtin_spec, derham, so3, so3_broken
+from qalgebroid.builtins import BUILTINS, builtin_spec, derham, so3, so3_broken
 from qalgebroid.construction import build_poisson, build_schouten
 from qalgebroid.fields import (
     VectorField,
@@ -230,7 +230,7 @@ class TestSelfCommutator:
         assert commutator(x, x) == general
 
     def test_builtins_and_the_broken_control(self):
-        fields = [assemble_field(builtin_spec(n)) for n in builtin_names()]
+        fields = [assemble_field(builtin_spec(n)) for n in BUILTINS]
         broken = assemble_field(so3_broken())
         for q in fields + [broken]:
             w = commutator(q, q)

@@ -61,6 +61,7 @@ from qalgebroid.homotopy import (
     unshuffle_weight,
     weight_one_restriction_check,
     _skew_sign,
+    _table_metadata,
     _transport_value,
 )
 from qalgebroid.randgen import (
@@ -310,7 +311,7 @@ class TestErrorPaths:
         _, s, p = so3_pair
         for eng, name in ((PhaseEngine(s), "eta1"), (PhaseEngine(p), "e1")):
             lifted = lift_to_phase(eng.parent.gen(name), eng.chart)
-            assert not lifted.contains_any(eng.chart.conjugate_names())
+            assert max(lifted.support()) < len(eng.parent.generators)  # no conjugate
             with pytest.raises(ChartMismatch, match=re.escape(f"parent chart {eng.parent.space},")):
                 eng.derived([lifted])
             with pytest.raises(ChartMismatch, match="parent chart"):
@@ -396,7 +397,7 @@ class TestJacobiators:
         v = jacobiator(eng_p, [dual_p.gen(n) for n in ("e1", "e2", "e3")])
         assert v == dual_p.gen("e2")
         v = jacobiator(fe, [fe.basis[i] for i in (0, 1, 2)])
-        assert fe.coefficients(v) == [0, 1, 0]
+        assert [v.component(g.name).constant_term() for g in fe.chart.generators] == [0, 1, 0]
 
     def test_squared_generators_of_the_negative_control_hold_ints(self):
         # halving an even self-bracket with scaled(1/2) stores whole results
@@ -526,8 +527,8 @@ class TestEngineMemo:
                 n = len(q.chart.generators)
                 for tup, value in symmetric_field_table(fe, r).entries.items():
                     nested = fe.derived([fe.basis[i] for i in tup], generator=fe.generator())
-                    assert [value.terms.get(((j, 1),), 0) for j in range(n)] == (
-                        fe.coefficients(nested))
+                    assert [value.terms.get(((j, 1),), 0) for j in range(n)] == [
+                        nested.component(g.name).constant_term() for g in q.chart.generators]
                 skew_bracket_table(fe, r)  # checks antisymmetry on swapped tuples
 
     def test_values_on_unsorted_keys_and_inner_values(self):
@@ -1153,7 +1154,7 @@ class TestJacobiatorsOnArbitraryGenerators:
             sb = canonical_poisson(value, value, value.chart)
         else:
             sb = canonical_schouten(value, value, value.chart)
-        h = HigherStructure(value, flavor, value.chart, sb)
+        h = HigherStructure(value, flavor, sb)
         return PhaseEngine(h)
 
     def test_random_odd_generators_even_bracket(self):
@@ -1388,14 +1389,30 @@ class TestTables:
     def test_table_metadata(self, so3_pair, mixed_pair):
         _, s, p = so3_pair
         t = schouten_bracket_table(s, 2)
-        assert t.parity == 1 and t.weight == -1  # odd binary bracket, drop 1
+        assert t.parity == 1  # odd binary bracket
         tp = poisson_bracket_table(p, 2)
-        assert tp.parity == 0 and tp.weight == -1  # even binary bracket
+        assert tp.parity == 0  # even binary bracket
         _, sm, pm = mixed_pair
         t3 = schouten_bracket_table(sm, 3)
-        assert t3.parity == 1 and t3.weight == -2
+        assert t3.parity == 1
         tp3 = poisson_bracket_table(pm, 3)
-        assert tp3.parity == 1 and tp3.weight == -2  # odd for three arguments
+        assert tp3.parity == 1  # odd for three arguments
+
+    def test_table_metadata_refusals(self, so3_pair):
+        # hand-built binary tables on the dual chart of so3: the eta are odd
+        # of fibre weight 1, so a binary entry is odd of weight 1
+        _, s, _ = so3_pair
+        dual = PhaseEngine(s).parent
+        labels = dual.fibre_names()
+        e1, e2, e3 = (dual.gen(n) for n in labels)
+        assert _table_metadata(dual, labels, {(0, 1): -e3, (0, 2): e2}, 2) == 1
+        for entries, refusal in (
+            ({(0, 1): e3 + e1 * e2}, "mixed parity"),
+            ({(0, 1): -e3, (0, 2): e1 * e2}, "disagree on operation parity"),
+            ({(0, 1): e1 * e2 * e3}, "weight drop"),
+        ):
+            with pytest.raises(GradedAlgebraError, match=refusal):
+                _table_metadata(dual, labels, entries, 2)
 
     def test_poisson_table_cross_check(self, so3_pair):
         q, _, p = so3_pair
