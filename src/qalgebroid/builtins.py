@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 
-from .specdoc import AlgebroidSpec, QTerm
+from .specdoc import AlgebroidSpec, QTerm, refused
 
 EVEN_P = "even"
 ODD_P = "odd"
@@ -176,6 +176,6 @@ def builtin_spec(name: str) -> AlgebroidSpec:
         factory = FIXTURES[name]
     except KeyError:
         raise KeyError(
-            f"unknown builtin {name!r}; available: {', '.join(FIXTURES)}"
+            f"unknown builtin {refused(name)}; available: {', '.join(FIXTURES)}"
         ) from None
     return factory()

@@ -225,10 +225,6 @@ class HigherStructure:
     def chart(self) -> Chart:
         return self.value.chart
 
-    @property
-    def is_self_commuting(self) -> bool:
-        return self.self_bracket.is_zero()
-
     def render(self) -> str:
         return self.value.render()
 
@@ -297,13 +293,12 @@ def _build(q: VectorField, flavor: str, gated: bool) -> HigherStructure:
     exchange = flavour.exchange(q.chart, b, False)
     value = exchange.pullback(flavour.symbol(q, exchange.domain))
     self_bracket = ambient_bracket(flavor)(value, value, exchange.codomain)
-    h = HigherStructure(value, flavor, self_bracket)
-    if gated and not h.is_self_commuting:
+    if gated and not self_bracket.is_zero():
         raise GradedAlgebraError(
             f"internal error: {flavour.square} != 0 for a homological field: "
             f"{self_bracket.render()}"
         )
-    return h
+    return HigherStructure(value, flavor, self_bracket)
 
 
 def build_schouten(q: VectorField) -> HigherStructure:
@@ -329,18 +324,10 @@ def build_poisson_unchecked(q: VectorField) -> HigherStructure:
 # weight audit and strictness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WeightAudit:
-    histogram: dict[tuple[int, int], int]
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def total_weight_audit(h: HigherStructure) -> WeightAudit:
-    """Per-term bi-weight histogram; flags any term off the (1-n, n) line."""
+def total_weight_audit(h: HigherStructure) -> tuple[dict[tuple[int, int], int], list[str]]:
+    """(histogram, violations): the count of terms per bi-weight, sorted, and
+    one line for each term off the (1-n, n) line; the law holds iff there
+    are no violations."""
     histogram: dict[tuple[int, int], int] = {}
     violations: list[str] = []
     poly = h.value
@@ -350,7 +337,7 @@ def total_weight_audit(h: HigherStructure) -> WeightAudit:
         if total_weight(w) != 1 or w[1] < 0:
             mono = GradedPoly(poly.chart, {m: poly.terms[m]})
             violations.append(f"term {mono.render()} has bi-weight {w}")
-    return WeightAudit(dict(sorted(histogram.items())), violations)
+    return dict(sorted(histogram.items())), violations
 
 
 def is_strict(q: VectorField) -> bool:
@@ -436,18 +423,10 @@ def _lifted_images(chart: Chart, t, t_inv) -> dict[str, GradedPoly]:
     return images
 
 
-@dataclass
-class NaturalityReport:
-    checks: list[tuple[str, bool, str]]
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-
-def chart_change_naturality(q: VectorField, change: FibreChange) -> NaturalityReport:
+def chart_change_naturality(q: VectorField, change: FibreChange) -> list[tuple[str, bool, str]]:
     """Transform Q by a constant fibre change and compare both build routes.
 
+    Returns one (name, ok, detail) per check; detail is empty when it passes.
     Checks that building S and P from the transformed field agrees with
     applying the inverse lifted change to the original S and P, and that the
     lifted changes preserve the canonical brackets.  The bracket checks run
@@ -479,4 +458,4 @@ def chart_change_naturality(q: VectorField, change: FibreChange) -> NaturalityRe
         pair = lift.bracket_witness(ambient_bracket(h.flavor))
         checks.append((label, pair is None,
                        "" if pair is None else f"failed on generator pair {pair[0]}, {pair[1]}"))
-    return NaturalityReport(checks)
+    return checks

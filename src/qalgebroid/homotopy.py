@@ -520,15 +520,6 @@ def jacobiator_sweep(engine: DerivedBracketEngine, arity: int):
 # Leibniz (multiderivation) checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LeibnizReport:
-    failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def leibniz_exponent(flavor: str, parities: list[int]) -> int:
     """Exponent in the multiderivation rule for the last slot.
 
@@ -542,11 +533,12 @@ def leibniz_exponent(flavor: str, parities: list[int]) -> int:
 
 
 def leibniz_check(bracket, chart: Chart, flavor: str, arity: int,
-                  trials: int, rng) -> LeibnizReport:
+                  trials: int, rng) -> list[str]:
     """Test the multiderivation identity on random homogeneous inputs.
 
     ``bracket`` maps a list of polynomials on ``chart`` to a polynomial.
-    Reports the first witness per failed trial.
+    Returns one witness per failed trial, in trial order; the rule held on
+    every trial iff the list is empty.
     """
     from .randgen import random_poly
 
@@ -569,7 +561,7 @@ def leibniz_check(bracket, chart: Chart, flavor: str, arity: int,
                 f"a_r = {ar.render()}, a_r+1 = {ar1.render()}, "
                 f"difference = {(lhs - rhs).render()}"
             )
-    return LeibnizReport(failures)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -719,18 +711,9 @@ def higher_anchor(q: VectorField, tup: tuple[int, ...], f: GradedPoly) -> Graded
     return cur(f).drop_generators(chart.fibre_names())
 
 
-@dataclass
-class StatementReport:
-    per_arity: dict[int, bool]
-    details: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.per_arity.values())
-
-
 def weight_one_restriction_check(q: VectorField, s: HigherStructure,
-                                 p: HigherStructure, max_arity: int = 4) -> StatementReport:
+                                 p: HigherStructure, max_arity: int = 4
+                                 ) -> tuple[dict[int, bool], list[str]]:
     """Over a point base: restricted derived brackets = input brackets.
 
     For every tuple of weight-one coordinates eta (resp. e) up to the arity
@@ -739,6 +722,10 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     through s_b -> eta_b (resp. T_b -> e_b).  Both tables read the memo of
     one field engine; each phase side has its own engine.  An arity the
     sweep skip rules out passes with no table and no comparison.
+
+    Returns (per_arity, details): whether each arity 0..``max_arity``
+    matched, and one line naming the arity, side and tuple of each
+    mismatch.  The statement holds iff every arity matched.
     """
     field = FieldEngine(q)
     sides = ((PhaseEngine(s), symmetric_field_table),
@@ -760,7 +747,7 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
                     ok = False
                     details.append(f"arity {r} {eng.flavor} tuple {tup} differs")
         per_arity[r] = ok
-    return StatementReport(per_arity, details)
+    return per_arity, details
 
 
 def _transport_value(value: GradedPoly, dual: Chart) -> GradedPoly:

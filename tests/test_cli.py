@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from qalgebroid import construction
+from qalgebroid import cli, construction
 from qalgebroid.builtins import BUILTINS, builtin_spec
 from qalgebroid.cli import main
 from qalgebroid.fields import VectorField, commutator
@@ -328,6 +328,13 @@ def _matrix_corner(value: str) -> str:
     return json.dumps([[value, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+def _base_pair_out_of_order() -> str:
+    doc = json.loads(_so3_document(base=[{"name": "x1", "parity": "even"},
+                                         {"name": "x2", "parity": "even"}]))
+    doc["q_terms"][0]["base_monomial"] = [["x2", 1], ["x1", 1]]
+    return json.dumps(doc)
+
+
 # numerators and denominators past the interpreter's integer string limit
 # (4300 digits by default), in decimal and in plain form; 10**999999999 alone
 # would take longer than any run should; keyed by test id
@@ -352,26 +359,41 @@ class TestInputContract:
         ("matrix", NESTED),
         ("matrix", None),  # a directory
         *[("matrix", _matrix_corner(v)) for v in OVERSIZED.values()],
-        ("max-arity", "-1"),
+        ("source", _so3_document(base=["x1"])),
+        ("source", _so3_document(q_terms=["s1"])),
+        ("source", _so3_coefficient("0")),
+        ("source", _so3_document(q_terms=[{"target": "s1", "coefficient": "1",
+                                           "monomial": ["s3"], "base_monomial": [["x1"]]}])),
+        ("source", _base_pair_out_of_order()),
+        ("statement-check", ["--max-arity", "-1"]),
+        ("brackets", ["--flavor", "schouten", "--arity", "-1"]),
+        ("jacobiator", ["--arity", "-1"]),
+        ("leibniz", ["--arity", "0"]),
+        ("leibniz", ["--trials", "0"]),
     ], ids=["q_terms-null", "fibre-null", "non-utf8", "directory",
             "base-exponent-true", "source-nested",
             *[f"coefficient-{v}" for v in OVERSIZED],
             "matrix-null", "matrix-flat", "matrix-nested", "matrix-directory",
-            *[f"matrix-{v}" for v in OVERSIZED], "max-arity-negative"])
+            *[f"matrix-{v}" for v in OVERSIZED],
+            "base-entry-string", "q_term-string", "coefficient-zero", "base-monomial-single",
+            "base-monomial-unordered", "max-arity-negative", "brackets-arity-negative",
+            "jacobiator-arity-negative", "leibniz-arity-zero", "leibniz-trials-zero"])
     def test_bad_input_exits_2(self, tmp_path, kind, content):
+        # a source or matrix is written to a file; an option list is passed
+        # to the command ``kind`` on so3
         bad = tmp_path / "input"
+        if isinstance(content, list):
+            args = [kind, "so3", *content]
+        elif kind == "source":
+            args = ["check-q", str(bad)]
+        else:
+            args = ["naturality", "so3", "--matrix", str(bad)]
         if content is None:
             bad.mkdir()
         elif isinstance(content, bytes):
             bad.write_bytes(content)
-        else:
+        elif isinstance(content, str):
             bad.write_text(content)
-        if kind == "source":
-            args = ["check-q", str(bad)]
-        elif kind == "matrix":
-            args = ["naturality", "so3", "--matrix", str(bad)]
-        else:
-            args = ["statement-check", "so3", f"--{kind}", content]
         result = invoke(args)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
@@ -423,6 +445,20 @@ class TestInputContract:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot read ")
         assert len(result.stderr.encode()) < 300 and "(5000 characters)" in lines[0]
+
+    @pytest.mark.parametrize("args", [
+        ["example", "n" * 5000],
+        ["check-q", "/nonexistent/" + "p" * 200 + ".json"],
+    ], ids=["example-5000", "missing-path-200"])
+    def test_unknown_name_error_line_is_short(self, args):
+        # the refused name is cut to its first 40 characters and its length,
+        # and then the fixtures are listed
+        result = invoke(args)
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(result.stderr.encode()) < 300 and "so3-broken" in lines[0]
 
     @pytest.mark.parametrize("source", ["so3", "so3-broken"])
     def test_long_matrix_path_error_line_is_short(self, source):
@@ -502,6 +538,46 @@ class TestFractionalNegativeControl:
         assert result.exit_code == 1, result.output
         checks = json.loads(result.stdout)["checks"]
         assert [c["name"] for c in checks if not c["ok"]] == ["homological input"]
+
+
+def _so3_schouten_plus(term) -> construction.HigherStructure:
+    """so3's S plus ``term(chart)``, with the self-bracket of the sum."""
+    s = construction.build_schouten(assemble_field(builtin_spec("so3")))
+    value = s.value + term(s.chart)
+    square = construction.ambient_bracket("schouten")(value, value, value.chart)
+    return construction.HigherStructure(value, "schouten", square)
+
+
+class TestFailedChecks:
+    """A structure that breaks the restriction statement or the weight law
+    fails that check alone, with what it found, and exits 1."""
+
+    def failed(self, result) -> list[dict]:
+        assert result.exit_code == 1, result.output
+        doc = json.loads(result.stdout)
+        assert doc["status"] == "fail"
+        return [c for c in doc["checks"] if not c["ok"]]
+
+    def test_statement_check_names_the_tuple(self, monkeypatch):
+        # pi1*pi2*eta1 feeds the arity-2 bracket of eta1 and eta2
+        broken = _so3_schouten_plus(lambda c: c.gen("pi1") * c.gen("pi2") * c.gen("eta1"))
+        monkeypatch.setattr(cli, "build_schouten", lambda q: broken)
+        result = invoke(["statement-check", "so3", "--json"])
+        failed = self.failed(result)
+        assert [c["name"] for c in failed] == ["arity 2 restriction matches the input brackets"]
+        details = ["arity 2 schouten tuple (0, 1) differs"]
+        assert json.loads(result.stdout)["extra"] == {"details": details}
+        human = invoke(["statement-check", "so3"]).stdout.splitlines()
+        assert "[FAIL] arity 2 restriction matches the input brackets" in human
+        assert f"details: {details}" in human
+
+    def test_build_schouten_names_the_violation(self, monkeypatch):
+        broken = _so3_schouten_plus(lambda c: c.one())
+        assert broken.self_bracket.is_zero()
+        monkeypatch.setattr(cli, "build_schouten", lambda q: broken)
+        failed = self.failed(invoke(["build-schouten", "so3", "--json"]))
+        assert [c["name"] for c in failed] == ["every term has total weight one"]
+        assert failed[0]["witness"] == "term 1 has bi-weight (0, 0)"
 
 
 class TestInternalErrors:

@@ -28,6 +28,7 @@ from qalgebroid.charts import (
 )
 from qalgebroid.construction import (
     FibreChange,
+    HigherStructure,
     MorphismR,
     build_poisson,
     build_poisson_unchecked,
@@ -252,21 +253,27 @@ class TestGoldenStructures:
 class TestWeightAudit:
     def test_derham_single_bin(self):
         s = build_schouten(assemble_field(derham()))
-        audit = total_weight_audit(s)
-        assert audit.ok
-        assert audit.histogram == {(-1, 2): 2}
+        histogram, violations = total_weight_audit(s)
+        assert not violations
+        assert histogram == {(-1, 2): 2}
 
     def test_lie_3_algebroid_four_bins(self):
         q = assemble_field(lie_3_algebroid_demo())
         for build in (build_schouten, build_poisson):
-            audit = total_weight_audit(build(q))
-            assert audit.ok
-            assert set(audit.histogram) == {(1, 0), (0, 1), (-1, 2), (-2, 3)}
+            histogram, violations = total_weight_audit(build(q))
+            assert not violations
+            assert set(histogram) == {(1, 0), (0, 1), (-1, 2), (-2, 3)}
 
     def test_zero_structure_empty_histogram(self):
         c = chart_pi_e(MIXED)
-        audit = total_weight_audit(build_schouten(VectorField(c, {})))
-        assert audit.ok and audit.histogram == {}
+        assert total_weight_audit(build_schouten(VectorField(c, {}))) == ({}, [])
+
+    def test_a_constant_term_is_one_violation(self):
+        s = build_schouten(assemble_field(so3()))
+        broken = HigherStructure(s.value + s.chart.one(), s.flavor, s.self_bracket)
+        histogram, violations = total_weight_audit(broken)
+        assert histogram == {(-1, 2): 3, (0, 0): 1}
+        assert violations == ["term 1 has bi-weight (0, 0)"]
 
 
 class TestStrictness:
@@ -299,16 +306,16 @@ class TestNaturality:
     def test_identity(self):
         spec = so3()
         change = FibreChange(spec.presentation, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        rep = chart_change_naturality(assemble_field(spec), change)
-        assert rep.ok
+        checks = chart_change_naturality(assemble_field(spec), change)
+        assert all(ok for _, ok, _ in checks)
 
     def test_diagonal_rank_one(self):
         # one-dimensional even fibre over a line with a de Rham style field
         b = BundlePresentation((0,), (0,))
         c = chart_pi_e(b)
         q = VectorField(c, {"x1": c.gen("xi1")})
-        rep = chart_change_naturality(q, FibreChange(b, [[Fraction(2)]]))
-        assert rep.ok
+        checks = chart_change_naturality(q, FibreChange(b, [[Fraction(2)]]))
+        assert all(ok for _, ok, _ in checks)
 
     def test_diagonal_and_permutation_so3(self):
         spec = so3()
@@ -317,8 +324,8 @@ class TestNaturality:
             [[2, 0, 0], [0, 3, 0], [0, 0, Fraction(1, 2)]],
             [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
         ):
-            rep = chart_change_naturality(q, FibreChange(spec.presentation, t))
-            assert rep.ok
+            checks = chart_change_naturality(q, FibreChange(spec.presentation, t))
+            assert all(ok for _, ok, _ in checks)
 
     def test_general_invertible_on_mixed_fibre(self):
         spec = lie_3_algebroid_demo()
@@ -329,8 +336,8 @@ class TestNaturality:
             [1, 0, 3],
         ]
         change = FibreChange(spec.presentation, t)
-        rep = chart_change_naturality(assemble_field(spec), change)
-        assert rep.ok
+        checks = chart_change_naturality(assemble_field(spec), change)
+        assert all(ok for _, ok, _ in checks)
 
     def test_lifted_whole_entries_stay_int(self):
         b = BundlePresentation((0,), (0, 0))
@@ -451,7 +458,7 @@ class TestNaturality:
         spec = so3()
         change = FibreChange(spec.presentation, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         checks = {name: (ok, detail) for name, ok, detail in
-                  chart_change_naturality(assemble_field(spec), change).checks}
+                  chart_change_naturality(assemble_field(spec), change)}
         ok, detail = checks["even lift symplectomorphism"]
         assert not ok and detail.startswith("failed on generator pair ")
         assert checks["odd lift symplectomorphism"] == (True, "")

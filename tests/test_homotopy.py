@@ -31,6 +31,7 @@ from qalgebroid.charts import (
     restrict_to_zero_section,
 )
 from qalgebroid.construction import (
+    HigherStructure,
     build_poisson,
     build_poisson_unchecked,
     build_schouten,
@@ -1209,8 +1210,8 @@ class TestStatementOnRandomAlgebras:
         for _ in range(10):
             q = random_homological_field(rng, max_base=0, max_rank=3)
             s, p = build_schouten(q), build_poisson(q)
-            rep = weight_one_restriction_check(q, s, p, max_arity=3)
-            assert rep.ok, rep.details
+            per_arity, details = weight_one_restriction_check(q, s, p, max_arity=3)
+            assert all(per_arity.values()), details
             covered += 1
         assert covered == 10
 
@@ -1229,16 +1230,16 @@ class TestLeibniz:
         for fac in (so3, lie_3_algebroid_demo):
             q = assemble_field(fac())
             s, p = build_schouten(q), build_poisson(q)
-            rep = leibniz_check(
+            failures = leibniz_check(
                 lambda a: higher_bracket(PhaseEngine(s), a),
                 PhaseEngine(s).parent, "schouten", arity, 35, rng,
             )
-            assert rep.ok, rep.failures[:1]
-            rep = leibniz_check(
+            assert not failures, failures[:1]
+            failures = leibniz_check(
                 lambda a: higher_bracket(PhaseEngine(p), a),
                 PhaseEngine(p).parent, "poisson", arity, 35, rng,
             )
-            assert rep.ok, rep.failures[:1]
+            assert not failures, failures[:1]
 
     def test_negative_control_fails_with_witness(self, so3_pair):
         _, s, _ = so3_pair
@@ -1251,9 +1252,8 @@ class TestLeibniz:
                 out = out * a
             return out
 
-        rep = leibniz_check(fake_bracket, parent, "schouten", 2, 25, rng)
-        assert not rep.ok
-        assert rep.failures and "difference" in rep.failures[0]
+        failures = leibniz_check(fake_bracket, parent, "schouten", 2, 25, rng)
+        assert failures and "difference" in failures[0]
 
 
 class TestClosedForms:
@@ -1476,14 +1476,14 @@ class TestAnchors:
 class TestStatement:
     def test_so3_all_arities(self, so3_pair):
         q, s, p = so3_pair
-        rep = weight_one_restriction_check(q, s, p, 4)
-        assert rep.ok and set(rep.per_arity) == {0, 1, 2, 3, 4}
+        per_arity, details = weight_one_restriction_check(q, s, p, 4)
+        assert all(per_arity.values()) and set(per_arity) == {0, 1, 2, 3, 4}
 
     def test_graded_3_lie_ternary_only(self):
         q = assemble_field(graded_3_lie())
         s, p = build_schouten(q), build_poisson(q)
-        rep = weight_one_restriction_check(q, s, p, 4)
-        assert rep.ok
+        per_arity, _ = weight_one_restriction_check(q, s, p, 4)
+        assert all(per_arity.values())
         # every arity other than 3 carries only zero brackets
         for r in (0, 1, 2, 4):
             table = symmetric_field_table(FieldEngine(q), r)
@@ -1495,8 +1495,8 @@ class TestStatement:
         chart = chart_pi_e(BundlePresentation((), (0, 1)))
         q = VectorField(chart, {})
         s, p = build_schouten(q), build_poisson(q)
-        rep = weight_one_restriction_check(q, s, p, 3)
-        assert rep.ok
+        per_arity, _ = weight_one_restriction_check(q, s, p, 3)
+        assert all(per_arity.values())
         for r in (1, 2, 3):
             assert all(
                 v.is_zero() for v in symmetric_field_table(FieldEngine(q), r).entries.values()
@@ -1517,13 +1517,24 @@ class TestStatement:
 
         monkeypatch.setattr(homotopy.FieldEngine, "bracket", counting)
         q, s, p = so3_pair
-        assert weight_one_restriction_check(q, s, p, 4).ok
+        per_arity, _ = weight_one_restriction_check(q, s, p, 4)
+        assert all(per_arity.values())
         assert len(calls) == 12
+
+    def test_an_extra_arity_2_term_fails_that_arity(self, so3_pair):
+        # pi1*pi2*eta1 has total weight one and feeds the arity-2 bracket of
+        # eta1 and eta2 alone, which Q's bracket of xi1 and xi2 does not match
+        q, s, p = so3_pair
+        extra = s.chart.gen("pi1") * s.chart.gen("pi2") * s.chart.gen("eta1")
+        broken = HigherStructure(s.value + extra, s.flavor, s.self_bracket)
+        per_arity, details = weight_one_restriction_check(q, broken, p, 4)
+        assert per_arity == {0: True, 1: True, 2: False, 3: True, 4: True}
+        assert details == ["arity 2 schouten tuple (0, 1) differs"]
 
     def test_curved_mixed_algebra(self, mixed_pair):
         q, s, p = mixed_pair
-        rep = weight_one_restriction_check(q, s, p, 4)
-        assert rep.ok
+        per_arity, _ = weight_one_restriction_check(q, s, p, 4)
+        assert all(per_arity.values())
 
     @pytest.mark.parametrize("seed", range(12))
     def test_transport_by_position_matches_the_name_rule(self, seed):
@@ -1575,7 +1586,7 @@ class TestExampleFive:
         q = assemble_field(spec)
         assert commutator(q, q).is_zero()
         s, p = build_schouten(q), build_poisson(q)
-        assert s.is_self_commuting and p.is_self_commuting
+        assert s.self_bracket.is_zero() and p.self_bracket.is_zero()
 
     def test_expected_components(self):
         # hand-derived: Q = (x(1+x) a1 - (1+x) a2) d/dx + a1a2 (d/da2 - d/da1)
