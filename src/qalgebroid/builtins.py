@@ -17,37 +17,32 @@ Six fixtures exercise the whole construction:
   odd bracket and fed back through the construction.
 
 Structure constants were found by requiring [Q, Q] = 0 exactly; each
-document is re-verified by the test suite.  ``BUILTINS`` lists these six;
+document is parsed like any file, so it passes the same checks, and the
+test suite verifies [Q, Q] = 0 again.  ``BUILTINS`` lists these six;
 ``FIXTURES``, which ``builtin_spec`` resolves, adds the negative control
 ``so3-broken`` (so3 with one extra constant, so [Q, Q] != 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from fractions import Fraction
-
-from .specdoc import AlgebroidSpec, QTerm, refused
-
-EVEN_P = "even"
-ODD_P = "odd"
+from .specdoc import AlgebroidSpec, parse_spec, refused
 
 
 def _spec(name, base, fibre, terms) -> AlgebroidSpec:
-    return AlgebroidSpec(
-        name,
-        tuple((n, 0 if p == EVEN_P else 1) for n, p in base),
-        tuple((n, 0 if p == EVEN_P else 1) for n, p in fibre),
-        tuple(
-            QTerm(t[0], Fraction(t[1]), tuple(t[2]), tuple(tuple(b) for b in t[3]))
-            for t in terms
-        ),
-    )
+    """Parse the document of ``(name, parity)`` generators and
+    ``(target, coefficient, monomial, base_monomial)`` terms."""
+    return parse_spec({
+        "name": name,
+        "base": [{"name": n, "parity": p} for n, p in base],
+        "fibre": [{"name": n, "parity": p} for n, p in fibre],
+        "q_terms": [{"target": t, "coefficient": c, "monomial": m, "base_monomial": b}
+                    for t, c, m, b in terms],
+    })
 
 
 def derham(n: int = 2) -> AlgebroidSpec:
-    base = [(f"x{i + 1}", EVEN_P) for i in range(n)]
-    fibre = [(f"dx{i + 1}", EVEN_P) for i in range(n)]
+    base = [(f"x{i + 1}", "even") for i in range(n)]
+    fibre = [(f"dx{i + 1}", "even") for i in range(n)]
     terms = [(f"x{i + 1}", "1", [f"dx{i + 1}"], []) for i in range(n)]
     return _spec("derham", base, fibre, terms)
 
@@ -56,8 +51,8 @@ def lie_algebroid_demo() -> AlgebroidSpec:
     # anchor u -> d/dx, v -> x d/dx, bracket [u, v] = u
     return _spec(
         "lie-algebroid-demo",
-        [("x", EVEN_P)],
-        [("u", EVEN_P), ("v", EVEN_P)],
+        [("x", "even")],
+        [("u", "even"), ("v", "even")],
         [
             ("x", "1", ["u"], []),
             ("x", "1", ["v"], [["x", 1]]),
@@ -66,17 +61,16 @@ def lie_algebroid_demo() -> AlgebroidSpec:
     )
 
 
+_SO3_FIBRE = [("s1", "even"), ("s2", "even"), ("s3", "even")]
+_SO3_TERMS = [
+    ("s3", "1", ["s1", "s2"], []),
+    ("s1", "1", ["s2", "s3"], []),
+    ("s2", "-1", ["s1", "s3"], []),
+]
+
+
 def so3() -> AlgebroidSpec:
-    return _spec(
-        "so3",
-        [],
-        [("s1", EVEN_P), ("s2", EVEN_P), ("s3", EVEN_P)],
-        [
-            ("s3", "1", ["s1", "s2"], []),
-            ("s1", "1", ["s2", "s3"], []),
-            ("s2", "-1", ["s1", "s3"], []),
-        ],
-    )
+    return _spec("so3", [], _SO3_FIBRE, _SO3_TERMS)
 
 
 def so3_broken() -> AlgebroidSpec:
@@ -85,37 +79,30 @@ def so3_broken() -> AlgebroidSpec:
     Pure rescalings of the three standard constants keep the Jacobi identity
     on a rank-3 space, so the control perturbs an off-pattern entry instead.
     """
-    spec = so3()
-    extra = QTerm("s3", Fraction(1), ("s2", "s3"), ())
-    return replace(spec, name="so3-broken", q_terms=(*spec.q_terms, extra))
+    return _spec("so3-broken", [], _SO3_FIBRE, [*_SO3_TERMS, ("s3", "1", ["s2", "s3"], [])])
+
+
+_LIE_3_FIBRE = [("f1", "even"), ("f2", "odd"), ("f3", "even")]
+_LIE_3_TERMS = [
+    ("x", "1", ["f1"], []),
+    ("x", "1", ["f1"], [["x", 1]]),
+    ("f2", "1", ["f1"], []),
+    ("f2", "-1", ["f1", "f2", "f2"], []),
+    ("f3", "1", [], []),
+    ("f3", "2", ["f2"], []),
+    ("f3", "1", ["f2", "f2"], []),
+    ("f3", "2", ["f1", "f3"], []),
+    ("f3", "-2", ["f1", "f2", "f3"], []),
+]
 
 
 def lie_3_algebroid_demo() -> AlgebroidSpec:
-    return _spec(
-        "lie-3-algebroid-demo",
-        [("x", EVEN_P)],
-        [("f1", EVEN_P), ("f2", ODD_P), ("f3", EVEN_P)],
-        [
-            ("x", "1", ["f1"], []),
-            ("x", "1", ["f1"], [["x", 1]]),
-            ("f2", "1", ["f1"], []),
-            ("f2", "-1", ["f1", "f2", "f2"], []),
-            ("f3", "1", [], []),
-            ("f3", "2", ["f2"], []),
-            ("f3", "1", ["f2", "f2"], []),
-            ("f3", "2", ["f1", "f3"], []),
-            ("f3", "-2", ["f1", "f2", "f3"], []),
-        ],
-    )
+    return _spec("lie-3-algebroid-demo", [("x", "even")], _LIE_3_FIBRE, _LIE_3_TERMS)
 
 
 def graded_3_lie() -> AlgebroidSpec:
-    return _spec(
-        "graded-3-lie",
-        [],
-        [("g1", EVEN_P), ("g2", ODD_P)],
-        [("g2", "1", ["g1", "g2", "g2"], [])],
-    )
+    return _spec("graded-3-lie", [], [("g1", "even"), ("g2", "odd")],
+                 [("g2", "1", ["g1", "g2", "g2"], [])])
 
 
 def mixed_linfinity_algebra() -> AlgebroidSpec:
@@ -125,9 +112,8 @@ def mixed_linfinity_algebra() -> AlgebroidSpec:
     both even and odd directions and every bracket arity populated.  It is
     ``lie-3-algebroid-demo`` without its base and the terms of its anchor.
     """
-    spec = lie_3_algebroid_demo()
-    return replace(spec, name="mixed-linfinity-algebra", base=(),
-                   q_terms=tuple(t for t in spec.q_terms if t.target != "x"))
+    return _spec("mixed-linfinity-algebra", [], _LIE_3_FIBRE,
+                 [t for t in _LIE_3_TERMS if t[0] != "x"])
 
 
 def higher_poisson_on_algebroid() -> AlgebroidSpec:
@@ -145,8 +131,8 @@ def higher_poisson_on_algebroid() -> AlgebroidSpec:
     """
     return _spec(
         "higher-poisson-on-algebroid",
-        [("x", EVEN_P)],
-        [("a1", EVEN_P), ("a2", EVEN_P)],
+        [("x", "even")],
+        [("a1", "even"), ("a2", "even")],
         [
             ("x", "1", ["a1"], [["x", 1]]),
             ("x", "-1", ["a2"], [["x", 1]]),

@@ -303,7 +303,7 @@ def build_poisson_cmd(report, spec):
 
 @report_command(
     "brackets",
-    option("--flavor", choices=["schouten", "poisson"], required=True),
+    option("--flavor", choices=list(FLAVOURS), required=True),
     arity_option,
 )
 def brackets(report, spec, flavor, arity):

@@ -712,7 +712,7 @@ def higher_anchor(q: VectorField, tup: tuple[int, ...], f: GradedPoly) -> Graded
 
 
 def weight_one_restriction_check(q: VectorField, s: HigherStructure,
-                                 p: HigherStructure, max_arity: int = 4
+                                 p: HigherStructure, max_arity: int
                                  ) -> tuple[dict[int, bool], list[str]]:
     """Over a point base: restricted derived brackets = input brackets.
 

@@ -23,6 +23,12 @@ than bookkeeping.
 Each term must be Grassmann-odd as a vector-field summand (monomial parity
 equal to target parity plus one); this makes the assembled field odd by
 construction, and parsing rejects anything else.
+
+``parse_spec`` is the one place where names become positions on the PiE
+chart (base symbols first, then the fibre's, each in document order), and
+``render_spec`` the one place where positions become names again.  A parsed
+term holds its target's position and its monomial in the chart's normal
+form, so ``assemble_field`` only collects terms.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from fractions import Fraction
 
 from .charts import BundlePresentation, chart_pi_e
 from .fields import VectorField
-from .gradedpoly import EVEN, ODD, GradedPoly, _collect, coefficient
+from .gradedpoly import EVEN, ODD, Coefficient, GradedPoly, Monomial, _collect, coefficient
 
 
 class SpecError(Exception):
@@ -48,14 +54,25 @@ _PARITY_NAME = {EVEN: "even", ODD: "odd"}
 
 @dataclass(frozen=True)
 class QTerm:
-    target: str
-    coefficient: Fraction
-    monomial: tuple[str, ...]
-    base_monomial: tuple[tuple[str, int], ...]
+    """The summand ``coefficient * monomial * d/d(target)`` of Q on the PiE chart.
+
+    ``target`` is a chart position and ``monomial`` a normal-form tuple of
+    ``(position, exponent)`` pairs.  ``assemble_field`` trusts both: the
+    terms that ``parse_spec``, ``spec_from_field`` and the builtins make are
+    in normal form, and a term built by hand is not checked again.
+    """
+
+    target: int
+    coefficient: Coefficient
+    monomial: Monomial
 
 
 @dataclass(frozen=True)
 class AlgebroidSpec:
+    """A document: its name, its ``(name, parity)`` base and fibre
+    generators in document order, and its terms on their PiE chart
+    positions, which ``assemble_field`` trusts (see ``QTerm``)."""
+
     name: str
     base: tuple[tuple[str, int], ...]
     fibre: tuple[tuple[str, int], ...]
@@ -178,15 +195,14 @@ def parse_spec(document) -> AlgebroidSpec:
     )
     if not fibre:
         raise SpecError("the fibre list is empty: no bundle to present")
-    seen = set()
-    for n, _ in base + fibre:
-        if n in seen:
+    position: dict[str, int] = {}
+    for i, (n, _) in enumerate(base + fibre):
+        if n in position:
             raise SpecError(f"duplicate generator name {refused(n)}")
-        seen.add(n)
-    base_parity = dict(base)
-    fibre_parity = dict(fibre)
-    base_order = {n: i for i, (n, _) in enumerate(base)}
-    fibre_order = {n: i for i, (n, _) in enumerate(fibre)}
+        position[n] = i
+    n_base = len(base)
+    # the parities of the PiE chart's coordinates: the fibre's are flipped
+    parity = [p for _, p in base] + [p ^ 1 for _, p in fibre]
 
     terms = []
     for i, t in enumerate(_list(document, "q_terms")):
@@ -194,62 +210,58 @@ def parse_spec(document) -> AlgebroidSpec:
         if not isinstance(t, dict):
             raise SpecError(f"{where}: expected an object")
         target = t.get("target")
-        if not isinstance(target, str) or (
-            target not in base_parity and target not in fibre_parity
-        ):
+        if not isinstance(target, str) or target not in position:
             raise SpecError(f"{where}: unknown target {refused(target)}")
         coeff = parse_rational(t.get("coefficient", "0"), f"{where} coefficient")
         if coeff == 0:
             raise SpecError(f"{where}: zero coefficients are not stored")
-        mono = tuple(_list(t, "monomial", f"{where}: "))
-        parity_sum = 0
+        odd = 0
+        fibre_part: dict[int, int] = {}  # positions come in order, so its keys do
         last = -1
-        for m in mono:
-            if not isinstance(m, str) or m not in fibre_order:
+        for m in _list(t, "monomial", f"{where}: "):
+            pos = position.get(m, -1) if isinstance(m, str) else -1
+            if pos < n_base:
                 raise SpecError(f"{where}: unknown fibre symbol {refused(m)} in monomial")
-            pos = fibre_order[m]
-            xi_parity = (fibre_parity[m] + 1) & 1
-            if pos < last or (pos == last and xi_parity == ODD):
+            if pos < last or (pos == last and parity[pos] == ODD):
                 raise SpecError(
                     f"{where}: monomial is not normal-ordered "
                     f"(fibre symbols in document order, odd ones at most once)"
                 )
             last = pos
-            parity_sum ^= xi_parity
-        bmono = []
-        blast = -1
+            fibre_part[pos] = fibre_part.get(pos, 0) + 1
+            odd ^= parity[pos]
+        base_part = []
+        last = -1
         for pair in _list(t, "base_monomial", f"{where}: "):
             if (not isinstance(pair, (list, tuple))) or len(pair) != 2:
                 raise SpecError(f"{where}: base_monomial entries are [name, exponent]")
             bname, exp = pair
-            if not isinstance(bname, str) or bname not in base_order:
+            pos = position.get(bname, n_base) if isinstance(bname, str) else n_base
+            if pos >= n_base:
                 raise SpecError(f"{where}: unknown base symbol {refused(bname)}")
             if type(exp) is not int or exp < 1:  # bool is an int subclass
                 raise SpecError(f"{where}: base exponent must be a positive integer")
-            if base_parity[bname] == ODD and exp > 1:
+            if parity[pos] == ODD and exp > 1:
                 raise SpecError(f"{where}: odd base symbol squared")
-            pos = base_order[bname]
-            if pos <= blast:
+            if pos <= last:
                 raise SpecError(f"{where}: base_monomial not in document order")
-            blast = pos
-            parity_sum ^= (base_parity[bname] * exp) & 1
-            bmono.append((bname, exp))
-        target_parity = (
-            base_parity[target]
-            if target in base_parity
-            else (fibre_parity[target] + 1) & 1
-        )
-        if parity_sum != (target_parity + 1) & 1:
+            last = pos
+            odd ^= parity[pos]
+            base_part.append((pos, exp))
+        if odd == parity[position[target]]:
             raise SpecError(
-                f"{where}: term parity {_PARITY_NAME[parity_sum]} does not make "
+                f"{where}: term parity {_PARITY_NAME[odd]} does not make "
                 f"the field odd on target {refused(target)}"
             )
-        terms.append(QTerm(target, coeff, mono, tuple(bmono)))
+        monomial = (*base_part, *fibre_part.items())
+        terms.append(QTerm(position[target], coeff, monomial))
     return AlgebroidSpec(name, base, fibre, tuple(terms))
 
 
 def render_spec(spec: AlgebroidSpec) -> str:
     """Serialise back to the document format (stable key order)."""
+    names = [n for n, _ in spec.base + spec.fibre]
+    n_base = len(spec.base)
     doc = {
         "name": spec.name,
         "base": [
@@ -260,10 +272,10 @@ def render_spec(spec: AlgebroidSpec) -> str:
         ],
         "q_terms": [
             {
-                "target": t.target,
+                "target": names[t.target],
                 "coefficient": str(t.coefficient),
-                "monomial": list(t.monomial),
-                "base_monomial": [[n, e] for n, e in t.base_monomial],
+                "monomial": [names[i] for i, e in t.monomial if i >= n_base for _ in range(e)],
+                "base_monomial": [[names[i], e] for i, e in t.monomial if i < n_base],
             }
             for t in spec.q_terms
         ],
@@ -274,35 +286,17 @@ def render_spec(spec: AlgebroidSpec) -> str:
 def assemble_field(spec: AlgebroidSpec) -> VectorField:
     """Build the odd vector field of a document on its PiE chart.
 
-    Each term's monomial is built from chart indices (base symbols first, as
-    ``chart_pi_e`` orders them) by ``Chart.normal_monomial``, as
-    ``Chart.monomial`` builds it from names: an odd square or a zero
-    coefficient makes the term zero.  Each target's terms are collected into
-    one term map, so duplicate monomials add up and cancel as the terms come,
-    and the components keep the order in which their targets first occur.
-    Each nonzero component is then added to zero, one ``+`` per component
-    instead of one per term: perfbench's tracer expects ``GradedPoly.__add__``
-    busy on build-random, where this is its only caller, and follows no
-    other route into the sum.
+    Each target's terms are collected into one term map, so duplicate
+    monomials add up and cancel as the terms come, and the components keep
+    the order in which their targets first occur.  Each nonzero component is
+    then added to zero, one ``+`` per component instead of one per term:
+    perfbench's tracer expects ``GradedPoly.__add__`` busy on build-random,
+    where this is its only caller, and follows no other route into the sum.
     """
     chart = chart_pi_e(spec.presentation)
-    n_base = len(spec.base)
-    base_index = {n: i for i, (n, _) in enumerate(spec.base)}
-    fibre_index = {n: n_base + i for i, (n, _) in enumerate(spec.fibre)}
     pairs: dict[int, list] = {}
     for t in spec.q_terms:
-        target = base_index[t.target] if t.target in base_index else fibre_index[t.target]
-        target_pairs = pairs.setdefault(target, [])
-        expo: dict[int, int] = {}
-        for m in t.monomial:
-            i = fibre_index[m]
-            expo[i] = expo.get(i, 0) + 1
-        for bname, exp in t.base_monomial:
-            expo[base_index[bname]] = exp
-        c = coefficient(t.coefficient)
-        mono = chart.normal_monomial(expo)
-        if c and mono is not None:
-            target_pairs.append((mono, c))
+        pairs.setdefault(t.target, []).append((t.monomial, coefficient(t.coefficient)))
     comps: dict[str, GradedPoly] = {}
     for i, target_pairs in pairs.items():
         terms = _collect({}, target_pairs)
@@ -313,26 +307,11 @@ def assemble_field(spec: AlgebroidSpec) -> VectorField:
 
 def spec_from_field(name: str, base: tuple[tuple[str, int], ...],
                     fibre: tuple[tuple[str, int], ...], q: VectorField) -> AlgebroidSpec:
-    """Read a field on a PiE chart back into a document."""
-    chart = q.chart
-    base_names = [n for n, _ in base]
-    fibre_names = [n for n, _ in fibre]
+    """Read a field on a PiE chart back into a document named by ``base``
+    and ``fibre``: each component's terms, monomials in sorted order."""
     terms: list[QTerm] = []
-    for gi, g in enumerate(chart.generators):
+    for i, g in enumerate(q.chart.generators):
         comp = q.components.get(g.name)
-        if comp is None:
-            continue
-        target = (
-            base_names[gi] if gi < chart.n_base else fibre_names[gi - chart.n_base]
-        )
-        for mono in sorted(comp.terms):
-            coeff = comp.terms[mono]
-            ximono: list[str] = []
-            bmono: list[tuple[str, int]] = []
-            for idx, exp in mono:
-                if idx < chart.n_base:
-                    bmono.append((base_names[idx], exp))
-                else:
-                    ximono.extend([fibre_names[idx - chart.n_base]] * exp)
-            terms.append(QTerm(target, coeff, tuple(ximono), tuple(bmono)))
+        if comp is not None:
+            terms.extend(QTerm(i, comp.terms[m], m) for m in sorted(comp.terms))
     return AlgebroidSpec(name, base, fibre, tuple(terms))

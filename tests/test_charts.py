@@ -16,7 +16,13 @@ from qalgebroid.charts import (
     lift_to_phase,
     restrict_to_zero_section,
 )
-from qalgebroid.gradedpoly import ChartMismatch, GradedAlgebraError, Generator, UnknownGenerator
+from qalgebroid.gradedpoly import (
+    ChartMismatch,
+    GradedAlgebraError,
+    Generator,
+    ParityMismatch,
+    UnknownGenerator,
+)
 from qalgebroid.randgen import random_poly
 from random import Random
 
@@ -34,6 +40,10 @@ class TestBaseFibreCharts:
         assert t["x2"] == (1, (0, 0))
         assert t["xi1"] == (1, (-1, 1))   # fibre parity 0 flips to odd
         assert t["xi2"] == (0, (-1, 1))
+        with pytest.raises(GradedAlgebraError, match="parities must be 0 or 1"):
+            BundlePresentation((0,), (2,))
+        with pytest.raises(ParityMismatch, match="parity of y must be 0 or 1"):
+            Generator("y", 2, (0, 0))
 
     def test_pure_fibre_chart(self):
         c = chart_pi_e(BundlePresentation((), (0, 0, 0)))
@@ -135,8 +145,18 @@ class TestRestriction:
             assert lhs == rhs
 
     def test_requires_phase_chart(self):
+        pie = chart_pi_e(MIXED)
         with pytest.raises(ChartMismatch):
-            restrict_to_zero_section(chart_pi_e(MIXED).one())
+            restrict_to_zero_section(pie.one())
+        with pytest.raises(ChartMismatch, match="PiE is not a phase-space chart"):
+            pie.conjugate_pairs()
+        with pytest.raises(ChartMismatch, match="PiE has no parent chart"):
+            pie.parent_chart()
+        with pytest.raises(ChartMismatch, match="PiE is not a phase space"):
+            lift_to_phase(pie.one(), pie)
+        phase = chart_even_cotangent(chart_pi_e_star(MIXED))
+        with pytest.raises(ChartMismatch, match=r"PiE is not the parent of T\*\(PiE\*\)"):
+            lift_to_phase(pie.one(), phase)
 
 
 def test_describe_is_aligned_text():
@@ -162,6 +182,9 @@ class TestChartEquality:
         extra = chart.generators + (Generator("y", 0, (0, 0), "x"),)
         assert type(chart)(extra, chart.kind, chart.space, chart.n_base) != chart
         assert chart != "PiE"
+        twice = chart.generators + chart.generators[:1]
+        with pytest.raises(GradedAlgebraError, match="duplicate generator names on PiE"):
+            type(chart)(twice, chart.kind, chart.space, chart.n_base)
 
     def test_sum_across_charts_raises(self):
         pe, pes = chart_pi_e(MIXED), chart_pi_e_star(MIXED)

@@ -248,6 +248,9 @@ class TestGoldenStructures:
             build_schouten(q)
         assert err.value.witness is not None
         assert not err.value.witness.is_zero()
+        off_pie = VectorField(chart_pi_e_star(so3().presentation), {})
+        with pytest.raises(ChartMismatch, match="the homological field must live on a PiE chart"):
+            build_schouten(off_pie)
 
 
 class TestWeightAudit:
@@ -300,6 +303,8 @@ class TestStrictness:
             assert is_strict(q) is strict
             assert restrict_to_zero_section(s.value).is_zero() is strict
             assert restrict_to_zero_section(p.value).is_zero() is strict
+        with pytest.raises(ChartMismatch, match="strictness is read off a base-fibre chart"):
+            is_strict(VectorField(chart_even_cotangent(q.chart), {}))
 
 
 class TestNaturality:
@@ -540,8 +545,11 @@ class TestMorphismR:
 
     def test_conjugate_needs_the_fields_own_chart(self):
         q = assemble_field(so3())
+        exchange = even_dual_exchange(so3().presentation)
         with pytest.raises(ChartMismatch):
-            even_dual_exchange(so3().presentation).conjugate(q)
+            exchange.conjugate(q)
+        with pytest.raises(ChartMismatch, match=r"pullback expects functions on T\*\(PiE\)"):
+            exchange.pullback(exchange.codomain.one())
 
     def test_one_way_record_has_no_inverse(self):
         chart = chart_pi_e(MIXED)

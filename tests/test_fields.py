@@ -21,6 +21,7 @@ from qalgebroid import gradedpoly
 from qalgebroid.builtins import BUILTINS, builtin_spec, derham, so3, so3_broken
 from qalgebroid.construction import build_poisson, build_schouten
 from qalgebroid.fields import (
+    NotHomological,
     VectorField,
     canonical_poisson,
     canonical_schouten,
@@ -28,8 +29,9 @@ from qalgebroid.fields import (
     even_symbol,
     is_homological,
     odd_symbol,
+    require_homological,
 )
-from qalgebroid.gradedpoly import ChartMismatch, EVEN, ODD, GradedPoly, coefficient
+from qalgebroid.gradedpoly import ChartMismatch, EVEN, ODD, GradedPoly, ParityMismatch, coefficient
 from qalgebroid.homotopy import FieldEngine, jacobiator
 from qalgebroid.randgen import random_field, random_homogeneous_poly, random_poly
 from qalgebroid.specdoc import assemble_field
@@ -343,6 +345,9 @@ class TestPackedSelfBrackets:
 class TestHomological:
     def test_zero_field_counts(self, pie):
         assert is_homological(VectorField(pie, {}))
+        assert repr(VectorField(pie, {})) == "<VectorField 0 on PiE>"
+        with pytest.raises(NotHomological, match="the field is not odd"):
+            require_homological(VectorField(pie, {}, EVEN))
 
     def test_direct_evaluation(self):
         # Q = d/dxi + xi x d/dxi over an odd base line, rank-1 even fibre
@@ -352,6 +357,15 @@ class TestHomological:
         # [Q,Q](xi) = 2 Q(1 + xi x) = 2x exactly
         assert w.component("xi1") == c.gen("x1").scaled(2)
         assert not is_homological(q)
+        # x1 and xi1 are odd: a component's parity plus its generator's is the field's
+        with pytest.raises(ParityMismatch, match="declared parity contradicts the components"):
+            VectorField(c, {"xi1": c.one()}, EVEN)
+        with pytest.raises(ParityMismatch, match="component for xi1 has mixed parity"):
+            VectorField(c, {"xi1": c.one() + c.gen("x1")})
+        with pytest.raises(ParityMismatch, match="components disagree on the field parity"):
+            VectorField(c, {"xi1": c.one(), "x1": c.gen("x1")})
+        with pytest.raises(ParityMismatch, match="cannot add fields of different parity"):
+            q + VectorField(c, {"x1": c.gen("x1")})
 
 
 class TestCanonicalBrackets:
@@ -551,6 +565,8 @@ class TestErrorPaths:
         other = chart_pi_e(BundlePresentation((0,), (0,)))
         with pytest.raises(ChartMismatch):
             commutator(VectorField(pie, {}), VectorField(other, {}))
+        with pytest.raises(ChartMismatch, match="cannot add fields on different charts"):
+            VectorField(pie, {}) + VectorField(other, {})
 
     def test_zero_operands_still_check_charts(self):
         even = chart_even_cotangent(chart_pi_e(MIXED))
@@ -569,12 +585,17 @@ class TestErrorPaths:
         other = chart_pi_e(BundlePresentation((0,), (0,)))
         with pytest.raises(ChartMismatch):
             VectorField(pie, {})(other.one())
+        with pytest.raises(ChartMismatch, match="component for x1 lives on another chart"):
+            VectorField(pie, {"x1": other.gen("x1")})
 
     def test_symbol_rejects_phase_chart(self, pie):
         phase = chart_even_cotangent(pie)
         field_on_phase = VectorField(phase, {})
         with pytest.raises(ChartMismatch):
             even_symbol(field_on_phase)
+        other = chart_even_cotangent(chart_pi_e(BundlePresentation((0,), (0,))))
+        with pytest.raises(ChartMismatch, match="phase chart was not built from the field's chart"):
+            even_symbol(VectorField(pie, {}), other)
 
     def test_substitute_missing_image(self, pie):
         from qalgebroid.gradedpoly import UnknownGenerator

@@ -22,6 +22,7 @@ from qalgebroid.fields import VectorField
 from qalgebroid.gradedpoly import (
     ODD,
     ChartMismatch,
+    GradedAlgebraError,
     GradedPoly,
     ParityMismatch,
     UnknownGenerator,
@@ -205,6 +206,9 @@ class TestMultiply:
     def test_even_powers_collect(self, pie):
         x = pie.gen("x1")
         assert (x * x).render() == "x1^2"
+        assert x ** 2 == x * x
+        with pytest.raises(GradedAlgebraError, match="negative powers are not defined"):
+            x ** -1
 
     def test_chart_mismatch(self, pie):
         other = chart_pi_e_star(MIXED)
@@ -224,6 +228,7 @@ class TestGrading:
     def test_parity_inhomogeneous(self, pie):
         f = pie.gen("x1") + pie.gen("xi1")
         assert f.parity() is None
+        assert f.weight() is None  # x1 has weight (0, 0), xi1 (-1, 1)
 
     def test_zero_polynomial_conventions(self, pie):
         z = pie.zero()
@@ -627,9 +632,14 @@ class TestCoefficients:
                   for gen in chart.generators}
         results = (f * g, f + g, GradedPoly.sum(chart, [f, g, -f]), f - f,
                    f.left_derivative(name), f.substitute(images, chart),
-                   f.scaled(Fraction(1, 2)), f.scaled(True), chart.const(2.0))
+                   f.scaled(Fraction(1, 2)), f.scaled(True), chart.const(2.0),
+                   f + 2, 2 + f, f * Fraction(4, 2), 3 * f, f.scaled(0))
         for c in self.stored(*results):
             assert type(c) in (int, Fraction) and c != 0, repr(c)
+        # a scalar operand is the constant polynomial; scaling by zero gives zero
+        assert f + 2 == 2 + f == f + chart.const(2)
+        assert 3 * f == f * 3 == f.scaled(3)
+        assert f.scaled(0) == chart.zero()
 
     def test_constructors_store_ints(self, pie):
         polys = (pie.gen("xi1"), pie.one(), pie.const(Fraction(4, 2)),

@@ -1452,6 +1452,9 @@ class TestAnchors:
         q = assemble_field(lie_algebroid_demo())
         with pytest.raises(GradedAlgebraError):
             higher_anchor(q, (1,), q.chart.gen("xi1"))
+        other = assemble_field(derham()).chart
+        with pytest.raises(ChartMismatch, match="the base function must live on the field's chart"):
+            higher_anchor(q, (1,), other.gen("x1"))
 
     def test_anchor_surfaces_in_binary_bracket_with_base_function(self):
         # (eta_a, f)_S equals the 1-anchor of slot a acting on f

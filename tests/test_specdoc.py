@@ -1,12 +1,16 @@
-"""The document load path: plain-rational parsing and index-built components.
+"""The document load path: plain-rational parsing, names resolved once, and
+position-built components.
 
 ``parse_rational`` converts the plain form ``render_spec`` writes with
 ``int`` and ``Fraction(n, d)``; ``reference_parse_rational`` is the general
 path every value took before, and both must give the same value or the same
-error.  ``assemble_field`` collects each target's terms in one term map;
-``reference_assemble`` is the fold of ``Chart.monomial`` and ``+`` per term
-that it replaced, and both must give the same components, in the same order,
-with the same term maps and coefficient types.
+error.  ``parse_spec`` turns a document's names into PiE chart positions,
+and ``assemble_field`` collects each target's terms in one term map;
+``reference_assemble`` folds ``Chart.monomial`` and ``+`` over the
+document's names, per term, and never reads a position, and both must give
+the same components, in the same order, with the same term maps and
+coefficient types.  A term out of normal form, or naming no generator of
+its kind, is refused by ``parse_spec``, so ``assemble_field`` never sees it.
 """
 
 import json
@@ -20,13 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qalgebroid.builtins import FIXTURES, builtin_spec, mixed_linfinity_algebra
-from qalgebroid.charts import chart_pi_e
+from qalgebroid.charts import BundlePresentation, chart_pi_e
 from qalgebroid.fields import VectorField
-from qalgebroid.gradedpoly import EVEN, ODD, GradedAlgebraError, GradedPoly
+from qalgebroid.gradedpoly import EVEN, ODD, GradedPoly
 from qalgebroid.randgen import random_homological_field
 from qalgebroid.specdoc import (
     AlgebroidSpec,
-    QTerm,
     SpecError,
     assemble_field,
     parse_rational,
@@ -161,21 +164,25 @@ class TestParseSpecRefusals:
         assert re.search(r"\.\.\. \(\d+ characters\)", message), message
 
 
-def reference_assemble(spec: AlgebroidSpec) -> VectorField:
-    """One ``Chart.monomial`` and one ``+`` per document term."""
-    chart = chart_pi_e(spec.presentation)
-    base_name = {n: f"x{i + 1}" for i, (n, _) in enumerate(spec.base)}
-    fibre_name = {n: f"xi{i + 1}" for i, (n, _) in enumerate(spec.fibre)}
+def reference_assemble(document: dict) -> VectorField:
+    """One ``Chart.monomial`` and one ``+`` per term, read from the
+    document's names alone."""
+    parity = {"even": EVEN, "odd": ODD}
+    base, fibre = document["base"], document["fibre"]
+    chart = chart_pi_e(BundlePresentation(tuple(parity[e["parity"]] for e in base),
+                                          tuple(parity[e["parity"]] for e in fibre)))
+    generator = {e["name"]: f"x{i + 1}" for i, e in enumerate(base)}
+    generator.update({e["name"]: f"xi{i + 1}" for i, e in enumerate(fibre)})
     comps: dict[str, GradedPoly] = {}
-    for t in spec.q_terms:
-        target = base_name.get(t.target) or fibre_name[t.target]
+    for t in document["q_terms"]:
+        target = generator[t["target"]]
         expo: dict[str, int] = {}
-        for m in t.monomial:
-            g = fibre_name[m]
-            expo[g] = expo.get(g, 0) + 1
-        for bname, exp in t.base_monomial:
-            expo[base_name[bname]] = exp
-        comps[target] = comps.get(target, chart.zero()) + chart.monomial(expo, t.coefficient)
+        for m in t["monomial"]:
+            expo[generator[m]] = expo.get(generator[m], 0) + 1
+        for bname, exp in t["base_monomial"]:
+            expo[generator[bname]] = exp
+        term = chart.monomial(expo, Fraction(str(t["coefficient"])))
+        comps[target] = comps.get(target, chart.zero()) + term
     return VectorField(chart, {k: v for k, v in comps.items() if not v.is_zero()}, ODD)
 
 
@@ -186,8 +193,11 @@ def layout(q: VectorField):
             for name, comp in q.components.items()]
 
 
-def assert_assembles_as_before(spec):
-    new, old = assemble_field(spec), reference_assemble(spec)
+def assert_assembles_as_before(document: dict, spec: AlgebroidSpec | None = None):
+    """``assemble_field`` of ``spec`` (the parsed document by default) has
+    the chart and layout of the reference fold over the document."""
+    new = assemble_field(parse_spec(document) if spec is None else spec)
+    old = reference_assemble(document)
     assert new.chart == old.chart
     assert layout(new) == layout(old)
 
@@ -202,82 +212,81 @@ def document_of(q: VectorField, name: str) -> AlgebroidSpec:
     return spec_from_field(name, base, fibre, q)
 
 
+def hand_document(*terms) -> dict:
+    """A document over two base and three fibre symbols: on its PiE chart
+    x1 is even, x2 odd, xi1 and xi2 odd and xi3 even."""
+    return {
+        "name": "hand",
+        "base": [{"name": "b1", "parity": "even"}, {"name": "b2", "parity": "odd"}],
+        "fibre": [{"name": "s1", "parity": "even"}, {"name": "s2", "parity": "even"},
+                  {"name": "s3", "parity": "odd"}],
+        "q_terms": [{"target": t, "coefficient": c, "monomial": m, "base_monomial": b}
+                    for t, c, m, b in terms],
+    }
+
+
 class TestAssembleField:
     DOCUMENTS = {**FIXTURES, "mixed-linfinity-algebra": mixed_linfinity_algebra}
 
     @pytest.mark.parametrize("name", list(DOCUMENTS))
     def test_builtins(self, name):
         spec = self.DOCUMENTS[name]()
-        assert_assembles_as_before(spec)
-        assert_assembles_as_before(parse_spec(render_spec(spec)))
+        document = json.loads(render_spec(spec))
+        assert_assembles_as_before(document)
+        assert_assembles_as_before(document, spec)
 
     def test_random_homological_documents(self):
         rng = Random(2101)
         for k in range(200):
-            spec = document_of(random_homological_field(rng), f"random-{k}")
-            assert_assembles_as_before(spec)
-            assert_assembles_as_before(parse_spec(render_spec(spec)))
+            q = random_homological_field(rng)
+            spec = document_of(q, f"random-{k}")
+            assert assemble_field(spec) == q
+            document = json.loads(render_spec(spec))
+            assert_assembles_as_before(document)
+            assert_assembles_as_before(document, spec)
 
-    BASE = (("b1", EVEN), ("b2", ODD))
-    FIBRE = (("s1", EVEN), ("s2", EVEN), ("s3", ODD))
-
-    def spec(self, *terms):
-        return AlgebroidSpec("hand", self.BASE, self.FIBRE,
-                             tuple(QTerm(*t) for t in terms))
-
-    # on the PiE chart x1 is even, x2 odd, xi1 and xi2 odd, xi3 even
     @pytest.mark.parametrize("terms", [
-        # an unsorted monomial: base symbols after fibre ones, fibre out of order
-        [("s3", Fraction(2), ("s2", "s1"), (("b2", 1), ("b1", 3)))],
-        # an odd square (s1 is even, so its xi is odd): the term is zero
-        [("s1", Fraction(1), ("s1", "s1"), ()), ("s1", Fraction(1), ("s3",), ())],
-        # an odd base symbol squared
-        [("b1", Fraction(1), ("s1",), (("b2", 2),)), ("b1", Fraction(1), ("s1",), ())],
-        # a zero coefficient stores nothing; its target keeps its first place
-        [("s2", Fraction(0), ("s3",), ()), ("s1", 1, ("s3",), ()),
-         ("s2", Fraction(3, 2), ("s1", "s2"), ()), ("s3", 0, ("s1",), ())],
+        # base and fibre factors in one monomial, and a fibre symbol twice:
+        # s3 is odd, so its xi is even and may repeat
+        [("s3", "2", ["s1", "s2"], [["b1", 3], ["b2", 1]]),
+         ("s1", "1", ["s3", "s3"], []),
+         ("s2", "-1", ["s1", "s3", "s3", "s3"], [["b2", 1]])],
+        # duplicate monomials that add up, on one target
+        [("b1", "1", ["s2"], [["b1", 2]]), ("b1", "1/2", ["s2"], [["b1", 2]]),
+         ("b1", "1", ["s2"], [])],
         # duplicate monomials that cancel, and one that comes back after
-        [("s1", Fraction(1), ("s3",), ()), ("s1", Fraction(-1), ("s3",), ()),
-         ("s1", Fraction(2), ("s1", "s2"), ()), ("s1", Fraction(5), ("s3",), ())],
+        [("s1", "1", ["s3"], []), ("s1", "-1", ["s3"], []),
+         ("s1", "2", ["s1", "s2"], []), ("s1", "5", ["s3"], [])],
         # a target whose terms all cancel, between two that do not
-        [("s3", Fraction(1), ("s1",), ()), ("s1", Fraction(1, 3), ("s3",), ()),
-         ("s1", Fraction(-1, 3), ("s3",), ()), ("b1", 2, ("s2",), ())],
-        # whole Fractions and ints mixed on one monomial
-        [("s2", Fraction(3), ("s3",), ()), ("s2", 1, ("s3",), ()),
-         ("s2", Fraction(1, 2), ("s3",), ()), ("s2", Fraction(-1, 2), ("s3",), ())],
-        # a zero base exponent is left out of the monomial
-        [("s1", Fraction(1), ("s3",), (("b1", 0),))],
-    ], ids=["unsorted", "odd-square", "odd-base-square", "zero-coefficient",
-            "cancel-and-return", "all-cancel", "mixed-types", "zero-exponent"])
-    def test_hand_made_specs(self, terms):
-        assert_assembles_as_before(self.spec(*terms))
+        [("s3", "1", ["s1"], []), ("s1", "1/3", ["s3"], []),
+         ("s1", "-1/3", ["s3"], []), ("b1", 2, ["s2"], [])],
+        # whole and fractional coefficients, as strings and numbers, on one monomial
+        [("s2", "3", ["s3"], []), ("s2", 1, ["s3"], []), ("s2", "1/2", ["s3"], []),
+         ("s2", "-1/2", ["s3"], []), ("s2", 2.0, ["s3"], []), ("s2", "2.5e-1", ["s3"], [])],
+    ], ids=["base-and-fibre", "duplicates", "cancel-and-return", "all-cancel", "mixed-types"])
+    def test_hand_made_documents(self, terms):
+        assert_assembles_as_before(hand_document(*terms))
 
-    @pytest.mark.parametrize("terms, error", [
-        ([("s1", 1, ("s3",), (("b1", -1),))], GradedAlgebraError),
-        # x1 comes before xi1 in chart order, so the negative exponent is
-        # refused before the odd square is seen
-        ([("s1", 1, ("s1", "s1"), (("b1", -1),))], GradedAlgebraError),
-        ([("s9", 1, (), ())], KeyError),
-        ([("s1", 1, ("b1",), ())], KeyError),
-        ([("s1", 1, (), (("s1", 1),))], KeyError),
-        ([("s1", "x", ("s3",), ())], ValueError),
-    ], ids=["negative-exponent", "negative-before-odd-square", "unknown-target",
+    # out of normal form, off the generators or with a bad coefficient: the
+    # positions assemble_field trusts are never made from these
+    @pytest.mark.parametrize("terms, message", [
+        ([("s3", "2", ["s2", "s1"], [["b1", 3], ["b2", 1]])], "monomial is not normal-ordered"),
+        ([("s3", "2", ["s1", "s2"], [["b2", 1], ["b1", 3]])], "base_monomial not in document order"),
+        ([("s1", "1", ["s1", "s1"], [])], "monomial is not normal-ordered"),
+        ([("b1", "1", ["s1"], [["b2", 2]])], "odd base symbol squared"),
+        ([("s2", "0", ["s3"], [])], "zero coefficients are not stored"),
+        ([("s1", "1", ["s3"], [["b1", 0]])], "base exponent must be a positive integer"),
+        ([("s1", "1", ["s3"], [["b1", -1]])], "base exponent must be a positive integer"),
+        ([("s9", "1", [], [])], "unknown target 's9'"),
+        ([("s1", "1", ["b1"], [])], "unknown fibre symbol 'b1'"),
+        ([("s1", "1", [], [["s1", 1]])], "unknown base symbol 's1'"),
+        ([("s1", "x", ["s3"], [])], "bad rational 'x'"),
+    ], ids=["unsorted-fibre", "unsorted-base", "odd-square", "odd-base-square",
+            "zero-coefficient", "zero-exponent", "negative-exponent", "unknown-target",
             "base-in-monomial", "fibre-in-base-monomial", "bad-coefficient"])
-    def test_refusals_as_before(self, terms, error):
-        spec = self.spec(*terms)
-        with pytest.raises(error) as new:
-            assemble_field(spec)
-        with pytest.raises(error) as old:
-            reference_assemble(spec)
-        assert str(new.value) == str(old.value)
-
-    def test_odd_square_before_negative_exponent_is_zero(self):
-        # x1 is odd and squared before x2 (even) meets its exponent -1
-        spec = AlgebroidSpec("hand", (("b1", ODD), ("b2", EVEN)), self.FIBRE, (
-            QTerm("s3", 1, (), (("b1", 2), ("b2", -1))),
-            QTerm("s3", 1, ("s1",), ()),
-        ))
-        assert_assembles_as_before(spec)
+    def test_name_form_inputs_are_refused(self, terms, message):
+        with pytest.raises(SpecError, match=re.escape(message)):
+            parse_spec(hand_document(*terms))
 
     def test_one_add_per_nonzero_component(self, monkeypatch):
         q = random_homological_field(Random(4), max_rank=7, max_degree=4, shears=8)
