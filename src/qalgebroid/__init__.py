@@ -53,21 +53,29 @@ from .gradedpoly import (
     ParityMismatch,
     UnknownGenerator,
 )
-from .homotopy import (
-    BracketTable,
-    DerivedBracketEngine,
-    FieldEngine,
-    PhaseEngine,
-    higher_anchor,
-    higher_bracket,
-    jacobiator,
-    leibniz_check,
-    poisson_bracket_table,
-    schouten_bracket_table,
-    skew_bracket_table,
-    symmetric_field_table,
-    weight_one_restriction_check,
-)
 from .specdoc import AlgebroidSpec, SpecError, assemble_field, parse_spec, render_spec
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the derived-bracket engine loads on first access (PEP 562), so that a
+# command that runs no derived bracket never imports it
+_HOMOTOPY = (
+    "BracketTable", "DerivedBracketEngine", "FieldEngine", "PhaseEngine", "higher_anchor",
+    "higher_bracket", "jacobiator", "leibniz_check", "poisson_bracket_table",
+    "schouten_bracket_table", "skew_bracket_table", "symmetric_field_table",
+    "weight_one_restriction_check",
+)
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["homotopy", *_HOMOTOPY])
+
+
+def __getattr__(name):
+    if name != "homotopy" and name not in _HOMOTOPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    homotopy = import_module(".homotopy", __name__)
+    return homotopy if name == "homotopy" else getattr(homotopy, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -29,7 +29,7 @@ stable byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .gradedpoly import (
     EVEN,
@@ -59,49 +59,57 @@ _CONJUGATE_FAMILY = {
 }
 
 
-@dataclass(frozen=True)
 class Chart:
     """An ordered list of generators with a chart kind tag.
 
     Phase-space charts keep their parent chart in ``parent`` (not part of
-    equality) and its generators as a prefix, followed by one conjugate per
-    parent generator in the same order, so lifting a function to the phase
-    space and restricting back are index-preserving.
+    equality, hash or repr) and its generators as a prefix, followed by one
+    conjugate per parent generator in the same order, so lifting a function
+    to the phase space and restricting back are index-preserving.
 
-    A chart is frozen, so what follows from its generators is computed once,
-    at construction, and kept: the name index, the odd flags and, on a phase
-    chart, the conjugate pairs that every canonical bracket walks.
+    A chart is never mutated, so what follows from its generators is computed
+    once, at construction (``__post_init__``, called once per chart), and
+    kept: the name index, the odd flags and, on a phase chart, the conjugate
+    pairs that every canonical bracket walks.
     """
 
-    generators: tuple[Generator, ...]
-    kind: str
-    space: str
-    n_base: int
-    parent: "Chart | None" = field(default=None, repr=False, compare=False)
-    _index: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
-    odd_flags: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
-    _pairs: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
+    __slots__ = ("generators", "kind", "space", "n_base", "parent", "_index", "odd_flags",
+                 "_pairs")
+
+    def __init__(self, generators: tuple[Generator, ...], kind: str, space: str, n_base: int,
+                 parent: Chart | None = None):
+        self.generators = generators
+        self.kind = kind
+        self.space = space
+        self.n_base = n_base
+        self.parent = parent
+        self.__post_init__()
 
     def __post_init__(self):
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise GradedAlgebraError(f"duplicate generator names on {self.space}")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
-        object.__setattr__(
-            self, "odd_flags", tuple(g.parity == ODD for g in self.generators)
-        )
+        self._index = {n: i for i, n in enumerate(names)}
+        self.odd_flags = tuple(g.parity == ODD for g in self.generators)
+        self._pairs = None
         if self.is_phase:
             n = len(self.parent.generators)
-            object.__setattr__(self, "_pairs", tuple((i, n + i) for i in range(n)))
+            self._pairs = tuple((i, n + i) for i in range(n))
 
     def __eq__(self, other):
-        # defining __eq__ here keeps the dataclass-generated field hash
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.generators, self.kind, self.space, self.n_base) == (
             other.generators, other.kind, other.space, other.n_base)
+
+    def __hash__(self):
+        return hash((self.generators, self.kind, self.space, self.n_base))
+
+    def __repr__(self):
+        return (f"Chart(generators={self.generators!r}, kind={self.kind!r}, "
+                f"space={self.space!r}, n_base={self.n_base!r})")
 
     # -- lookups -----------------------------------------------------------
 
@@ -174,17 +182,20 @@ class Chart:
         return tuple(mono)
 
 
-@dataclass(frozen=True)
-class BundlePresentation:
+class BundlePresentation(namedtuple("BundlePresentation", "base_parities fibre_parities")):
     """Base and fibre parities presenting a vector bundle E -> M."""
 
-    base_parities: tuple[int, ...]
-    fibre_parities: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for p in self.base_parities + self.fibre_parities:
+    def __new__(cls, base_parities: tuple[int, ...], fibre_parities: tuple[int, ...]):
+        for p in base_parities + fibre_parities:
             if p not in (EVEN, ODD):
                 raise GradedAlgebraError("parities must be 0 or 1")
+        return super().__new__(cls, base_parities, fibre_parities)
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` refuses as the constructor does
+        return cls(*iterable)
 
     @property
     def base_dim(self) -> int:

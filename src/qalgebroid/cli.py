@@ -20,10 +20,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
-from random import Random
 
 from .builtins import FIXTURES, builtin_spec
 from .charts import all_charts, describe_chart
@@ -40,16 +37,6 @@ from .construction import (
 )
 from .fields import NotHomological, is_homological
 from .gradedpoly import GradedAlgebraError
-from .homotopy import (
-    FieldEngine,
-    PhaseEngine,
-    higher_bracket,
-    jacobiator_sweep,
-    leibniz_check,
-    poisson_bracket_table,
-    schouten_bracket_table,
-    weight_one_restriction_check,
-)
 from .specdoc import (
     SpecError,
     assemble_field,
@@ -60,13 +47,26 @@ from .specdoc import (
 )
 
 
-@dataclass
 class Report:
-    command: str
-    source: str
-    as_json: bool
-    checks: list[dict] = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+    """The checks of one command on one source, and what it shows besides."""
+
+    __slots__ = ("command", "source", "as_json", "checks", "extra")
+
+    def __init__(self, command: str, source: str, as_json: bool):
+        self.command = command
+        self.source = source
+        self.as_json = as_json
+        self.checks: list[dict] = []
+        self.extra: dict = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"Report({shown})"
 
     def add(self, name: str, ok: bool, detail: str = "", witness: str = ""):
         entry = {"name": name, "ok": ok}
@@ -113,9 +113,11 @@ def _read_text(path, missing: str | None = None) -> str:
 
     A failure to open or decode it is "cannot read", shown through
     ``refused`` so that a long path does not fill the error line; a path
-    naming nothing is ``missing`` instead, when that is given."""
+    naming nothing, the empty one too, is ``missing`` instead, when that is
+    given."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         if missing and isinstance(exc, (FileNotFoundError, NotADirectoryError)):
             raise SpecError(missing) from None
@@ -308,6 +310,8 @@ def build_poisson_cmd(report, spec):
 )
 def brackets(report, spec, flavor, arity):
     """Tabulate the n-ary brackets on fibre coordinate tuples."""
+    from .homotopy import poisson_bracket_table, schouten_bracket_table
+
     q = assemble_field(spec)
     if arity < 0:
         raise SpecError("arity must be nonnegative")
@@ -330,6 +334,8 @@ def brackets(report, spec, flavor, arity):
 @report_command("jacobiator", arity_option)
 def jacobiator_cmd(report, spec, arity):
     """Two-way Jacobiator report on fibre-coordinate tuples."""
+    from .homotopy import FieldEngine, PhaseEngine, jacobiator_sweep
+
     q = assemble_field(spec)
     if arity < 0:
         raise SpecError("arity must be nonnegative")
@@ -365,6 +371,10 @@ def jacobiator_cmd(report, spec, arity):
 )
 def leibniz(report, spec, arity, trials, seed):
     """Multiderivation identity on random homogeneous inputs."""
+    from random import Random
+
+    from .homotopy import PhaseEngine, higher_bracket, leibniz_check
+
     q = assemble_field(spec)
     if arity < 1 or trials < 1:
         raise SpecError("arity and trials must be positive")
@@ -405,6 +415,8 @@ def naturality(report, spec, matrix_path, seed):
 )
 def statement_check(report, spec, max_arity):
     """Restriction of the derived brackets to weight-one functions."""
+    from .homotopy import weight_one_restriction_check
+
     q = assemble_field(spec)
     if q.chart.n_base != 0:
         raise SpecError("statement-check needs a point base (no base symbols)")

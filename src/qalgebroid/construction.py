@@ -40,9 +40,8 @@ renames indices and makes no product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable
 
 from .charts import (
     BASE_FIBRE,
@@ -74,8 +73,7 @@ from .gradedpoly import (
 )
 
 
-@dataclass(frozen=True)
-class MorphismR:
+class MorphismR(namedtuple("MorphismR", "domain codomain images inverse_images")):
     """A change of generators from ``domain`` to ``codomain``.
 
     ``images`` maps every generator name of ``domain`` to a polynomial on
@@ -90,17 +88,18 @@ class MorphismR:
     and conjugations substitute without checking again.
     """
 
-    domain: Chart
-    codomain: Chart
-    images: dict[str, GradedPoly]
-    inverse_images: dict[str, GradedPoly] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "images",
-                           checked_images(self.domain, self.images, self.codomain))
-        if self.inverse_images is not None:
-            object.__setattr__(self, "inverse_images",
-                               checked_images(self.codomain, self.inverse_images, self.domain))
+    def __new__(cls, domain: Chart, codomain: Chart, images: dict[str, GradedPoly],
+                inverse_images: dict[str, GradedPoly] | None = None):
+        images = checked_images(domain, images, codomain)
+        if inverse_images is not None:
+            inverse_images = checked_images(codomain, inverse_images, domain)
+        return super().__new__(cls, domain, codomain, images, inverse_images)
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` checks as the constructor does
+        return cls(*iterable)
 
     def _require_inverse(self):
         if self.inverse_images is None:
@@ -208,8 +207,7 @@ def odd_dual_exchange(b: BundlePresentation) -> MorphismR:
     return _odd_exchange(chart_pi_e(b), b, True)
 
 
-@dataclass(frozen=True)
-class HigherStructure:
+class HigherStructure(namedtuple("HigherStructure", "value flavor self_bracket")):
     """A self-commuting generating function on a phase space.
 
     flavor "schouten": an odd function S on T*(PiE*) with {S, S} = 0.
@@ -217,9 +215,7 @@ class HigherStructure:
     The self-bracket is computed eagerly and cached as evidence.
     """
 
-    value: GradedPoly
-    flavor: str
-    self_bracket: GradedPoly
+    __slots__ = ()
 
     @property
     def chart(self) -> Chart:
@@ -237,27 +233,22 @@ def _presentation_of_pi_e(chart: Chart) -> BundlePresentation:
     return BundlePresentation(base, fibre)
 
 
-@dataclass(frozen=True)
-class Flavour:
+class Flavour(namedtuple("Flavour", "name letter square koszul_shift exchange symbol "
+                                   "sign_exponent leibniz_s")):
     """The conventions that tell the schouten and poisson families apart.
 
     ``letter`` names the structure and ``square`` its self-bracket in
-    reports; ``exchange`` and ``symbol`` build it from Q (``exchange(pi_e,
-    b, invertible)`` starts on the cotangent chart of the PiE chart
-    ``pi_e`` of ``b``).  Sign rules take
-    parity lists and return an exponent of -1: ``sign_exponent`` corrects the
-    nested bracket into the user-facing one (None: no correction), and
-    ``leibniz_s`` gives s in the multiderivation rule.
+    reports; ``koszul_shift`` is the parity of the ambient canonical bracket.
+    ``exchange`` and ``symbol`` build the structure from Q:
+    ``exchange(pi_e, b, invertible)`` is a MorphismR that starts on the
+    cotangent chart of the PiE chart ``pi_e`` of ``b``, and ``symbol(q,
+    chart)`` a GradedPoly on that chart.  Sign rules take parity lists and
+    return an exponent of -1: ``sign_exponent`` corrects the nested bracket
+    into the user-facing one (None: no correction), and ``leibniz_s`` gives
+    s in the multiderivation rule.
     """
 
-    name: str
-    letter: str
-    square: str
-    koszul_shift: int  # the parity of the ambient canonical bracket
-    exchange: Callable[[Chart, BundlePresentation, bool], MorphismR]
-    symbol: Callable[[VectorField, Chart], GradedPoly]
-    sign_exponent: Callable[[list[int]], int] | None
-    leibniz_s: Callable[[list[int]], int]
+    __slots__ = ()
 
 
 def poisson_sign_exponent(parities: list[int]) -> int:

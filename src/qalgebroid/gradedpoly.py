@@ -78,7 +78,7 @@ exponent-adding merge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -118,22 +118,23 @@ def total_weight(w: Weight) -> int:
     return w[0] + w[1]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(namedtuple("Generator", "name parity weight family")):
     """A named coordinate with fixed parity and bi-weight.
 
     ``family`` tags the coordinate role (x, xi, eta, e, p, pi, xstar, estar,
     xistar) and drives conjugate naming and rendering order.
     """
 
-    name: str
-    parity: int
-    weight: Weight
-    family: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.parity not in (EVEN, ODD):
-            raise ParityMismatch(f"parity of {self.name} must be 0 or 1")
+    def __new__(cls, name: str, parity: int, weight: Weight, family: str = ""):
+        if parity not in (EVEN, ODD):
+            raise ParityMismatch(f"parity of {name} must be 0 or 1")
+        return super().__new__(cls, name, parity, weight, family)
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` refuses as the constructor does
+        return cls(*iterable)
 
 
 def coefficient(value) -> Coefficient:

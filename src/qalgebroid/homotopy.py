@@ -107,7 +107,7 @@ zero, costs no bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -568,19 +568,16 @@ def leibniz_check(bracket, chart: Chart, flavor: str, arity: int,
 # bracket tables
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BracketTable:
+class BracketTable(namedtuple("BracketTable", "flavor arity labels entries parity",
+                              defaults=(None,))):
     """n-ary bracket values on tuples of fibre coordinate functions.
 
-    ``parity`` is the common parity shift of the operation (value parity
-    minus argument parities, None when every entry vanishes).
+    ``entries`` maps tuples of positions in the list ``labels`` to
+    GradedPolys.  ``parity`` is the common parity shift of the operation
+    (value parity minus argument parities, None when every entry vanishes).
     """
 
-    flavor: str
-    arity: int
-    labels: list[str]
-    entries: dict[tuple[int, ...], GradedPoly]
-    parity: int | None = None
+    __slots__ = ()
 
     def render(self) -> str:
         lines = [f"arity {self.arity} [{self.flavor}]"]

@@ -36,12 +36,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .charts import BundlePresentation, chart_pi_e
 from .fields import VectorField
-from .gradedpoly import EVEN, ODD, Coefficient, GradedPoly, Monomial, _collect, coefficient
+from .gradedpoly import EVEN, ODD, GradedPoly, _collect, coefficient
 
 
 class SpecError(Exception):
@@ -52,31 +52,25 @@ _PARITY = {"even": EVEN, "odd": ODD}
 _PARITY_NAME = {EVEN: "even", ODD: "odd"}
 
 
-@dataclass(frozen=True)
-class QTerm:
+class QTerm(namedtuple("QTerm", "target coefficient monomial")):
     """The summand ``coefficient * monomial * d/d(target)`` of Q on the PiE chart.
 
-    ``target`` is a chart position and ``monomial`` a normal-form tuple of
+    ``target`` is a chart position, ``coefficient`` an exact rational (an
+    int or a Fraction) and ``monomial`` a normal-form tuple of
     ``(position, exponent)`` pairs.  ``assemble_field`` trusts both: the
     terms that ``parse_spec``, ``spec_from_field`` and the builtins make are
     in normal form, and a term built by hand is not checked again.
     """
 
-    target: int
-    coefficient: Coefficient
-    monomial: Monomial
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AlgebroidSpec:
+class AlgebroidSpec(namedtuple("AlgebroidSpec", "name base fibre q_terms")):
     """A document: its name, its ``(name, parity)`` base and fibre
-    generators in document order, and its terms on their PiE chart
+    generators in document order, and its tuple of QTerms on their PiE chart
     positions, which ``assemble_field`` trusts (see ``QTerm``)."""
 
-    name: str
-    base: tuple[tuple[str, int], ...]
-    fibre: tuple[tuple[str, int], ...]
-    q_terms: tuple[QTerm, ...]
+    __slots__ = ()
 
     @property
     def presentation(self) -> BundlePresentation:

@@ -45,6 +45,13 @@ class TestBaseFibreCharts:
         with pytest.raises(ParityMismatch, match="parity of y must be 0 or 1"):
             Generator("y", 2, (0, 0))
 
+    def test_replace_refuses_as_the_constructor(self):
+        assert MIXED._replace(fibre_parities=(1,)) == BundlePresentation((0, 1), (1,))
+        with pytest.raises(GradedAlgebraError, match="parities must be 0 or 1"):
+            MIXED._replace(fibre_parities=(2,))
+        with pytest.raises(ParityMismatch, match="parity of y must be 0 or 1"):
+            Generator("y", 0, (0, 0))._replace(parity=2)
+
     def test_pure_fibre_chart(self):
         c = chart_pi_e(BundlePresentation((), (0, 0, 0)))
         assert c.base_names() == []
@@ -174,6 +181,15 @@ class TestChartEquality:
             assert again is not chart
             assert again == chart and hash(again) == hash(chart)
             assert chart == chart
+
+    def test_parent_is_not_compared(self):
+        # a phase chart is compared, hashed and shown by its generators, kind,
+        # space and base count, not by the chart it was built from
+        phase = chart_even_cotangent(chart_pi_e(MIXED))
+        other = type(phase)(phase.generators, phase.kind, phase.space, phase.n_base,
+                            parent=chart_pi_e_star(MIXED))
+        assert other.parent != phase.parent
+        assert other == phase and hash(other) == hash(phase) and repr(other) == repr(phase)
 
     def test_differing_field_breaks_equality(self):
         chart = chart_pi_e(MIXED)

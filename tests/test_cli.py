@@ -295,14 +295,35 @@ class TestCommands:
         result = invoke(command + ["--help"])
         assert result.exit_code == 0 and result.stdout and result.stderr == ""
 
-    def test_import_loads_no_click(self):
-        # a fresh interpreter, so that no other test has imported it
+    @pytest.mark.parametrize("args, absent, present", [
+        (None, ("click", "dataclasses", "inspect", "typing", "pathlib", "random",
+                "qalgebroid.homotopy", "qalgebroid.randgen"), ()),
+        (["check-q", "so3"], ("qalgebroid.homotopy",), ()),
+        (["build-poisson", "so3"], ("qalgebroid.homotopy",), ()),
+        (["jacobiator", "so3", "--arity", "3"], (), ("qalgebroid.homotopy",)),
+    ], ids=["import", "check-q", "build-poisson", "jacobiator"])
+    def test_import_contract(self, args, absent, present):
+        # in a fresh interpreter, so that no other test has imported anything:
+        # the modules that importing the CLI, and then running ``args``, newly
+        # loads (a site hook may load some of ``absent`` before, which is not
+        # the package's doing)
         src = str(Path(__file__).parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, qalgebroid.cli; sys.exit('click' in sys.modules)"
+        code = ("import sys\n"
+                "before = set(sys.modules)\n"
+                "import qalgebroid.cli\n"
+                f"args = {args!r}\n"
+                "try:\n"
+                "    args is None or qalgebroid.cli.main(args)\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+                "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n")
         done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+        loaded = set(done.stderr.split())
+        assert "qalgebroid.cli" in loaded
+        assert not loaded & set(absent) and set(present) <= loaded
 
 
 def _so3_document(**changes) -> str:
@@ -341,6 +362,11 @@ def _base_pair_out_of_order() -> str:
 OVERSIZED = {v: v for v in ("1e5000", "-2.5e-9000", "1e999999999")} | {
     "4301-digits": "9" * 4301, "1/4301-digits": "1/" + "9" * 4301}
 NESTED = "[" * 100_000  # deeper than the JSON decoder's recursion
+# a source or matrix given as the empty path, which names no file (it is not
+# the current directory), and how the error line starts for each kind
+EMPTY_PATH = object()
+EMPTY_PATH_ERRORS = {"source": "error: '' is neither a builtin (",
+                     "matrix": "error: cannot read '': [Errno 2] "}
 
 
 class TestInputContract:
@@ -370,6 +396,8 @@ class TestInputContract:
         ("jacobiator", ["--arity", "-1"]),
         ("leibniz", ["--arity", "0"]),
         ("leibniz", ["--trials", "0"]),
+        ("source", EMPTY_PATH),
+        ("matrix", EMPTY_PATH),
     ], ids=["q_terms-null", "fibre-null", "non-utf8", "directory",
             "base-exponent-true", "source-nested",
             *[f"coefficient-{v}" for v in OVERSIZED],
@@ -377,17 +405,19 @@ class TestInputContract:
             *[f"matrix-{v}" for v in OVERSIZED],
             "base-entry-string", "q_term-string", "coefficient-zero", "base-monomial-single",
             "base-monomial-unordered", "max-arity-negative", "brackets-arity-negative",
-            "jacobiator-arity-negative", "leibniz-arity-zero", "leibniz-trials-zero"])
+            "jacobiator-arity-negative", "leibniz-arity-zero", "leibniz-trials-zero",
+            "source-empty-path", "matrix-empty-path"])
     def test_bad_input_exits_2(self, tmp_path, kind, content):
-        # a source or matrix is written to a file; an option list is passed
-        # to the command ``kind`` on so3
+        # a source or matrix is written to a file, unless it is the empty
+        # path; an option list is passed to the command ``kind`` on so3
         bad = tmp_path / "input"
+        path = "" if content is EMPTY_PATH else str(bad)
         if isinstance(content, list):
             args = [kind, "so3", *content]
         elif kind == "source":
-            args = ["check-q", str(bad)]
+            args = ["check-q", path]
         else:
-            args = ["naturality", "so3", "--matrix", str(bad)]
+            args = ["naturality", "so3", "--matrix", path]
         if content is None:
             bad.mkdir()
         elif isinstance(content, bytes):
@@ -399,6 +429,8 @@ class TestInputContract:
         assert isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        if content is EMPTY_PATH:
+            assert lines[0].startswith(EMPTY_PATH_ERRORS[kind]), lines[0]
 
     @pytest.mark.parametrize("args", [
         [],

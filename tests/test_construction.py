@@ -543,6 +543,13 @@ class TestMorphismR:
         with pytest.raises(ChartMismatch):
             MorphismR(chart, chart, {**fixed, "x1": other.gen("x1")}, fixed)
 
+    def test_replace_checks_as_the_constructor(self):
+        chart = chart_pi_e(BundlePresentation((0,), (0,)))
+        fixed = {g.name: chart.gen(g.name) for g in chart.generators}
+        m = MorphismR(chart, chart, fixed, fixed)
+        with pytest.raises(ParityMismatch):
+            m._replace(images={**fixed, "xi1": chart.gen("x1")})
+
     def test_conjugate_needs_the_fields_own_chart(self):
         q = assemble_field(so3())
         exchange = even_dual_exchange(so3().presentation)

@@ -2,7 +2,6 @@
 
 import json
 import re
-from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from random import Random
@@ -297,7 +296,7 @@ class TestErrorPaths:
         assert PhaseEngine(p).flavor == "poisson"
         for h in (s, p):
             with pytest.raises(GradedAlgebraError, match="unknown flavor"):
-                PhaseEngine(replace(h, flavor="hamilton"))
+                PhaseEngine(HigherStructure(h.value, "hamilton", h.self_bracket))
 
     def test_argument_with_momenta_rejected(self, so3_pair):
         _, s, _ = so3_pair
