@@ -86,10 +86,9 @@ class Chart:
         self.__post_init__()
 
     def __post_init__(self):
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
+        self._index = {g.name: i for i, g in enumerate(self.generators)}
+        if len(self._index) != len(self.generators):
             raise GradedAlgebraError(f"duplicate generator names on {self.space}")
-        self._index = {n: i for i, n in enumerate(names)}
         self.odd_flags = tuple(g.parity == ODD for g in self.generators)
         self._pairs = None
         if self.is_phase:

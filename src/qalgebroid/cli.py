@@ -4,19 +4,22 @@ Every command reads a builtin name or a JSON document path, runs its checks
 and writes a report to stdout.  Exit codes: 0 all checks passed, 1 a check
 failed (a field that is not homological fails the "homological input" check
 of every command that needs one), 2 the input was unreadable or malformed,
+or the output could not be written to stdout (a closed pipe, a full device),
 3 an internal error: an identity that holds for every input did not (the two
 Jacobiator routes disagree, a self-bracket of a homological field is nonzero)
 or an exception escaped that is not a verdict on the input.
 With --json the report is emitted as one deterministic JSON object (no
-timing field, so byte-identical reruns); human-readable output appends the
-elapsed time.  A usage error (no command, an unknown one or a missing or
-malformed option) is bad input too: one ``error:`` line, exit 2.
+timing field, so byte-identical reruns), byte for byte
+``json.dumps(report, indent=2, sort_keys=True)``; human-readable output
+appends the elapsed time.  A usage error (no command, an unknown one or a
+missing or malformed option) is bad input too: one ``error:`` line, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -90,7 +93,11 @@ class Report:
             }
             if self.extra:
                 doc["extra"] = self.extra
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            try:
+                text = _json_text(doc)
+            except _Unwritable:
+                text = json.dumps(doc, indent=2, sort_keys=True)
+            print(text)
         else:
             for c in self.checks:
                 mark = "PASS" if c["ok"] else "FAIL"
@@ -106,6 +113,46 @@ class Report:
             elapsed = (time.perf_counter() - started) * 1000.0
             print(f"status: {status}  ({elapsed:.1f} ms)")
         return 0 if self.ok else 1
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+class _Unwritable(Exception):
+    """A value ``_json_text`` leaves to ``json.dumps``."""
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
+
+    It writes dicts with str keys, lists, tuples, str, int, bool and None, the
+    values a report holds, without json's pure-Python encoder, which
+    ``json.dumps`` runs whenever it indents before Python 3.13; anything else
+    raises _Unwritable.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        if any(type(k) is not str for k in value):
+            raise _Unwritable
+        items = [f"{_quote(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise _Unwritable
 
 
 def _read_text(path, missing: str | None = None) -> str:
@@ -149,6 +196,24 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
+def _unwritable(exc: OSError):
+    """Output that could not be written to stdout: one ``error:`` line, exit 2.
+
+    What stdout still buffers would fail again when the interpreter flushes
+    it at exit (a second message and exit 120), so its descriptor, when it
+    has one, is first pointed at ``os.devnull``, as the note on SIGPIPE in
+    the ``signal`` documentation advises for a broken pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stream with no descriptor
+        fd = None
+    if fd is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+    _fail(f"cannot write to stdout: {exc}")
+
+
 # an argument argparse shows in an error, by its repr, when it is longer than
 # the 40 characters ``refused`` shows
 _LONG_QUOTED = re.compile(r"'(?:[^'\\]|\\.){41,}'|\"(?:[^\"\\]|\\.){41,}\"")
@@ -179,8 +244,18 @@ def main(args=None, standalone_mode=True):
 
     Every path ends in ``SystemExit`` with the exit code, so
     ``standalone_mode`` has no effect; it is accepted because in-process
-    callers (``perfbench/worker.py``) pass ``standalone_mode=False``."""
-    parsed, extra = _PARSER.parse_known_args(args)
+    callers (``perfbench/worker.py``) pass ``standalone_mode=False``.
+
+    A line that starts with a command's name is parsed by that command's own
+    parser, as the top-level parser would hand it on; the top-level parser
+    reads only the lines that start otherwise, for help and usage errors."""
+    if args is None:
+        args = sys.argv[1:]
+    command = _COMMANDS.choices.get(args[0]) if args else None
+    if command is None:  # no command first: help, or a usage error
+        parsed, extra = _PARSER.parse_known_args(args)
+    else:
+        parsed, extra = command.parse_known_args(args[1:])
     if extra:
         _PARSER.error(f"unrecognized arguments: {refused(' '.join(extra))}")
     options = vars(parsed)
@@ -212,7 +287,9 @@ def report_command(name: str, *options):
     exits 2; a NotHomological raised by the body becomes a failed
     "homological input" check; any other exception (a GradedAlgebraError, a
     KeyError, ...) is a bug of the program, not a verdict on the input, and
-    exits 3 with one line and without a report.
+    exits 3 with one line and without a report.  An OSError while the body
+    or the report writes to stdout is output that could not be written:
+    one line, exit 2.
     """
     def register(body):
         def run(source, as_json, **kwargs):
@@ -225,11 +302,18 @@ def report_command(name: str, *options):
                 _fail(str(exc))
             except NotHomological as exc:
                 report.add("homological input", False, witness=str(exc))
+            except OSError as exc:  # the body's own output (describe's) could not be written
+                _unwritable(exc)
             except GradedAlgebraError as exc:
                 _fail(f"internal: {exc}", 3)
             except Exception as exc:
                 _fail(f"internal: {type(exc).__name__}: {exc}", 3)
-            sys.exit(report.emit(started))
+            try:
+                code = report.emit(started)
+                sys.stdout.flush()  # so that a buffered write fails here, not at exit
+            except OSError as exc:
+                _unwritable(exc)
+            sys.exit(code)
 
         sub = _subcommand(name, run, body.__doc__)
         sub.add_argument("source", metavar="SOURCE", help="a builtin name or a JSON document path")
@@ -437,7 +521,11 @@ def example(name):
         spec = builtin_spec(name)
     except KeyError as exc:
         _fail(str(exc.args[0]))
-    print(render_spec(spec))
+    try:
+        print(render_spec(spec))
+        sys.stdout.flush()
+    except OSError as exc:
+        _unwritable(exc)
     sys.exit(0)
 
 

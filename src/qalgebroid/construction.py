@@ -64,6 +64,7 @@ from .fields import (
 from .gradedpoly import (
     EVEN,
     ChartMismatch,
+    CheckedImages,
     GradedAlgebraError,
     GradedPoly,
     ParityMismatch,
@@ -167,16 +168,34 @@ def _exchange(domain: Chart, codomain: Chart, rename: dict[str, str], negate,
               invertible: bool) -> MorphismR:
     """Send each generator of ``domain`` to +-1 times the generator of
     ``codomain`` with the same index in the renamed family; ``negate(g)``
-    picks the sign, which is its own inverse.  One-way unless ``invertible``."""
+    picks the sign, which is its own inverse.  One-way unless ``invertible``.
+
+    The relabellings (``CheckedImages.relabel``) are read off as the images
+    are made, so ``MorphismR`` has nothing to decode.  A map that sends two
+    generators to one, or changes a parity, is no relabelling: it goes to
+    ``MorphismR`` as plain images, which checks them as any substitution."""
     images: dict[str, GradedPoly] = {}
     inverse_images: dict[str, GradedPoly] | None = {} if invertible else None
+    relabel, inverse_relabel = [], [None] * len(codomain.generators)
+    targets = codomain.generators
     for i, g in enumerate(domain.generators):
         name = rename.get(g.family, g.family) + g.name[len(g.family):]
+        j = codomain.index_of(name)
         c = -1 if negate(g) else 1
-        images[g.name] = GradedPoly(codomain, {((codomain.index_of(name), 1),): c})
+        images[g.name] = GradedPoly(codomain, {((j, 1),): c})
         if invertible:
             inverse_images[name] = GradedPoly(domain, {((i, 1),): c})
-    return MorphismR(domain, codomain, images, inverse_images)
+        if relabel is not None and inverse_relabel[j] is None and targets[j].parity == g.parity:
+            relabel.append((j, c))
+            inverse_relabel[j] = (i, c)
+        else:
+            relabel = None
+    if relabel is None or invertible and None in inverse_relabel:
+        return MorphismR(domain, codomain, images, inverse_images)
+    if invertible:
+        inverse_images = CheckedImages(inverse_images, codomain, domain, inverse_relabel)
+    return MorphismR(domain, codomain, CheckedImages(images, domain, codomain, relabel),
+                     inverse_images)
 
 
 def _even_exchange(pi_e: Chart, b: BundlePresentation, invertible: bool) -> MorphismR:

@@ -388,8 +388,9 @@ def _derivative(terms: dict[Monomial, Coefficient], idx: int,
 
 
 class CheckedImages(dict):
-    """Generator images that ``checked_images`` has checked against a source
-    and a target chart; ``checked_images`` gives such a record back as it is.
+    """Generator images checked against a source and a target chart, by
+    ``checked_images`` or as an exchange made them; ``checked_images`` gives
+    such a record back as it is.
 
     ``relabel`` is None, or, when every image is one term ``k*z_j`` (see
     ``_relabelling``), the ``(j, k)`` of each source index in order, and
@@ -397,6 +398,10 @@ class CheckedImages(dict):
     """
 
     __slots__ = ("source", "target", "relabel")
+
+    def __init__(self, images, source, target, relabel):
+        super().__init__(images)
+        self.source, self.target, self.relabel = source, target, relabel
 
 
 def checked_images(source, images: dict[str, "GradedPoly"], target) -> CheckedImages:
@@ -420,9 +425,7 @@ def checked_images(source, images: dict[str, "GradedPoly"], target) -> CheckedIm
                     f"image of {name} must be parity-homogeneous of parity "
                     f"{src.parity}"
                 )
-    out = CheckedImages(images)
-    out.source, out.target, out.relabel = source, target, relabel
-    return out
+    return CheckedImages(images, source, target, relabel)
 
 
 def _relabelling(source, images: dict[str, "GradedPoly"], target

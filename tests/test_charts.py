@@ -202,6 +202,27 @@ class TestChartEquality:
         with pytest.raises(GradedAlgebraError, match="duplicate generator names on PiE"):
             type(chart)(twice, chart.kind, chart.space, chart.n_base)
 
+    @pytest.mark.parametrize("where", ["first-and-last", "adjacent", "other-parity", "phase"])
+    def test_duplicate_generator_name_is_refused(self, where):
+        phase = chart_odd_cotangent(chart_e_star(MIXED))
+        chart = phase if where == "phase" else chart_pi_e(MIXED)
+        gens = list(chart.generators)
+        if where == "first-and-last":
+            gens[-1] = gens[-1]._replace(name=gens[0].name)
+        elif where == "adjacent":
+            gens.insert(1, gens[0])
+        elif where == "other-parity":
+            gens.append(gens[0]._replace(parity=1 - gens[0].parity))
+        else:  # a conjugate named as a coordinate of the parent chart
+            gens[-1] = gens[-1]._replace(name="e2")
+        with pytest.raises(GradedAlgebraError, match=f"duplicate generator names on {chart.space}"):
+            type(chart)(tuple(gens), chart.kind, chart.space, chart.n_base, chart.parent)
+
+    def test_every_name_indexes_its_generator(self):
+        for chart in all_charts(MIXED).values():
+            assert [chart.index_of(g.name) for g in chart.generators] == list(
+                range(len(chart.generators)))
+
     def test_sum_across_charts_raises(self):
         pe, pes = chart_pi_e(MIXED), chart_pi_e_star(MIXED)
         with pytest.raises(ChartMismatch):

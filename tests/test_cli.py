@@ -1,5 +1,6 @@
 """Command surface: parsing, reports, exit codes, determinism, golden output."""
 
+import errno
 import gc
 import io
 import json
@@ -14,6 +15,8 @@ from itertools import cycle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qalgebroid import cli, construction
 from qalgebroid.builtins import BUILTINS, builtin_spec
@@ -765,3 +768,183 @@ class TestEveryBuiltinPasses:
     def test_statement_on_point_base(self, name):
         result = invoke(["statement-check", name])
         assert result.exit_code == 0
+
+
+class _Refusing(io.StringIO):
+    """A stdout with no descriptor whose ``write`` (or only ``flush``, the
+    way a buffered stream fails) raises ``error``."""
+
+    def __init__(self, error: OSError, on: str = "write"):
+        super().__init__()
+        self.error, self.on = error, on
+
+    def write(self, text):
+        if self.on == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise self.error
+
+
+def _cli_process(args, stdout, buffered: bool) -> subprocess.CompletedProcess:
+    """``python -m qalgebroid.cli args`` in a fresh interpreter writing to ``stdout``."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "qalgebroid.cli", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+
+
+WRITING = [["check-q", "so3"], ["check-q", "so3", "--json"], ["describe", "derham"],
+           ["example", "so3"]]
+
+
+class TestWriteFailure:
+    """Output that cannot be written to stdout is neither a failed check nor a
+    bug: one ``error:`` line on stderr, exit 2, and no traceback."""
+
+    def assert_one_error_line(self, code, stderr):
+        assert code == 2, stderr
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write to stdout: "), lines
+        assert len(stderr.encode()) < 160
+
+    @pytest.mark.parametrize("on", ["write", "flush"])
+    @pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                       OSError(errno.ENOSPC, "No space left on device")],
+                             ids=["broken-pipe", "no-space"])
+    @pytest.mark.parametrize("args", WRITING, ids=" ".join)
+    def test_in_process(self, args, error, on):
+        err = io.StringIO()
+        with redirect_stdout(_Refusing(error, on)), redirect_stderr(err):
+            with pytest.raises(SystemExit) as exit_:
+                main(args)
+        self.assert_one_error_line(exit_.value.code, err.getvalue())
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", WRITING[:3], ids=" ".join)
+    def test_full_device(self, args, buffered):
+        # a buffered stdout fails only when flushed; without the descriptor
+        # pointed at os.devnull the flush at exit would fail again (exit 120)
+        with open("/dev/full", "w") as full:
+            done = _cli_process(args, full, buffered)
+        self.assert_one_error_line(done.returncode, done.stderr)
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", WRITING[1:3], ids=" ".join)
+    def test_closed_pipe(self, args, buffered):
+        # the reader is gone before the first write, so the write always fails
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _cli_process(args, write, buffered)
+        finally:
+            os.close(write)
+        self.assert_one_error_line(done.returncode, done.stderr)
+
+
+def _dispatched_lines() -> list[list[str]]:
+    """The JSON golden command lines and their human forms, with a path for
+    the identity matrix (the parsers read no file)."""
+    from test_cli_json_goldens import IDENTITY, cases
+
+    lines = [["identity.json" if a == IDENTITY else a for a in args] for args in cases()]
+    return lines + [[a for a in args if a != "--json"] for args in lines if "--json" in args]
+
+
+def _top_level_main(args):
+    """``main`` with every line read by the top-level parser alone."""
+    parsed, extra = cli._PARSER.parse_known_args(args)
+    if extra:
+        cli._PARSER.error(f"unrecognized arguments: {cli.refused(' '.join(extra))}")
+    options = vars(parsed)
+    options.pop("run")(**options)
+
+
+def _captured(run, args) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            run(list(args))
+        except SystemExit as exc:
+            return exc.code or 0, out.getvalue(), err.getvalue()
+    raise AssertionError(f"{args} did not exit")
+
+
+class TestDispatch:
+    """A line that starts with a command's name goes straight to that
+    command's parser; what the top-level parser would have made of it is
+    the reference."""
+
+    def test_command_parser_gives_the_top_level_namespace(self):
+        lines = _dispatched_lines()
+        assert len(lines) > 200
+        for args in lines:
+            own = cli._COMMANDS.choices[args[0]].parse_known_args(args[1:])
+            top = cli._PARSER.parse_known_args(args)
+            assert (vars(own[0]), own[1]) == (vars(top[0]), top[1]), args
+
+    @pytest.mark.parametrize("args", [
+        [], ["-h"], ["--help"], ["nosuch", "so3"], ["--json", "check-q", "so3"], ["check-q"],
+        ["jacobiator", "so3"], ["check-q", "--help"], ["check-q", "so3", "extra"],
+        ["check-q", "so3", "--jso"], ["example"],
+    ], ids=lambda a: " ".join(a) or "no-arguments")
+    def test_usage_and_help_are_unchanged(self, args):
+        assert _captured(main, args) == _captured(_top_level_main, args)
+
+
+class _Count(int):
+    """An int subclass, which json writes as an int and the writer leaves to it."""
+
+
+# derandomized, as the properties of test_specdoc.py
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "é ", "\U0001f600", "\ud800", "a\nb"])
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestReportWriter:
+    """``--json`` text is byte for byte ``json.dumps(report, indent=2, sort_keys=True)``."""
+
+    @PROPERTY
+    @given(_VALUES)
+    def test_writes_what_json_dumps_writes(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("extra", [
+        {1: "a non-str key"}, {"nested": {None: [1]}}, {"a float": 0.5},
+        {"deep": [{"x": float("inf")}]}, {"an int subclass": _Count(7)},
+    ], ids=["int-key", "none-key", "float", "deep-inf", "int-subclass"])
+    def test_emit_falls_back_to_json_dumps(self, extra):
+        report = cli.Report("check-q", "so3", True)
+        report.add("a check", True)
+        report.extra = extra
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert report.emit(0.0) == 0
+        doc = {"command": "check-q", "source": "so3", "status": "pass",
+               "checks": report.checks, "extra": extra}
+        assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_unwritable_values(self):
+        for value in ({1: "a"}, [0.5], {"x": {"y": object()}}, frozenset(), _Count(7)):
+            with pytest.raises(cli._Unwritable):
+                cli._json_text(value)
+
+    def test_unsortable_keys_are_refused_as_json_dumps_refuses_them(self):
+        report = cli.Report("check-q", "so3", True)
+        report.extra = {1: "a", "b": 2}
+        with redirect_stdout(io.StringIO()), pytest.raises(TypeError):
+            report.emit(0.0)

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from qalgebroid import gradedpoly
+from qalgebroid import construction, gradedpoly
 from qalgebroid.builtins import (
     FIXTURES,
     builtin_spec,
@@ -571,20 +571,73 @@ class TestMorphismR:
             m.conjugate(VectorField(chart, {"x1": chart.gen("xi1")}))
 
 
+class TestExchangeRecords:
+    """An exchange reads its relabellings off as it makes its images."""
+
+    @pytest.mark.parametrize("invertible", [False, True], ids=["one-way", "invertible"])
+    @pytest.mark.parametrize("name", ["even", "odd"])
+    def test_relabel_is_the_decoded_images(self, name, invertible):
+        make = construction._even_exchange if name == "even" else construction._odd_exchange
+        rng = Random(211)
+        bases = set()
+        for _ in range(40):
+            b = random_presentation(rng, max_base=3, max_rank=4)
+            bases.add(len(b.base_parities))
+            phi = make(chart_pi_e(b), b, invertible)
+            records = [(phi.domain, phi.images, phi.codomain)]
+            if invertible:
+                records.append((phi.codomain, phi.inverse_images, phi.domain))
+            else:
+                assert phi.inverse_images is None
+            for source, images, target in records:
+                assert images.relabel is not None
+                assert images.relabel == gradedpoly._relabelling(source, images, target)
+        assert {0, 3} <= bases
+
+    @pytest.mark.parametrize("invertible", [False, True], ids=["one-way", "invertible"])
+    @pytest.mark.parametrize("name, renamed", [("even", {"x": "eta"}), ("odd", {"x": "xstar"})])
+    def test_a_change_of_parity_is_refused(self, monkeypatch, name, renamed, invertible):
+        # x1 is even, and eta1 and xstar1 are odd
+        exchange = construction._exchange
+        monkeypatch.setattr(construction, "_exchange", lambda domain, codomain, rename, *rest:
+                            exchange(domain, codomain, {**rename, **renamed}, *rest))
+        make = construction._even_exchange if name == "even" else construction._odd_exchange
+        b = BundlePresentation((0,), (0,))
+        with pytest.raises(ParityMismatch):
+            make(chart_pi_e(b), b, invertible)
+
+    def test_a_repeated_target_is_no_relabelling(self):
+        # xi and pi both go to eta, of their parity: the images are checked
+        # one by one, as for any substitution
+        b = BundlePresentation((0,), (0, 1))
+        domain, codomain = chart_even_cotangent(chart_pi_e(b)), chart_even_cotangent(
+            chart_pi_e_star(b))
+        phi = construction._exchange(domain, codomain, {"xi": "eta", "pi": "eta"},
+                                     lambda g: False, False)
+        assert phi.images.relabel is None
+        assert gradedpoly._relabelling(domain, phi.images, codomain) is None
+        f = domain.gen("xi1") * domain.gen("x1") + domain.gen("pi1")
+        assert phi.pullback(f) == codomain.gen("eta1") * codomain.gen("x1") + codomain.gen("eta1")
+
+
 class TestOneWayBuild:
     """A build pulls back through a one-way exchange on the field's own chart."""
 
     def test_one_build_makes_one_relabelling(self, monkeypatch):
-        calls = []
+        """The one-way exchange's relabelling is made with its images, and no
+        image is decoded again."""
+        made, decoded = [], []
         relabelling = gradedpoly._relabelling
         monkeypatch.setattr(gradedpoly, "_relabelling",
-                            lambda *args: calls.append(args[0].space) or relabelling(*args))
+                            lambda *args: decoded.append(args[0].space) or relabelling(*args))
+        monkeypatch.setattr(construction, "CheckedImages", lambda images, source, *rest: (
+            made.append(source.space) or gradedpoly.CheckedImages(images, source, *rest)))
         q = assemble_field(so3())
         for build in (build_schouten, build_poisson, build_schouten_unchecked,
                       build_poisson_unchecked):
-            calls.clear()
+            made.clear()
             build(q)
-            assert len(calls) == 1, calls
+            assert len(made) == 1 and decoded == [], (made, decoded)
 
     def test_builds_equal_the_two_way_pullback(self):
         rng = Random(103)
