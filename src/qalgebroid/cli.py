@@ -227,7 +227,16 @@ class _Parser(argparse.ArgumentParser):
     argparse shows a refused argument by its repr; a long one is cut the way
     ``specdoc.refused`` cuts a document value.  An unknown command points to
     ``--help`` instead of listing every command, so the line does not grow
-    with their number."""
+    with their number.  Help that cannot be written to stdout is
+    ``_unwritable``: argparse's own writer drops the error and exits 0."""
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        try:
+            file.write(self.format_help())
+            file.flush()
+        except OSError as exc:
+            _unwritable(exc)
 
     def error(self, message):
         message = _COMMAND_CHOICES.sub(r"\1 (see qalgebroid --help)", message)

@@ -14,12 +14,15 @@ Conventions used throughout the package:
   term map may mix the two; 3 and Fraction(3) compare and hash equal and print
   alike.  Nothing is ever rounded, which is what makes identity checks
   meaningful.
-* The two self-brackets in ``fields`` are the only products on integers and
-  on packed keys.  Each clears its argument's denominators with ``_cleared``
-  (d times the map, d the lcm of its denominators) and divides its result
-  once by d^2 with ``_divided``: a self-bracket is quadratic in its
-  argument, so this is an exact rewriting over the rationals.  In between it
-  multiplies packed terms (Monagan and Pearce, *Polynomial division using
+* Two callers multiply on integers.  Each clears denominators with
+  ``_cleared`` (d times the map, d the lcm of its denominators), which is
+  exact because what it computes is homogeneous in its inputs.
+  ``homotopy.leibniz_check`` clears each drawn input, on which its defect is
+  linear, and asks only whether the defect vanishes; it multiplies tuple
+  monomials with ``_product_into``.  The two self-brackets in ``fields`` are
+  quadratic in their argument and divide their result once by d^2 with
+  ``_divided``.  They are the only products on packed keys: in between they
+  multiply packed terms (Monagan and Pearce, *Polynomial division using
   dynamic arrays, heaps, and packed exponent vectors*, CASC 2007):
   ``_packed`` turns each term into (key, coefficient, odd mask, sign mask)
   with key = sum of e_g << (W g).  The width W is set once per call by

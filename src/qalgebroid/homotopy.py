@@ -121,7 +121,17 @@ from .charts import (
 )
 from .construction import FLAVOURS, HigherStructure, ambient_bracket, poisson_sign_exponent
 from .fields import VectorField, _pair_signs, apply_into, commutator
-from .gradedpoly import ChartMismatch, GradedAlgebraError, GradedPoly, ParityMismatch
+from .gradedpoly import (
+    ChartMismatch,
+    GradedAlgebraError,
+    GradedPoly,
+    ParityMismatch,
+    _cleared,
+    _divided,
+    _masked,
+    _product_into,
+    _require_chart,
+)
 
 
 class JacobiatorMismatch(GradedAlgebraError):
@@ -536,30 +546,63 @@ def leibniz_check(bracket, chart: Chart, flavor: str, arity: int,
                   trials: int, rng) -> list[str]:
     """Test the multiderivation identity on random homogeneous inputs.
 
-    ``bracket`` maps a list of polynomials on ``chart`` to a polynomial.
-    Returns one witness per failed trial, in trial order; the rule held on
-    every trial iff the list is empty.
+    ``bracket`` maps a list of polynomials on ``chart`` to a polynomial on
+    ``chart`` (a value on another chart raises ChartMismatch) and must be
+    multilinear, as every derived bracket is.  Returns one witness per
+    failed trial, in trial order; the rule held on every trial iff the list
+    is empty.
+
+    A trial draws a1, ..., a_{r-1}, then a_r, then a_{r+1}, each as a parity
+    coin and then a polynomial of that parity (``randgen.random_poly``); the
+    coin is ``randint(0, 1)`` read by ``randgen``'s draw rule, so a seed
+    gives the same trials on every supported Python.  The defect
+    B(a1, ..., a_r a_{r+1}) - B(a1, ..., a_r) a_{r+1}
+    - (-1)^e a_r B(a1, ..., a_{r-1}, a_{r+1}) is linear in each input, and a
+    nonzero scale changes no parity, so it vanishes exactly when it vanishes
+    on the inputs d_i a_i, with d_i the lcm of a_i's denominators
+    (``gradedpoly._cleared``), whose coefficients are integers.  The trial
+    makes its three brackets on those, in the order B(.., a_r a_{r+1}),
+    B(.., a_{r+1}), B(.., a_r), adds the defect into one term map with
+    ``_product_into`` and passes iff the map is empty.  A failed trial's
+    witness shows the drawn inputs and the defect divided by the product of
+    the d_i, which is the defect on the drawn inputs.
     """
     from .randgen import random_poly
 
+    odd = chart.odd_flags
+    getrandbits = rng.getrandbits
+
+    def drawn():
+        parity = getrandbits(2)  # randint(0, 1): two bits, redrawn above 1
+        while parity > 1:
+            parity = getrandbits(2)
+        return random_poly(rng, chart, max_degree=2, n_terms=2, parity=parity)
+
     failures: list[str] = []
     for t in range(trials):
-        front = [
-            random_poly(rng, chart, max_degree=2, n_terms=2, parity=rng.randint(0, 1))
-            for _ in range(arity - 1)
-        ]
-        ar = random_poly(rng, chart, max_degree=2, n_terms=2, parity=rng.randint(0, 1))
-        ar1 = random_poly(rng, chart, max_degree=2, n_terms=2, parity=rng.randint(0, 1))
-        parities = [f.parity() for f in front] + [ar.parity()]
-        lhs = bracket(front + [ar * ar1])
-        e = leibniz_exponent(flavor, parities)
-        second = (ar * bracket(front + [ar1])).scaled(-1 if e else 1)
-        rhs = bracket(front + [ar]) * ar1 + second
-        if lhs != rhs:
+        inputs = [drawn() for _ in range(arity - 1)] + [drawn(), drawn()]
+        scale = 1
+        whole = []
+        for a in inputs:
+            d, terms = _cleared(a.terms)
+            scale *= d
+            whole.append(a if d == 1 else GradedPoly(chart, terms))
+        *front, ar, ar1 = whole
+        right = _masked(ar1.terms, odd)
+        lhs = bracket(front + [GradedPoly(chart, _product_into({}, ar.terms, right, odd))])
+        second = bracket(front + [ar1])
+        first = bracket(front + [ar])
+        for value in (lhs, second, first):
+            _require_chart(chart, value)
+        e = leibniz_exponent(flavor, [f.parity() for f in front] + [ar.parity()])
+        defect = _product_into(dict(lhs.terms), first.terms, right, odd, -1)
+        _product_into(defect, ar.terms, _masked(second.terms, odd), odd, 1 if e else -1)
+        if defect:
+            *front, ar, ar1 = inputs
             failures.append(
                 f"trial {t}: args {[f.render() for f in front]}, "
                 f"a_r = {ar.render()}, a_r+1 = {ar1.render()}, "
-                f"difference = {(lhs - rhs).render()}"
+                f"difference = {GradedPoly(chart, _divided(defect, scale)).render()}"
             )
     return failures
 

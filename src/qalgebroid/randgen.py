@@ -1,4 +1,4 @@
-"""Seeded random generators for polynomials, fields and homological fields.
+"""Seeded random generators for polynomials, presentations and homological fields.
 
 Everything takes an explicit ``random.Random`` so suites are reproducible
 from a single seed.  Random homological fields are produced exactly: a seed
@@ -6,6 +6,15 @@ field assembled from pieces that square to zero on disjoint coordinate pairs
 (odd momenta pairings, constant-coefficient de Rham pieces, an so(3)-type
 block when three even fibre slots are free) is conjugated by random
 polynomial shears, which preserves [Q, Q] = 0 on the nose.
+
+The draw rule.  On Python 3.10 to 3.13, ``Random.randrange(n)``,
+``randint(0, n - 1)`` and ``choice`` of n items all draw a value below n
+the same way: ``r = rng.getrandbits(k)`` with ``k = n.bit_length()``,
+redrawn while ``r >= n``.  The monomial loop (``_drawn_monomial``, which
+``random_monomial`` and ``random_poly`` share) and ``random_poly``'s
+coefficient draw read ``getrandbits`` by that rule directly, without the
+layers of ``random`` around it, so a seed gives the same draws and the same
+polynomials as those methods would, on every supported Python.
 """
 
 from __future__ import annotations
@@ -22,54 +31,84 @@ COEFF_POOL = [
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
     Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(1, 3),
 ]
+# the pool as random_poly stores its coefficients, and the bit count of its draw
+_POOL = tuple(coefficient(c) for c in COEFF_POOL)
+_POOL_BITS = len(_POOL).bit_length()
+
+
+def _drawn_monomial(getrandbits, odd: tuple[bool, ...], max_degree: int,
+                    parity: int | None, attempts: int = 60) -> dict[int, int] | None:
+    """The monomial loop: a monomial as {generator index: exponent}, indices in
+    draw order, or None when every attempt misses ``parity``.
+
+    Each attempt draws a degree below ``max_degree + 1``, then a generator
+    index below ``len(odd)`` per slot (an odd generator drawn again discards
+    its slot, since odd squares vanish), all by the draw rule.
+    """
+    if parity == ODD and not any(odd):
+        return None
+    if max_degree < 0:
+        raise ValueError(f"no monomial of degree 0 to {max_degree}")
+    n = len(odd)
+    degree_bits = (max_degree + 1).bit_length()
+    index_bits = n.bit_length()
+    for _ in range(attempts):
+        degree = getrandbits(degree_bits)
+        while degree > max_degree:
+            degree = getrandbits(degree_bits)
+        if degree and not n:
+            raise ValueError(f"no monomial of degree {degree} on no generator")
+        exponents: dict[int, int] = {}
+        par = 0
+        for _ in range(degree):
+            i = getrandbits(index_bits)
+            while i >= n:
+                i = getrandbits(index_bits)
+            if odd[i]:
+                if i in exponents:
+                    continue  # discard the slot, odd squares vanish
+                exponents[i] = 1
+                par ^= 1
+            else:
+                exponents[i] = exponents.get(i, 0) + 1
+        if parity is None or par == parity:
+            return exponents
+    return None
 
 
 def random_monomial(rng: random.Random, chart: Chart, max_degree: int,
                     parity: int | None = None, attempts: int = 60):
-    """A random normal-form monomial, optionally of prescribed parity.
+    """A random normal-form monomial as {generator name: exponent},
+    optionally of prescribed parity.
 
     None when every attempt misses the parity, and at once, with no draw,
     when an odd monomial is asked for on a chart with no odd generator.
     """
-    gens = chart.generators
-    if parity == ODD and not any(chart.odd_flags):
+    expo = _drawn_monomial(rng.getrandbits, chart.odd_flags, max_degree, parity, attempts)
+    if expo is None:
         return None
-    for _ in range(attempts):
-        degree = rng.randint(0, max_degree)
-        exponents: dict[str, int] = {}
-        total = 0
-        par = 0
-        while total < degree:
-            g = gens[rng.randrange(len(gens))]
-            if g.parity == ODD:
-                if exponents.get(g.name):
-                    total += 1  # discard the slot, odd squares vanish
-                    continue
-                exponents[g.name] = 1
-                par ^= 1
-            else:
-                exponents[g.name] = exponents.get(g.name, 0) + 1
-            total += 1
-        if parity is None or par == parity:
-            return exponents
-    return None
+    gens = chart.generators
+    return {gens[i].name: e for i, e in expo.items()}
 
 
 def random_poly(rng: random.Random, chart: Chart, max_degree: int = 3,
                 n_terms: int = 3, parity: int | None = None) -> GradedPoly:
     """A random polynomial; if ``parity`` is given the result is homogeneous.
 
-    Each coefficient is drawn right after its monomial, and the drawn terms
-    are collected into one term map (a repeated monomial adds up, and drops
-    out when it cancels).
+    Each coefficient is drawn from ``COEFF_POOL`` right after its monomial,
+    and the drawn terms are collected into one term map (a repeated monomial
+    adds up, and drops out when it cancels).
     """
-    index_of = chart.index_of
+    getrandbits = rng.getrandbits
+    odd = chart.odd_flags
     drawn = []
     for _ in range(n_terms):
-        expo = random_monomial(rng, chart, max_degree, parity)
+        expo = _drawn_monomial(getrandbits, odd, max_degree, parity)
         if expo is not None:
-            mono = chart.normal_monomial({index_of(name): e for name, e in expo.items()})
-            drawn.append((mono, coefficient(rng.choice(COEFF_POOL))))
+            k = getrandbits(_POOL_BITS)
+            while k >= len(_POOL):
+                k = getrandbits(_POOL_BITS)
+            drawn.append((tuple(sorted(expo.items())), _POOL[k]))
     out = GradedPoly(chart, _collect({}, drawn))
     if parity is not None and out.is_zero():
         # fall back to a bare generator of the right parity when one exists
@@ -77,25 +116,6 @@ def random_poly(rng: random.Random, chart: Chart, max_degree: int = 3,
             if g.parity == parity:
                 return chart.gen(g.name)
     return out
-
-
-def random_homogeneous_poly(rng: random.Random, chart: Chart,
-                            max_degree: int = 3, n_terms: int = 3) -> GradedPoly:
-    return random_poly(rng, chart, max_degree, n_terms, parity=rng.randint(0, 1))
-
-
-def random_field(rng: random.Random, chart: Chart, parity: int,
-                 max_degree: int = 3, fill: float = 0.7) -> VectorField:
-    """A random parity-homogeneous vector field."""
-    comps: dict[str, GradedPoly] = {}
-    for g in chart.generators:
-        if rng.random() > fill:
-            continue
-        want = (parity + g.parity) & 1
-        poly = random_poly(rng, chart, max_degree, n_terms=2, parity=want)
-        if not poly.is_zero():
-            comps[g.name] = poly
-    return VectorField(chart, comps, parity)
 
 
 def random_presentation(rng: random.Random, max_base: int = 2,

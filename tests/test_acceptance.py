@@ -52,7 +52,6 @@ from qalgebroid.homotopy import (
     weight_one_restriction_check,
 )
 from qalgebroid.randgen import (
-    random_field,
     random_homological_field,
     random_poly,
     random_presentation,
@@ -60,6 +59,7 @@ from qalgebroid.randgen import (
 from qalgebroid.specdoc import assemble_field
 
 from closed_forms import closed_form
+from random_inputs import random_field
 
 MIXED = BundlePresentation((0, 1), (0, 1))
 

@@ -802,6 +802,8 @@ def _cli_process(args, stdout, buffered: bool) -> subprocess.CompletedProcess:
 
 WRITING = [["check-q", "so3"], ["check-q", "so3", "--json"], ["describe", "derham"],
            ["example", "so3"]]
+# help goes to stdout too, through the parsers rather than a command
+HELP = [["--help"], ["-h"], ["check-q", "--help"]]
 
 
 class TestWriteFailure:
@@ -818,7 +820,7 @@ class TestWriteFailure:
     @pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
                                        OSError(errno.ENOSPC, "No space left on device")],
                              ids=["broken-pipe", "no-space"])
-    @pytest.mark.parametrize("args", WRITING, ids=" ".join)
+    @pytest.mark.parametrize("args", WRITING + HELP, ids=" ".join)
     def test_in_process(self, args, error, on):
         err = io.StringIO()
         with redirect_stdout(_Refusing(error, on)), redirect_stderr(err):
@@ -828,7 +830,7 @@ class TestWriteFailure:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("args", WRITING[:3], ids=" ".join)
+    @pytest.mark.parametrize("args", WRITING[:3] + HELP, ids=" ".join)
     def test_full_device(self, args, buffered):
         # a buffered stdout fails only when flushed; without the descriptor
         # pointed at os.devnull the flush at exit would fail again (exit 120)
@@ -837,7 +839,7 @@ class TestWriteFailure:
         self.assert_one_error_line(done.returncode, done.stderr)
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("args", WRITING[1:3], ids=" ".join)
+    @pytest.mark.parametrize("args", WRITING[1:3] + HELP, ids=" ".join)
     def test_closed_pipe(self, args, buffered):
         # the reader is gone before the first write, so the write always fails
         read, write = os.pipe()

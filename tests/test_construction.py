@@ -53,7 +53,6 @@ from qalgebroid.fields import (
 from qalgebroid.gradedpoly import ChartMismatch, GradedAlgebraError, ParityMismatch
 from qalgebroid.randgen import (
     _shear,
-    random_field,
     random_homological_field,
     random_poly,
     random_presentation,
@@ -61,6 +60,7 @@ from qalgebroid.randgen import (
 from qalgebroid.specdoc import assemble_field
 
 from closed_forms import structure_constant
+from random_inputs import random_field
 
 MIXED = BundlePresentation((0, 1), (0, 1))
 

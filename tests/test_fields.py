@@ -33,8 +33,10 @@ from qalgebroid.fields import (
 )
 from qalgebroid.gradedpoly import ChartMismatch, EVEN, ODD, GradedPoly, ParityMismatch, coefficient
 from qalgebroid.homotopy import FieldEngine, jacobiator
-from qalgebroid.randgen import random_field, random_homogeneous_poly, random_poly
+from qalgebroid.randgen import random_poly
 from qalgebroid.specdoc import assemble_field
+
+from random_inputs import random_field, random_homogeneous_poly
 
 MIXED = BundlePresentation((0, 1), (0, 1))
 

@@ -37,7 +37,9 @@ from qalgebroid.gradedpoly import (
     _width,
     checked_images,
 )
-from qalgebroid.randgen import random_homogeneous_poly, random_poly
+from qalgebroid.randgen import random_poly
+
+from random_inputs import random_homogeneous_poly
 
 MIXED = BundlePresentation((0, 1), (0, 1))  # even and odd base, even and odd fibre
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qalgebroid.builtins import (
+    BUILTINS,
     builtin_spec,
     derham,
     graded_3_lie,
@@ -54,6 +55,7 @@ from qalgebroid.homotopy import (
     jacobiator,
     jacobiator_sweep,
     leibniz_check,
+    leibniz_exponent,
     poisson_bracket_table,
     schouten_bracket_table,
     skew_bracket_table,
@@ -66,8 +68,6 @@ from qalgebroid.homotopy import (
 )
 from qalgebroid.randgen import (
     COEFF_POOL,
-    random_field,
-    random_homogeneous_poly,
     random_homological_field,
     random_poly,
     random_presentation,
@@ -76,6 +76,8 @@ from qalgebroid.specdoc import assemble_field, render_spec, spec_from_field
 
 from clirun import invoke
 from closed_forms import closed_form, structure_constant
+from random_inputs import random_field, random_homogeneous_poly
+from test_randgen import reference_random_poly
 
 # property tests run a fixed example sequence, so the suite stays deterministic
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -1222,6 +1224,32 @@ def test_koszul_sign_basics():
     assert koszul_sign([2, 1, 0], [1, 1, 1]) == -1
 
 
+def reference_leibniz_check(bracket, chart, flavor, arity, trials, rng):
+    """The previous ``leibniz_check``: inputs drawn through ``randint`` and
+    the reference ``random_poly``, and both sides of the rule in Fraction
+    arithmetic, compared and subtracted."""
+    failures = []
+    for t in range(trials):
+        front = [
+            reference_random_poly(rng, chart, max_degree=2, n_terms=2, parity=rng.randint(0, 1))
+            for _ in range(arity - 1)
+        ]
+        ar = reference_random_poly(rng, chart, max_degree=2, n_terms=2, parity=rng.randint(0, 1))
+        ar1 = reference_random_poly(rng, chart, max_degree=2, n_terms=2, parity=rng.randint(0, 1))
+        parities = [f.parity() for f in front] + [ar.parity()]
+        lhs = bracket(front + [ar * ar1])
+        e = leibniz_exponent(flavor, parities)
+        second = (ar * bracket(front + [ar1])).scaled(-1 if e else 1)
+        rhs = bracket(front + [ar]) * ar1 + second
+        if lhs != rhs:
+            failures.append(
+                f"trial {t}: args {[f.render() for f in front]}, "
+                f"a_r = {ar.render()}, a_r+1 = {ar1.render()}, "
+                f"difference = {(lhs - rhs).render()}"
+            )
+    return failures
+
+
 class TestLeibniz:
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_both_flavors_pass(self, arity):
@@ -1253,6 +1281,59 @@ class TestLeibniz:
 
         failures = leibniz_check(fake_bracket, parent, "schouten", 2, 25, rng)
         assert failures and "difference" in failures[0]
+
+    @pytest.mark.parametrize("zero", [False, True], ids=["nonzero", "zero"])
+    @pytest.mark.parametrize("call", [0, 1, 2])
+    def test_a_value_on_another_chart_is_refused(self, so3_pair, call, zero):
+        # whichever of a trial's three brackets answers on another chart,
+        # zero or not, the check raises instead of comparing across charts
+        _, s, _ = so3_pair
+        parent = PhaseEngine(s).parent
+        other = chart_pi_e(MIXED)
+        calls = []
+
+        def bracket(args):
+            calls.append(args)
+            if len(calls) - 1 == call:
+                return GradedPoly(other) if zero else other.one()
+            return parent.one()
+
+        with pytest.raises(ChartMismatch):
+            leibniz_check(bracket, parent, "schouten", 2, 3, Random(61))
+
+    def test_matches_the_reference_check(self):
+        # the previous check, with its randint draws and its Fraction
+        # arithmetic, gives the same witnesses and leaves the same stream
+        structures = [assemble_field(builtin_spec(name)) for name in BUILTINS]
+        fractional = random_homological_field(Random(12), max_base=1, max_rank=3)
+        assert any(type(c) is not int for comp in fractional.components.values()
+                   for c in comp.terms.values())
+        structures.append(fractional)
+        cases = []
+        for q in structures:
+            for build in (build_schouten, build_poisson):
+                eng = PhaseEngine(build(q))
+                cases.append((eng.parent, eng.flavor, lambda a, eng=eng: higher_bracket(eng, a)))
+        parent = cases[0][0]
+
+        def product_bracket(args):
+            out = parent.one()
+            for a in args:
+                out = out * a
+            return out
+
+        cases.append((parent, "schouten", product_bracket))
+        failing = 0
+        for chart, flavor, bracket in cases:
+            for arity in (0, 1, 2, 3):
+                for seed in (0, 71, 4242):
+                    new_rng, old_rng = Random(seed), Random(seed)
+                    new = leibniz_check(bracket, chart, flavor, arity, 10, new_rng)
+                    old = reference_leibniz_check(bracket, chart, flavor, arity, 10, old_rng)
+                    assert new == old, (chart.space, flavor, arity, seed)
+                    assert new_rng.getstate() == old_rng.getstate()
+                    failing += len(new)
+        assert failing > 0
 
 
 class TestClosedForms:

@@ -2,6 +2,8 @@
 
 from random import Random
 
+import pytest
+
 from qalgebroid.charts import BundlePresentation, all_charts, chart_e_star, chart_pi_e
 from qalgebroid.construction import build_poisson, build_schouten
 from qalgebroid.fields import commutator, is_homological
@@ -9,21 +11,58 @@ from qalgebroid.gradedpoly import ODD, GradedPoly
 from qalgebroid.homotopy import FieldEngine, PhaseEngine
 from qalgebroid.randgen import (
     COEFF_POOL,
-    random_field,
-    random_homogeneous_poly,
     random_homological_field,
     random_monomial,
     random_poly,
     random_presentation,
 )
 
+from random_inputs import random_field, random_homogeneous_poly
+
 MIXED = BundlePresentation((0, 1), (0, 1))
+
+
+def below(rng, n):
+    """The draw rule: ``getrandbits(n.bit_length())``, redrawn while not below n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def reference_random_monomial(rng, chart, max_degree, parity=None, attempts=60):
+    """The previous ``random_monomial``, which drew through ``randint`` and
+    ``randrange``."""
+    gens = chart.generators
+    if parity == ODD and not any(chart.odd_flags):
+        return None
+    for _ in range(attempts):
+        degree = rng.randint(0, max_degree)
+        exponents = {}
+        total = 0
+        par = 0
+        while total < degree:
+            g = gens[rng.randrange(len(gens))]
+            if g.parity == ODD:
+                if exponents.get(g.name):
+                    total += 1  # discard the slot, odd squares vanish
+                    continue
+                exponents[g.name] = 1
+                par ^= 1
+            else:
+                exponents[g.name] = exponents.get(g.name, 0) + 1
+            total += 1
+        if parity is None or par == parity:
+            return exponents
+    return None
 
 
 def reference_random_poly(rng, chart, max_degree=3, n_terms=3, parity=None):
     """The previous ``random_poly``: one ``Chart.monomial`` per drawn term,
-    each coefficient drawn right after its monomial, summed."""
-    drawn = (random_monomial(rng, chart, max_degree, parity) for _ in range(n_terms))
+    each coefficient drawn by ``choice`` right after its monomial, summed."""
+    drawn = (reference_random_monomial(rng, chart, max_degree, parity)
+             for _ in range(n_terms))
     out = GradedPoly.sum(chart, (chart.monomial(expo, rng.choice(COEFF_POOL))
                                  for expo in drawn if expo is not None))
     if parity is not None and out.is_zero():
@@ -33,10 +72,25 @@ def reference_random_poly(rng, chart, max_degree=3, n_terms=3, parity=None):
     return out
 
 
+def test_the_draw_rule_is_what_random_draws():
+    # the seed contract: on this interpreter randrange, randint and choice
+    # draw below n by the rule that randgen reads from getrandbits
+    for n in range(1, 65):
+        items = [object() for _ in range(n)]
+        for seed in range(200):
+            ours = Random(seed)
+            drawn = [below(ours, n) for _ in range(5)]
+            for draw in (lambda rng: rng.randrange(n), lambda rng: rng.randint(0, n - 1),
+                         lambda rng: items.index(rng.choice(items))):
+                theirs = Random(seed)
+                assert [draw(theirs) for _ in range(5)] == drawn, (n, seed)
+                assert theirs.getstate() == ours.getstate()
+
+
 def test_random_poly_matches_the_reference():
     # same polynomial, same term order and coefficient types, same stream after
     draws = Random(83)
-    for _ in range(150):
+    for _ in range(300):
         chart = draws.choice(list(all_charts(random_presentation(draws)).values()))
         args = (chart, draws.randint(0, 4), draws.randint(0, 5), draws.choice([None, 0, 1]))
         seed = draws.randrange(10**6)
@@ -46,6 +100,45 @@ def test_random_poly_matches_the_reference():
         assert [(m, c, type(c)) for m, c in new.terms.items()] == \
             [(m, c, type(c)) for m, c in old.terms.items()]
         assert new_rng.getstate() == old_rng.getstate()
+
+
+def test_random_monomial_matches_the_reference():
+    draws = Random(89)
+    for _ in range(300):
+        chart = draws.choice(list(all_charts(random_presentation(draws)).values()))
+        args = (chart, draws.randint(0, 4), draws.choice([None, 0, 1]), draws.randint(1, 3))
+        seed = draws.randrange(10**6)
+        new_rng, old_rng = Random(seed), Random(seed)
+        new = random_monomial(new_rng, *args)
+        old = reference_random_monomial(old_rng, *args)
+        assert new == old and (new is None or list(new) == list(old))
+        assert new_rng.getstate() == old_rng.getstate()
+
+
+def _outcome(draw, *args):
+    try:
+        return draw(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_a_chart_with_no_generator_matches_the_reference():
+    # a drawn degree of 0 gives the empty monomial and a positive one raises,
+    # so which of the two comes depends on the seed, as before
+    empty = chart_pi_e(BundlePresentation((), ()))
+    outcomes = set()
+    for seed in range(40):
+        for max_degree in (0, 1, 3):
+            for parity in (None, 0, 1):
+                new_rng, old_rng = Random(seed), Random(seed)
+                new = _outcome(random_monomial, new_rng, empty, max_degree, parity)
+                old = _outcome(reference_random_monomial, old_rng, empty, max_degree, parity)
+                assert new == old and new_rng.getstate() == old_rng.getstate()
+                outcomes.add(repr(new))
+    assert outcomes == {"{}", "None", repr(ValueError)}
+    for draw in (random_monomial, reference_random_monomial):
+        with pytest.raises(ValueError):
+            draw(Random(3), chart_pi_e(MIXED), -1)
 
 
 def test_same_seed_same_stream():
