@@ -105,17 +105,6 @@ def graded_3_lie() -> AlgebroidSpec:
                  [("g2", "1", ["g1", "g2", "g2"], [])])
 
 
-def mixed_linfinity_algebra() -> AlgebroidSpec:
-    """Point-base version of the Lie 3-algebroid fibre: arities 0 through 3.
-
-    Used by the closed-formula cross-checks, which want a pure algebra with
-    both even and odd directions and every bracket arity populated.  It is
-    ``lie-3-algebroid-demo`` without its base and the terms of its anchor.
-    """
-    return _spec("mixed-linfinity-algebra", [], _LIE_3_FIBRE,
-                 [t for t in _LIE_3_TERMS if t[0] != "x"])
-
-
 def higher_poisson_on_algebroid() -> AlgebroidSpec:
     """A bivector on the demo algebroid fed back through the construction.
 

@@ -136,9 +136,6 @@ class Chart:
             raise ChartMismatch(f"{self.space} has no parent chart")
         return self.parent
 
-    def base_names(self) -> list[str]:
-        return [g.name for g in self.generators[: self.n_base]]
-
     def fibre_names(self) -> list[str]:
         chart = self.parent or self
         return [g.name for g in chart.generators[chart.n_base:]]

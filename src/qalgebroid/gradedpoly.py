@@ -390,6 +390,27 @@ def _derivative(terms: dict[Monomial, Coefficient], idx: int,
     return out
 
 
+def _gradient(terms: dict[Monomial, Coefficient], odd: tuple[bool, ...],
+              first: int = 0) -> dict[int, dict[Monomial, Coefficient]]:
+    """The term maps of the left derivatives by every generator at or above
+    index ``first`` that occurs in ``terms``, by ``_derivative``'s rule, in
+    one pass over the terms: generator index -> term map."""
+    out: dict[int, dict[Monomial, Coefficient]] = {}
+    for m, c in terms.items():
+        sign = 0
+        for pos, (g, exp) in enumerate(m):
+            if g >= first:
+                d = out.get(g)
+                if d is None:
+                    d = out[g] = {}
+                if exp == 1:
+                    d[m[:pos] + m[pos + 1:]] = -c if sign and odd[g] else c
+                else:
+                    d[m[:pos] + ((g, exp - 1),) + m[pos + 1:]] = c * exp
+            sign ^= odd[g]
+    return out
+
+
 class CheckedImages(dict):
     """Generator images checked against a source and a target chart, by
     ``checked_images`` or as an exchange made them; ``checked_images`` gives

@@ -30,49 +30,64 @@ the equality each time; it holds whether or not the generator squares to
 zero, which is exactly what makes non-homological negative controls
 meaningful.
 
-The memo.  Every engine owns a memo of its nested brackets, which lives as
-long as the engine (one command): a sweep (the Jacobiators of every basis
-tuple, a bracket table, the restriction statement) shares its brackets
-through it.  Arguments are registered by identity, checked at registration
-(the precondition is that they lie in V) and named by their positions; the
-memo keeps each unprojected partial bracket ``[...[D, a1], ..., ak]`` under
-its position tuple, made on demand one ambient bracket past its longest
-known prefix, and each value under its key.  An argument is prepared when
-it first enters an ambient bracket.  A value needs only the partial at its
-key's prefix: a phase engine applies that partial's anchor field to the
-last argument, with no lift, ambient bracket or projection
-(``PhaseEngine``); the field engine brackets and projects.
+The coefficient table.  On arguments of V a nested bracket is a Taylor
+coefficient of the generator times derivatives of the arguments (Voronov,
+JPAA 202, 2005).  An engine makes the table of those coefficients at an
+arity on first use and keeps it for its life (one command); a read makes
+no ambient bracket, lift or projection.
 
-The zero rule.  Brackets are bilinear, [0, a] = 0: the walk down a key's
-prefixes stops at the first partial that vanishes and stores no longer
-one, so the stored keys are closed under prefixes and none extends a key
-whose partial vanishes.  The ambient brackets (``fields.commutator``, the
-canonical brackets) apply the same rule on entry.
+* Phase engines.  The conjugate y* of a parent generator y has parity
+  |y| + c, c the parity of the ambient bracket.  A lifted parent function a
+  has no conjugates, so the canonical bracket (``fields``) keeps one
+  product per pair, [F, a] = sum_z s1 d_{z*}F_p d_z a over the parity parts
+  F_p of F with (s1, s2) = ``fields._pair_signs``(|z|, |F_p|, c), a term of
+  parity |F_p| + c + |a| that a later d_{z'*} passes.  So for
+  parity-homogeneous a_i
 
-The degree rule.  A bracket with an argument of V lowers the degree of
-every term by exactly one (a term of degree k feeds the k-ary bracket
-only).  For a phase engine the degree of a term is the sum of its exponents
-of conjugate generators: a parent-chart argument a has none, so
-[F, a] = sum_z s d_{z*}F d_z a (``PhaseEngine``) and each term loses one
-conjugate factor.  For the field engine it is the polynomial degree: a
-constant field c d_i has no component to differentiate, so [X, c d_i]
-differentiates each component of X once.  The projection keeps the degree-0
-part.  So the value at a key of length k comes only from the generator's
-terms of degree exactly k, and the partial at length k only from its terms
-of degree at least k.  Each engine is given the set of its generator's
-degrees (``degrees``) once: ``value`` answers a key whose length is not in
-it with the engine's ``zero``, with no partial, anchor field or bracket.  A
-stored partial is therefore at most as long as the largest degree; the
-bound is on the depth of the memo, not on its number of distinct keys.  In
-the unshuffle sum of the n-th Jacobiator, a subset of k arguments has an
-inner key of length k and an outer key of length n + 1 - k, so it
-contributes only when both lengths are in ``degrees``: these are the
-admissible sizes (``admissible_sizes``), and the sum visits the subsets of
-those sizes alone, in ascending order.
+      [...[D, a1], ..., ak] = sum_z s(z) (d_{zk*} ... d_{z1*} D) d_{z1}a1 ... d_{zk}ak,
 
-The run weights.  Consecutive arguments at one memo position (one object)
-form a run, and the subsets that take as many copies of each run share
-their inner and outer keys.  So the sum visits one canonical subset per
+  s(z) = prod_i _pair_signs(|z_i|, p_(i-1), c)[0], p_(i-1) = |D| +
+  sum_{j<i} (|a_j| + c).  Setting the conjugates to zero is an algebra map
+  that fixes parent functions, so only the terms of D of conjugate degree
+  exactly k survive: the entry at parent indices z is C(z) = d_{zk*} ...
+  d_{z1*} of those terms.  The factor of s(z) that reads |D| is (-1) to
+  |D| times the parity of the conjugate factors of each term feeding C(z),
+  so each term is signed by it, with its own parity, when the table is made
+  (a D of mixed parity is read term by term); a slot's factor is then
+  _pair_signs(|z_i|, q_(i-1), c)[0], q_(i-1) = sum_{j<i} (|a_j| + c).  A
+  mixed-parity argument is read part by part (multilinearity).
+* The field engine.  For a constant field Y, [X, Y]^z = -(-1)^(|X||Y|)
+  sum_j Y^j d_j X^z (``fields.commutator``), so project [...[Q, Y1], ..., Yk]
+  has the components prod_i -(-1)^(p_(i-1)|Y_i|) sum_j Y1^(j1) ... Yk^(jk)
+  d_{jk} ... d_{j1} Q^z at the origin, p_(i-1) = |Q| + |Y_1| + ... +
+  |Y_(i-1)|: the Taylor coefficients of Q (Alexandrov, Kontsevich, Schwarz
+  and Zaboronsky, IJMPA 12, 1997), from the terms of Q^z of degree k.  As
+  Y_i^(j) is nonzero only when |j| = |Y_i|, the factor that reads |Q| is
+  (-1) to |Q| times the parity of the term, signed into the table likewise.
+
+The entries are term maps (the field engine's c_z xi^z for c_z d/dxi^z); a
+value sums the entries at the ordered tuples of indices in the arguments'
+supports, and on generators it is one signed entry.
+
+The zero rule.  Brackets are multilinear, [0, a] = 0: a zero argument has
+no support, so a read visits no entry; the squared route stops at its first
+vanishing partial, and the ambient brackets apply the same rule on entry.
+
+The degree rule.  The degree of a term is its conjugate degree for a phase
+engine and its polynomial degree for the field engine.  A bracket with an
+argument of V lowers every degree by one and the projection keeps degree
+0, so the value at k arguments comes only from the terms of degree exactly
+k, and the table at k has keys exactly when k is such a degree.  Each
+engine keeps that set (``degrees``), and ``derived`` answers any other
+arity with the engine's zero value, making no table.  In the unshuffle sum
+of the n-th Jacobiator a subset of k arguments has an inner value of k
+arguments and an outer one of n + 1 - k, so it contributes only when both
+are in ``degrees``: the admissible sizes (``admissible_sizes``), which the
+sum visits alone, in ascending order.
+
+The run weights.  Consecutive arguments that are one object form a run, and
+the subsets that take as many copies of each run share their inner and
+outer values.  So the sum visits one canonical subset per
 tuple of counts per run, the one that takes the first copies of each run,
 and weights it by the exact signed count of its class (``unshuffle_weight``):
 its Koszul sign times, for each run of m copies of which c are taken, the
@@ -88,21 +103,18 @@ vanishes, are skipped by the zero rule.
 
 The sweep skip.  A sweep of every basis tuple at arity n
 (``jacobiator_sweep``) visits none when the engine has no admissible size
-at n and its squared generator is zero: the unshuffle sum is then empty by
-the degree rule and the squared route brackets zero, so both routes are
-zero on every tuple.  A nonzero squared generator is walked tuple by tuple.
-The restriction statement likewise compares no arity outside the degree
-sets of all three of its engines: every bracket on both sides of it is zero.
+at n and its squared generator is zero: both routes are then zero on every
+tuple.  A nonzero squared generator is walked tuple by tuple.  The
+restriction statement likewise compares no arity outside the degree sets
+of all three of its engines: every bracket on both sides of it is zero.
 
 The independent squared route.  ``derived(args, generator=g)`` is the
-literal nested definition, the oracle the memo route is tested against,
-and the squared-generator route of the Jacobiator.  It checks every
-argument first, so that a refused argument raises whatever the generator,
-then brackets while the partial is nonzero (the zero rule) and projects.
-It reads no memo, partial, anchor field or degree set, so the two routes
-share no computed bracket, the sweep skip decides the squared side by its
-own generator, and the squared generator of a homological input, which is
-zero, costs no bracket.
+literal nested definition: the tests' oracle for the table route, and the
+Jacobiator's squared-generator route.  It checks every argument first (a
+refused argument raises whatever the generator), then brackets while the
+partial is nonzero and projects.  It reads no table or degree set, so the
+two routes share no computed bracket, and the squared generator of a
+homological input, which is zero, costs no bracket.
 """
 
 from __future__ import annotations
@@ -120,14 +132,16 @@ from .charts import (
     restrict_to_zero_section,
 )
 from .construction import FLAVOURS, HigherStructure, ambient_bracket, poisson_sign_exponent
-from .fields import VectorField, _pair_signs, apply_into, commutator
+from .fields import VectorField, _pair_signs, commutator
 from .gradedpoly import (
     ChartMismatch,
     GradedAlgebraError,
     GradedPoly,
     ParityMismatch,
     _cleared,
+    _collect,
     _divided,
+    _gradient,
     _masked,
     _product_into,
     _require_chart,
@@ -142,38 +156,65 @@ class JacobiatorMismatch(GradedAlgebraError):
 # engines
 # ---------------------------------------------------------------------------
 
+def _slot(terms: dict, odd: tuple[bool, ...]) -> dict:
+    """An argument's left derivatives by index: a constant as itself, else
+    ``_masked``; a multiple of one generator is read off its one term."""
+    if len(terms) == 1:
+        (m, c), = terms.items()
+        if len(m) == 1 and m[0][1] == 1:
+            return {m[0][0]: c}
+    return {z: d[()] if len(d) == 1 and () in d else _masked(d, odd)
+            for z, d in _gradient(terms, odd).items()}
+
+
+def _taylor(terms: dict, k: int, odd: tuple[bool, ...], first: int) -> dict[tuple, dict]:
+    """The iterated left derivatives of the term map ``terms`` by k of the
+    generators at or above index ``first``: ordered tuples (j1, ..., jk) ->
+    the term map of d_{first+jk} ... d_{first+j1} terms, d_{first+j1} taken
+    first, for every tuple whose derivative is nonzero."""
+    level = {(): terms} if terms else {}
+    for _ in range(k):
+        level = {key + (g - first,): d for key, t in level.items()
+                 for g, d in _gradient(t, odd, first).items()}
+    return level
+
+
 class DerivedBracketEngine:
     """Nested-bracket evaluation (a1, ..., an) = project [...[D, a1], ..., an].
 
-    Made from the generator D, the set of its term degrees and a callable
-    that gives its self-bracket, called on first use.  A subclass supplies
-    ``flavor``, ``basis``, ``bracket`` (ambient), ``project`` (onto V),
-    ``check`` (refuse an argument outside V), ``parity_of``, ``zero`` (the
-    value at a key no degree feeds) and ``sum`` (of values, the zero value
-    when there are none), and overrides ``prepare`` when the inclusion of V
-    is not the identity and ``last`` when it has a cheaper last step.  The
-    memo, zero and degree rules are those of the module docstring.
+    Made from the generator D, its terms by degree, signed for the table,
+    and a callable that gives its self-bracket, called on first use.  A
+    subclass supplies ``flavor``, ``basis``, ``bracket`` (ambient),
+    ``project`` (onto V), ``check`` (refuse an argument outside V),
+    ``parity_of``, ``sum`` (of values), ``coefficients`` (the table at an
+    arity), ``parts`` (an argument's parity parts, with their derivatives by
+    index), ``value`` (from a term map) and ``_signs`` (a slot's sign factor
+    by the parity before it and that of its index), and overrides
+    ``prepare`` when the inclusion of V is not the identity.
     """
 
     koszul_shift = 0
 
-    def __init__(self, generator, degrees, self_bracket):
-        self._args: list = []  # registered arguments, held so that ids stay unique
-        self._position: dict[int, int] = {}
-        self._prepared: list = []  # None until the argument enters a bracket
-        self._partial: dict[tuple, object] = {(): generator}
-        self._value: dict[tuple, object] = {}
+    def __init__(self, generator, by_degree: dict, self_bracket):
+        self._generator = generator
+        self._by_degree = by_degree
+        self._tables: dict[int, dict] = {}  # the coefficient table per arity
         self._self_bracket = self_bracket
         self._half_square = None
-        self.degrees = frozenset(degrees)
+        self.degrees = frozenset(by_degree)
 
     def generator(self):
-        """The generator D, the partial at the empty key."""
-        return self._partial[()]
+        """The generator D."""
+        return self._generator
 
     def prepare(self, arg):
         """Include an argument of the abelian subalgebra in the ambient algebra."""
         return arg
+
+    @cached_property
+    def _basis_parts(self) -> dict:
+        """The parts of each basis argument by identity (the engine keeps its basis)."""
+        return {id(b): self.parts(b) for b in self.basis}
 
     def admissible_sizes(self, n: int) -> list[int]:
         """The admissible inner sizes of the n-th unshuffle sum, ascending
@@ -187,90 +228,53 @@ class DerivedBracketEngine:
         return self._half_square
 
     def derived(self, args, generator=None):
-        """The nested bracket of ``args``: from the memo, or afresh with
-        ``generator`` (the independent squared route)."""
-        if generator is None:
-            return self.value(self.positions(args))
+        """The nested bracket of ``args``: read off the coefficient table, or
+        afresh with ``generator`` (the independent squared route).
+
+        A read sums, over each choice of the arguments' parity parts and each
+        key z of the table in the product of their supports, the entry times
+        the slots' sign factors and the derivatives d_{z_i} a_i: a constant
+        scales it, any other multiplies it on the right, in slot order.
+        """
         for a in args:
             self.check(a)
-        cur = generator
-        for a in args:
-            if cur.is_zero():
-                break
-            cur = self.bracket(cur, self.prepare(a))
-        return self.project(cur)
-
-    def positions(self, args) -> tuple[int, ...]:
-        """Memo positions of ``args``, registering (and checking) each
-        argument met for the first time."""
-        out = []
-        for a in args:
-            pos = self._position.get(id(a))
-            if pos is None:
-                self.check(a)
-                pos = self._position[id(a)] = len(self._args)
-                self._args.append(a)
-                self._prepared.append(None)
-            out.append(pos)
-        return tuple(out)
-
-    def partial(self, key: tuple):
-        """The unprojected partial bracket of the registered arguments at
-        ``key``, walked from the generator by the memo and zero rules."""
-        cur = self._partial.get(key)
-        if cur is not None:
-            return cur
-        cur = self._partial[()]
-        for k in range(len(key)):
-            if cur.is_zero():
-                break
-            prefix = key[:k + 1]
-            known = self._partial.get(prefix)
-            if known is None:
-                pos = key[k]
-                prepared = self._prepared[pos]
-                if prepared is None:
-                    prepared = self._prepared[pos] = self.prepare(self._args[pos])
-                known = self._partial[prefix] = self.bracket(cur, prepared)
-            cur = known
-        return cur
-
-    def value(self, key: tuple):
-        """The derived bracket of the registered arguments at ``key``, kept:
-        ``zero`` when the degree rule rules it out, else the projected
-        generator at () and ``last(key)`` past it."""
-        if len(key) not in self.degrees:
-            return self.zero(key)
-        v = self._value.get(key)
-        if v is None:
-            v = self._value[key] = self.last(key) if key else self.project(self._partial[()])
-        return v
-
-    def last(self, key: tuple):
-        """The value at a nonempty ``key``: its partial, projected."""
-        return self.project(self.partial(key))
+        if generator is not None:
+            cur = generator
+            for a in args:
+                if cur.is_zero():
+                    break
+                cur = self.bracket(cur, self.prepare(a))
+            return self.project(cur)
+        k = len(args)
+        if k not in self.degrees:
+            return self.value({}, args)
+        table = self._tables.get(k)
+        if table is None:
+            table = self._tables[k] = self.coefficients(self._by_degree[k], k)
+        odd, signs, c = self.chart.odd_flags, self._signs, self.koszul_shift
+        known = self._basis_parts
+        out: dict = {}
+        for parts in product(*[known.get(id(a)) or self.parts(a) for a in args]):
+            for z in product(*[d for _, d in parts]):
+                entry = table.get(z)
+                if entry is None:
+                    continue
+                w, q = 1, 0
+                for zi, (p, d) in zip(z, parts):
+                    w *= signs[q][odd[zi]]
+                    q ^= p ^ c
+                    if type(d[zi]) is list:
+                        entry = _product_into({}, entry, d[zi], odd)
+                    else:
+                        w *= d[zi]
+                pairs = ((m, w * v) for m, v in entry.items())
+                out = _collect(out, pairs) if out else dict(pairs)
+        return self.value(out, args)
 
 
 class PhaseEngine(DerivedBracketEngine):
-    """Engine over a phase-space function algebra, in the flavour of its structure.
-
-    The last argument of every value enters through the anchor field of the
-    partial before it, not through an ambient bracket.  A parent-chart
-    function a carries no conjugates, so d_{z*} a = 0, and the canonical
-    bracket (module ``fields``) leaves [F, a] = sum_z s d_{z*}F_p d_z a over
-    the parity parts F_p of F, with s = ``fields._pair_signs``(|z|, |F_p|,
-    c)[0] and c the parity of the ambient bracket (the Koszul shift).  The
-    projection sets the conjugates to zero: it is an algebra map that fixes
-    parent functions, so project [F, a] = sum_z s project(d_{z*}F_p) d_z a.
-    The conjugates are the chart's suffix, so project(d_{z*}F) keeps exactly
-    the terms of F whose last factor is (z*, 1) and whose other factors all
-    lie below the conjugates.  One pass over F gives the field X_F
-    (``anchor_field``): per parent index, the signed term map of that
-    coefficient.  For fixed a1, ..., a(n-1), a -> X_F(a) is the higher
-    anchor of the derived brackets: the last slot is a derivation.  The
-    value at (..., k) is X_F, with F the partial at the key's prefix,
-    applied to the unlifted argument at k (``apply_field``); X_F is kept per
-    prefix, since siblings share it.
+    """Engine over a phase-space function algebra, in the flavour of its
+    structure: its table maps parent indices z to C(z) (the module docstring).
     """
 
     def __init__(self, structure: HigherStructure):
@@ -282,10 +286,14 @@ class PhaseEngine(DerivedBracketEngine):
         self.flavor = self.flavour.name
         self.koszul_shift = self.flavour.koszul_shift
         self._bracket = ambient_bracket(self.flavor)
-        self._field: dict[tuple, dict] = {}  # anchor field per prefix key
+        self._signs = [[_pair_signs(a, q, self.koszul_shift)[0] for a in (0, 1)] for q in (0, 1)]
         n = len(self.parent.generators)  # the conjugates follow the parent generators
-        degrees = {sum(e for i, e in m if i >= n) for m in structure.value.terms}
-        super().__init__(structure.value, degrees, lambda: structure.self_bracket)
+        d, by_degree = structure.value, {}
+        for m, coeff in d.terms.items():
+            z = [(i, e) for i, e in m if i >= n]  # the conjugate factors
+            by_degree.setdefault(sum(e for _, e in z), {})[m] = (
+                -coeff if d.monomial_parity(m) & d.monomial_parity(z) else coeff)
+        super().__init__(d, by_degree, lambda: structure.self_bracket)
 
     @cached_property
     def basis(self) -> list[GradedPoly]:
@@ -299,55 +307,29 @@ class PhaseEngine(DerivedBracketEngine):
         return restrict_to_zero_section(f)
 
     def check(self, arg: GradedPoly):
-        if arg.chart != self.parent:
+        if arg.chart is not self.parent and arg.chart != self.parent:
             raise ChartMismatch(f"arguments live on the parent chart "
                                 f"{self.parent.space}, not on {arg.chart.space}")
 
     def prepare(self, arg: GradedPoly) -> GradedPoly:
         return lift_to_phase(arg, self.chart)
 
-    def last(self, key: tuple) -> GradedPoly:
-        prefix = key[:-1]
-        field = self._field.get(prefix)
-        if field is None:
-            field = self._field[prefix] = self.anchor_field(self.partial(prefix))
-        return self.apply_field(field, self._args[key[-1]])
+    def coefficients(self, terms: dict, k: int) -> dict[tuple, dict]:
+        return _taylor(terms, k, self.chart.odd_flags, len(self.parent.generators))
 
-    def anchor_field(self, f: GradedPoly) -> dict[int, dict]:
-        """X_F of a phase-chart function F: parent index i -> the term map of
-        s project(d_{z_i*} F), in one pass over F's terms."""
-        n = len(self.parent.generators)
-        odd, gens, c = self.chart.odd_flags, self.chart.generators, self.koszul_shift
-        field: dict[int, dict] = {}
-        for m, coeff in f.terms.items():
-            if not m:
-                continue
-            z, exp = m[-1]
-            if z < n or exp != 1 or (len(m) > 1 and m[-2][0] >= n):
-                continue
-            rest = m[:-1]
-            p = 0  # parity of the other factors
-            for g, _ in rest:
-                p ^= odd[g]
-            i = z - n
-            s = _pair_signs(gens[i].parity, p ^ odd[z], c)[0]
-            if odd[z] and p:  # the left derivative moves z* past the odd factors
-                s = -s
-            field.setdefault(i, {})[rest] = coeff if s == 1 else -coeff
-        return field
+    def parts(self, arg: GradedPoly) -> list[tuple[int, dict]]:
+        own = arg.parity()
+        parts = ((own, arg),) if own is not None else arg.parity_parts().items()
+        return [(p, _slot(part.terms, self.chart.odd_flags)) for p, part in parts]
 
-    def apply_field(self, field: dict[int, dict], a: GradedPoly) -> GradedPoly:
-        """X(a) = sum_i X^i d_i a on the parent chart (``fields.apply_into``)."""
-        return GradedPoly(self.parent, apply_into({}, field.items(), a))
+    def value(self, terms: dict, args) -> GradedPoly:
+        return GradedPoly(self.parent, terms)
 
     def parity_of(self, arg: GradedPoly) -> int:
         p = arg.parity()
         if p is None:
             raise ParityMismatch("arguments must be parity-homogeneous")
         return p
-
-    def zero(self, key: tuple) -> GradedPoly:
-        return GradedPoly(self.parent)
 
     def sum(self, values):
         return GradedPoly.sum(self.parent, values)
@@ -357,19 +339,24 @@ class FieldEngine(DerivedBracketEngine):
     """Engine over vector fields on a point-base chart.
 
     Arguments and values are constant fields (``check`` refuses any other);
-    the projector evaluates every component at the origin.
+    the projector evaluates every component at the origin.  Its table maps
+    generator indices j to the Taylor coefficients of Q (the module docstring).
     """
 
     flavor = "field"
+    _signs = [[1 if q & a else -1 for a in (0, 1)] for q in (0, 1)]  # -(-1)^(q a)
 
     def __init__(self, q: VectorField):
         if q.chart.kind != BASE_FIBRE or q.chart.n_base != 0:
-            raise ChartMismatch(
-                "the field engine expects a point-base (pure fibre) chart"
-            )
+            raise ChartMismatch("the field engine expects a point-base (pure fibre) chart")
         self.chart = q.chart
-        degrees = {sum(e for _, e in m) for comp in q.components.values() for m in comp.terms}
-        super().__init__(q, degrees, q.square)
+        by_degree: dict[int, dict] = {}  # degree -> component index -> term map
+        for name, comp in q.components.items():
+            for m, coeff in comp.terms.items():
+                terms = by_degree.setdefault(sum(e for _, e in m), {})
+                terms = terms.setdefault(self.chart.index_of(name), {})
+                terms[m] = -coeff if comp.monomial_parity(m) & q.parity else coeff
+        super().__init__(q, by_degree, q.square)
 
     @cached_property
     def basis(self) -> list[VectorField]:
@@ -395,19 +382,31 @@ class FieldEngine(DerivedBracketEngine):
                 comps[n] = self.chart.const(c)
         return VectorField(self.chart, comps, x.parity)
 
+    def coefficients(self, components: dict, k: int) -> dict[tuple, dict]:
+        table: dict[tuple, dict] = {}
+        for z, terms in components.items():
+            for j, constant in _taylor(terms, k, self.chart.odd_flags, 0).items():
+                table.setdefault(j, {})[((z, 1),)] = constant[()]
+        return table
+
+    def parts(self, arg: VectorField) -> list[tuple[int, dict]]:
+        index = self.chart.index_of
+        return [(arg.parity, {index(n): comp.constant_term() for n, comp in arg.components.items()})]
+
+    def value(self, terms: dict, args) -> VectorField:
+        """The field sum c d/dxi^z over the terms c xi^z, of the parity of Q
+        plus the arguments."""
+        gens, parity = self.chart.generators, self._generator.parity
+        for a in args:
+            parity ^= a.parity
+        return VectorField(self.chart, {gens[m[0][0]].name: self.chart.const(c)
+                                        for m, c in terms.items()}, parity)
+
     def parity_of(self, arg: VectorField) -> int:
         return arg.parity
 
-    def zero(self, key: tuple) -> VectorField:
-        """The zero field of the parity of Q plus the arguments at ``key``."""
-        parity = self.generator().parity + sum(self._args[i].parity for i in key)
-        return VectorField(self.chart, {}, parity & 1)
-
     def sum(self, values):
-        total = VectorField(self.chart, {})
-        for v in values:
-            total = total + v
-        return total
+        return sum(values, VectorField(self.chart, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +416,8 @@ class FieldEngine(DerivedBracketEngine):
 def higher_bracket(eng: PhaseEngine, args: list[GradedPoly]) -> GradedPoly:
     """(X1, ..., Xr)_S on a schouten engine: nested even brackets with S, then
     zero-section; {F1, ..., Fr}_P on a poisson engine: nested odd brackets
-    with P, sign-corrected, restricted.  Brackets of one engine share its memo."""
+    with P, sign-corrected, restricted.  Brackets of one engine read one
+    coefficient table."""
     raw = eng.derived(args)
     rule = eng.flavour.sign_exponent
     if rule is not None and rule([eng.parity_of(a) for a in args]):
@@ -468,14 +468,13 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
     differ, which would signal a sign-convention bug.  An argument's Koszul
     parity is ``engine.parity_of`` plus the engine's shift, so a
     mixed-parity argument raises ParityMismatch here.  The unshuffle sum
-    reads and extends the memo, by the degree rule and the run weights; each
-    inner value is registered as one more argument and fed first to the
-    outer bracket, and the outer terms are weighted and summed once
-    (``engine.sum``).  The squared route is the independent one.
+    reads the coefficient table, by the degree rule and the run weights;
+    each inner value is fed first to the outer bracket, and the outer terms
+    are weighted and summed once (``engine.sum``).  The squared route is the
+    independent one.
     """
     n = len(args)
-    pos = engine.positions(args)
-    starts = [i for i in range(n) if i == 0 or pos[i] != pos[i - 1]]
+    starts = [i for i in range(n) if i == 0 or args[i] is not args[i - 1]]
     lengths = [b - a for a, b in zip(starts, starts[1:] + [n])]
     parities = [(engine.parity_of(args[i]) + engine.koszul_shift) & 1 for i in starts]
     sizes = engine.admissible_sizes(n)
@@ -488,11 +487,10 @@ def jacobiator(engine: DerivedBracketEngine, args: list):
             weight, rest = unshuffle_weight(lengths, counts, parities)
             if not weight:
                 continue
-            inner = engine.value(tuple(pos[a] for a, c in zip(starts, counts)
-                                       for _ in range(c)))
+            inner = engine.derived([args[a] for a, c in zip(starts, counts) for _ in range(c)])
             if inner.is_zero():
                 continue
-            term = engine.value(engine.positions([inner]) + tuple(pos[i] for i in rest))
+            term = engine.derived([inner] + [args[i] for i in rest])
             if not term.is_zero():
                 terms.append(term.scaled(weight))
     total = engine.sum(terms)
@@ -759,9 +757,10 @@ def weight_one_restriction_check(q: VectorField, s: HigherStructure,
     For every tuple of weight-one coordinates eta (resp. e) up to the arity
     bound, the derived bracket with S (resp. the sign-corrected one with P)
     must match the symmetric (resp. skew) bracket table of Q transported
-    through s_b -> eta_b (resp. T_b -> e_b).  Both tables read the memo of
-    one field engine; each phase side has its own engine.  An arity the
-    sweep skip rules out passes with no table and no comparison.
+    through s_b -> eta_b (resp. T_b -> e_b).  Both tables read the
+    coefficient table of one field engine; each phase side has its own
+    engine.  An arity the sweep skip rules out passes with no table and no
+    comparison.
 
     Returns (per_arity, details): whether each arity 0..``max_arity``
     matched, and one line naming the arity, side and tuple of each

@@ -13,7 +13,6 @@ import pytest
 from qalgebroid.builtins import (
     BUILTINS,
     builtin_spec,
-    mixed_linfinity_algebra,
     so3_broken,
 )
 from qalgebroid.charts import (
@@ -60,6 +59,7 @@ from qalgebroid.specdoc import assemble_field
 
 from closed_forms import closed_form
 from random_inputs import random_field
+from support import base_names, mixed_linfinity_algebra
 
 MIXED = BundlePresentation((0, 1), (0, 1))
 
@@ -189,7 +189,7 @@ def test_criterion_6_jacobiator_two_way(builtin_fields):
         p = build_poisson(q)
         for eng, family in ((PhaseEngine(s), "eta"), (PhaseEngine(p), "e")):
             parent = eng.parent
-            names = parent.fibre_names() + parent.base_names()
+            names = parent.fibre_names() + base_names(parent)
             for n in range(0, 5):
                 for tup in combinations_with_replacement(range(len(names)), n):
                     v = jacobiator(eng, [parent.gen(names[i]) for i in tup])

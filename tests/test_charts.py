@@ -26,6 +26,8 @@ from qalgebroid.gradedpoly import (
 from qalgebroid.randgen import random_poly
 from random import Random
 
+from support import base_names
+
 MIXED = BundlePresentation((0, 1), (0, 1))
 
 
@@ -54,7 +56,7 @@ class TestBaseFibreCharts:
 
     def test_pure_fibre_chart(self):
         c = chart_pi_e(BundlePresentation((), (0, 0, 0)))
-        assert c.base_names() == []
+        assert base_names(c) == []
         assert [g.name for g in c.generators] == ["xi1", "xi2", "xi3"]
 
     def test_empty_bundle(self):

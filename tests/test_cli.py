@@ -211,19 +211,17 @@ class TestCommands:
         assert result.exit_code == 0, result.output
         assert sum(counted) == squares
 
-    @pytest.mark.parametrize("arity, brackets", [(2, 50), (3, 0)])
-    def test_leibniz_uses_one_engine_per_structure(self, monkeypatch, arity, brackets):
-        # the three brackets of a trial share their first arity - 1 arguments,
-        # so one engine per structure computes that prefix once, and each last
-        # argument enters through the prefix's anchor field, with no bracket;
-        # walks that did not stop at a vanishing partial took 200 and 250
-        # brackets, a bracket per last argument 137 and 126, and walks that
-        # ignored the generator's degrees 50 and 75: S and P of so3 have
-        # conjugate degree 2, so every ternary bracket is zero at once.  An
-        # odd argument asked for on the all-even E* chart draws nothing, so
-        # the inputs drawn after it, and these counts, follow that rule
-        counts = {"engines": 0, "brackets": 0}
-        init, bracket = PhaseEngine.__init__, PhaseEngine.bracket
+    @pytest.mark.parametrize("arity, tables", [(2, 2), (3, 0)])
+    def test_leibniz_uses_one_engine_per_structure(self, monkeypatch, arity, tables):
+        # the three brackets of a trial are read off one coefficient table per
+        # structure, made once and with no ambient bracket; a memo that shared
+        # each trial's first arity - 1 arguments took 50 brackets at arity 2,
+        # walks that did not stop at a vanishing partial 200 and 250, and a
+        # bracket per last argument 137 and 126.  S and P of so3 have
+        # conjugate degree 2, so every ternary bracket is zero with no table
+        counts = {"engines": 0, "brackets": 0, "tables": 0}
+        init, bracket, coefficients = (PhaseEngine.__init__, PhaseEngine.bracket,
+                                       PhaseEngine.coefficients)
 
         def counted_init(self, structure):
             counts["engines"] += 1
@@ -233,11 +231,16 @@ class TestCommands:
             counts["brackets"] += 1
             return bracket(self, f, g)
 
+        def counted_coefficients(self, terms, k):
+            counts["tables"] += 1
+            return coefficients(self, terms, k)
+
         monkeypatch.setattr(PhaseEngine, "__init__", counted_init)
         monkeypatch.setattr(PhaseEngine, "bracket", counted_bracket)
+        monkeypatch.setattr(PhaseEngine, "coefficients", counted_coefficients)
         result = invoke(["leibniz", "so3", "--arity", str(arity), "--json"])
         assert result.exit_code == 0, result.output
-        assert counts == {"engines": 2, "brackets": brackets}
+        assert counts == {"engines": 2, "brackets": 0, "tables": tables}
 
     def test_naturality_singular_matrix(self, tmp_path):
         matrix = tmp_path / "t.json"

@@ -12,19 +12,21 @@ from hypothesis import strategies as st
 
 from qalgebroid.builtins import (
     BUILTINS,
+    FIXTURES,
     builtin_spec,
     derham,
     graded_3_lie,
     higher_poisson_on_algebroid,
     lie_3_algebroid_demo,
     lie_algebroid_demo,
-    mixed_linfinity_algebra,
     so3,
     so3_broken,
 )
 from qalgebroid.charts import (
     BundlePresentation,
     chart_e_star,
+    chart_even_cotangent,
+    chart_odd_cotangent,
     chart_pi_e,
     chart_pi_e_star,
     lift_to_phase,
@@ -77,6 +79,7 @@ from qalgebroid.specdoc import assemble_field, render_spec, spec_from_field
 from clirun import invoke
 from closed_forms import closed_form, structure_constant
 from random_inputs import random_field, random_homogeneous_poly
+from support import base_names, mixed_linfinity_algebra
 from test_randgen import reference_random_poly
 
 # property tests run a fixed example sequence, so the suite stays deterministic
@@ -376,8 +379,8 @@ class TestJacobiators:
             s, p = build_schouten(q), build_poisson(q)
             eng_s, eng_p = PhaseEngine(s), PhaseEngine(p)
             dual_s, dual_p = eng_s.parent, eng_p.parent
-            names_s = dual_s.fibre_names() + dual_s.base_names()
-            names_p = dual_p.fibre_names() + dual_p.base_names()
+            names_s = dual_s.fibre_names() + base_names(dual_s)
+            names_p = dual_p.fibre_names() + base_names(dual_p)
             for r in range(0, 4):
                 for tup in combinations_with_replacement(range(len(names_s)), r):
                     v = jacobiator(eng_s, [dual_s.gen(names_s[i]) for i in tup])
@@ -470,7 +473,7 @@ def koszul_sign(order: list[int], parities: list[int]) -> int:
 
 def reference_jacobiator(engine, args):
     """The unshuffle sum by the nested definition, computed afresh per subset
-    (an explicit generator bypasses the engine's memo)."""
+    (an explicit generator reads no coefficient table)."""
     n = len(args)
     parities = [(engine.parity_of(a) + engine.koszul_shift) & 1 for a in args]
     gen = engine.generator()
@@ -503,14 +506,41 @@ def engines_and_bases(q: VectorField) -> list[tuple]:
     out = []
     for eng in (PhaseEngine(build_schouten_unchecked(q)),
                 PhaseEngine(build_poisson_unchecked(q))):
-        out.append((eng, eng.basis + [eng.parent.gen(x) for x in eng.parent.base_names()]))
+        out.append((eng, eng.basis + [eng.parent.gen(x) for x in base_names(eng.parent)]))
     if q.chart.n_base == 0:
         fe = FieldEngine(q)
         out.append((fe, fe.basis))
     return out
 
 
-class TestEngineMemo:
+def count_engine_work(monkeypatch) -> dict[str, int]:
+    """Count, over every engine made while installed, the ambient brackets,
+    the table reads (``derived`` without a generator) and the coefficient
+    tables made."""
+    import qalgebroid.homotopy as homotopy
+
+    counts = {"brackets": 0, "reads": 0, "tables": 0}
+    for cls in (homotopy.PhaseEngine, homotopy.FieldEngine):
+        def bracket(self, f, g, _bracket=cls.bracket):
+            counts["brackets"] += 1
+            return _bracket(self, f, g)
+
+        def coefficients(self, terms, k, _coefficients=cls.coefficients):
+            counts["tables"] += 1
+            return _coefficients(self, terms, k)
+
+        monkeypatch.setattr(cls, "bracket", bracket)
+        monkeypatch.setattr(cls, "coefficients", coefficients)
+
+    def derived(self, args, generator=None, _derived=homotopy.DerivedBracketEngine.derived):
+        counts["reads"] += generator is None
+        return _derived(self, args, generator)
+
+    monkeypatch.setattr(homotopy.DerivedBracketEngine, "derived", derived)
+    return counts
+
+
+class TestTableRoute:
     def test_tables_match_the_nested_definition(self):
         for q in random_odd_fields(seed=21, count=4):
             for r in range(4):
@@ -542,19 +572,22 @@ class TestEngineMemo:
                     inner = [basis[rng.randrange(len(basis))] for _ in range(rng.randint(0, 2))]
                     rest = [basis[rng.randrange(len(basis))] for _ in range(rng.randint(0, 2))]
                     assert eng.derived(inner + rest) == eng.derived(inner + rest, generator=gen)
-                    # a memo value fed back as an argument is registered like any other
+                    # a value fed back as an argument is read like any other
                     args = [eng.derived(inner)] + rest
                     assert eng.derived(args) == eng.derived(args, generator=gen)
 
-    def test_new_arguments_join_the_memo(self, so3_pair):
+    def test_an_equal_argument_reads_the_same_value(self, so3_pair):
+        # a read depends on the arguments' terms only: an equal argument that
+        # is another object, or one met before, reads the same value
         _, s, _ = so3_pair
         eng = PhaseEngine(s)
         eta = [eng.parent.gen(f"eta{i + 1}") for i in range(3)]
-        assert eng.positions([eta[1], eta[0], eta[1]]) == (0, 1, 0)
-        assert eng.positions([eta[2], eta[1]]) == (2, 0)
-        assert eng.value((0, 1)) == eng.derived([eta[1], eta[0]], generator=eng.generator())
-        # an equal argument that is another object takes a new position
-        assert eng.positions([eng.parent.gen("eta2")]) == (3,)
+        gen = eng.generator()
+        for args in ([eta[1], eta[0]], [eta[0], eta[1]], [eta[1], eta[1]]):
+            nested = eng.derived(args, generator=gen)
+            assert eng.derived(args) == nested
+            assert eng.derived([a.scaled(1) for a in args]) == nested
+        assert eng.derived([eta[1], eta[0]]) == eng.parent.gen("eta3")
 
     def test_squared_route_stops_at_its_first_vanished_partial(self):
         # the route brackets while its partial is nonzero: none when the
@@ -575,8 +608,8 @@ class TestEngineMemo:
                 total += route.brackets
         assert made == {0, 1, 2, 3} and total == 84
 
-    @pytest.mark.parametrize("arity, brackets, values", [(3, 27, 45), (6, 0, 0)])
-    def test_so3_sweep_bracket_count(self, monkeypatch, arity, brackets, values):
+    @pytest.mark.parametrize("arity, reads, tables", [(3, 45, 3), (6, 0, 0)])
+    def test_so3_sweep_counts(self, monkeypatch, arity, reads, tables):
         # at arity 6 the nested definition per subset and tuple took 38136
         # brackets, a memo without the zero rule 3525; asking the memo for
         # all 2^6 subsets of every tuple took 6006 values; walking every
@@ -585,22 +618,14 @@ class TestEngineMemo:
         # at length 2 15 brackets and 597 values.  Every generator of so3 has
         # degrees {2}: a subset of size k contributes only when k and
         # arity + 1 - k are both 2, so the sum visits subsets at arity 3
-        # only, and none at arity 6
-        import qalgebroid.homotopy as homotopy
-
-        calls, values_asked = [], []
-        for cls in (homotopy.PhaseEngine, homotopy.FieldEngine):
-            def counting(self, f, g, _bracket=cls.bracket):
-                calls.append(1)
-                return _bracket(self, f, g)
-            monkeypatch.setattr(cls, "bracket", counting)
-        value = homotopy.DerivedBracketEngine.value
-        monkeypatch.setattr(homotopy.DerivedBracketEngine, "value",
-                            lambda self, key: values_asked.append(key) or value(self, key))
+        # only, and none at arity 6.  The memo took 27 brackets and 45 values
+        # at arity 3; the table reads make no bracket, and each engine makes
+        # its table at arity 2 once.  Q is homological, so its squared
+        # generators are zero and the squared route brackets nothing either
+        counts = count_engine_work(monkeypatch)
         result = invoke(["jacobiator", "so3", "--arity", str(arity), "--json"])
         assert result.exit_code == 0
-        assert len(calls) == brackets
-        assert len(values_asked) == values
+        assert counts == {"brackets": 0, "reads": reads, "tables": tables}
 
 
 def run_layouts(n: int):
@@ -727,20 +752,17 @@ class TestKoszulParityMemo:
         assert jacobiator(eng, basis[:2]) == jacobiator(fresh, fresh.basis[:2])
 
 
-def memo_depth_bound(eng) -> int:
-    """The longest nonzero partial a walk can reach: the conjugate degree of
-    a phase generator, the polynomial degree of a field's components."""
-    gen = eng.generator()
+def zero_argument(eng):
+    """The zero of the engine's arguments: the zero polynomial on the parent
+    chart, or the zero field."""
     if eng.flavor == "field":
-        monomials = [m for comp in gen.components.values() for m in comp.terms]
-        return max((sum(e for _, e in m) for m in monomials), default=0)
-    first_conjugate = len(eng.parent.generators)
-    return max((sum(e for i, e in m if i >= first_conjugate) for m in gen.terms), default=0)
+        return VectorField(eng.chart, {}, EVEN)
+    return GradedPoly(eng.parent)
 
 
 class TestZeroRule:
-    """The memo walk stops at its first vanishing partial; the nested
-    definition (``generator=``, no zero rule) is the oracle."""
+    """A table read makes no ambient bracket and visits no entry for a zero
+    argument; the nested definition (``generator=``) is the oracle."""
 
     @staticmethod
     def fields():
@@ -753,43 +775,59 @@ class TestZeroRule:
             out += [q, random_field(rng, q.chart, ODD, max_degree=4)]
         return out
 
-    def test_memo_route_equals_the_nested_definition(self):
-        flavors, stopped, deepest, based = set(), 0, 0, 0
+    def test_table_route_equals_the_nested_definition(self, monkeypatch):
+        # sorted tuples up to arity 5, with a zero argument in front and
+        # behind; the reads make no ambient bracket and tables only at the
+        # generator's degrees, while the nested definition brackets
+        counts = count_engine_work(monkeypatch)
+        flavors, based, nonzero, nested_brackets = set(), 0, 0, 0
         for q in self.fields():
             based += q.chart.n_base > 0
             for eng, basis in engines_and_bases(q):
-                gen = eng.generator()
-                # sorted tuples, shortest first: each walk extends a stored prefix
+                gen, zero = eng.generator(), zero_argument(eng)
                 for r in range(6):
                     for tup in combinations_with_replacement(range(len(basis)), r):
                         args = [basis[i] for i in tup]
-                        assert eng.derived(args) == eng.derived(args, generator=gen), (
-                            eng.flavor, tup)
-                zeros = [key for key, v in eng._partial.items() if v.is_zero()]
-                for key in eng._partial:
-                    assert not any(len(z) < len(key) and key[:len(z)] == z for z in zeros)
-                nonzero = [len(key) for key, v in eng._partial.items() if not v.is_zero()]
-                bound = memo_depth_bound(eng)
-                assert max(nonzero, default=0) <= bound
-                assert max(map(len, eng._partial)) <= bound + 1
-                stopped += sum(len(z) < 5 for z in zeros)
-                deepest = max(deepest, max(nonzero, default=0))
+                        before = counts["brackets"]
+                        nested = eng.derived(args, generator=gen)
+                        after = counts["brackets"]
+                        value = eng.derived(args)
+                        assert value == nested, (eng.flavor, tup)
+                        assert counts["brackets"] == after
+                        nested_brackets += after - before
+                        assert value.is_zero() or r in eng.degrees
+                        nonzero += not value.is_zero()
+                        for padded in ([zero] + args, args + [zero]):
+                            assert eng.derived(padded).is_zero()
+                assert set(eng._tables) <= eng.degrees
                 flavors.add(eng.flavor)
         assert flavors == {"schouten", "poisson", "field"} and based
-        assert stopped and deepest >= 3  # walks did stop early, and partials nest
+        assert nonzero and nested_brackets
 
-    def test_values_read_the_stored_partial(self, so3_pair):
+    def test_values_read_one_signed_entry(self, so3_pair):
         # S = pi1 pi2 eta3 - pi1 pi3 eta2 + pi2 pi3 eta1 has conjugate degree
-        # 2 in every term: the value at (eta1, eta1) comes from the anchor
-        # field of [S, eta1], and the values at lengths 1 and 3 are zero at
-        # once, so [[S, eta1], eta1] is never made
+        # 2 in every term: the values at 1 and 3 arguments are zero with no
+        # table, and the table at 2 holds one entry per ordered pair of
+        # distinct fibre indices.  The eta are odd and the bracket even, so
+        # the pair's sign is _pair_signs(1, 0, 0)[0] _pair_signs(1, 1, 0)[0]
+        from qalgebroid.fields import _pair_signs
+
         _, s, _ = so3_pair
         eng = PhaseEngine(s)
         assert eng.degrees == {2}
-        assert eng.positions(eng.basis) == (0, 1, 2)
-        for key in [(0,), (0, 0), (0, 0, 1)]:
-            assert eng.value(key).is_zero()
-        assert set(eng._partial) == {(), (0,)}
+        eta = eng.basis
+        for args in ([eta[0]], [eta[0], eta[0], eta[1]]):
+            assert eng.derived(args).is_zero()
+        assert not eng._tables
+        assert eng.derived([eta[0], eta[0]]).is_zero()
+        table = eng._tables[2]
+        assert sorted(table) == [(i, j) for i in range(3) for j in range(3) if i != j]
+        sign = _pair_signs(1, 0, 0)[0] * _pair_signs(1, 1, 0)[0]
+        for (i, j), entry in table.items():
+            assert len(entry) == 1
+            value = GradedPoly(eng.parent, entry).scaled(sign)
+            assert eng.derived([eta[i], eta[j]]) == value
+            assert value == eng.derived([eta[i], eta[j]], generator=eng.generator())
 
     @pytest.mark.parametrize("draw, arities", [
         pytest.param(lambda: random_odd_fields(seed=5, count=6), range(5), id="random-odd-fields"),
@@ -990,76 +1028,30 @@ class TestJacobiatorSweep:
              "status": "pass"}, indent=2, sort_keys=True) + "\n"
 
 
-class TestAnchorField:
-    """The last argument of a phase value enters through the anchor field of
-    the partial before it; the ambient bracket then the projection is the
-    oracle."""
-
-    @staticmethod
-    def drawn_partial(rng, chart):
-        """Terms of conjugate degree 0, 1 or 2 over parent factors, base
-        coordinates included, of either parity, with rational coefficients;
-        no terms gives zero."""
-        n = len(chart.parent.generators)
-        terms = {}
-        for _ in range(rng.randint(0, 8)):
-            exponents = {}
-            for i in [rng.randrange(n) for _ in range(rng.randint(0, 3))] + [
-                    rng.randrange(n, 2 * n) for _ in range(rng.choice([0, 1, 1, 2]))]:
-                exponents[i] = exponents.get(i, 0) + 1
-            mono = chart.normal_monomial(exponents)
-            if mono is not None:
-                terms[mono] = coefficient(rng.choice(COEFF_POOL))
-        return GradedPoly(chart, terms)
-
-    @PROPERTY
-    @given(st.sampled_from([build_schouten_unchecked, build_poisson_unchecked]),
-           st.integers(0, 2 ** 32))
-    def test_anchor_field_value_is_the_projected_bracket(self, build, seed):
-        # a seeded Random draws its sizes uniformly, where hypothesis's own
-        # draws lean to empty ones
-        rng = Random(seed)
-        eng = PhaseEngine(build(random_field(rng, chart_pi_e(MIXED), ODD)))
-        f = self.drawn_partial(rng, eng.chart)
-        parities = rng.choice([(), (EVEN,), (ODD,), (EVEN, ODD), (EVEN, ODD)])
-        a = GradedPoly.sum(eng.parent, (random_poly(rng, eng.parent, 3, 5, p) for p in parities))
-        expected = restrict_to_zero_section(eng.bracket(f, lift_to_phase(a, eng.chart)))
-        assert eng.apply_field(eng.anchor_field(f), a) == expected
-
-    @pytest.mark.parametrize("name", ["so3", "lie-3-algebroid-demo"])
-    def test_every_value_of_an_arity_four_sweep_is_the_nested_definition(self, name):
-        # every value the sweep kept, inner values as arguments among them,
-        # and then every key of basis positions up to length 4, in every order
-        q = assemble_field(builtin_spec(name))
-        engines = [PhaseEngine(build_schouten(q)), PhaseEngine(build_poisson(q))]
-        if q.chart.n_base == 0:
-            engines.append(FieldEngine(q))
-        checked = nonzero = 0
-        for eng in engines:
-            basis = eng.basis
-            for tup in combinations_with_replacement(range(len(basis)), 4):
-                jacobiator(eng, [basis[i] for i in tup])
-            gen = eng.generator()
-            kept = list(eng._value.items())
-            positions = eng.positions(basis)
-            swept = [(key, eng.value(key)) for r in range(5)
-                     for key in product(positions, repeat=r)]
-            for key, value in kept + swept:
-                assert value == eng.derived([eng._args[i] for i in key], generator=gen), key
-                checked += 1
-                nonzero += not value.is_zero()
-        assert checked > 60 and nonzero
+def drawn_argument(rng, eng):
+    """A random argument with rational coefficients: on a phase engine a
+    polynomial on the parent chart whose even and odd parts are drawn apart
+    (so it is often of mixed parity), on the field engine a constant field
+    of a drawn parity."""
+    if eng.flavor == "field":
+        parity = rng.randint(0, 1)
+        chart = eng.chart
+        return VectorField(chart, {g.name: chart.const(rng.choice(COEFF_POOL))
+                                   for g in chart.generators
+                                   if g.parity == parity and rng.random() < 0.7}, parity)
+    return GradedPoly.sum(eng.parent, (random_poly(rng, eng.parent, 2, 2, p)
+                                       for p in (EVEN, ODD) if rng.random() < 0.7))
 
 
 class TestDegreeRule:
-    """An engine asks for nothing at a key whose length is not a degree of
-    its generator; the nested definition, which reads no degree set, is the
-    oracle."""
+    """An engine makes no table at an arity that is not a degree of its
+    generator; the nested definition, which reads no table or degree set,
+    is the oracle."""
 
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(0, 1), st.booleans())
-    def test_memo_values_and_skipped_keys_are_the_nested_definition(self, seed, base,
-                                                                     homological):
+    def test_table_values_and_skipped_arities_are_the_nested_definition(self, seed, base,
+                                                                        homological):
         # fields drawn with or without base coordinates, homological or not,
         # with rational coefficients, on every engine; every basis tuple up
         # to two past the largest degree
@@ -1076,6 +1068,59 @@ class TestDegreeRule:
                     assert eng.derived(args) == nested, (eng.flavor, tup)
                     if r not in eng.degrees:
                         assert nested.is_zero(), (eng.flavor, tup)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_every_fixture_on_every_generator_tuple(self, name):
+        # every sorted tuple of parent-chart generators, base coordinates
+        # included, at arities 0-4, on both flavours and, over a point base,
+        # the field engine; so3-broken's structures are built unchecked
+        q = assemble_field(builtin_spec(name))
+        nonzero = 0
+        for eng, basis in engines_and_bases(q):
+            gen = eng.generator()
+            for r in range(5):
+                for tup in combinations_with_replacement(range(len(basis)), r):
+                    args = [basis[i] for i in tup]
+                    value = eng.derived(args)
+                    assert value == eng.derived(args, generator=gen), (eng.flavor, tup)
+                    nonzero += not value.is_zero()
+        assert nonzero
+
+    @pytest.mark.parametrize("name", ["so3", "lie-3-algebroid-demo", "mixed"])
+    def test_every_ordered_tuple_up_to_arity_four(self, name):
+        # every order of the sweep basis, and of the parent generators of a
+        # base, at arities 0-4
+        spec = mixed_linfinity_algebra() if name == "mixed" else builtin_spec(name)
+        checked = nonzero = 0
+        for eng, basis in engines_and_bases(assemble_field(spec)):
+            gen = eng.generator()
+            for r in range(5):
+                for tup in product(range(len(basis)), repeat=r):
+                    args = [basis[i] for i in tup]
+                    value = eng.derived(args)
+                    assert value == eng.derived(args, generator=gen), (eng.flavor, tup)
+                    checked += 1
+                    nonzero += not value.is_zero()
+        assert checked > 60 and nonzero
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_fractional_arguments(self, seed):
+        # homological and random odd fields with rational coefficients, half
+        # of them over a base; phase arguments of mixed parity with rational
+        # coefficients, field arguments constant fields of either parity
+        rng = Random(seed)
+        mixed = nonzero = 0
+        for q in random_odd_fields(seed=60 + seed, count=2):
+            for eng, _ in engines_and_bases(q):
+                gen = eng.generator()
+                for r in range(5):
+                    for _ in range(4):
+                        args = [drawn_argument(rng, eng) for _ in range(r)]
+                        value = eng.derived(args)
+                        assert value == eng.derived(args, generator=gen), (eng.flavor, r)
+                        nonzero += not value.is_zero()
+                        mixed += eng.flavor != "field" and any(a.parity() is None for a in args)
+        assert mixed and nonzero
 
     def test_degrees_of_the_builtins(self):
         # most builtins feed the binary bracket only, graded-3-lie the
@@ -1188,6 +1233,42 @@ class TestJacobiatorsOnArbitraryGenerators:
                     eng.parent.gen(parent_names[rng.randrange(3)]) for _ in range(n)
                 ]
                 jacobiator(eng, args)
+
+    @staticmethod
+    def drawn_generator(rng, chart):
+        """Terms of conjugate degree 0 to 3 over parent factors, base
+        coordinates included, of either parity, with rational coefficients;
+        no terms gives zero."""
+        n = len(chart.parent.generators)
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            exponents = {}
+            for i in [rng.randrange(n) for _ in range(rng.randint(0, 3))] + [
+                    rng.randrange(n, 2 * n) for _ in range(rng.choice([0, 1, 1, 2, 2, 3]))]:
+                exponents[i] = exponents.get(i, 0) + 1
+            mono = chart.normal_monomial(exponents)
+            if mono is not None:
+                terms[mono] = coefficient(rng.choice(COEFF_POOL))
+        return GradedPoly(chart, terms)
+
+    @PROPERTY
+    @given(st.sampled_from(["schouten", "poisson"]), st.integers(0, 2 ** 32))
+    def test_drawn_generators_and_mixed_parity_arguments(self, flavor, seed):
+        # a generator of either or mixed parity over a base and fibre of both
+        # parities, and arguments whose parity parts are drawn apart: each
+        # table read at arities 0-4 is the nested definition.  A seeded
+        # Random draws its sizes uniformly, where hypothesis's own draws lean
+        # to empty ones
+        rng = Random(seed)
+        if flavor == "schouten":
+            chart = chart_even_cotangent(chart_pi_e_star(MIXED))
+        else:
+            chart = chart_odd_cotangent(chart_e_star(MIXED))
+        generator = self.drawn_generator(rng, chart)
+        eng = PhaseEngine(HigherStructure(generator, flavor, None))
+        for r in range(5):
+            args = [drawn_argument(rng, eng) for _ in range(r)]
+            assert eng.derived(args) == eng.derived(args, generator=generator), r
 
     def test_random_polynomial_arguments(self):
         from qalgebroid.charts import BundlePresentation, chart_even_cotangent, chart_pi_e_star
@@ -1585,24 +1666,20 @@ class TestStatement:
                 v.is_zero() for v in symmetric_field_table(FieldEngine(q), r).entries.values()
             )
 
-    def test_so3_field_brackets_share_one_memo(self, so3_pair, monkeypatch):
+    def test_so3_statement_reads_one_field_table(self, monkeypatch):
         # a fresh field memo per table and arity took 170 brackets, one memo
         # without the zero rule 60, one that walked until a partial vanished
-        # 24; Q has degrees {2}, so only partials of length 1 and 2 are
-        # made: 3 and 9, the swapped keys of the skew check among them
-        import qalgebroid.homotopy as homotopy
-
-        calls = []
-
-        def counting(self, f, g, _bracket=homotopy.FieldEngine.bracket):
-            calls.append(1)
-            return _bracket(self, f, g)
-
-        monkeypatch.setattr(homotopy.FieldEngine, "bracket", counting)
-        q, s, p = so3_pair
-        per_arity, _ = weight_one_restriction_check(q, s, p, 4)
+        # 24, one that stopped at Q's degrees 12.  Q has degrees {2}: the
+        # field engine makes its table at arity 2 once, which the symmetric
+        # table, the skew table and its swapped tuples all read, each phase
+        # engine makes its own, and no engine brackets.  The 6 sorted pairs
+        # are read for the symmetric table, again for the skew one and once
+        # swapped for its check, and once on each phase side
+        counts = count_engine_work(monkeypatch)
+        q = assemble_field(so3())
+        per_arity, _ = weight_one_restriction_check(q, build_schouten(q), build_poisson(q), 4)
         assert all(per_arity.values())
-        assert len(calls) == 12
+        assert counts == {"brackets": 0, "reads": 6 + 6 + 6 + 2 * 6, "tables": 3}
 
     def test_an_extra_arity_2_term_fails_that_arity(self, so3_pair):
         # pi1*pi2*eta1 has total weight one and feeds the arity-2 bracket of

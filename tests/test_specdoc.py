@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qalgebroid.builtins import FIXTURES, builtin_spec, mixed_linfinity_algebra
+from qalgebroid.builtins import FIXTURES, builtin_spec
 from qalgebroid.charts import BundlePresentation, chart_pi_e
 from qalgebroid.fields import VectorField
 from qalgebroid.gradedpoly import EVEN, ODD, GradedPoly
@@ -38,6 +38,8 @@ from qalgebroid.specdoc import (
     render_spec,
     spec_from_field,
 )
+
+from support import mixed_linfinity_algebra
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
