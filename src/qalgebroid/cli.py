@@ -62,15 +62,6 @@ class Report:
         self.checks: list[dict] = []
         self.extra: dict = {}
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self):
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"Report({shown})"
-
     def add(self, name: str, ok: bool, detail: str = "", witness: str = ""):
         entry = {"name": name, "ok": ok}
         if detail:
@@ -443,13 +434,14 @@ def jacobiator_cmd(report, spec, arity):
         engines.append(FieldEngine(q))
     all_zero = True
     for eng in engines:
-        render = repr if eng.flavor == "field" else lambda v: v.render()
         last = jacobiator_sweep(eng, arity)
         all_zero = all_zero and last is None
+        if last is not None:  # a field value is shown as the constant field it stands for
+            shown = repr(eng.prepare(last[1])) if eng.flavor == "field" else last[1].render()
         report.add(
             f"{eng.flavor}: unshuffle sum equals squared-generator route", True,
             detail=f"arity {arity}",
-            witness="" if last is None else f"nonzero at {last[0]}: {render(last[1])}",
+            witness="" if last is None else f"nonzero at {last[0]}: {shown}",
         )
     if homological:
         report.add("all Jacobiators vanish", all_zero)

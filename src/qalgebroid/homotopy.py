@@ -15,8 +15,12 @@ Three instances are used:
   is odd, so Koszul signs use parities shifted by one (P counts as odd),
   which is how the odd-bracket algebra becomes a Lie superalgebra.
 * flavor "field": vector fields on a point-base anti-bundle chart under the
-  supercommutator, generator Q, V = constant fields, projector = evaluation
-  of components at the origin, inclusion = identity.
+  supercommutator, generator Q, V = constant fields sum c_z d/dxi^z, written
+  as the fibre-linear polynomials sum c_z xi^z, projector = evaluation of
+  components at the origin, inclusion = sum c_z xi^z -> sum c_z d/dxi^z.
+
+Every engine takes and returns polynomials on its parent chart: PiE* or E*
+for the phase flavours, the point-base PiE chart itself for the field one.
 
 The phase flavours' Koszul shifts and sign rules come from ``construction.FLAVOURS``.
 The rules below hold for every engine; the other docstrings of this module
@@ -65,9 +69,9 @@ no ambient bracket, lift or projection.
   Y_i^(j) is nonzero only when |j| = |Y_i|, the factor that reads |Q| is
   (-1) to |Q| times the parity of the term, signed into the table likewise.
 
-The entries are term maps (the field engine's c_z xi^z for c_z d/dxi^z); a
-value sums the entries at the ordered tuples of indices in the arguments'
-supports, and on generators it is one signed entry.
+The entries are term maps on the parent chart; a value sums the entries at
+the ordered tuples of indices in the arguments' supports, and on generators
+it is one signed entry.
 
 The zero rule.  Brackets are multilinear, [0, a] = 0: a zero argument has
 no support, so a read visits no entry; the squared route stops at its first
@@ -79,7 +83,7 @@ argument of V lowers every degree by one and the projection keeps degree
 0, so the value at k arguments comes only from the terms of degree exactly
 k, and the table at k has keys exactly when k is such a degree.  Each
 engine keeps that set (``degrees``), and ``derived`` answers any other
-arity with the engine's zero value, making no table.  In the unshuffle sum
+arity with the zero polynomial, making no table.  In the unshuffle sum
 of the n-th Jacobiator a subset of k arguments has an inner value of k
 arguments and an outer one of n + 1 - k, so it contributes only when both
 are in ``degrees``: the admissible sizes (``admissible_sizes``), which the
@@ -183,14 +187,13 @@ class DerivedBracketEngine:
     """Nested-bracket evaluation (a1, ..., an) = project [...[D, a1], ..., an].
 
     Made from the generator D, its terms by degree, signed for the table,
-    and a callable that gives its self-bracket, called on first use.  A
-    subclass supplies ``flavor``, ``basis``, ``bracket`` (ambient),
-    ``project`` (onto V), ``check`` (refuse an argument outside V),
-    ``parity_of``, ``sum`` (of values), ``coefficients`` (the table at an
-    arity), ``parts`` (an argument's parity parts, with their derivatives by
-    index), ``value`` (from a term map) and ``_signs`` (a slot's sign factor
-    by the parity before it and that of its index), and overrides
-    ``prepare`` when the inclusion of V is not the identity.
+    and a callable that gives its self-bracket, called on first use.
+    Arguments and values are polynomials on the parent chart ``parent``.  A
+    subclass sets ``chart`` (the ambient one) and ``parent`` and supplies
+    ``flavor``, ``bracket`` (ambient), ``prepare`` (the inclusion of V),
+    ``project`` (onto V), ``coefficients`` (the table at an arity) and
+    ``_signs`` (a slot's sign factor by the parity before it and that of
+    its index).
     """
 
     koszul_shift = 0
@@ -207,9 +210,31 @@ class DerivedBracketEngine:
         """The generator D."""
         return self._generator
 
-    def prepare(self, arg):
-        """Include an argument of the abelian subalgebra in the ambient algebra."""
-        return arg
+    @cached_property
+    def basis(self) -> list[GradedPoly]:
+        """The fibre coordinates of the parent chart."""
+        return [self.parent.gen(name) for name in self.parent.fibre_names()]
+
+    def check(self, arg: GradedPoly):
+        """Refuse an argument outside V: here, one off the parent chart."""
+        if arg.chart is not self.parent and arg.chart != self.parent:
+            raise ChartMismatch(f"arguments live on the parent chart "
+                                f"{self.parent.space}, not on {arg.chart.space}")
+
+    def parts(self, arg: GradedPoly) -> list[tuple[int, dict]]:
+        """An argument's parity parts, with their derivatives by index (``_slot``)."""
+        own = arg.parity()
+        parts = ((own, arg),) if own is not None else arg.parity_parts().items()
+        return [(p, _slot(part.terms, self.chart.odd_flags)) for p, part in parts]
+
+    def parity_of(self, arg: GradedPoly) -> int:
+        p = arg.parity()
+        if p is None:
+            raise ParityMismatch("arguments must be parity-homogeneous")
+        return p
+
+    def sum(self, values) -> GradedPoly:
+        return GradedPoly.sum(self.parent, values)
 
     @cached_property
     def _basis_parts(self) -> dict:
@@ -247,7 +272,7 @@ class DerivedBracketEngine:
             return self.project(cur)
         k = len(args)
         if k not in self.degrees:
-            return self.value({}, args)
+            return GradedPoly(self.parent)
         table = self._tables.get(k)
         if table is None:
             table = self._tables[k] = self.coefficients(self._by_degree[k], k)
@@ -269,7 +294,7 @@ class DerivedBracketEngine:
                         w *= d[zi]
                 pairs = ((m, w * v) for m, v in entry.items())
                 out = _collect(out, pairs) if out else dict(pairs)
-        return self.value(out, args)
+        return GradedPoly(self.parent, out)
 
 
 class PhaseEngine(DerivedBracketEngine):
@@ -295,21 +320,11 @@ class PhaseEngine(DerivedBracketEngine):
                 -coeff if d.monomial_parity(m) & d.monomial_parity(z) else coeff)
         super().__init__(d, by_degree, lambda: structure.self_bracket)
 
-    @cached_property
-    def basis(self) -> list[GradedPoly]:
-        """The fibre coordinates of the parent chart."""
-        return [self.parent.gen(name) for name in self.parent.fibre_names()]
-
     def bracket(self, f, g):
         return self._bracket(f, g, self.chart)
 
     def project(self, f: GradedPoly) -> GradedPoly:
         return restrict_to_zero_section(f)
-
-    def check(self, arg: GradedPoly):
-        if arg.chart is not self.parent and arg.chart != self.parent:
-            raise ChartMismatch(f"arguments live on the parent chart "
-                                f"{self.parent.space}, not on {arg.chart.space}")
 
     def prepare(self, arg: GradedPoly) -> GradedPoly:
         return lift_to_phase(arg, self.chart)
@@ -317,30 +332,16 @@ class PhaseEngine(DerivedBracketEngine):
     def coefficients(self, terms: dict, k: int) -> dict[tuple, dict]:
         return _taylor(terms, k, self.chart.odd_flags, len(self.parent.generators))
 
-    def parts(self, arg: GradedPoly) -> list[tuple[int, dict]]:
-        own = arg.parity()
-        parts = ((own, arg),) if own is not None else arg.parity_parts().items()
-        return [(p, _slot(part.terms, self.chart.odd_flags)) for p, part in parts]
-
-    def value(self, terms: dict, args) -> GradedPoly:
-        return GradedPoly(self.parent, terms)
-
-    def parity_of(self, arg: GradedPoly) -> int:
-        p = arg.parity()
-        if p is None:
-            raise ParityMismatch("arguments must be parity-homogeneous")
-        return p
-
-    def sum(self, values):
-        return GradedPoly.sum(self.parent, values)
-
 
 class FieldEngine(DerivedBracketEngine):
-    """Engine over vector fields on a point-base chart.
+    """Engine over vector fields on a point-base chart, which is its own
+    parent chart.
 
-    Arguments and values are constant fields (``check`` refuses any other);
-    the projector evaluates every component at the origin.  Its table maps
-    generator indices j to the Taylor coefficients of Q (the module docstring).
+    Arguments and values are the fibre-linear polynomials sum c_z xi^z, which
+    stand for the constant fields sum c_z d/dxi^z (``check`` refuses any
+    other); the projector evaluates every component at the origin.  Its
+    table maps generator indices j to the Taylor coefficients of Q (the
+    module docstring).
     """
 
     flavor = "field"
@@ -349,7 +350,7 @@ class FieldEngine(DerivedBracketEngine):
     def __init__(self, q: VectorField):
         if q.chart.kind != BASE_FIBRE or q.chart.n_base != 0:
             raise ChartMismatch("the field engine expects a point-base (pure fibre) chart")
-        self.chart = q.chart
+        self.chart = self.parent = q.chart
         by_degree: dict[int, dict] = {}  # degree -> component index -> term map
         for name, comp in q.components.items():
             for m, coeff in comp.terms.items():
@@ -358,29 +359,30 @@ class FieldEngine(DerivedBracketEngine):
                 terms[m] = -coeff if comp.monomial_parity(m) & q.parity else coeff
         super().__init__(q, by_degree, q.square)
 
-    @cached_property
-    def basis(self) -> list[VectorField]:
-        """The constant fields d/dxi^(i+1), in generator order."""
-        return [VectorField(self.chart, {g.name: self.chart.one()}, g.parity)
-                for g in self.chart.generators]
-
     def bracket(self, f, g):
         return commutator(f, g)
 
-    def check(self, arg: VectorField):
-        if arg.chart != self.chart:
-            raise ChartMismatch(f"arguments live on {self.chart.space}, "
-                                f"not on {arg.chart.space}")
-        if any(m for comp in arg.components.values() for m in comp.terms):
+    def check(self, arg: GradedPoly):
+        super().check(arg)
+        if any(len(m) != 1 or m[0][1] != 1 for m in arg.terms):
             raise GradedAlgebraError("arguments must be constant fields")
+        if arg.parity() is None:
+            raise ParityMismatch("arguments must be parity-homogeneous")
 
-    def project(self, x: VectorField) -> VectorField:
-        comps = {}
+    def prepare(self, arg: GradedPoly) -> VectorField:
+        """The constant field sum c_z d/dxi^z of sum c_z xi^z."""
+        gens = self.chart.generators
+        return VectorField(self.chart, {gens[m[0][0]].name: self.chart.const(c)
+                                        for m, c in arg.terms.items()}, arg.parity())
+
+    def project(self, x: VectorField) -> GradedPoly:
+        """The fibre-linear polynomial of the components' values at the origin."""
+        terms = {}
         for n, comp in x.components.items():
             c = comp.constant_term()
             if c != 0:
-                comps[n] = self.chart.const(c)
-        return VectorField(self.chart, comps, x.parity)
+                terms[((self.chart.index_of(n), 1),)] = c
+        return GradedPoly(self.chart, terms)
 
     def coefficients(self, components: dict, k: int) -> dict[tuple, dict]:
         table: dict[tuple, dict] = {}
@@ -388,25 +390,6 @@ class FieldEngine(DerivedBracketEngine):
             for j, constant in _taylor(terms, k, self.chart.odd_flags, 0).items():
                 table.setdefault(j, {})[((z, 1),)] = constant[()]
         return table
-
-    def parts(self, arg: VectorField) -> list[tuple[int, dict]]:
-        index = self.chart.index_of
-        return [(arg.parity, {index(n): comp.constant_term() for n, comp in arg.components.items()})]
-
-    def value(self, terms: dict, args) -> VectorField:
-        """The field sum c d/dxi^z over the terms c xi^z, of the parity of Q
-        plus the arguments."""
-        gens, parity = self.chart.generators, self._generator.parity
-        for a in args:
-            parity ^= a.parity
-        return VectorField(self.chart, {gens[m[0][0]].name: self.chart.const(c)
-                                        for m, c in terms.items()}, parity)
-
-    def parity_of(self, arg: VectorField) -> int:
-        return arg.parity
-
-    def sum(self, values):
-        return sum(values, VectorField(self.chart, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +649,6 @@ def poisson_bracket_table(p: HigherStructure, arity: int) -> BracketTable:
     return _phase_table(PhaseEngine(p), arity)
 
 
-def _field_entry(eng: FieldEngine, args: list[VectorField]) -> GradedPoly:
-    """(s_a1, ..., s_ar) written as the fibre-linear polynomial sum c_b xi^b."""
-    return GradedPoly(eng.chart, {
-        ((eng.chart.index_of(name), 1),): comp.constant_term()
-        for name, comp in eng.derived(args).components.items()
-    })
-
-
 def _skew_sign(chart: Chart, tup: tuple[int, ...]) -> int:
     """(-1)^(a1 (r-1) + a2 (r-2) + ... + a_{r-1} + 1), with a_i = |xi_i| + 1
     the underlying fibre parity of the PiE-chart generator xi_i: the
@@ -685,8 +660,10 @@ def _skew_sign(chart: Chart, tup: tuple[int, ...]) -> int:
 
 
 def symmetric_field_table(eng: FieldEngine, arity: int) -> BracketTable:
-    """Symmetric brackets (s_a1, ..., s_ar) over a point base, as fields."""
-    entries = {tup: _field_entry(eng, args) for tup, args in _tuples(eng.basis, arity)}
+    """Symmetric brackets (s_a1, ..., s_ar) over a point base: the field
+    engine's values, each the fibre-linear polynomial sum c_b xi^b of the
+    constant field sum c_b d/dxi^b."""
+    entries = {tup: eng.derived(args) for tup, args in _tuples(eng.basis, arity)}
     labels = [g.name for g in eng.chart.generators]
     return BracketTable("field", arity, labels, entries)
 
@@ -716,7 +693,7 @@ def _verify_skew(eng: FieldEngine, table: BracketTable):
             swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
             swapped = tuple(swapped)
             sign = -1 if gens[tup[k]].parity or gens[tup[k + 1]].parity else 1
-            value = _field_entry(eng, [eng.basis[i] for i in swapped])
+            value = eng.derived([eng.basis[i] for i in swapped])
             value = value.scaled(_skew_sign(chart, swapped))
             expected = table.entries[tup].scaled(sign)
             if value != expected:

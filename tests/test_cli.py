@@ -498,6 +498,23 @@ class TestInputContract:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert len(result.stderr.encode()) < 300 and "so3-broken" in lines[0]
 
+    @pytest.mark.parametrize("length", [4000, 5000])
+    def test_long_missing_path_error_line_is_short(self, length):
+        # a missing path of 200-character components: at 4000 characters a
+        # system with a 4096-byte path limit reports it missing, so the line
+        # names it and lists the fixtures; at 5000 it refuses the name as too
+        # long.  Either way the path is cut to its first 40 characters and
+        # its length, and the line stays under the bound of the other
+        # long-value errors
+        path = "/nonexistent/" + "/".join(["p" * 200] * 25)
+        path = path[:length - 5] + ".json"
+        result = invoke(["check-q", path])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(result.stderr.encode()) < 300 and f"({length} characters)" in lines[0]
+
     @pytest.mark.parametrize("source", ["so3", "so3-broken"])
     def test_long_matrix_path_error_line_is_short(self, source):
         # the matrix path is read once, by the command, and refused like a

@@ -402,7 +402,7 @@ class TestJacobiators:
         v = jacobiator(eng_p, [dual_p.gen(n) for n in ("e1", "e2", "e3")])
         assert v == dual_p.gen("e2")
         v = jacobiator(fe, [fe.basis[i] for i in (0, 1, 2)])
-        assert [v.component(g.name).constant_term() for g in fe.chart.generators] == [0, 1, 0]
+        assert v == fe.parent.gen("xi2")  # the constant field d/dxi2
 
     def test_squared_generators_of_the_negative_control_hold_ints(self):
         # halving an even self-bracket with scaled(1/2) stores whole results
@@ -556,11 +556,8 @@ class TestTableRoute:
                 if q.chart.n_base:
                     continue
                 fe = FieldEngine(q)
-                n = len(q.chart.generators)
                 for tup, value in symmetric_field_table(fe, r).entries.items():
-                    nested = fe.derived([fe.basis[i] for i in tup], generator=fe.generator())
-                    assert [value.terms.get(((j, 1),), 0) for j in range(n)] == [
-                        nested.component(g.name).constant_term() for g in q.chart.generators]
+                    assert value == fe.derived([fe.basis[i] for i in tup], generator=fe.generator())
                 skew_bracket_table(fe, r)  # checks antisymmetry on swapped tuples
 
     def test_values_on_unsorted_keys_and_inner_values(self):
@@ -753,10 +750,7 @@ class TestKoszulParityMemo:
 
 
 def zero_argument(eng):
-    """The zero of the engine's arguments: the zero polynomial on the parent
-    chart, or the zero field."""
-    if eng.flavor == "field":
-        return VectorField(eng.chart, {}, EVEN)
+    """The zero of the engine's arguments: the zero polynomial on the parent chart."""
     return GradedPoly(eng.parent)
 
 
@@ -1029,16 +1023,14 @@ class TestJacobiatorSweep:
 
 
 def drawn_argument(rng, eng):
-    """A random argument with rational coefficients: on a phase engine a
-    polynomial on the parent chart whose even and odd parts are drawn apart
-    (so it is often of mixed parity), on the field engine a constant field
-    of a drawn parity."""
+    """A random polynomial on the parent chart with rational coefficients: on
+    a phase engine one whose even and odd parts are drawn apart (so it is
+    often of mixed parity), on the field engine a fibre-linear one of a
+    drawn parity, which stands for a constant field."""
     if eng.flavor == "field":
         parity = rng.randint(0, 1)
-        chart = eng.chart
-        return VectorField(chart, {g.name: chart.const(rng.choice(COEFF_POOL))
-                                   for g in chart.generators
-                                   if g.parity == parity and rng.random() < 0.7}, parity)
+        return eng.sum(b.scaled(rng.choice(COEFF_POOL)) for b in eng.basis
+                       if b.parity() == parity and rng.random() < 0.7)
     return GradedPoly.sum(eng.parent, (random_poly(rng, eng.parent, 2, 2, p)
                                        for p in (EVEN, ODD) if rng.random() < 0.7))
 
@@ -1138,19 +1130,56 @@ class TestDegreeRule:
             assert [eng.degrees for eng in engines] == [degrees] * len(engines), name
 
     def test_field_engine_refuses_arguments_outside_v(self, so3_pair):
+        # the arguments are the fibre-linear polynomials of one parity on the
+        # engine's chart; a product, a constant, a mixed-parity sum and a
+        # polynomial on another chart are refused on both routes, whatever
+        # the generator
         q = so3_pair[0]
         fe = FieldEngine(q)
-        for arg in fe.basis + [fe.derived(fe.basis[:2])]:
+        chart = fe.parent
+        assert chart is q.chart
+        for arg in fe.basis + [fe.derived(fe.basis[:2]), chart.zero()]:
             fe.derived([arg])
             fe.derived([arg], generator=fe.generator())
-        chart = q.chart
-        moving = VectorField(chart, {"xi1": chart.gen("xi2")})
-        for generator in (None, fe.generator(), VectorField(chart, {})):
-            with pytest.raises(GradedAlgebraError, match="constant fields"):
-                FieldEngine(q).derived([fe.basis[0], moving], generator=generator)
+        xi1, xi2 = chart.gen("xi1"), chart.gen("xi2")
+        graded = FieldEngine(assemble_field(graded_3_lie()))
+        mixed = graded.basis[0] + graded.basis[1]
+        assert mixed.parity() is None
         other = FieldEngine(assemble_field(mixed_linfinity_algebra()))
-        with pytest.raises(ChartMismatch):
-            fe.derived(other.basis[:1])
+        for eng, arg, error, match in (
+                (fe, xi1 * xi2, GradedAlgebraError, "constant fields"),
+                (fe, chart.one(), GradedAlgebraError, "constant fields"),
+                (graded, mixed, ParityMismatch, "parity-homogeneous"),
+                (fe, other.basis[0], ChartMismatch, "parent chart")):
+            for generator in (None, eng.generator(), VectorField(eng.chart, {})):
+                with pytest.raises(error, match=match):
+                    eng.derived([eng.basis[0], arg], generator=generator)
+        with pytest.raises(ParityMismatch):
+            jacobiator(graded, [graded.basis[0], mixed])
+
+    def test_field_engine_includes_polynomials_as_constant_fields(self, monkeypatch):
+        # prepare sends xi^i to d/dxi^i, of the parity of xi^i, and project
+        # gives it back; the squared route brackets only fields
+        import qalgebroid.homotopy as homotopy
+
+        q = assemble_field(graded_3_lie())
+        fe = FieldEngine(q)
+        for g, b in zip(q.chart.generators, fe.basis):
+            field = fe.prepare(b)
+            assert field == VectorField(q.chart, {g.name: q.chart.one()})
+            assert field.parity == b.parity() == g.parity
+            assert fe.project(field) == b
+        kinds = []
+
+        def bracket(self, f, g, _bracket=homotopy.FieldEngine.bracket):
+            kinds.append((type(f), type(g)))
+            return _bracket(self, f, g)
+
+        monkeypatch.setattr(homotopy.FieldEngine, "bracket", bracket)
+        for tup in combinations_with_replacement(range(len(fe.basis)), 3):
+            args = [fe.basis[i] for i in tup]
+            assert fe.derived(args) == fe.derived(args, generator=fe.generator())
+        assert kinds and set(kinds) == {(VectorField, VectorField)}
 
     def test_a_refused_argument_after_a_zero_generator_still_raises(self, so3_pair):
         # the squared route stops at a zero partial, but checks every argument

@@ -218,7 +218,7 @@ class TestEngineInvariants:
             for _ in range(10):
                 p = rng.randint(0, 1)
                 a = eng.sum([b.scaled(rng.choice(COEFF_POOL))
-                             for b in eng.basis if b.parity == p and rng.random() < 0.7])
+                             for b in eng.basis if b.parity() == p and rng.random() < 0.7])
                 assert eng.project(eng.prepare(a)) == a
 
     def test_projector_idempotent_and_image_abelian(self):
